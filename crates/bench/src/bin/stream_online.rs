@@ -460,7 +460,7 @@ fn main() -> ExitCode {
         quantiles: {
             // v4: tail quantiles straight from the metrics registry — the
             // per-stage span histograms record microseconds per batch, the
-            // iteration histogram counts GD iterations per refine_pair.
+            // iteration histogram counts GD iterations per pair solve.
             let m = sp.metrics();
             let stage_p99_ms = |name: &str| {
                 m.summary(name)

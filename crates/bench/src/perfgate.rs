@@ -38,12 +38,12 @@ pub struct BatchPerf {
 /// catch tail blowups (one pathological batch, a GD pair that stopped
 /// converging) that average away inside the totals. All fields are
 /// milliseconds except the refine-iteration pair, which counts GD
-/// iterations per `refine_pair` call.
+/// iterations per pair solve.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct PerfQuantiles {
-    /// Median GD iterations per refine_pair call.
+    /// Median GD iterations per pair solve.
     pub refine_iters_p50: f64,
-    /// p99 GD iterations per refine_pair call — the convergence-tail gate
+    /// p99 GD iterations per pair solve — the convergence-tail gate
     /// input: a pair that stops converging shows up here long before it
     /// moves the wall-clock totals.
     pub refine_iters_p99: f64,
@@ -121,7 +121,7 @@ pub struct PerfRecord {
     /// the quantile gate simply stays off against them).
     pub quantiles: Option<PerfQuantiles>,
     /// v5: full `A·z` mat-vec evaluations across every warm-started
-    /// refine_pair run (`core.gd.grad_full_recomputes`; `None` on pre-v5
+    /// pair solve (`core.gd.grad_full_recomputes`; `None` on pre-v5
     /// baselines). Informational: deterministic for a fixed workload, so a
     /// reviewer can read the delta-path engagement straight off a
     /// baseline diff — `full / (full + delta)` is the fraction of gradient

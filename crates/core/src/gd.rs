@@ -29,7 +29,8 @@
 //!   balanced randomized rounding.
 //!
 //! See `docs/ARCHITECTURE.md` for how the streaming engine drives this
-//! loop through [`crate::recursive::GdPartitioner::refine_pair`].
+//! loop through [`crate::recursive::GdPartitioner::solve_pair`], with the
+//! vertices it cannot move [`Eliminated`] from the problem.
 
 use crate::config::{GdConfig, StepSchedule};
 use crate::feasible::FeasibleRegion;
@@ -85,15 +86,29 @@ impl SplitTarget {
 
     /// Builds the feasible region for `weights` under this target.
     pub fn region(&self, weights: &VertexWeights) -> FeasibleRegion {
-        let w: Vec<Vec<f64>> = (0..weights.dims())
-            .map(|j| weights.dim(j).to_vec())
+        self.region_around(weights, &Eliminated::default())
+    }
+
+    /// The region of a problem whose `eliminated` vertices were taken out
+    /// at fixed sides: the slabs are sized by the combined weight of the
+    /// variables and the eliminated vertices, and shifted by the
+    /// eliminated signed mass — exactly how vertex fixing re-centres the
+    /// reduced problem ([`FeasibleRegion::restrict`]). With nothing
+    /// eliminated this is [`Self::region`].
+    pub fn region_around(
+        &self,
+        weights: &VertexWeights,
+        eliminated: &Eliminated,
+    ) -> FeasibleRegion {
+        let d = weights.dims();
+        let w: Vec<Vec<f64>> = (0..d).map(|j| weights.dim(j).to_vec()).collect();
+        // Empty masses read as zero; totals are positive sums, so adding a
+        // zero leaves the plain region bit for bit.
+        let total = |j: usize| weights.total(j) + eliminated.weight.get(j).unwrap_or(&0.0);
+        let centers = (0..d)
+            .map(|j| self.center(total(j)) - eliminated.dot.get(j).unwrap_or(&0.0))
             .collect();
-        let centers = (0..weights.dims())
-            .map(|j| self.center(weights.total(j)))
-            .collect();
-        let halfwidths = (0..weights.dims())
-            .map(|j| self.halfwidth(weights.total(j)))
-            .collect();
+        let halfwidths = (0..d).map(|j| self.halfwidth(total(j))).collect();
         FeasibleRegion::new(w, centers, halfwidths)
     }
 }
@@ -479,6 +494,37 @@ pub struct WarmStart {
     /// make the balance slabs unreachable is silently left free (same rule
     /// as in-loop vertex fixing).
     pub frozen: Vec<bool>,
+    /// Vertices of the underlying problem that are not variables at all
+    /// (default: none) — see [`Eliminated`].
+    pub eliminated: Eliminated,
+}
+
+/// Vertices eliminated from a GD problem at fixed ±1 sides — the
+/// generalization of vertex fixing to vertices that never become
+/// variables. Pairwise refinement (`GdPartitioner::solve_pair`) keeps only
+/// a pair's movable vertices as variables; everything else of the pair is
+/// eliminated, and enters the solve in exactly the places a fixed vertex
+/// would:
+///
+/// * the gradient, as a constant per-variable bias `b = A_{M,E}·x_E` added
+///   at every full recompute (the delta path needs nothing — a constant
+///   has no diffs to propagate);
+/// * the balance slabs, sized by the combined weight and shifted by the
+///   eliminated signed mass ([`SplitTarget::region_around`]);
+/// * the step schedule, sized by variables plus eliminated vertices.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Eliminated {
+    /// Constant gradient bias per variable, `Σ x_u` over the variable's
+    /// eliminated neighbours `u`. Empty means zero.
+    pub bias: Vec<f64>,
+    /// `Σ w_j(u)·x_u` over the eliminated vertices, per dimension. Empty
+    /// means zero.
+    pub dot: Vec<f64>,
+    /// `Σ w_j(u)` over the eliminated vertices, per dimension. Empty means
+    /// zero.
+    pub weight: Vec<f64>,
+    /// How many vertices were eliminated.
+    pub count: usize,
 }
 
 impl WarmStart {
@@ -488,6 +534,7 @@ impl WarmStart {
         Self {
             x0: signs.iter().map(|&s| s as f64).collect(),
             frozen,
+            eliminated: Eliminated::default(),
         }
     }
 }
@@ -542,8 +589,9 @@ pub fn bipartition_warm(
 /// [`bipartition_warm`] with caller-provided iterate storage: identical
 /// output, but the `O(n)` working vectors live in `ws` and are reused
 /// across calls instead of being reallocated. The streaming engine's
-/// refine stage calls this once per pair per round with a per-worker
-/// workspace.
+/// refine stage calls this once per pair per round (through
+/// [`GdPartitioner::solve_pair`](crate::recursive::GdPartitioner::solve_pair))
+/// with a per-worker workspace.
 pub fn bipartition_warm_with(
     ws: &mut GdWorkspace,
     graph: &Graph,
@@ -586,13 +634,27 @@ fn bipartition_impl(
         });
     }
 
-    let region = target.region(weights);
+    let no_elimination = Eliminated::default();
+    let eliminated = warm.map_or(&no_elimination, |w| &w.eliminated);
+    let dims = weights.dims();
+    let bias_ok = eliminated.bias.is_empty() || eliminated.bias.len() == n;
+    let mass_ok = [&eliminated.dot, &eliminated.weight]
+        .iter()
+        .all(|m| m.is_empty() || m.len() == dims);
+    if !bias_ok || !mass_ok {
+        return Err(PartitionError::DimensionMismatch {
+            weights_n: eliminated.bias.len(),
+            graph_n: n,
+        });
+    }
+    // The slab shift by the eliminated mass is already in the region, so
+    // this also rejects an elimination no assignment can balance.
+    let region = target.region_around(weights, eliminated);
     if !region.per_dim_feasible() {
         return Err(PartitionError::Infeasible(
             "balance slab unreachable for some weight dimension".into(),
         ));
     }
-    let dims = region.dims();
     ws.reset(n, dims);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut active = ActiveSet::new(n, &region);
@@ -630,7 +692,11 @@ fn bipartition_impl(
     let mut stats = GdRunStats::default();
     let mut trace = GradTrace::new();
 
-    let target_len_full = config.step.target_length(n, config.iterations);
+    // The schedule is sized by the whole problem, eliminated vertices
+    // included, so a reduced solve steps like the problem it stands for.
+    let target_len_full = config
+        .step
+        .target_length(n + eliminated.count, config.iterations);
     let entries = graph.raw_offsets()[n];
     // Delta-gradient state: `ws.grad` mirrors `A·ws.z_prev` once
     // `grad_ready`; `force_full` re-syncs after a step retry perturbed the
@@ -679,6 +745,7 @@ fn bipartition_impl(
         };
         if full {
             matvec_parallel(graph, &ws.z, &mut ws.grad, config.threads);
+            add_bias(&mut ws.grad, &eliminated.bias);
             ws.z_prev.copy_from_slice(&ws.z);
             // Re-anchor the incrementally maintained free-mass dots so
             // their floating-point drift resets along with the gradient's.
@@ -722,6 +789,7 @@ fn bipartition_impl(
             ws.check_grad.clear();
             ws.check_grad.resize(n, 0.0);
             matvec_parallel(graph, &ws.z, &mut ws.check_grad, config.threads);
+            add_bias(&mut ws.check_grad, &eliminated.bias);
             let drift = ws
                 .grad
                 .iter()
@@ -931,6 +999,13 @@ fn bipartition_impl(
         violation,
         stats,
     })
+}
+
+/// Adds the eliminated vertices' constant gradient bias (empty = none).
+fn add_bias(grad: &mut [f64], bias: &[f64]) {
+    for (g, b) in grad.iter_mut().zip(bias) {
+        *g += b;
+    }
 }
 
 #[cfg(test)]
@@ -1152,6 +1227,7 @@ mod tests {
         let warm = WarmStart {
             x0: vec![0.0; 4],
             frozen: vec![false; 4],
+            ..WarmStart::default()
         };
         let err = bipartition_warm(
             &g,
@@ -1173,6 +1249,7 @@ mod tests {
         let warm = WarmStart {
             x0: vec![1.0; 10],
             frozen: vec![true; 10],
+            ..WarmStart::default()
         };
         let cfg = GdConfig {
             iterations: 20,

@@ -3,28 +3,36 @@
 //!
 //! The paper's GD is an offline algorithm; `mdbgp-stream` keeps a partition
 //! alive under a stream of updates by re-running GD *warm-started* on small
-//! slices of the problem. The unit of work is a **part pair** `(p, q)`: the
-//! induced subgraph of `V_p ∪ V_q` is re-bisected by
-//! [`bipartition_warm`](crate::gd::bipartition_warm)
-//! starting from the current assignment, with unaffected vertices frozen, so
-//! only the vertices near the update churn actually move. The balance target
-//! of the pair is derived from the *global* ε so that any accepted
-//! refinement keeps every part within `(1 + ε) · w(V)/k` in every dimension
-//! (a [`FeasibleRegion`](crate::FeasibleRegion)-style slab recentred on the
+//! slices of the problem. The unit of work is a **part pair** `(p, q)`, and
+//! only the pair's *movable* vertices `M` — in the streaming engine, the
+//! churned vertices plus their 1-hop halo — are variables of the solve:
+//! the paper's vertex fixing (§3.2) applied before the first iteration.
+//! The rest of `V_p ∪ V_q` is eliminated at its current side
+//! ([`Eliminated`]): it enters the gradient as a constant bias, the balance
+//! slab as fixed mass and the step schedule as a count, so a
+//! [`PairProblem`] costs time in proportion to `M` and its adjacency, not
+//! to the pair. The balance target of the pair is derived from the
+//! *global* ε so that any accepted refinement keeps every part within
+//! `(1 + ε) · w(V)/k` in every dimension (a
+//! [`FeasibleRegion`](crate::FeasibleRegion)-style slab recentred on the
 //! pair).
 //!
 //! A refinement is accepted only if it does not increase the pair cut and
-//! does not worsen the pair's balance headroom — callers can therefore apply
-//! [`PairRefinement::moves`] unconditionally.
+//! does not worsen the pair's balance headroom ([`PairProblem::judge`]) —
+//! callers can therefore apply [`PairRefinement::moves`] unconditionally.
 
-use crate::gd::{bipartition_warm_with, GdRunStats, GdWorkspace, SplitTarget, WarmStart};
+use crate::gd::{
+    bipartition_warm_with, Eliminated, GdRunStats, GdWorkspace, SplitTarget, WarmStart,
+};
+use crate::parallel;
 use crate::recursive::GdPartitioner;
-use mdbgp_graph::{Graph, InducedSubgraph, Partition, PartitionError, VertexId, VertexWeights};
+use mdbgp_graph::{Graph, Partition, PartitionError, VertexId, VertexWeights};
 
-/// How one [`GdPartitioner::refine_pair`] call resolved.
+/// How one pair solve ([`GdPartitioner::solve_pair`]) resolved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PairOutcome {
-    /// Fewer than two members in the pair — GD never ran.
+    /// Fewer than two members in the pair, or none of them movable — GD
+    /// never ran.
     #[default]
     Degenerate,
     /// GD's result was accepted; `moves` holds the changes.
@@ -33,6 +41,9 @@ pub enum PairOutcome {
     RejectedCut,
     /// Rejected: a balance dimension's headroom regressed.
     RejectedBalance,
+    /// No assignment of the movable vertices reaches the pair's balance
+    /// slab while the eliminated vertices keep their sides — GD never ran.
+    Unreachable,
 }
 
 /// Outcome of one pairwise warm-started refinement pass.
@@ -41,34 +52,360 @@ pub struct PairRefinement {
     /// Vertices whose part changed, with their new part. Empty when the
     /// refinement was rejected (no improvement) or there was nothing to do.
     pub moves: Vec<(VertexId, u32)>,
-    /// Cut edges between the two parts before refinement.
+    /// Cut pair edges incident to a movable vertex before refinement —
+    /// every pair edge the solve could change.
     pub cut_before: usize,
-    /// Cut edges between the two parts after refinement (equals
-    /// `cut_before` when the pass was rejected).
+    /// The same count after refinement (equals `cut_before` when the pass
+    /// was rejected), so `cut_after − cut_before` is the change of the
+    /// whole pair cut.
     pub cut_after: usize,
-    /// GD convergence trace of the run (default for a degenerate pair).
+    /// GD convergence trace of the run (default when GD never ran).
     pub gd: GdRunStats,
     /// How the pass resolved — lets the observability layer distinguish
-    /// applied refinements from the two rejection reasons.
+    /// applied refinements from the rejection reasons.
     pub outcome: PairOutcome,
+}
+
+/// One pair's reduced refinement problem: the movable vertices `M` of
+/// pair `(p, q)` as GD variables, warm-started at their current sides,
+/// with the rest of the pair eliminated ([`Eliminated`]). Built by a
+/// [`PairProblemBuilder`] and solved by [`GdPartitioner::solve_pair`].
+#[derive(Debug)]
+pub struct PairProblem {
+    /// The part pair `(p, q)`; sign `+1` is `p`, `−1` is `q`.
+    pair: (u32, u32),
+    vertices: Vec<VertexId>,
+    signs: Vec<i8>,
+    graph: Graph,
+    /// The weight rows of `M`.
+    weights: VertexWeights,
+    warm: WarmStart,
+    /// Eliminated pair neighbours of each movable vertex — with the bias,
+    /// the cut accounting of the edges from `M` to the eliminated
+    /// vertices.
+    fixed_degree: Vec<u32>,
+    /// Combined pair weight `w_j(V_p ∪ V_q)` per dimension.
+    pair_total: Vec<f64>,
+    /// The global weight totals `w_j(V)` the ε budget is relative to.
+    global_total: Vec<f64>,
+    /// Number of parts `k`.
+    k: usize,
+}
+
+impl PairProblem {
+    /// Builds pair `(p, q)`'s problem from whole-graph inputs, with every
+    /// pair member not marked in `frozen` movable. Pair loads and global
+    /// totals come from `weights`. O(n): a convenience for callers that
+    /// hold a [`Partition`] and a mask (and the test oracle's input);
+    /// the streaming engine drives a [`PairProblemBuilder`] from its
+    /// active set instead. Panics on masks or weights that do not cover
+    /// the graph ([`GdPartitioner::refine_pair`] validates first).
+    pub fn from_mask(
+        graph: &Graph,
+        weights: &VertexWeights,
+        partition: &Partition,
+        (p, q): (u32, u32),
+        frozen: &[bool],
+    ) -> Self {
+        let d = weights.dims();
+        let mut loads = [vec![0.0f64; d], vec![0.0f64; d]];
+        let mut pair_size = 0usize;
+        let mut local = vec![u32::MAX; graph.num_vertices()];
+        let mut movable = Vec::new();
+        for v in 0..graph.num_vertices() as VertexId {
+            let part = partition.part_of(v);
+            if part != p && part != q {
+                continue;
+            }
+            pair_size += 1;
+            let side = usize::from(part != p);
+            for (j, load) in loads[side].iter_mut().enumerate() {
+                *load += weights.weight(j, v);
+            }
+            if !frozen[v as usize] {
+                local[v as usize] = movable.len() as u32;
+                movable.push(v);
+            }
+        }
+        let mut builder = PairProblemBuilder::new((p, q), d);
+        for &v in &movable {
+            builder.push_vertex(
+                v,
+                partition.part_of(v),
+                |j| weights.weight(j, v),
+                graph.neighbors(v).iter().map(|&u| {
+                    let slot = local[u as usize];
+                    (partition.part_of(u), (slot != u32::MAX).then_some(slot))
+                }),
+            );
+        }
+        let global: Vec<f64> = (0..d).map(|j| weights.total(j)).collect();
+        builder.finish(
+            [&loads[0], &loads[1]],
+            pair_size,
+            &global,
+            partition.num_parts(),
+        )
+    }
+
+    /// `M` in ascending id order, in the caller's id space: local vertex
+    /// `i` of [`Self::graph`] is `vertices()[i]`.
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vertices
+    }
+
+    /// Current side of each movable vertex (`+1` → `p`, `−1` → `q`).
+    pub fn signs(&self) -> &[i8] {
+        &self.signs
+    }
+
+    /// The pair edges among `M`, in local ids.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The warm start GD runs from: `x0` is [`Self::signs`], nothing is
+    /// frozen, and the rest of the pair is [`Eliminated`].
+    pub fn warm(&self) -> &WarmStart {
+        &self.warm
+    }
+
+    /// `|V_p ∪ V_q|`: the movable vertices plus the eliminated ones.
+    pub fn pair_size(&self) -> usize {
+        self.vertices.len() + self.warm.eliminated.count
+    }
+
+    /// Headroom of dimension `j`: with `hi_j = (1 + ε)·w_j(V)/k` the
+    /// global per-part cap, both parts stay under it iff the pair's
+    /// `⟨w_j, x⟩` lies within `±(2·hi_j − W_j)`, `W_j` the pair weight.
+    fn headroom(&self, epsilon: f64, j: usize) -> f64 {
+        let hi = (1.0 + epsilon) * self.global_total[j] / self.k as f64;
+        2.0 * hi - self.pair_total[j]
+    }
+
+    /// The relative width of the pair's GD slab. [`SplitTarget`] carries a
+    /// single width, so take the tightest dimension (conservative:
+    /// accepted moves can only under-use slack, never violate it). An
+    /// overweight pair (negative headroom) cannot be made globally
+    /// feasible by an internal swap; it still runs with a tiny slab so the
+    /// pair at least splits evenly.
+    fn slab_epsilon(&self, epsilon: f64) -> f64 {
+        (0..self.pair_total.len())
+            .map(|j| self.headroom(epsilon, j) / self.pair_total[j])
+            .fold(f64::INFINITY, f64::min)
+            .clamp(1e-3, 0.999)
+    }
+
+    /// Cut pair edges incident to `M` under `signs`: local edges once
+    /// each, plus, per movable vertex, its eliminated neighbours on the
+    /// other side — `(fixed_degree − s·bias)/2` of them.
+    fn cut(&self, signs: &[i8]) -> usize {
+        let bias = &self.warm.eliminated.bias;
+        let mut cut = 0usize;
+        for (v, &s) in signs.iter().enumerate() {
+            cut += self
+                .graph
+                .neighbors(v as VertexId)
+                .iter()
+                .filter(|&&u| u as usize > v && signs[u as usize] != s)
+                .count();
+            let fixed = i64::from(self.fixed_degree[v]);
+            let b = bias.get(v).map_or(0, |&b| b as i64);
+            cut += ((fixed - i64::from(s) * b) / 2) as usize;
+        }
+        cut
+    }
+
+    /// The acceptance rule, applied to a candidate assignment `signs` of
+    /// `M`: returns `(cut_before, cut_after, outcome)`, the cut counts
+    /// over the pair edges incident to `M` and one of
+    /// [`PairOutcome::Applied`], [`PairOutcome::RejectedCut`] or
+    /// [`PairOutcome::RejectedBalance`]. Accepts only strict
+    /// non-regressions in cut and, per dimension, in balance headroom (the
+    /// pair may already be over budget after weight drift; "no worse in
+    /// any dimension" keeps the pass safe to apply blindly — a
+    /// max-over-dims guard would let one dimension degrade while another
+    /// improves). Balance is evaluated from `M`'s weights plus the
+    /// eliminated signed mass, so the verdict equals the whole pair's.
+    pub fn judge(&self, epsilon: f64, signs: &[i8]) -> (usize, usize, PairOutcome) {
+        let (cut_before, cut_after) = (self.cut(&self.signs), self.cut(signs));
+        let fixed_dot = &self.warm.eliminated.dot;
+        let excess = |signs: &[i8], j: usize| -> f64 {
+            let movable: f64 = self
+                .weights
+                .dim(j)
+                .iter()
+                .zip(signs)
+                .map(|(w, &s)| w * s as f64)
+                .sum();
+            let dot = fixed_dot.get(j).map_or(movable, |&f| f + movable);
+            (dot.abs() - self.headroom(epsilon, j)) / self.pair_total[j]
+        };
+        let balance_regressed = (0..self.pair_total.len())
+            .any(|j| excess(signs, j) > excess(&self.signs, j).max(0.0) + 1e-12);
+        let outcome = if cut_after > cut_before {
+            PairOutcome::RejectedCut
+        } else if balance_regressed {
+            PairOutcome::RejectedBalance
+        } else {
+            PairOutcome::Applied
+        };
+        (cut_before, cut_after, outcome)
+    }
+}
+
+/// Assembles a [`PairProblem`] one movable vertex at a time, in ascending
+/// id order — the one construction path, driven by the streaming engine
+/// from its overlay graph and store, and by [`PairProblem::from_mask`]
+/// from a whole [`Graph`] and [`Partition`].
+#[derive(Debug)]
+pub struct PairProblemBuilder {
+    pair: (u32, u32),
+    vertices: Vec<VertexId>,
+    signs: Vec<i8>,
+    offsets: Vec<usize>,
+    targets: Vec<VertexId>,
+    columns: Vec<Vec<f64>>,
+    bias: Vec<f64>,
+    fixed_degree: Vec<u32>,
+    /// `Σ w_j` over the movable members of `p` (`[0]`) and of `q` (`[1]`).
+    movable_load: [Vec<f64>; 2],
+}
+
+impl PairProblemBuilder {
+    /// An empty problem for `pair` over `dims` weight dimensions.
+    pub fn new(pair: (u32, u32), dims: usize) -> Self {
+        Self {
+            pair,
+            vertices: Vec::new(),
+            signs: Vec::new(),
+            offsets: vec![0],
+            targets: Vec::new(),
+            columns: vec![Vec::new(); dims],
+            bias: Vec::new(),
+            fixed_degree: Vec::new(),
+            movable_load: [vec![0.0; dims], vec![0.0; dims]],
+        }
+    }
+
+    /// Appends movable vertex `v` of part `part` (one of the pair; ids
+    /// strictly ascending across calls) with weight row `weight(j)`.
+    /// `neighbors` yields one `(part, movable index)` per neighbour of
+    /// `v`, the index being the neighbour's position among the movable
+    /// vertices when it is one: neighbours outside the pair are skipped,
+    /// movable ones become local edges, and the rest are eliminated — they
+    /// fold into `v`'s gradient bias. Movable indices must name vertices of
+    /// this problem and the adjacency must be symmetric, as it is when both
+    /// come from one undirected graph: the local graph is assembled without
+    /// re-checking either.
+    pub fn push_vertex(
+        &mut self,
+        v: VertexId,
+        part: u32,
+        weight: impl Fn(usize) -> f64,
+        neighbors: impl IntoIterator<Item = (u32, Option<u32>)>,
+    ) {
+        let (p, q) = self.pair;
+        debug_assert!(part == p || part == q, "vertex {v} is outside the pair");
+        debug_assert!(self.vertices.last().is_none_or(|&last| last < v));
+        let side = usize::from(part != p);
+        for (j, column) in self.columns.iter_mut().enumerate() {
+            let w = weight(j);
+            column.push(w);
+            self.movable_load[side][j] += w;
+        }
+        let row = self.targets.len();
+        let (mut bias, mut fixed) = (0.0f64, 0u32);
+        for (part_u, slot) in neighbors {
+            if part_u != p && part_u != q {
+                continue;
+            }
+            match slot {
+                Some(i) => self.targets.push(i),
+                None => {
+                    bias += if part_u == p { 1.0 } else { -1.0 };
+                    fixed += 1;
+                }
+            }
+        }
+        // CSR rows are sorted; local ids follow global ids, so this is the
+        // order of a sorted global adjacency.
+        self.targets[row..].sort_unstable();
+        self.offsets.push(self.targets.len());
+        self.vertices.push(v);
+        self.signs.push(if part == p { 1 } else { -1 });
+        self.bias.push(bias);
+        self.fixed_degree.push(fixed);
+    }
+
+    /// Completes the problem. `loads` are the current per-dimension loads
+    /// of `p` and `q`, `pair_size` is `|V_p ∪ V_q|`, and `global_total` /
+    /// `k` set the ε budget. The eliminated mass is the pair loads minus
+    /// the movable vertices' weights, so building never visits an
+    /// eliminated vertex.
+    pub fn finish(
+        self,
+        loads: [&[f64]; 2],
+        pair_size: usize,
+        global_total: &[f64],
+        k: usize,
+    ) -> PairProblem {
+        let m = self.vertices.len();
+        debug_assert!(pair_size >= m, "more movable vertices than pair members");
+        let d = self.columns.len();
+        let count = pair_size.saturating_sub(m);
+        // With nothing eliminated the loads-minus-movable differences are
+        // float residue, not mass: solve the whole pair as it stands.
+        let eliminated = if count == 0 {
+            Eliminated::default()
+        } else {
+            // Clamped: a side with nothing eliminated reads ~0 after the
+            // subtraction, never a negative mass.
+            let rest =
+                |side: usize, j: usize| (loads[side][j] - self.movable_load[side][j]).max(0.0);
+            Eliminated {
+                bias: self.bias,
+                dot: (0..d).map(|j| rest(0, j) - rest(1, j)).collect(),
+                weight: (0..d).map(|j| rest(0, j) + rest(1, j)).collect(),
+                count,
+            }
+        };
+        PairProblem {
+            pair: self.pair,
+            warm: WarmStart {
+                x0: self.signs.iter().map(|&s| f64::from(s)).collect(),
+                frozen: vec![false; m],
+                eliminated,
+            },
+            vertices: self.vertices,
+            signs: self.signs,
+            graph: Graph::from_csr_unchecked(self.offsets, self.targets),
+            weights: VertexWeights::from_vectors(self.columns),
+            fixed_degree: self.fixed_degree,
+            pair_total: (0..d).map(|j| loads[0][j] + loads[1][j]).collect(),
+            global_total: global_total.to_vec(),
+            k,
+        }
+    }
 }
 
 impl GdPartitioner {
     /// Re-bisects parts `p` and `q` of `partition` with GD warm-started
     /// from the current assignment, holding `frozen` vertices fixed.
     ///
-    /// `weights`, `partition` and `frozen` cover the whole graph **as it
-    /// currently stands** — under a churning stream the vertex set
-    /// shrinks, so callers must rebuild all three after every purging
-    /// compaction; a stale (longer or shorter) `frozen` mask is rejected
-    /// with [`PartitionError::DimensionMismatch`] rather than silently
-    /// freezing the wrong vertices. A pair drained to fewer than two
-    /// members (removals can empty a part outright) is a clean no-op, not
-    /// an error. The pair's balance slab is derived from the configured ε
-    /// and the **global** per-part target `w^{(j)}(V)/k`, so accepted
-    /// moves never push either part past `(1 + ε)` of its share. Returns
-    /// the (possibly empty) list of vertex moves; the partition itself is
-    /// not mutated.
+    /// Builds the reduced problem with [`PairProblem::from_mask`] — every
+    /// pair member not in `frozen` is movable, the rest is eliminated —
+    /// and solves it with [`Self::solve_pair`]. `weights`, `partition`
+    /// and `frozen` cover the whole graph **as it currently stands**; a
+    /// stale (longer or shorter) `frozen` mask is rejected with
+    /// [`PartitionError::DimensionMismatch`] rather than silently freezing
+    /// the wrong vertices. A pair drained to fewer than two members
+    /// (removals can empty a part outright) is a clean no-op, not an
+    /// error. The pair's balance slab is derived from the configured ε and
+    /// the **global** per-part target `w^{(j)}(V)/k`, so accepted moves
+    /// never push either part past `(1 + ε)` of its share. Returns the
+    /// (possibly empty) list of vertex moves; the partition itself is not
+    /// mutated.
     ///
     /// # Example
     ///
@@ -115,10 +452,7 @@ impl GdPartitioner {
 
     /// [`Self::refine_pair`] with caller-provided GD iterate storage:
     /// identical output, but the inner solve reuses `ws` instead of
-    /// allocating fresh working vectors. The streaming engine keeps one
-    /// workspace per worker thread and threads it through every pair of
-    /// every disjoint round — a workspace carries no state between calls,
-    /// so reuse never changes results (see [`GdWorkspace`]).
+    /// allocating fresh working vectors (see [`GdWorkspace`]).
     #[allow(clippy::too_many_arguments)]
     pub fn refine_pair_with(
         &self,
@@ -143,96 +477,60 @@ impl GdPartitioner {
                 graph_n: n,
             });
         }
+        let problem = PairProblem::from_mask(graph, weights, partition, (p, q), frozen);
+        self.solve_pair(ws, &problem, seed)
+    }
 
-        let subset: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| {
-                let part = partition.part_of(v);
-                part == p || part == q
-            })
-            .collect();
-        if subset.len() < 2 {
+    /// Solves one pair's reduced problem — the single pair-solve path of
+    /// both [`Self::refine_pair`] and the streaming engine. Runs
+    /// [`bipartition_warm_with`] over the movable vertices only, on the
+    /// pair slab derived from the configured ε, then applies
+    /// [`PairProblem::judge`]. A pair with fewer than two members or no
+    /// movable vertex is [`PairOutcome::Degenerate`]; one whose shifted
+    /// slab no assignment of `M` can reach is [`PairOutcome::Unreachable`]
+    /// — both clean no-ops. The streaming engine keeps one workspace per
+    /// worker thread and threads it through every pair of every disjoint
+    /// round; a workspace carries no state between calls, so reuse never
+    /// changes results.
+    pub fn solve_pair(
+        &self,
+        ws: &mut GdWorkspace,
+        problem: &PairProblem,
+        seed: u64,
+    ) -> Result<PairRefinement, PartitionError> {
+        if problem.vertices.is_empty() || problem.pair_size() < 2 {
             return Ok(PairRefinement::default());
         }
-
-        let sub = InducedSubgraph::extract(graph, &subset);
-        let w_sub = weights.restrict(&sub.original);
-        let d = weights.dims();
-
-        // Per-dimension headroom of the pair: part loads must stay below
-        // hi_j = (1 + ε)·total_j/k, i.e. ⟨w_j, x⟩ ∈ ±(2·hi_j − W_j) where
-        // W_j is the pair's combined weight. SplitTarget carries a single
-        // relative width, so take the tightest dimension (conservative:
-        // accepted moves can only under-use slack, never violate it).
         let eps = self.config().epsilon;
-        let mut eps_pair = f64::INFINITY;
-        let mut headroom = vec![0.0f64; d];
-        for j in 0..d {
-            let pair_total = w_sub.total(j);
-            let hi = (1.0 + eps) * weights.total(j) / k as f64;
-            let b = 2.0 * hi - pair_total;
-            headroom[j] = b;
-            eps_pair = eps_pair.min(b / pair_total);
+        let eps_pair = problem.slab_epsilon(eps);
+        let target = SplitTarget::half(eps_pair);
+        let reachable = target
+            .region_around(&problem.weights, &problem.warm.eliminated)
+            .per_dim_feasible();
+        if !reachable {
+            let cut = problem.cut(&problem.signs);
+            return Ok(PairRefinement {
+                cut_before: cut,
+                cut_after: cut,
+                outcome: PairOutcome::Unreachable,
+                ..PairRefinement::default()
+            });
         }
-        // An overweight pair (negative headroom) cannot be made globally
-        // feasible by an internal swap; still run with a tiny slab so the
-        // pair at least splits evenly.
-        let eps_pair = eps_pair.clamp(1e-3, 0.999);
-
-        let signs0: Vec<i8> = sub
-            .original
-            .iter()
-            .map(|&v| if partition.part_of(v) == p { 1 } else { -1 })
-            .collect();
-        let frozen_sub: Vec<bool> = sub.original.iter().map(|&v| frozen[v as usize]).collect();
-        let cut_before = pair_cut(&sub.graph, &signs0);
 
         let mut cfg = self.config().clone();
         cfg.epsilon = eps_pair;
         cfg.track_history = false;
-        let warm = WarmStart::from_signs(&signs0, frozen_sub.clone());
         let res = bipartition_warm_with(
             ws,
-            &sub.graph,
-            &w_sub,
+            &problem.graph,
+            &problem.weights,
             &cfg,
-            &SplitTarget::half(eps_pair),
-            &warm,
+            &target,
+            &problem.warm,
             seed,
         )?;
-
-        // Frozen vertices keep their side no matter what the rounding
-        // repair did — that is the contract callers rely on.
-        let signs1: Vec<i8> = res
-            .signs
-            .iter()
-            .zip(&frozen_sub)
-            .zip(&signs0)
-            .map(|((&s, &fz), &s0)| if fz { s0 } else { s })
-            .collect();
-        let cut_after = pair_cut(&sub.graph, &signs1);
-
-        // Accept only strict non-regressions in cut and, per dimension, in
-        // balance headroom (the pair may already be over budget after
-        // weight drift; "no worse in any dimension" keeps the pass safe to
-        // apply blindly — a max-over-dims guard would let one dimension
-        // degrade while another improves).
-        let excess = |signs: &[i8], j: usize| -> f64 {
-            let dot: f64 = w_sub
-                .dim(j)
-                .iter()
-                .zip(signs)
-                .map(|(w, &s)| w * s as f64)
-                .sum();
-            (dot.abs() - headroom[j]) / w_sub.total(j)
-        };
-        let balance_regressed =
-            (0..d).any(|j| excess(&signs1, j) > excess(&signs0, j).max(0.0) + 1e-12);
-        if cut_after > cut_before || balance_regressed {
-            let outcome = if cut_after > cut_before {
-                PairOutcome::RejectedCut
-            } else {
-                PairOutcome::RejectedBalance
-            };
+        let (cut_before, cut_after, outcome) = problem.judge(eps, &res.signs);
+        if outcome != PairOutcome::Applied {
             return Ok(PairRefinement {
                 moves: Vec::new(),
                 cut_before,
@@ -241,29 +539,26 @@ impl GdPartitioner {
                 outcome,
             });
         }
-
-        let moves: Vec<(VertexId, u32)> = sub
-            .original
+        let (p, q) = problem.pair;
+        let moves = problem
+            .vertices
             .iter()
-            .zip(&signs1)
-            .filter_map(|(&v, &s)| {
-                let new_part = if s == 1 { p } else { q };
-                (new_part != partition.part_of(v)).then_some((v, new_part))
-            })
+            .zip(res.signs.iter().zip(&problem.signs))
+            .filter(|(_, (s1, s0))| s1 != s0)
+            .map(|(&v, (&s, _))| (v, if s == 1 { p } else { q }))
             .collect();
         Ok(PairRefinement {
             moves,
             cut_before,
             cut_after,
             gd: res.stats,
-            outcome: PairOutcome::Applied,
+            outcome,
         })
     }
 
-    /// Ranks part pairs by cut edges incident to `active` vertices —
-    /// the refinement schedule of `mdbgp-stream`. Returns at most
-    /// `max_pairs` pairs, most-cut first. A part with no cut edges (e.g.
-    /// one drained empty by removals) never appears in a pair.
+    /// Ranks part pairs by cut edges incident to `active` vertices (a
+    /// mask over the whole graph) — [`Self::rank_pairs_around`] for
+    /// callers holding a [`Graph`] and a [`Partition`].
     ///
     /// # Panics
     /// Panics if `active` does not cover the graph — after a purging
@@ -280,13 +575,60 @@ impl GdPartitioner {
             graph.num_vertices(),
             "active mask must cover the current graph (rebuild it after a purge)"
         );
-        let k = partition.num_parts();
+        let list: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+            .filter(|&v| active[v as usize])
+            .collect();
+        Self::rank_pairs_around(
+            partition.num_parts(),
+            &list,
+            |v| active[v as usize],
+            |v| partition.part_of(v),
+            |v| graph.neighbors(v).iter().copied(),
+            max_pairs,
+            1,
+        )
+    }
+
+    /// Ranks part pairs by cut edges with at least one endpoint in
+    /// `active` — the refinement schedule of `mdbgp-stream`. Walks only
+    /// the active vertices' adjacency and counts each such edge once (at
+    /// its lower endpoint when both are active), so the cost follows the
+    /// active set, not the graph. `active` lists distinct vertices in any
+    /// order; `is_active` must agree with it. Returns at most `max_pairs`
+    /// pairs, most-cut first, ties in pair order. A part with no cut edges
+    /// at the active set (e.g. one drained empty by removals) never
+    /// appears in a pair. The walk splits `active` over `threads` workers;
+    /// the counts are integers, so the ranking never depends on the split.
+    pub fn rank_pairs_around<I>(
+        k: usize,
+        active: &[VertexId],
+        is_active: impl Fn(VertexId) -> bool + Sync,
+        part_of: impl Fn(VertexId) -> u32 + Sync,
+        neighbors: impl Fn(VertexId) -> I + Sync,
+        max_pairs: usize,
+        threads: usize,
+    ) -> Vec<(u32, u32)>
+    where
+        I: IntoIterator<Item = VertexId>,
+    {
+        let partials = parallel::fold_ranges(active.len(), threads, 4096, |range| {
+            let mut counts = vec![0usize; k * k];
+            for &a in &active[range] {
+                let pa = part_of(a);
+                for u in neighbors(a) {
+                    let pu = part_of(u);
+                    if pu != pa && (a < u || !is_active(u)) {
+                        let (lo, hi) = if pa < pu { (pa, pu) } else { (pu, pa) };
+                        counts[lo as usize * k + hi as usize] += 1;
+                    }
+                }
+            }
+            counts
+        });
         let mut cut_count = vec![0usize; k * k];
-        for (u, v) in graph.edges() {
-            let (pu, pv) = (partition.part_of(u), partition.part_of(v));
-            if pu != pv && (active[u as usize] || active[v as usize]) {
-                let (a, b) = if pu < pv { (pu, pv) } else { (pv, pu) };
-                cut_count[a as usize * k + b as usize] += 1;
+        for counts in partials {
+            for (total, c) in cut_count.iter_mut().zip(counts) {
+                *total += c;
             }
         }
         let mut pairs: Vec<((u32, u32), usize)> = cut_count
@@ -302,11 +644,10 @@ impl GdPartitioner {
 
     /// Greedily schedules `pairs` into rounds of **part-disjoint** pairs —
     /// a maximal matching per round, preserving the input priority order.
-    /// Pairs inside one round touch disjoint part sets, so their
-    /// [`Self::refine_pair`] calls read disjoint vertex sets and can run
-    /// concurrently against one partition snapshot; rounds are barriers at
-    /// which the accepted moves are applied. Every input pair appears in
-    /// exactly one round.
+    /// Pairs inside one round touch disjoint part sets, so their solves
+    /// read disjoint vertex sets and can run concurrently against one
+    /// partition state; rounds are barriers at which the accepted moves
+    /// are applied. Every input pair appears in exactly one round.
     pub fn plan_disjoint_rounds(pairs: &[(u32, u32)]) -> Vec<Vec<(u32, u32)>> {
         type Round = (Vec<(u32, u32)>, std::collections::HashSet<u32>);
         let mut rounds: Vec<Round> = Vec::new();
@@ -327,14 +668,6 @@ impl GdPartitioner {
         }
         rounds.into_iter().map(|(round, _)| round).collect()
     }
-}
-
-/// Cut edges of a ±1 assignment (both endpoints inside the pair subgraph).
-fn pair_cut(graph: &Graph, signs: &[i8]) -> usize {
-    graph
-        .edges()
-        .filter(|&(u, v)| signs[u as usize] != signs[v as usize])
-        .count()
 }
 
 #[cfg(test)]

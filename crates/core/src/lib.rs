@@ -42,9 +42,9 @@ pub mod rounding;
 pub use config::{GdConfig, NoiseSchedule, ProjectionMethod, StepSchedule};
 pub use feasible::FeasibleRegion;
 pub use gd::{
-    bipartition, bipartition_warm, bipartition_warm_with, BipartitionResult, GdExit, GdRunStats,
-    GdWorkspace, IterationRecord, SplitTarget, WarmStart, FRONTIER_TOL, GRAD_TRACE_CAP,
+    bipartition, bipartition_warm, bipartition_warm_with, BipartitionResult, Eliminated, GdExit,
+    GdRunStats, GdWorkspace, IterationRecord, SplitTarget, WarmStart, FRONTIER_TOL, GRAD_TRACE_CAP,
 };
-pub use incremental::{PairOutcome, PairRefinement};
+pub use incremental::{PairOutcome, PairProblem, PairProblemBuilder, PairRefinement};
 pub use kway::KWayGdPartitioner;
 pub use recursive::GdPartitioner;

@@ -152,44 +152,6 @@ where
     })
 }
 
-/// Like [`fold_ranges`], but chunks rows by equal *work* via
-/// [`prefix_boundaries`] (e.g. CSR offsets: equal edge counts per chunk),
-/// so one hub row cannot serialize the fold on a skewed graph. Sequential
-/// when `threads <= 1` or the total work `prefix[n] - prefix[0]` is below
-/// `min_work`.
-pub fn fold_prefix_ranges<R, F>(
-    prefix: &[usize],
-    threads: usize,
-    min_work: usize,
-    fold: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    assert!(!prefix.is_empty(), "prefix array needs at least one entry");
-    let n = prefix.len() - 1;
-    let total = prefix[n] - prefix[0];
-    if threads <= 1 || total < min_work {
-        return vec![fold(0..n)];
-    }
-    let boundaries = prefix_boundaries(prefix, threads);
-    if boundaries.len() <= 2 {
-        return vec![fold(0..n)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = boundaries
-            .windows(2)
-            .map(|w| {
-                let fold = &fold;
-                let range = w[0]..w[1];
-                scope.spawn(move || fold(range))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
 /// Work-stealing map: applies `f` to every item and returns the results in
 /// input order. Items are claimed one at a time off a shared atomic
 /// counter, so a few expensive items (e.g. large part pairs) don't
@@ -366,27 +328,6 @@ mod tests {
         }
         // Below min_len: one sequential accumulator.
         assert_eq!(fold_ranges(4, 8, 100, |r| r.len()), vec![4]);
-    }
-
-    #[test]
-    fn fold_prefix_ranges_balances_by_work() {
-        // CSR-like offsets: a 900-edge hub row then 100 rows of 1 edge.
-        let mut prefix = vec![0usize, 900];
-        for i in 0..100 {
-            prefix.push(901 + i);
-        }
-        let work: Vec<usize> = prefix.windows(2).map(|w| w[1] - w[0]).collect();
-        for threads in [1, 2, 4] {
-            let partials =
-                fold_prefix_ranges(&prefix, threads, 64, |r| work[r].iter().sum::<usize>());
-            assert_eq!(partials.iter().sum::<usize>(), 1000, "threads {threads}");
-            if threads > 1 {
-                // The hub must sit alone in its chunk.
-                assert_eq!(partials[0], 900);
-            }
-        }
-        // Below min_work: sequential.
-        assert_eq!(fold_prefix_ranges(&[0, 1, 2], 4, 100, |r| r.len()), vec![2]);
     }
 
     #[test]

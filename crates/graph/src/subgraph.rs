@@ -25,10 +25,7 @@ impl InducedSubgraph {
     ///
     /// Runs in `O(n + Σ_{v ∈ subset} deg(v))` with no edge-list sort: the
     /// parent adjacency is sorted and the id remap preserves order, so the
-    /// sub-CSR is assembled directly in two linear sweeps. This is the
-    /// per-pair setup cost of warm-started refinement
-    /// (`refine_pair` extracts one subgraph per pair solve), so it sits on
-    /// the streaming engine's refine hot path.
+    /// sub-CSR is assembled directly in two linear sweeps.
     pub fn extract(graph: &Graph, subset: &[VertexId]) -> Self {
         let mut original: Vec<VertexId> = subset.to_vec();
         original.sort_unstable();

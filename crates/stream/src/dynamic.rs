@@ -7,8 +7,10 @@
 //! set** over both for removals. Reads see `(base ∖ tombstones) ∪ delta`;
 //! writes go to the delta (or clear a tombstone); [`DynamicGraph::compact`]
 //! merges everything into a fresh CSR once the churn exceeds a configurable
-//! fraction of the base. Refinement always runs on the compacted CSR, so
-//! the GD kernels never pay for the indirection.
+//! fraction of the base. Refinement reads through the overlay
+//! ([`DynamicGraph::neighbors`]) and never forces a compaction: it visits
+//! only the active vertices' adjacency, and the GD kernels run on the
+//! small per-pair CSR it builds from there.
 //!
 //! ## Tombstone lifecycle and the id-remap contract
 //!

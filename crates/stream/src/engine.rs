@@ -36,8 +36,11 @@
 //!    elapses — runs **incremental refinement**: a greedy multi-constraint
 //!    rebalance (restores ε-feasibility, in the spirit of Maas-style
 //!    greedy repartitioning) followed by warm-started pairwise GD
-//!    ([`GdPartitioner::refine_pair`]) that re-optimizes locality around
-//!    the churn with all untouched vertices frozen.
+//!    ([`GdPartitioner::solve_pair`]) that re-optimizes locality around
+//!    the churn: only the active set — the dirty vertices plus their
+//!    1-hop halo — moves, and each pair solves over its active members
+//!    alone. The pass never compacts, and costs time in proportion to the
+//!    active set and its adjacency.
 //!
 //! Per-stage wall-clocks are reported in [`BatchReport::timings`];
 //! placement conflicts and repair passes land in both the report and the
@@ -60,7 +63,9 @@ use crate::pipeline::{
 };
 use crate::store::PartitionStore;
 use crate::TOMBSTONE;
-use mdbgp_core::{parallel, GdConfig, GdPartitioner, GdWorkspace, PairOutcome};
+use mdbgp_core::{
+    parallel, GdConfig, GdPartitioner, GdWorkspace, PairOutcome, PairProblem, PairProblemBuilder,
+};
 use mdbgp_graph::{Graph, Partition, PartitionError, Partitioner, VertexId, VertexWeights};
 use mdbgp_obs::{MetricsRegistry, SpanNode, SpanTree};
 use std::time::Instant;
@@ -81,7 +86,9 @@ pub const METRIC_ALLOWLIST: &[&str] = &[
     "core.gd.pairs_degenerate",
     "core.gd.pairs_rejected_balance",
     "core.gd.pairs_rejected_cut",
+    "core.gd.pairs_unreachable",
     "core.gd.refine_iterations",
+    "core.gd.solve_vertices",
     "stream.balance.edge_locality",
     "stream.balance.max_imbalance",
     "stream.compact.merges",
@@ -98,6 +105,7 @@ pub const METRIC_ALLOWLIST: &[&str] = &[
     "stream.log.rotations",
     "stream.place.conflicts",
     "stream.place.repair_passes",
+    "stream.refine.active_vertices",
     "stream.refine.drift_triggers",
     "stream.refine.full_scans",
     "stream.refine.gd_moves",
@@ -207,8 +215,8 @@ pub struct StreamTelemetry {
     pub edges_added: usize,
     pub edges_removed: usize,
     pub weight_updates: usize,
-    /// Compactions that actually merged churn into the base CSR — both
-    /// slack-triggered ones and the unconditional pre-refinement ones.
+    /// Compactions that actually merged churn into the base CSR — the
+    /// slack-triggered ones in ingest and explicit [`StreamingPartitioner::purge`]s.
     pub compactions: usize,
     /// The subset of `compactions` that purged tombstoned vertices and
     /// remapped ids.
@@ -335,10 +343,9 @@ pub struct StreamingPartitioner {
     cfg: StreamConfig,
     graph: DynamicGraph,
     store: PartitionStore,
-    /// Vertices touched since the last refinement (new, re-weighted, or
-    /// endpoint of an added/removed edge) — the refinement active set
-    /// grows a 1-hop halo around these.
-    dirty: Vec<bool>,
+    /// Vertices touched since the last refinement — the refinement active
+    /// set grows a 1-hop halo around these.
+    dirty: DirtySet,
     /// Composed old→new id map of every purging compaction since the last
     /// [`Self::take_remap`] (drained into [`BatchReport::remap`] by
     /// `ingest`).
@@ -368,6 +375,92 @@ pub struct StreamingPartitioner {
     /// byte-identical results because a [`GdWorkspace`] carries no state
     /// between solves.
     workspaces: Vec<GdWorkspace>,
+    /// Per-vertex refinement scratch, [`NO_SLOT`] outside a refinement
+    /// pass: during one, every active vertex holds a slot — its position
+    /// among the movable vertices of its pair in the current round. Grown
+    /// to the id space on demand and reset vertex by vertex at the end of
+    /// each pass, never reallocated per pass. Not serialized.
+    refine_slots: Vec<u32>,
+}
+
+/// [`StreamingPartitioner::refine_slots`] value of a vertex outside the
+/// active set.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Vertices touched since the last refinement (new, re-weighted, moved, or
+/// endpoint of an added/removed edge): a mask over the id space for O(1)
+/// membership plus a list of the marked ids, so the refinement pass visits
+/// the churn without scanning the id space. The mask is the state
+/// (snapshots carry it); the list is rebuilt from it on restore and after
+/// a purge, and may hold ids unmarked since (or marked twice), which
+/// [`Self::sorted`] drops.
+#[derive(Debug, Default)]
+struct DirtySet {
+    mask: Vec<bool>,
+    list: Vec<VertexId>,
+}
+
+impl DirtySet {
+    fn from_mask(mask: Vec<bool>) -> Self {
+        let list = (0..mask.len() as VertexId)
+            .filter(|&v| mask[v as usize])
+            .collect();
+        Self { mask, list }
+    }
+
+    /// Marks `v`, extending the id space when `v` is a fresh id.
+    fn mark(&mut self, v: VertexId) {
+        let i = v as usize;
+        if i >= self.mask.len() {
+            self.mask.resize(i + 1, false);
+        }
+        if !self.mask[i] {
+            self.mask[i] = true;
+            self.list.push(v);
+            // Unmarked ids stay behind in the list; tidy before they
+            // outgrow the id space.
+            if self.list.len() > 2 * self.mask.len() {
+                self.tidy();
+            }
+        }
+    }
+
+    fn unmark(&mut self, v: VertexId) {
+        self.mask[v as usize] = false;
+    }
+
+    /// The marked ids, ascending and distinct.
+    fn sorted(&mut self) -> &[VertexId] {
+        self.tidy();
+        &self.list
+    }
+
+    fn tidy(&mut self) {
+        let mask = &self.mask;
+        self.list.retain(|&v| mask[v as usize]);
+        self.list.sort_unstable();
+        self.list.dedup();
+    }
+
+    /// Unmarks everything, in time proportional to the list.
+    fn clear(&mut self) {
+        for &v in &self.list {
+            self.mask[v as usize] = false;
+        }
+        self.list.clear();
+    }
+
+    /// Carries the set across a purge (`map[old]` = new id or
+    /// [`TOMBSTONE`]) into an id space of `n_new` vertices.
+    fn remap(&mut self, map: &[VertexId], n_new: usize) {
+        let mut mask = vec![false; n_new];
+        for (old, &new) in map.iter().enumerate() {
+            if new != TOMBSTONE {
+                mask[new as usize] = self.mask[old];
+            }
+        }
+        *self = Self::from_mask(mask);
+    }
 }
 
 impl StreamingPartitioner {
@@ -419,7 +512,7 @@ impl StreamingPartitioner {
             cfg,
             graph,
             store,
-            dirty: vec![false; n],
+            dirty: DirtySet::from_mask(vec![false; n]),
             pending_remap: None,
             view_remap: None,
             telemetry: StreamTelemetry::default(),
@@ -428,6 +521,7 @@ impl StreamingPartitioner {
             id_epoch: 0,
             obs: MetricsRegistry::new(),
             workspaces: Vec::new(),
+            refine_slots: Vec::new(),
         })
     }
 
@@ -447,7 +541,7 @@ impl StreamingPartitioner {
             cfg,
             graph,
             store,
-            dirty: Vec::new(),
+            dirty: DirtySet::default(),
             pending_remap: None,
             view_remap: None,
             telemetry: StreamTelemetry::default(),
@@ -456,6 +550,7 @@ impl StreamingPartitioner {
             id_epoch: 0,
             obs: MetricsRegistry::new(),
             workspaces: Vec::new(),
+            refine_slots: Vec::new(),
         })
     }
 
@@ -560,8 +655,7 @@ impl StreamingPartitioner {
 
     /// Drains the composed old→new id map of any purging compaction since
     /// the last drain (`ingest` does this automatically into
-    /// [`BatchReport::remap`]; call this after a direct
-    /// [`Self::refine_now`] under churn).
+    /// [`BatchReport::remap`]).
     pub fn take_remap(&mut self) -> Option<Vec<VertexId>> {
         self.pending_remap.take()
     }
@@ -638,7 +732,7 @@ impl StreamingPartitioner {
         pw.put_section(snapshot::SEC_STORE);
         self.store.encode_snapshot(&mut pw);
         pw.put_section(snapshot::SEC_ENGINE);
-        pw.put_vec_bool(&self.dirty);
+        pw.put_vec_bool(&self.dirty.mask);
         pw.put_bool(self.pending_remap.is_some());
         if let Some(map) = &self.pending_remap {
             pw.put_vec_u32(map);
@@ -724,7 +818,7 @@ impl StreamingPartitioner {
         let mut store = PartitionStore::decode_snapshot(&mut pr, graph.weights())?;
         store.set_threads(cfg.threads);
         pr.expect_section(snapshot::SEC_ENGINE)?;
-        let dirty = pr.get_vec_bool("engine.dirty")?;
+        let dirty = DirtySet::from_mask(pr.get_vec_bool("engine.dirty")?);
         let pending_remap = if pr.get_bool("engine.pending_remap flag")? {
             Some(pr.get_vec_u32("engine.pending_remap")?)
         } else {
@@ -758,11 +852,11 @@ impl StreamingPartitioner {
                 graph.weights().dims()
             )));
         }
-        if store.num_vertices() != n || dirty.len() != n {
+        if store.num_vertices() != n || dirty.mask.len() != n {
             return Err(SnapshotError::Corrupt(format!(
                 "id spaces disagree: graph {n}, store {}, dirty {}",
                 store.num_vertices(),
-                dirty.len()
+                dirty.mask.len()
             )));
         }
         // A tombstoned graph slot must be released in the store and vice
@@ -798,6 +892,7 @@ impl StreamingPartitioner {
             id_epoch: info.id_epoch,
             obs,
             workspaces: Vec::new(),
+            refine_slots: Vec::new(),
         };
         // Restore publishes view #0 of this process: readers attaching to
         // the restored engine immediately see the restored assignment at
@@ -823,11 +918,13 @@ impl StreamingPartitioner {
     /// Compacts the dynamic graph and, when the compaction purged
     /// tombstoned vertices, applies the id remap to every structure the
     /// engine owns (store, dirty set) and composes it into
-    /// [`Self::pending_remap`] for the caller.
+    /// [`Self::pending_remap`] for the caller. Runs only when ingest finds
+    /// the churn outgrew [`StreamConfig::compact_slack`] and on an
+    /// explicit [`Self::purge`] — never inside a refinement pass.
     fn compact_graph(&mut self) {
-        // Count every compaction that actually merges (the trigger path
-        // and the unconditional one at the top of refine_now both land
-        // here), so `remaps` stays a subset of `compactions`.
+        // Count every compaction that actually merges (the slack trigger
+        // and `purge` both land here), so `remaps` stays a subset of
+        // `compactions`.
         let will_merge = self.graph.delta_edge_count() > 0
             || self.graph.tombstoned_edge_count() > 0
             || self.graph.num_tombstoned() > 0
@@ -854,13 +951,7 @@ impl StreamingPartitioner {
             return;
         };
         let n_new = self.graph.num_vertices();
-        let mut dirty = vec![false; n_new];
-        for (old, &new) in map.iter().enumerate() {
-            if new != TOMBSTONE {
-                dirty[new as usize] = self.dirty[old];
-            }
-        }
-        self.dirty = dirty;
+        self.dirty.remap(&map, n_new);
         self.store.apply_remap(&map, self.graph.weights());
         record_compact_ms(&mut self.obs, compact_start);
         self.telemetry.remaps += 1;
@@ -1193,11 +1284,7 @@ impl StreamingPartitioner {
                     // May recycle a tombstoned id (free list, LIFO) — the
                     // report's `arrival_ids` tells callers what it got.
                     let v = self.graph.add_vertex(weights);
-                    if (v as usize) < self.dirty.len() {
-                        self.dirty[v as usize] = true;
-                    } else {
-                        self.dirty.push(true);
-                    }
+                    self.dirty.mark(v);
                     out.vertices_added += 1;
                     // Materialize the adjacency now; placement reads it
                     // through `graph.neighbors`. Removed, out-of-range and
@@ -1209,7 +1296,7 @@ impl StreamingPartitioner {
                             && self.graph.is_live(u)
                             && self.graph.add_edge(v, u)
                         {
-                            self.dirty[u as usize] = true;
+                            self.dirty.mark(u);
                             out.edges_added += 1;
                             out.ledger.push(DeferredEffect::EdgeAdded(v, u));
                         }
@@ -1223,8 +1310,8 @@ impl StreamingPartitioner {
                 }
                 StreamUpdate::AddEdge { u, v } => {
                     if self.graph.add_edge(*u, *v) {
-                        self.dirty[*u as usize] = true;
-                        self.dirty[*v as usize] = true;
+                        self.dirty.mark(*u);
+                        self.dirty.mark(*v);
                         out.edges_added += 1;
                         if out.arrival_of.contains_key(u) || out.arrival_of.contains_key(v) {
                             out.ledger.push(DeferredEffect::EdgeAdded(*u, *v));
@@ -1235,8 +1322,8 @@ impl StreamingPartitioner {
                 }
                 StreamUpdate::RemoveEdge { u, v } => {
                     if self.graph.remove_edge(*u, *v) {
-                        self.dirty[*u as usize] = true;
-                        self.dirty[*v as usize] = true;
+                        self.dirty.mark(*u);
+                        self.dirty.mark(*v);
                         out.edges_removed += 1;
                         if out.arrival_of.contains_key(u) || out.arrival_of.contains_key(v) {
                             out.ledger.push(DeferredEffect::EdgeRemoved(*u, *v));
@@ -1253,12 +1340,12 @@ impl StreamingPartitioner {
                         // sits in the ledger, where the removals cancel
                         // the adds.
                         for u in self.graph.remove_vertex(*v) {
-                            self.dirty[u as usize] = true;
+                            self.dirty.mark(u);
                             out.edges_removed += 1;
                             out.ledger.push(DeferredEffect::EdgeRemoved(*v, u));
                         }
                         out.arrivals[idx].dead = true;
-                        self.dirty[*v as usize] = false;
+                        self.dirty.unmark(*v);
                         continue;
                     }
                     let row: Vec<f64> = (0..dims)
@@ -1267,7 +1354,7 @@ impl StreamingPartitioner {
                     // Settle per-edge stats while both endpoints still
                     // resolve, then release the capacity.
                     for u in self.graph.remove_vertex(*v) {
-                        self.dirty[u as usize] = true;
+                        self.dirty.mark(u);
                         out.edges_removed += 1;
                         if out.arrival_of.contains_key(&u) {
                             out.ledger.push(DeferredEffect::EdgeRemoved(*v, u));
@@ -1278,12 +1365,12 @@ impl StreamingPartitioner {
                     self.store.release_vertex(*v, &row);
                     // The tombstoned id must never seed the refinement
                     // active set — its (former) neighbours carry the churn.
-                    self.dirty[*v as usize] = false;
+                    self.dirty.unmark(*v);
                 }
                 StreamUpdate::SetWeight { v, dim, value } => {
                     let old = self.graph.weights().weight(*dim, *v);
                     self.graph.set_weight(*v, *dim, *value);
-                    self.dirty[*v as usize] = true;
+                    self.dirty.mark(*v);
                     out.weight_updates += 1;
                     // A pending arrival has no store slot yet; commit
                     // pushes its *final* row, which already folds every
@@ -1351,9 +1438,10 @@ impl StreamingPartitioner {
     /// Runs a refinement pass unconditionally. Returns
     /// `(rebalance_moves, refine_moves)`.
     ///
-    /// The pass compacts first; under churn that purge can remap vertex
-    /// ids — drain [`Self::take_remap`] afterwards when calling this
-    /// directly (`ingest` surfaces the map in [`BatchReport::remap`]).
+    /// The pass never compacts, so vertex ids are stable across it:
+    /// purges happen only when `ingest` finds the churn outgrew
+    /// [`StreamConfig::compact_slack`], or on [`Self::purge`]. The pass
+    /// reads the graph through its overlay and skips tombstoned ids.
     pub fn refine_now(&mut self) -> Result<(usize, usize), PartitionError> {
         let spans = SpanTree::new();
         let result = {
@@ -1364,160 +1452,66 @@ impl StreamingPartitioner {
             self.obs.absorb_spans(&root);
         }
         // A direct refinement is a batch boundary of its own: readers get
-        // the refined assignment (and any purge remap) atomically.
+        // the refined assignment atomically.
         self.publish_view();
         result
     }
 
-    /// The refinement pass body, with its sub-stages (`compact`,
-    /// `rebalance`, `gd`, `recount`) recorded as children of whatever span
-    /// is currently open on `spans` — `"ingest.refine"` when called from
-    /// [`Self::ingest`], `"refine"` from [`Self::refine_now`].
+    /// The refinement pass body, with its sub-stages (`rebalance`, and
+    /// `gd` with its `rank` and `pairs` children) recorded as children of
+    /// whatever span is currently open on `spans` — `"ingest.refine"`
+    /// when called from [`Self::ingest`], `"refine"` from
+    /// [`Self::refine_now`].
+    ///
+    /// Every loop is bounded by the dirty set, the active set (the dirty
+    /// vertices plus their 1-hop halo) or their adjacency, so a pass costs
+    /// time in proportion to the churn, not to the graph; the rebalance's
+    /// rare full-membership fallback is the one exception, and it is
+    /// counted.
     fn refine_with_spans(&mut self, spans: &SpanTree) -> Result<(usize, usize), PartitionError> {
         let started = Instant::now();
-        // Purge tombstones before anything downstream sees the graph: the
-        // rebalance, the pair ranking and the GD all assume every id is a
-        // live vertex with a live weight row.
-        {
-            let _s = spans.span("compact");
-            self.compact_graph();
-        }
-
         let mut rebalance_moves = {
             let _s = spans.span("rebalance");
             self.greedy_rebalance(self.cfg.max_rebalance_moves)
         };
 
-        // Active set: dirty vertices (including any the rebalance just
-        // moved) plus their 1-hop halo — the GD pass may move exactly
-        // these; everything else is frozen.
-        let n = self.graph.num_vertices();
-        let mut active = self.dirty.clone();
-        for v in 0..n as VertexId {
-            if self.dirty[v as usize] {
-                for u in self.graph.neighbors(v) {
-                    active[u as usize] = true;
-                }
-            }
-        }
-
-        // Warm-started pairwise GD around the churn. The graph was just
-        // compacted, so the immutable `csr()` view is the full graph.
-        //
-        // Pairs are scheduled into rounds of part-disjoint pairs
-        // ([`GdPartitioner::plan_disjoint_rounds`]): within a round no part
-        // is touched twice, so each `refine_pair` reads a disjoint vertex
-        // set of the shared partition snapshot and the round runs
-        // concurrently on the configured worker threads; the accepted
-        // moves are applied at the round barrier.
+        // Warm-started pairwise GD around the churn: only active vertices
+        // (including any the rebalance just moved) may move, and each pair
+        // solves over its active members alone.
         let mut refine_moves = 0usize;
-        if n > 0 {
+        if self.graph.num_vertices() > 0 {
             let _s = spans.span("gd");
-            let mut partition = self.partition();
-            let frozen: Vec<bool> = active.iter().map(|&a| !a).collect();
-            let mut gd_cfg = self.cfg.gd.clone();
-            gd_cfg.epsilon = self.cfg.epsilon;
-            gd_cfg.iterations = self.cfg.refine_iterations;
-            gd_cfg.track_history = false;
-
-            let pairs = GdPartitioner::rank_pairs_by_active_cut(
-                self.graph.csr(),
-                &partition,
-                &active,
-                self.cfg.max_refine_pairs,
-            );
-            for round in GdPartitioner::plan_disjoint_rounds(&pairs) {
-                // Threads left idle by a small round (common when one hot
-                // part appears in every ranked pair, making every round a
-                // singleton) drop down into the pair's own GD mat-vec —
-                // the mat-vec splits rows deterministically, so the result
-                // is still thread-count independent.
-                gd_cfg.threads = (self.cfg.threads / round.len()).max(1);
-                let gd = GdPartitioner::new(gd_cfg.clone());
-                let seeds: Vec<u64> = round
-                    .iter()
-                    .map(|_| {
-                        self.refine_seed = self
-                            .refine_seed
-                            .wrapping_mul(0x9E3779B97F4A7C15)
-                            .wrapping_add(1);
-                        self.refine_seed
-                    })
-                    .collect();
-                let graph = self.graph.csr();
-                let weights = self.graph.weights();
-                // One reusable GD workspace per worker: pairs of a round
-                // are claimed work-stealing style, each solve running in
-                // the claiming worker's workspace. Which worker serves
-                // which pair is scheduling-dependent, but a workspace
-                // carries no state between solves, so results (and hence
-                // BatchReports) stay thread-count independent.
-                let workers = self.cfg.threads.min(round.len()).max(1);
-                if self.workspaces.len() < workers {
-                    self.workspaces.resize_with(workers, GdWorkspace::default);
-                }
-                let outcomes = parallel::par_map_with(
-                    &round,
-                    &mut self.workspaces[..workers],
-                    |ws, i, &pair| {
-                        gd.refine_pair_with(ws, graph, weights, &partition, pair, &frozen, seeds[i])
-                    },
+            let (active, pairs) = {
+                let _s = spans.span("rank");
+                let active = self.mark_active();
+                let (graph, store, slots) = (&self.graph, &self.store, &self.refine_slots);
+                let pairs = GdPartitioner::rank_pairs_around(
+                    self.cfg.k,
+                    &active,
+                    |u| slots[u as usize] != NO_SLOT,
+                    |u| store.shard_of(u),
+                    |u| graph.neighbors(u),
+                    self.cfg.max_refine_pairs,
+                    self.cfg.threads,
                 );
-                for outcome in outcomes {
-                    let outcome = outcome?;
-                    // Recorded at the deterministic round barrier (par_map
-                    // preserves round order), so the GD histograms are
-                    // identical for threads = 1 and threads = N.
-                    self.obs
-                        .observe("core.gd.refine_iterations", outcome.gd.iterations as u64);
-                    self.obs.counter_add(
-                        "core.gd.grad_full_recomputes",
-                        outcome.gd.full_recomputes as u64,
-                    );
-                    self.obs.counter_add(
-                        "core.gd.grad_delta_iters",
-                        outcome.gd.delta_iterations as u64,
-                    );
-                    // Mean frontier size of the run — the histogram of
-                    // these means shows how much of each pair the
-                    // delta path actually had to touch.
-                    if let Some(mean) = outcome.gd.frontier_sum.checked_div(outcome.gd.iterations) {
-                        self.obs.observe("core.gd.frontier_mean", mean as u64);
-                    }
-                    let outcome_counter = match outcome.outcome {
-                        PairOutcome::Applied => "core.gd.pairs_applied",
-                        PairOutcome::RejectedCut => "core.gd.pairs_rejected_cut",
-                        PairOutcome::RejectedBalance => "core.gd.pairs_rejected_balance",
-                        PairOutcome::Degenerate => "core.gd.pairs_degenerate",
-                    };
-                    self.obs.counter_add(outcome_counter, 1);
-                    if let (Some(&first), Some(&last)) =
-                        (outcome.gd.grad_norms.first(), outcome.gd.grad_norms.last())
-                    {
-                        self.obs.gauge_set("core.gd.last_grad_norm_first", first);
-                        self.obs.gauge_set("core.gd.last_grad_norm_last", last);
-                        if first > 0.0 {
-                            let decay_pct = (last / first * 100.0).round().clamp(0.0, 1e9);
-                            self.obs
-                                .observe("core.gd.grad_norm_decay_pct", decay_pct as u64);
-                        }
-                    }
-                    for &(v, part) in &outcome.moves {
-                        let row: Vec<f64> = (0..self.graph.weights().dims())
-                            .map(|j| self.graph.weights().weight(j, v))
-                            .collect();
-                        self.store.move_vertex(v, part, &row);
-                        partition.assign(v, part);
-                        refine_moves += 1;
-                    }
-                }
+                (active, pairs)
+            };
+            self.obs
+                .counter_add("stream.refine.active_vertices", active.len() as u64);
+            let solved = {
+                let _s = spans.span("pairs");
+                self.refine_pairs(&active, &pairs)
+            };
+            for &a in &active {
+                self.refine_slots[a as usize] = NO_SLOT;
             }
+            refine_moves = solved?;
         }
 
         // This pass has consumed the churn; reset the dirty set *before*
         // the touch-up below so vertices the touch-up moves stay marked
         // and the next refinement's GD pass repairs their locality.
-        self.dirty.iter_mut().for_each(|d| *d = false);
+        self.dirty.clear();
 
         // The GD acceptance rule enforces only the global ε, so a pair
         // refinement may legally land back inside the trigger band; touch
@@ -1530,37 +1524,6 @@ impl StreamingPartitioner {
             self.greedy_rebalance(self.cfg.max_rebalance_moves.saturating_sub(rebalance_moves))
         };
 
-        // Locality counters are cheapest to rebuild wholesale after moves;
-        // the recount folds over CSR row ranges of equal *edge* count
-        // (each undirected edge counted at its lower endpoint) so the
-        // O(m) sweep scales with the worker pool too and a hub row cannot
-        // serialize it.
-        let (intra, cut) = {
-            let _s = spans.span("recount");
-            let csr = self.graph.csr();
-            let offsets = csr.raw_offsets();
-            let targets = csr.raw_targets();
-            let store = &self.store;
-            parallel::fold_prefix_ranges(offsets, self.cfg.threads, 16384, |range| {
-                let (mut intra, mut cut) = (0usize, 0usize);
-                for v in range {
-                    let pv = store.shard_of(v as VertexId);
-                    for &u in &targets[offsets[v]..offsets[v + 1]] {
-                        if (u as usize) > v {
-                            if store.shard_of(u) == pv {
-                                intra += 1;
-                            } else {
-                                cut += 1;
-                            }
-                        }
-                    }
-                }
-                (intra, cut)
-            })
-            .into_iter()
-            .fold((0, 0), |(a, b), (i, c)| (a + i, b + c))
-        };
-        self.store.set_edge_stats(intra, cut);
         self.batches_since_refine = 0;
         self.telemetry.refinements += 1;
         self.telemetry.rebalance_moves += rebalance_moves;
@@ -1580,6 +1543,168 @@ impl StreamingPartitioner {
             ],
         );
         Ok((rebalance_moves, refine_moves))
+    }
+
+    /// Marks the active set — the live dirty vertices plus their 1-hop
+    /// halo, the vertices this pass's GD may move — in
+    /// [`Self::refine_slots`] and returns it in ascending id order.
+    fn mark_active(&mut self) -> Vec<VertexId> {
+        let n = self.graph.num_vertices();
+        if self.refine_slots.len() < n {
+            self.refine_slots.resize(n, NO_SLOT);
+        }
+        let Self {
+            dirty,
+            graph,
+            refine_slots: slots,
+            ..
+        } = self;
+        let mut active = Vec::new();
+        for &d in dirty.sorted() {
+            if !graph.is_live(d) {
+                continue;
+            }
+            for u in std::iter::once(d).chain(graph.neighbors(d)) {
+                if slots[u as usize] == NO_SLOT {
+                    slots[u as usize] = 0;
+                    active.push(u);
+                }
+            }
+        }
+        active.sort_unstable();
+        active
+    }
+
+    /// Warm-started pairwise GD over the ranked `pairs`; returns the
+    /// number of vertices moved.
+    ///
+    /// Pairs are scheduled into rounds of part-disjoint pairs
+    /// ([`GdPartitioner::plan_disjoint_rounds`]). Within a round no part is
+    /// touched twice, so each pair's problem is built from state no other
+    /// pair of the round writes, and the round's solves run concurrently
+    /// on the worker pool, each in its worker's workspace; the accepted
+    /// moves are applied at the round barrier, in round order, so the
+    /// next round sees them and `threads = 1 ≡ threads = N` by
+    /// construction.
+    fn refine_pairs(
+        &mut self,
+        active: &[VertexId],
+        pairs: &[(u32, u32)],
+    ) -> Result<usize, PartitionError> {
+        let mut gd_cfg = self.cfg.gd.clone();
+        gd_cfg.epsilon = self.cfg.epsilon;
+        gd_cfg.iterations = self.cfg.refine_iterations;
+        gd_cfg.track_history = false;
+        let mut moved = 0usize;
+        for round in GdPartitioner::plan_disjoint_rounds(pairs) {
+            // Threads left idle by a small round (common when one hot
+            // part appears in every ranked pair, making every round a
+            // singleton) drop down into the pair's own GD mat-vec — the
+            // mat-vec splits rows deterministically, so the result is
+            // still thread-count independent.
+            gd_cfg.threads = (self.cfg.threads / round.len()).max(1);
+            let gd = GdPartitioner::new(gd_cfg.clone());
+            let seeds: Vec<u64> = round
+                .iter()
+                .map(|_| {
+                    self.refine_seed = self
+                        .refine_seed
+                        .wrapping_mul(0x9E3779B97F4A7C15)
+                        .wrapping_add(1);
+                    self.refine_seed
+                })
+                .collect();
+
+            // The movable vertices of each pair: its active members at the
+            // current parts, ascending, each slotted at its position.
+            let mut pair_of_part = vec![usize::MAX; self.cfg.k];
+            for (i, &(p, q)) in round.iter().enumerate() {
+                pair_of_part[p as usize] = i;
+                pair_of_part[q as usize] = i;
+            }
+            let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); round.len()];
+            for &a in active {
+                let i = pair_of_part[self.store.shard_of(a) as usize];
+                if i != usize::MAX {
+                    self.refine_slots[a as usize] = members[i].len() as u32;
+                    members[i].push(a);
+                }
+            }
+
+            // One reusable GD workspace per worker: pairs of a round are
+            // claimed work-stealing style. Which worker serves which pair
+            // is scheduling-dependent, but a workspace carries no state
+            // between solves, so results stay thread-count independent.
+            let workers = self.cfg.threads.min(round.len()).max(1);
+            if self.workspaces.len() < workers {
+                self.workspaces.resize_with(workers, GdWorkspace::default);
+            }
+            let (graph, store, slots) = (&self.graph, &self.store, &self.refine_slots);
+            let outcomes =
+                parallel::par_map_with(&round, &mut self.workspaces[..workers], |ws, i, &pair| {
+                    let problem = pair_problem(graph, store, slots, pair, &members[i]);
+                    gd.solve_pair(ws, &problem, seeds[i])
+                });
+            for (outcome, pair_members) in outcomes.into_iter().zip(&members) {
+                let outcome = outcome?;
+                // Recorded at the deterministic round barrier (par_map
+                // preserves round order), so the GD series are identical
+                // for threads = 1 and threads = N.
+                self.obs
+                    .counter_add("core.gd.solve_vertices", pair_members.len() as u64);
+                self.obs
+                    .observe("core.gd.refine_iterations", outcome.gd.iterations as u64);
+                self.obs.counter_add(
+                    "core.gd.grad_full_recomputes",
+                    outcome.gd.full_recomputes as u64,
+                );
+                self.obs.counter_add(
+                    "core.gd.grad_delta_iters",
+                    outcome.gd.delta_iterations as u64,
+                );
+                // Mean frontier size of the run — the histogram of these
+                // means shows how much of each pair the delta path
+                // actually had to touch.
+                if let Some(mean) = outcome.gd.frontier_sum.checked_div(outcome.gd.iterations) {
+                    self.obs.observe("core.gd.frontier_mean", mean as u64);
+                }
+                let outcome_counter = match outcome.outcome {
+                    PairOutcome::Applied => "core.gd.pairs_applied",
+                    PairOutcome::RejectedCut => "core.gd.pairs_rejected_cut",
+                    PairOutcome::RejectedBalance => "core.gd.pairs_rejected_balance",
+                    PairOutcome::Degenerate => "core.gd.pairs_degenerate",
+                    PairOutcome::Unreachable => "core.gd.pairs_unreachable",
+                };
+                self.obs.counter_add(outcome_counter, 1);
+                if let (Some(&first), Some(&last)) =
+                    (outcome.gd.grad_norms.first(), outcome.gd.grad_norms.last())
+                {
+                    self.obs.gauge_set("core.gd.last_grad_norm_first", first);
+                    self.obs.gauge_set("core.gd.last_grad_norm_last", last);
+                    if first > 0.0 {
+                        let decay_pct = (last / first * 100.0).round().clamp(0.0, 1e9);
+                        self.obs
+                            .observe("core.gd.grad_norm_decay_pct", decay_pct as u64);
+                    }
+                }
+                for &(v, part) in &outcome.moves {
+                    self.move_and_count(v, part);
+                    moved += 1;
+                }
+            }
+        }
+        Ok(moved)
+    }
+
+    /// Moves `v` to `dst`, keeping the store's loads and its intra/cut
+    /// counters exact: the move's [`Self::locality_gain`] is counted
+    /// before the move, against the parts as they stand.
+    fn move_and_count(&mut self, v: VertexId, dst: u32) {
+        let gain = self.locality_gain(v, self.store.shard_of(v), dst);
+        let weights = self.graph.weights();
+        let row: Vec<f64> = (0..weights.dims()).map(|j| weights.weight(j, v)).collect();
+        self.store.move_vertex(v, dst, &row);
+        self.store.on_vertex_moved(gain);
     }
 
     /// Greedy multi-constraint rebalance toward the drift-trigger
@@ -1676,10 +1801,8 @@ impl StreamingPartitioner {
                 best_move = self.best_single_move(&members, src, target, &avgs, &phis, phi_total);
             }
             if let Some((v, dst, _, _)) = best_move {
-                let weights = self.graph.weights();
-                let row: Vec<f64> = (0..dims).map(|j| weights.weight(j, v)).collect();
-                self.store.move_vertex(v, dst, &row);
-                self.dirty[v as usize] = true;
+                self.move_and_count(v, dst);
+                self.dirty.mark(v);
                 moves += 1;
                 continue;
             }
@@ -1707,13 +1830,10 @@ impl StreamingPartitioner {
             let Some((v, u, dst, _)) = best_swap else {
                 break; // genuinely stuck — the pass is best-effort
             };
-            let weights = self.graph.weights();
-            let row_v: Vec<f64> = (0..dims).map(|j| weights.weight(j, v)).collect();
-            let row_u: Vec<f64> = (0..dims).map(|j| weights.weight(j, u)).collect();
-            self.store.move_vertex(v, dst, &row_v);
-            self.store.move_vertex(u, src, &row_u);
-            self.dirty[v as usize] = true;
-            self.dirty[u as usize] = true;
+            self.move_and_count(v, dst);
+            self.move_and_count(u, src);
+            self.dirty.mark(v);
+            self.dirty.mark(u);
             moves += 2;
         }
         moves
@@ -1932,6 +2052,43 @@ impl StreamingPartitioner {
         }
         gain
     }
+}
+
+/// Builds `pair`'s reduced GD problem over `members` — its movable
+/// vertices, ascending, each holding its position in `slots` — from the
+/// overlay graph and the store: edges to other movable vertices stay,
+/// and the rest of the pair is eliminated, its mass taken from the part
+/// loads. Reads only state that no other pair of the round writes, and
+/// visits only `members` and their adjacency.
+fn pair_problem(
+    graph: &DynamicGraph,
+    store: &PartitionStore,
+    slots: &[u32],
+    (p, q): (u32, u32),
+    members: &[VertexId],
+) -> PairProblem {
+    let weights = graph.weights();
+    let dims = weights.dims();
+    let mut builder = PairProblemBuilder::new((p, q), dims);
+    for &v in members {
+        builder.push_vertex(
+            v,
+            store.shard_of(v),
+            |j| weights.weight(j, v),
+            graph.neighbors(v).map(|u| {
+                let slot = slots[u as usize];
+                (store.shard_of(u), (slot != NO_SLOT).then_some(slot))
+            }),
+        );
+    }
+    let loads = |part: u32| -> Vec<f64> { (0..dims).map(|j| store.load(part, j)).collect() };
+    let totals: Vec<f64> = (0..dims).map(|j| store.total(j)).collect();
+    builder.finish(
+        [&loads(p), &loads(q)],
+        store.part_size(p) + store.part_size(q),
+        &totals,
+        store.num_parts(),
+    )
 }
 
 fn encode_telemetry(w: &mut crate::snapshot::PayloadWriter, t: &StreamTelemetry) {
@@ -2247,8 +2404,11 @@ mod tests {
         );
         assert_eq!(sp.graph().num_live_vertices(), before_n - 80);
         assert!(sp.graph().num_edges() < before_m);
-        // Refinement compacts, so the purge already happened: ids remapped.
-        let map = report.remap.expect("refinement purges tombstones");
+        // The victims' edges outgrew the compaction slack, so the batch
+        // purged before refining: ids remapped.
+        let map = report
+            .remap
+            .expect("the slack-triggered compaction purges tombstones");
         for &v in &victims {
             assert_eq!(map[v as usize], crate::TOMBSTONE);
         }
@@ -2377,8 +2537,9 @@ mod tests {
     #[test]
     fn removal_validation_names_the_offending_update() {
         let (g, w) = community(100, 15);
-        // Unreachable trigger: no refinement, hence no purge, hence the
-        // cross-batch "was removed" case below keeps its id.
+        // Unreachable trigger and few removals: no refinement and no
+        // slack-triggered purge, so the cross-batch "was removed" case
+        // below keeps its id.
         let mut cfg = fast_cfg(2, 0.1);
         cfg.drift_headroom = 50.0;
         let mut sp = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
@@ -2526,7 +2687,7 @@ mod tests {
     fn arrival_ids_are_recycled_and_reported() {
         let (g, w) = community(100, 21);
         let mut cfg = fast_cfg(4, 0.1);
-        cfg.drift_headroom = 50.0; // no refinement → no purge → stable ids
+        cfg.drift_headroom = 50.0; // no refinement moves
         cfg.compact_slack = 0.9;
         let mut sp = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
 
@@ -2723,6 +2884,49 @@ mod tests {
         quiet.ingest(&b2).unwrap();
         assert_eq!(quiet.metrics().counter("stream.ingest.batches"), 0);
         assert_eq!(quiet.metrics().journal_len(), 0);
+    }
+
+    /// A one-edge batch refines only around that edge: the active set is
+    /// the two endpoints plus their neighbours, each pair solves over its
+    /// active members alone, and both stay far below the graph size.
+    #[test]
+    fn refinement_work_follows_the_churn_not_the_graph() {
+        let (g, w) = community(20_000, 41);
+        let n = g.num_vertices();
+        // Alternating parts: balanced well inside the trigger band, so the
+        // rebalance stays idle and the active set is the edge's halo alone.
+        let labels: Vec<u32> = (0..n as u32).map(|v| v % 2).collect();
+        let part = Partition::new(labels, 2);
+        let mut cfg = fast_cfg(2, 0.2);
+        cfg.refine_every = 1;
+        let mut sp = StreamingPartitioner::from_partition(g.clone(), w, &part, cfg).unwrap();
+        let far = (1..n as u32)
+            .step_by(2)
+            .find(|&v| !g.has_edge(0, v))
+            .unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.add_edge(0, far);
+        let report = sp.ingest(&batch).unwrap();
+        assert!(report.refined, "refine_every = 1 refines every batch");
+        assert_eq!(report.rebalance_moves, 0);
+
+        let halo = 2 + sp.graph().degree(0) + sp.graph().degree(far);
+        let m = sp.metrics();
+        let active = m.counter("stream.refine.active_vertices") as usize;
+        let solved = m.counter("core.gd.solve_vertices") as usize;
+        assert!(
+            (2..=halo).contains(&active),
+            "active set {active} must be the edge's halo (at most {halo})"
+        );
+        assert!(
+            solved >= 1 && solved <= active,
+            "solved {solved} of {active}"
+        );
+        assert!(
+            active * 100 < n,
+            "active set {active} is not far below n = {n}"
+        );
+        assert_eq!(m.counter("core.gd.pairs_degenerate"), 0);
     }
 
     #[test]

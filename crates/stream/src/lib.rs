@@ -8,8 +8,8 @@
 //! without rerunning GD from scratch:
 //!
 //! * [`DynamicGraph`] — a base CSR plus delta adjacency and a tombstone
-//!   set for removals, with periodic compaction, so reads stay cheap and
-//!   refinement always runs on plain CSR ([`dynamic`]);
+//!   set for removals, compacted once the churn outgrows a slack, so
+//!   reads stay cheap ([`dynamic`]);
 //! * [`UpdateBatch`] / [`StreamUpdate`] — the stream language: vertex
 //!   arrivals (with adjacency) and removals, edge insertions and
 //!   deletions, weight drift ([`delta`]);
@@ -20,8 +20,9 @@
 //!   (see *Batch lifecycle* below), drift telemetry, and **incremental
 //!   refinement** — greedy multi-constraint rebalancing plus warm-started
 //!   pairwise GD (`mdbgp_core::bipartition_warm` /
-//!   `GdPartitioner::refine_pair`) with unchanged vertices frozen, so a
-//!   batch of updates is absorbed by a few cheap iterations ([`engine`],
+//!   `GdPartitioner::solve_pair`) over the churned vertices and their
+//!   halo only, so a batch of updates is absorbed by a few cheap
+//!   iterations whose cost follows the churn, not the graph ([`engine`],
 //!   [`pipeline`]);
 //! * [`PartitionStore`] — the engine's write side: per-part
 //!   multi-dimensional loads, live imbalance / locality telemetry, and the
@@ -54,9 +55,9 @@
 //!   overloaded part relaxes the pressure, while draining one part shrinks
 //!   the average and surfaces every other part's relative overload.
 //! * **Purges remap ids.** When churn outgrows
-//!   [`StreamConfig::compact_slack`] (or a refinement pass starts), the
-//!   compaction drops tombstoned edges and vertices and renumbers the
-//!   survivors; the old→new map is surfaced in [`BatchReport::remap`]
+//!   [`StreamConfig::compact_slack`] (or on an explicit
+//!   [`StreamingPartitioner::purge`]), the compaction drops tombstoned
+//!   edges and vertices and renumbers the survivors; the old→new map is surfaced in [`BatchReport::remap`]
 //!   ([`TOMBSTONE`] marks dropped ids) and anything holding vertex ids
 //!   must rewrite them. Between purges ids are stable.
 //!
@@ -97,8 +98,16 @@
 //! 5. **commit** — assignments land in the [`PartitionStore`] and the edge
 //!    accounting deferred by the split stage settles against the final
 //!    parts.
-//! 6. **refine** — compaction when churn outgrew the slack, the drift
-//!    check, and (when triggered) rebalance + warm-started pairwise GD.
+//! 6. **refine** — compaction only when churn outgrew the slack, the
+//!    drift check, and (when triggered) rebalance + warm-started pairwise
+//!    GD. The refinement pass never compacts: it reads the graph through
+//!    the overlay, skips tombstoned ids, and does work in proportion to
+//!    the *active set* — the dirty vertices plus their 1-hop halo. Pairs
+//!    are ranked from the active vertices' adjacency, each pair solves
+//!    over its active members with the rest of the pair eliminated
+//!    (constant gradient bias + fixed slab mass), and every move updates
+//!    the intra/cut counters as it happens, so no pass sweeps the whole
+//!    graph.
 //!
 //! The speculative stage trades a little placement information for
 //! parallelism — an arrival cannot see the in-flight decisions of *other*
@@ -164,12 +173,13 @@
 //!
 //! 1. **GD mat-vec** — bootstrap gradient iterations split CSR rows into
 //!    equal-edge-count chunks ([`mdbgp_core::matvec::matvec_parallel`]);
-//! 2. **pairwise refinement rounds** — the ranked part pairs are scheduled
-//!    into rounds of part-disjoint pairs
+//! 2. **pairwise refinement rounds** — the pair ranking counts cut edges
+//!    over disjoint ranges of the active set, the ranked part pairs are
+//!    scheduled into rounds of part-disjoint pairs
 //!    (`GdPartitioner::plan_disjoint_rounds`, a maximal matching per
-//!    round), each round's `refine_pair` calls run concurrently against
-//!    one immutable partition snapshot, and the accepted moves are applied
-//!    at the round barrier;
+//!    round), each round's pair problems are built and solved
+//!    concurrently from state no other pair of the round writes, and the
+//!    accepted moves are applied at the round barrier in round order;
 //! 3. **speculative placement** — fixed-size chunks of a batch's arrivals
 //!    are placed concurrently against a frozen load snapshot with
 //!    chunk-local capacity reservations (see *Batch lifecycle*); within a
@@ -202,8 +212,9 @@
 //!   summaries clamped to the exact observed max, so quantiles are
 //!   monotone by construction (see the [`mdbgp_obs`] crate docs).
 //! * **Spans** — ingest opens a `"ingest"` root span with one child per
-//!   pipeline stage; the refinement pass nests `compact`, `rebalance`,
-//!   `gd` and `recount` under `"refine"`. Per-batch trees roll up into
+//!   pipeline stage; the refinement pass nests `rebalance` and `gd` under
+//!   `"refine"`, and `gd` splits into `rank` (active set + pair ranking)
+//!   and `pairs` (building and solving the pair problems). Per-batch trees roll up into
 //!   cumulative per-path totals and latency histograms on absorption.
 //! * **Journal** — structured events (`compact.purge`, `refine.pass`,
 //!   `refine.drift_trigger`, `place.repair`, `rebalance.full_scan`,

@@ -659,7 +659,7 @@ impl PartitionStore {
 
     /// [`Self::shard_of`] plus a lookup-count tick — the serving wrapper the
     /// engine's public `shard_of` goes through, so the observability layer
-    /// sees query volume without taxing internal placement/recount loops.
+    /// sees query volume without taxing internal placement/refinement loops.
     /// Shares the counter with [`ReadHandle::lookup`]: `stream.store.
     /// lookups` is total serving volume regardless of the path.
     #[inline]
@@ -1188,8 +1188,9 @@ impl PartitionStore {
     }
 
     /// Reverses [`Self::on_edge_added`] for a removed edge, classified by
-    /// the endpoints' *current* parts — correct because moves only happen
-    /// inside refinement passes, which end with a wholesale recount. Call
+    /// the endpoints' *current* parts — correct because every move keeps
+    /// the counters exact as it happens ([`Self::on_vertex_moved`]), so an
+    /// edge is always counted under its endpoints' current parts. Call
     /// before releasing either endpoint.
     pub fn on_edge_removed(&mut self, u: VertexId, v: VertexId) {
         if self.parts[u as usize] == self.parts[v as usize] {
@@ -1201,23 +1202,28 @@ impl PartitionStore {
         }
     }
 
-    /// Recomputes the locality counters from an edge iterator (used after
-    /// a refinement pass moved vertices).
+    /// Accounts a vertex move for the locality counters: `gain` is the net
+    /// intra-edge change it caused — the number of the vertex's neighbours
+    /// in its new part minus those in its old part, counted before the
+    /// move. Every move the engine makes reports here, so the counters
+    /// stay exact without a wholesale recount.
+    pub fn on_vertex_moved(&mut self, gain: i64) {
+        let intra = self.intra_edges as i64 + gain;
+        let cut = self.cut_edges as i64 - gain;
+        debug_assert!(intra >= 0 && cut >= 0, "locality counter underflow");
+        self.intra_edges = intra.max(0) as usize;
+        self.cut_edges = cut.max(0) as usize;
+    }
+
+    /// Recomputes the locality counters from an edge iterator — the
+    /// bootstrap initialization, and the oracle tests check the
+    /// incremental counters against.
     pub fn rebuild_edge_stats(&mut self, edges: impl Iterator<Item = (VertexId, VertexId)>) {
         self.intra_edges = 0;
         self.cut_edges = 0;
         for (u, v) in edges {
             self.on_edge_added(u, v);
         }
-    }
-
-    /// Overwrites the locality counters with externally computed totals —
-    /// the engine recounts them in parallel over CSR row ranges after a
-    /// refinement pass, where the serial O(m) sweep was the last
-    /// single-threaded stretch of the refinement path.
-    pub fn set_edge_stats(&mut self, intra_edges: usize, cut_edges: usize) {
-        self.intra_edges = intra_edges;
-        self.cut_edges = cut_edges;
     }
 
     /// Fraction of edges with both endpoints in one shard (1.0 when there
@@ -1235,6 +1241,12 @@ impl PartitionStore {
     #[inline]
     pub fn cut_edges(&self) -> usize {
         self.cut_edges
+    }
+
+    /// Intra-part edges seen by the incremental counters.
+    #[inline]
+    pub fn intra_edges(&self) -> usize {
+        self.intra_edges
     }
 
     /// `max_j max_p w^{(j)}(V_p) / (w^{(j)}(V)/k) − 1`, the metric the
@@ -1279,8 +1291,7 @@ impl PartitionStore {
     /// # Panics
     /// Panics if any vertex is released but not yet purged — a
     /// [`TOMBSTONE`] is not a valid part label. Compact the graph and
-    /// [`Self::apply_remap`] first (the engine does this at the top of
-    /// every refinement pass).
+    /// [`Self::apply_remap`] first (the engine's `purge` does both).
     pub fn to_partition(&self) -> Partition {
         assert!(
             self.parts.iter().all(|&p| p != TOMBSTONE),

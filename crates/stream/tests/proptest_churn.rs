@@ -1,9 +1,10 @@
 //! Property tests for the deletion paths: arbitrary interleavings of
 //! arrivals, edge insertions/removals, vertex removals and weight drift
-//! must (a) keep the per-dimension ε guarantee after every batch, (b) be
-//! thread-count invariant, and (c) leave `DynamicGraph` indistinguishable
-//! from a graph built directly from the surviving edge set — including
-//! across a purging compaction and its id remap.
+//! must (a) keep the per-dimension ε guarantee and exact intra/cut
+//! counters after every batch, (b) be thread-count invariant, and (c)
+//! leave `DynamicGraph` indistinguishable from a graph built directly from
+//! the surviving edge set — including across a purging compaction and its
+//! id remap.
 
 use mdbgp_core::GdConfig;
 use mdbgp_graph::{gen, GraphBuilder, VertexWeights};
@@ -194,9 +195,10 @@ fn per_dim_imbalance(sp: &StreamingPartitioner) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) + (b): mixed add/remove/drift batches hold per-dimension ε
-    /// after every batch, and the serial and threaded engines stay
-    /// bit-identical — including the remaps they report.
+    /// (a) + (b): mixed add/remove/drift batches hold per-dimension ε and
+    /// exact locality counters after every batch, and the serial and
+    /// threaded engines stay bit-identical — including the remaps they
+    /// report.
     #[test]
     fn mixed_churn_batches_hold_epsilon_at_any_thread_count(
         seed in 0u64..1000,
@@ -275,6 +277,19 @@ proptest! {
                         sp.telemetry().rebalance_full_scans
                     );
                 }
+            }
+
+            // The locality counters are maintained per move and never
+            // recounted, so they must equal a rebuild over the live edges
+            // after every batch.
+            for (label, sp) in [("serial", &serial), ("threads=4", &threaded)] {
+                let mut oracle = sp.store().clone();
+                oracle.rebuild_edge_stats(sp.graph().snapshot().edges());
+                prop_assert_eq!(
+                    (sp.store().intra_edges(), sp.store().cut_edges()),
+                    (oracle.intra_edges(), oracle.cut_edges()),
+                    "{} intra/cut counters drifted from the live edge set", label
+                );
             }
 
             // (b) Thread count is semantically invisible: the entire

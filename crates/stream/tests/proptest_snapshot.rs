@@ -40,7 +40,7 @@ fn engine(threads: usize, seed: u64, pre_purge: bool) -> StreamingPartitioner {
     // compaction nearly every batch, so snapshots land just after remaps.
     cfg.compact_slack = if pre_purge { 0.9 } else { 0.02 };
     if pre_purge {
-        cfg.drift_headroom = 50.0; // refinement (and its purge) stays off
+        cfg.drift_headroom = 50.0; // refinement stays off
     }
     StreamingPartitioner::bootstrap(cg.graph, w, cfg).expect("bootstrap")
 }
