@@ -50,7 +50,7 @@ use mdbgp_bench::policies::timed;
 use mdbgp_bench::table::Table;
 use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, InducedSubgraph, Partitioner, VertexWeights};
-use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
+use mdbgp_stream::{StageTimings, StreamConfig, StreamingPartitioner, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -232,8 +232,7 @@ fn main() -> ExitCode {
     ]);
     let mut inc_total = Duration::ZERO;
     let mut scratch_total = Duration::ZERO;
-    // validate / split / place / repair / commit / refine, summed (ms).
-    let mut stage_totals = [0.0f64; 6];
+    let mut stages = StageTimings::default();
     let mut eps_ok = true;
     let mut arrived = args.n as u32;
     // Original-id bookkeeping: churn remaps engine ids at every purge, so
@@ -308,15 +307,7 @@ fn main() -> ExitCode {
         // Incremental path.
         let (report, inc_time) = timed(|| sp.ingest(&batch).expect("ingest failed"));
         inc_total += inc_time;
-        let timings = report.timings();
-        stage_totals = [
-            stage_totals[0] + timings.validate_ms,
-            stage_totals[1] + timings.split_ms,
-            stage_totals[2] + timings.place_ms,
-            stage_totals[3] + timings.repair_ms,
-            stage_totals[4] + timings.commit_ms,
-            stage_totals[5] + timings.refine_ms,
-        ];
+        stages += report.timings();
         if report.max_imbalance > args.eps + 1e-9 {
             eps_ok = false;
         }
@@ -419,12 +410,12 @@ fn main() -> ExitCode {
     println!(
         "stages (ms): validate {:.1}, split {:.1}, place {:.1}, repair {:.1}, commit {:.1}, \
          refine {:.1}",
-        stage_totals[0],
-        stage_totals[1],
-        stage_totals[2],
-        stage_totals[3],
-        stage_totals[4],
-        stage_totals[5]
+        stages.validate_ms,
+        stages.split_ms,
+        stages.place_ms,
+        stages.repair_ms,
+        stages.commit_ms,
+        stages.refine_ms
     );
     println!("gd gradients: {gd_full} full recomputes, {gd_delta} delta iterations");
     if snapshots > 0 {
@@ -445,12 +436,12 @@ fn main() -> ExitCode {
         eps_ok,
         final_locality: sp.store().edge_locality(),
         final_imbalance: sp.max_imbalance(),
-        validate_total_ms: stage_totals[0],
-        split_total_ms: stage_totals[1],
-        place_total_ms: stage_totals[2],
-        repair_total_ms: stage_totals[3],
-        commit_total_ms: stage_totals[4],
-        refine_total_ms: stage_totals[5],
+        validate_total_ms: stages.validate_ms,
+        split_total_ms: stages.split_ms,
+        place_total_ms: stages.place_ms,
+        repair_total_ms: stages.repair_ms,
+        commit_total_ms: stages.commit_ms,
+        refine_total_ms: stages.refine_ms,
         placement_conflicts: Some(t.placement_conflicts),
         repair_passes: Some(t.repair_passes),
         rebalance_full_scans: Some(t.rebalance_full_scans),

@@ -25,7 +25,9 @@
 //!
 //! CI hooks: `--json-out FILE` dumps a v8 perf record carrying the
 //! replay-lag fields (`replay_total_ms`, `replay_batches`, `log_bytes`,
-//! `log_rotations`, `followers`); `--check-against BASELINE` gates it
+//! `log_rotations`, `followers`) next to the leader's stage totals, each
+//! summed from its batches' [`mdbgp_stream::BatchReport::timings`];
+//! `--check-against BASELINE` gates it
 //! against the committed `BENCH_stream_replicate.json` — replay lag is
 //! machine-normalized against a same-process scratch GD solve of the
 //! final graph, like every other wall-clock gate (see
@@ -47,7 +49,9 @@ use mdbgp_bench::policies::timed;
 use mdbgp_bench::table::Table;
 use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, InducedSubgraph, Partitioner, VertexWeights};
-use mdbgp_stream::{Follower, Leader, StreamConfig, StreamingPartitioner, UpdateBatch};
+use mdbgp_stream::{
+    Follower, Leader, StageTimings, StreamConfig, StreamingPartitioner, UpdateBatch,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -238,6 +242,7 @@ fn main() -> ExitCode {
 
     let mut table = Table::new(["batch", "shape", "inc ms", "replay ms", "imb %", "log KB"]);
     let mut inc_total = Duration::ZERO;
+    let mut stages = StageTimings::default();
     let mut eps_ok = true;
     let mut arrived = args.n as u32;
     let mut tracker = IdTracker::identity(args.n);
@@ -310,6 +315,7 @@ fn main() -> ExitCode {
 
             let (report, inc_time) = timed(|| leader.ingest(&batch).expect("leader ingest failed"));
             inc_total += inc_time;
+            stages += report.timings();
             if report.max_imbalance > args.eps + 1e-9 {
                 eps_ok = false;
             }
@@ -502,12 +508,12 @@ fn main() -> ExitCode {
         eps_ok,
         final_locality: leader.engine().store().edge_locality(),
         final_imbalance: leader.engine().max_imbalance(),
-        validate_total_ms: 0.0,
-        split_total_ms: 0.0,
-        place_total_ms: 0.0,
-        repair_total_ms: 0.0,
-        commit_total_ms: 0.0,
-        refine_total_ms: 0.0,
+        validate_total_ms: stages.validate_ms,
+        split_total_ms: stages.split_ms,
+        place_total_ms: stages.place_ms,
+        repair_total_ms: stages.repair_ms,
+        commit_total_ms: stages.commit_ms,
+        refine_total_ms: stages.refine_ms,
         placement_conflicts: Some(t.placement_conflicts),
         repair_passes: Some(t.repair_passes),
         rebalance_full_scans: Some(t.rebalance_full_scans),

@@ -23,7 +23,9 @@
 //!
 //! CI hooks: `--json-out FILE` dumps a v6 perf record carrying
 //! `lookups_per_sec` and `lookup_p99_us` next to the usual wall-clock
-//! fields; `--check-against BASELINE` gates it against the committed
+//! fields (the six stage totals sum each batch's
+//! [`mdbgp_stream::BatchReport::timings`]); `--check-against BASELINE`
+//! gates it against the committed
 //! `BENCH_stream_serve.json` — the lookup p99 is machine-normalized
 //! against a same-process scratch GD solve of the final graph, like every
 //! other wall-clock gate (see [`mdbgp_bench::perfgate`]). `--metrics-out`
@@ -36,7 +38,7 @@ use mdbgp_bench::policies::timed;
 use mdbgp_bench::table::Table;
 use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, InducedSubgraph, Partitioner, VertexWeights};
-use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
+use mdbgp_stream::{StageTimings, StreamConfig, StreamingPartitioner, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -178,6 +180,7 @@ fn main() -> ExitCode {
 
     let mut table = Table::new(["batch", "shape", "inc ms", "imb %", "remaps", "lookups"]);
     let mut inc_total = Duration::ZERO;
+    let mut stages = StageTimings::default();
     let mut eps_ok = true;
     let mut arrived = args.n as u32;
     let mut tracker = IdTracker::identity(args.n);
@@ -289,6 +292,7 @@ fn main() -> ExitCode {
 
                 let (report, inc_time) = timed(|| sp.ingest(&batch).expect("ingest failed"));
                 inc_total += inc_time;
+                stages += report.timings();
                 if report.max_imbalance > args.eps + 1e-9 {
                     eps_ok = false;
                 }
@@ -375,12 +379,12 @@ fn main() -> ExitCode {
         eps_ok,
         final_locality: sp.store().edge_locality(),
         final_imbalance: sp.max_imbalance(),
-        validate_total_ms: 0.0,
-        split_total_ms: 0.0,
-        place_total_ms: 0.0,
-        repair_total_ms: 0.0,
-        commit_total_ms: 0.0,
-        refine_total_ms: 0.0,
+        validate_total_ms: stages.validate_ms,
+        split_total_ms: stages.split_ms,
+        place_total_ms: stages.place_ms,
+        repair_total_ms: stages.repair_ms,
+        commit_total_ms: stages.commit_ms,
+        refine_total_ms: stages.refine_ms,
         placement_conflicts: Some(t.placement_conflicts),
         repair_passes: Some(t.repair_passes),
         rebalance_full_scans: Some(t.rebalance_full_scans),

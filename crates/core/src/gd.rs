@@ -482,7 +482,7 @@ impl ActiveSet {
 /// ).unwrap();
 /// assert_eq!(res.signs, planted, "both strays pulled home");
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WarmStart {
     /// Initial fractional iterate, length `n`, entries clamped to `[-1, 1]`.
     /// For refinement of an existing bipartition, pass the ±1 encoding of

@@ -17,9 +17,15 @@
 //! [`FeasibleRegion`](crate::FeasibleRegion)-style slab recentred on the
 //! pair).
 //!
+//! A pass reads the adjacency of its movable vertices once: an
+//! [`ActiveAdjacency`] gathers each one's movable neighbours and its other
+//! neighbours counted per part, and the pair ranking, every pair's problem
+//! and the incumbent cut all come from that gather.
+//!
 //! A refinement is accepted only if it does not increase the pair cut and
-//! does not worsen the pair's balance headroom ([`PairProblem::judge`]) —
-//! callers can therefore apply [`PairRefinement::moves`] unconditionally.
+//! does not worsen the pair's balance headroom ([`PairProblem::judge`],
+//! which counts the cut change from the flipped vertices alone) — callers
+//! can therefore apply [`PairRefinement::moves`] unconditionally.
 
 use crate::gd::{
     bipartition_warm_with, Eliminated, GdRunStats, GdWorkspace, SplitTarget, WarmStart,
@@ -68,9 +74,10 @@ pub struct PairRefinement {
 
 /// One pair's reduced refinement problem: the movable vertices `M` of
 /// pair `(p, q)` as GD variables, warm-started at their current sides,
-/// with the rest of the pair eliminated ([`Eliminated`]). Built by a
-/// [`PairProblemBuilder`] and solved by [`GdPartitioner::solve_pair`].
-#[derive(Debug)]
+/// with the rest of the pair eliminated ([`Eliminated`]). Built from an
+/// [`ActiveAdjacency`] ([`ActiveAdjacency::pair_problem`]) and solved by
+/// [`GdPartitioner::solve_pair`].
+#[derive(Debug, PartialEq)]
 pub struct PairProblem {
     /// The part pair `(p, q)`; sign `+1` is `p`, `−1` is `q`.
     pair: (u32, u32),
@@ -80,10 +87,10 @@ pub struct PairProblem {
     /// The weight rows of `M`.
     weights: VertexWeights,
     warm: WarmStart,
-    /// Eliminated pair neighbours of each movable vertex — with the bias,
-    /// the cut accounting of the edges from `M` to the eliminated
-    /// vertices.
-    fixed_degree: Vec<u32>,
+    /// The incumbent's cut pair edges incident to `M`, counted at
+    /// construction: local edges once each, plus each movable vertex's
+    /// eliminated neighbours on the other side.
+    cut: usize,
     /// Combined pair weight `w_j(V_p ∪ V_q)` per dimension.
     pair_total: Vec<f64>,
     /// The global weight totals `w_j(V)` the ε budget is relative to.
@@ -97,9 +104,10 @@ impl PairProblem {
     /// pair member not marked in `frozen` movable. Pair loads and global
     /// totals come from `weights`. O(n): a convenience for callers that
     /// hold a [`Partition`] and a mask (and the test oracle's input);
-    /// the streaming engine drives a [`PairProblemBuilder`] from its
-    /// active set instead. Panics on masks or weights that do not cover
-    /// the graph ([`GdPartitioner::refine_pair`] validates first).
+    /// the streaming engine builds from its pass's [`ActiveAdjacency`]
+    /// instead — both through [`ActiveAdjacency::pair_problem`]. Panics on
+    /// masks or weights that do not cover the graph
+    /// ([`GdPartitioner::refine_pair`] validates first).
     pub fn from_mask(
         graph: &Graph,
         weights: &VertexWeights,
@@ -110,7 +118,6 @@ impl PairProblem {
         let d = weights.dims();
         let mut loads = [vec![0.0f64; d], vec![0.0f64; d]];
         let mut pair_size = 0usize;
-        let mut local = vec![u32::MAX; graph.num_vertices()];
         let mut movable = Vec::new();
         for v in 0..graph.num_vertices() as VertexId {
             let part = partition.part_of(v);
@@ -123,28 +130,19 @@ impl PairProblem {
                 *load += weights.weight(j, v);
             }
             if !frozen[v as usize] {
-                local[v as usize] = movable.len() as u32;
                 movable.push(v);
             }
         }
-        let mut builder = PairProblemBuilder::new((p, q), d);
-        for &v in &movable {
-            builder.push_vertex(
-                v,
-                partition.part_of(v),
-                |j| weights.weight(j, v),
-                graph.neighbors(v).iter().map(|&u| {
-                    let slot = local[u as usize];
-                    (partition.part_of(u), (slot != u32::MAX).then_some(slot))
-                }),
-            );
-        }
+        let adjacency = ActiveAdjacency::of_graph(graph, partition, &movable);
+        let round = adjacency.round(&[(p, q)], |v| partition.part_of(v));
         let global: Vec<f64> = (0..d).map(|j| weights.total(j)).collect();
-        builder.finish(
+        adjacency.pair_problem(
+            &round,
+            0,
+            weights,
             [&loads[0], &loads[1]],
             pair_size,
             &global,
-            partition.num_parts(),
         )
     }
 
@@ -196,24 +194,30 @@ impl PairProblem {
             .clamp(1e-3, 0.999)
     }
 
-    /// Cut pair edges incident to `M` under `signs`: local edges once
-    /// each, plus, per movable vertex, its eliminated neighbours on the
-    /// other side — `(fixed_degree − s·bias)/2` of them.
-    fn cut(&self, signs: &[i8]) -> usize {
+    /// Cut pair edges incident to `M` under `signs`, from the incumbent's
+    /// count and the vertices whose side changed: an edge from a flipped
+    /// vertex to an unflipped member changes state, one between two
+    /// flipped members does not, and a flipped vertex with `e` eliminated
+    /// pair neighbours and bias `b` (those in `p` minus those in `q`)
+    /// trades `(e + s·b)/2` cut eliminated edges for `(e − s·b)/2`, `s`
+    /// its new sign — a change of `−s·b`.
+    fn cut_after(&self, signs: &[i8]) -> usize {
+        debug_assert_eq!(signs.len(), self.signs.len());
         let bias = &self.warm.eliminated.bias;
-        let mut cut = 0usize;
-        for (v, &s) in signs.iter().enumerate() {
-            cut += self
-                .graph
-                .neighbors(v as VertexId)
-                .iter()
-                .filter(|&&u| u as usize > v && signs[u as usize] != s)
-                .count();
-            let fixed = i64::from(self.fixed_degree[v]);
-            let b = bias.get(v).map_or(0, |&b| b as i64);
-            cut += ((fixed - i64::from(s) * b) / 2) as usize;
+        let mut cut = self.cut as i64;
+        for (v, (&s, &s0)) in signs.iter().zip(&self.signs).enumerate() {
+            if s == s0 {
+                continue;
+            }
+            cut -= i64::from(s) * bias.get(v).map_or(0, |&b| b as i64);
+            for &u in self.graph.neighbors(v as VertexId) {
+                let su = signs[u as usize];
+                if su == self.signs[u as usize] {
+                    cut += if su == s { -1 } else { 1 };
+                }
+            }
         }
-        cut
+        cut as usize
     }
 
     /// The acceptance rule, applied to a candidate assignment `signs` of
@@ -225,10 +229,12 @@ impl PairProblem {
     /// pair may already be over budget after weight drift; "no worse in
     /// any dimension" keeps the pass safe to apply blindly — a
     /// max-over-dims guard would let one dimension degrade while another
-    /// improves). Balance is evaluated from `M`'s weights plus the
-    /// eliminated signed mass, so the verdict equals the whole pair's.
+    /// improves). The cut before is the incumbent's, counted at
+    /// construction; the cut after follows from the flipped vertices
+    /// alone. Balance is evaluated from `M`'s weights plus the eliminated
+    /// signed mass, so the verdict equals the whole pair's.
     pub fn judge(&self, epsilon: f64, signs: &[i8]) -> (usize, usize, PairOutcome) {
-        let (cut_before, cut_after) = (self.cut(&self.signs), self.cut(signs));
+        let (cut_before, cut_after) = (self.cut, self.cut_after(signs));
         let fixed_dot = &self.warm.eliminated.dot;
         let excess = |signs: &[i8], j: usize| -> f64 {
             let movable: f64 = self
@@ -254,105 +260,377 @@ impl PairProblem {
     }
 }
 
-/// Assembles a [`PairProblem`] one movable vertex at a time, in ascending
-/// id order — the one construction path, driven by the streaming engine
-/// from its overlay graph and store, and by [`PairProblem::from_mask`]
-/// from a whole [`Graph`] and [`Partition`].
-#[derive(Debug)]
-pub struct PairProblemBuilder {
-    pair: (u32, u32),
+/// One refinement pass's read of the active set's adjacency: every active
+/// vertex's neighbours, classified once, so ranking the pairs, building
+/// every pair's [`PairProblem`] and judging its result never read the
+/// graph or the assignment per adjacency entry again.
+///
+/// Per active vertex, in ascending id order, it holds the vertex's active
+/// neighbours as ascending active-set indices (one CSR row) and the number
+/// of its inactive neighbours in each part that occurs; for the whole pass
+/// it holds the `k × k` counts of cut edges with an active endpoint, each
+/// edge counted once — the ranking input.
+///
+/// Counting the inactive neighbours once is exact for a whole pass as long
+/// as only active vertices change parts between the gather and the last
+/// pair solve, and the graph does not change: an inactive neighbour then
+/// keeps its part throughout, while the active neighbours' parts are read
+/// afresh per round of pairs ([`Self::round`]).
+#[derive(Debug, Default)]
+pub struct ActiveAdjacency {
+    /// Number of parts `k`.
+    k: usize,
+    /// The active vertices, ascending.
     vertices: Vec<VertexId>,
-    signs: Vec<i8>,
-    offsets: Vec<usize>,
-    targets: Vec<VertexId>,
-    columns: Vec<Vec<f64>>,
-    bias: Vec<f64>,
-    fixed_degree: Vec<u32>,
-    /// `Σ w_j` over the movable members of `p` (`[0]`) and of `q` (`[1]`).
-    movable_load: [Vec<f64>; 2],
+    rows: Rows,
+    /// A threaded gather's per-range rows, kept for the next pass.
+    ranges: Vec<Rows>,
 }
 
-impl PairProblemBuilder {
-    /// An empty problem for `pair` over `dims` weight dimensions.
-    pub fn new(pair: (u32, u32), dims: usize) -> Self {
+/// Two gathers are equal when they hold the same rows over the same active
+/// set; the threaded gather's range scratch is not part of the result.
+impl PartialEq for ActiveAdjacency {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, &self.vertices, &self.rows) == (other.k, &other.vertices, &other.rows)
+    }
+}
+
+impl Eq for ActiveAdjacency {}
+
+/// The gathered rows of a contiguous range of the active set.
+#[derive(Debug, PartialEq, Eq)]
+struct Rows {
+    /// Row `i`'s active neighbours are `targets[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    /// Row `i`'s inactive-neighbour counts are
+    /// `inactive[inactive_offsets[i]..inactive_offsets[i + 1]]`, as
+    /// `(part, count)` in ascending part order.
+    inactive_offsets: Vec<usize>,
+    inactive: Vec<(u32, u32)>,
+    /// Cut edges with an active endpoint between parts `lo < hi`, at
+    /// `lo·k + hi`.
+    cut: Vec<usize>,
+    /// Adjacency entries read.
+    entries: usize,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
         Self {
-            pair,
-            vertices: Vec::new(),
-            signs: Vec::new(),
             offsets: vec![0],
             targets: Vec::new(),
-            columns: vec![Vec::new(); dims],
-            bias: Vec::new(),
-            fixed_degree: Vec::new(),
-            movable_load: [vec![0.0; dims], vec![0.0; dims]],
+            inactive_offsets: vec![0],
+            inactive: Vec::new(),
+            cut: Vec::new(),
+            entries: 0,
         }
     }
+}
 
-    /// Appends movable vertex `v` of part `part` (one of the pair; ids
-    /// strictly ascending across calls) with weight row `weight(j)`.
-    /// `neighbors` yields one `(part, movable index)` per neighbour of
-    /// `v`, the index being the neighbour's position among the movable
-    /// vertices when it is one: neighbours outside the pair are skipped,
-    /// movable ones become local edges, and the rest are eliminated — they
-    /// fold into `v`'s gradient bias. Movable indices must name vertices of
-    /// this problem and the adjacency must be symmetric, as it is when both
-    /// come from one undirected graph: the local graph is assembled without
-    /// re-checking either.
-    pub fn push_vertex(
+impl Rows {
+    /// Empties the rows for a `k`-part gather, keeping the allocations.
+    fn reset(&mut self, k: usize) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.targets.clear();
+        self.inactive_offsets.clear();
+        self.inactive_offsets.push(0);
+        self.inactive.clear();
+        self.cut.clear();
+        self.cut.resize(k * k, 0);
+        self.entries = 0;
+    }
+
+    /// Appends the rows of the next range.
+    fn append(&mut self, next: &Rows) {
+        let base = self.targets.len();
+        self.offsets
+            .extend(next.offsets[1..].iter().map(|&o| base + o));
+        self.targets.extend_from_slice(&next.targets);
+        let base = self.inactive.len();
+        self.inactive_offsets
+            .extend(next.inactive_offsets[1..].iter().map(|&o| base + o));
+        self.inactive.extend_from_slice(&next.inactive);
+        for (total, c) in self.cut.iter_mut().zip(&next.cut) {
+            *total += c;
+        }
+        self.entries += next.entries;
+    }
+}
+
+/// Below this many active vertices the gather runs on the calling thread.
+const GATHER_MIN_RANGE: usize = 4096;
+
+impl ActiveAdjacency {
+    /// Index lookup value of a vertex outside the active set.
+    pub const INACTIVE: u32 = u32::MAX;
+
+    /// Reads the adjacency of `active` (distinct vertices, ascending) into
+    /// `self`, reusing its buffers. `index_of(u)` is `u`'s position in
+    /// `active`, or [`Self::INACTIVE`]; `part_of` is the current
+    /// assignment over `k` parts; `neighbors(v)` yields `v`'s neighbours,
+    /// each once, in any order, and must be symmetric. With `threads > 1`
+    /// the active list splits into contiguous ranges whose rows
+    /// concatenate in range order; every count is an integer, so no result
+    /// depends on the thread count.
+    pub fn gather<I>(
         &mut self,
-        v: VertexId,
-        part: u32,
-        weight: impl Fn(usize) -> f64,
-        neighbors: impl IntoIterator<Item = (u32, Option<u32>)>,
-    ) {
-        let (p, q) = self.pair;
-        debug_assert!(part == p || part == q, "vertex {v} is outside the pair");
-        debug_assert!(self.vertices.last().is_none_or(|&last| last < v));
-        let side = usize::from(part != p);
-        for (j, column) in self.columns.iter_mut().enumerate() {
-            let w = weight(j);
-            column.push(w);
-            self.movable_load[side][j] += w;
-        }
-        let row = self.targets.len();
-        let (mut bias, mut fixed) = (0.0f64, 0u32);
-        for (part_u, slot) in neighbors {
-            if part_u != p && part_u != q {
-                continue;
-            }
-            match slot {
-                Some(i) => self.targets.push(i),
-                None => {
-                    bias += if part_u == p { 1.0 } else { -1.0 };
-                    fixed += 1;
+        k: usize,
+        active: &[VertexId],
+        index_of: impl Fn(VertexId) -> u32 + Sync,
+        part_of: impl Fn(VertexId) -> u32 + Sync,
+        neighbors: impl Fn(VertexId) -> I + Sync,
+        threads: usize,
+    ) where
+        I: IntoIterator<Item = VertexId>,
+    {
+        debug_assert!(active.windows(2).all(|w| w[0] < w[1]));
+        self.k = k;
+        self.vertices.clear();
+        self.vertices.extend_from_slice(active);
+        let fill = |rows: &mut Rows, range: std::ops::Range<usize>| {
+            // Per-part tallies of one vertex's neighbours and a bitset of
+            // the parts seen. Each entry is classified without a branch,
+            // so the random reads of `index_of` and `part_of` overlap.
+            let mut inactive = vec![0u32; k];
+            let mut later_active = vec![0u32; k];
+            let mut seen = vec![0u64; k.div_ceil(64)];
+            let mut ids = Vec::new();
+            for i in range {
+                let pa = part_of(active[i]);
+                ids.clear();
+                neighbors(active[i]).into_iter().for_each(|u| ids.push(u));
+                rows.entries += ids.len();
+                let row = rows.targets.len();
+                rows.targets.resize(row + ids.len(), 0);
+                let mut end = row;
+                for &u in &ids {
+                    let (j, pu) = (index_of(u), part_of(u) as usize);
+                    let is_active = j != Self::INACTIVE;
+                    rows.targets[end] = j;
+                    end += usize::from(is_active);
+                    inactive[pu] += u32::from(!is_active);
+                    later_active[pu] += u32::from(is_active & (j as usize > i));
+                    seen[pu / 64] |= 1 << (pu % 64);
                 }
+                rows.targets.truncate(end);
+                // Overlay adjacency is two sorted runs (base and delta).
+                let row = &mut rows.targets[row..];
+                if !row.is_sorted() {
+                    row.sort_unstable();
+                }
+                rows.offsets.push(end);
+                // An edge is counted at its active endpoint, or at the
+                // lower one when both are active.
+                for (w, word) in seen.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        let pu = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let c = std::mem::take(&mut inactive[pu]);
+                        let later = std::mem::take(&mut later_active[pu]);
+                        if c > 0 {
+                            rows.inactive.push((pu as u32, c));
+                        }
+                        if pu as u32 != pa {
+                            rows.cut[cut_index(k, pa, pu as u32)] += (c + later) as usize;
+                        }
+                    }
+                }
+                rows.inactive_offsets.push(rows.inactive.len());
+            }
+        };
+        self.rows.reset(k);
+        if threads <= 1 || active.len() < GATHER_MIN_RANGE {
+            fill(&mut self.rows, 0..active.len());
+        } else {
+            // One range per thread, each filling its own reused rows.
+            let bounds = parallel::even_boundaries(active.len(), threads);
+            self.ranges.resize_with(bounds.len() - 1, Rows::default);
+            let each: Vec<usize> = (0..bounds.len()).collect();
+            parallel::for_each_chunk_mut(&mut self.ranges, &each, |r, rows| {
+                rows[0].reset(k);
+                fill(&mut rows[0], bounds[r.start]..bounds[r.end]);
+            });
+            for rows in &self.ranges {
+                self.rows.append(rows);
             }
         }
-        // CSR rows are sorted; local ids follow global ids, so this is the
-        // order of a sorted global adjacency.
-        self.targets[row..].sort_unstable();
-        self.offsets.push(self.targets.len());
-        self.vertices.push(v);
-        self.signs.push(if part == p { 1 } else { -1 });
-        self.bias.push(bias);
-        self.fixed_degree.push(fixed);
     }
 
-    /// Completes the problem. `loads` are the current per-dimension loads
-    /// of `p` and `q`, `pair_size` is `|V_p ∪ V_q|`, and `global_total` /
-    /// `k` set the ε budget. The eliminated mass is the pair loads minus
-    /// the movable vertices' weights, so building never visits an
-    /// eliminated vertex.
-    pub fn finish(
-        self,
+    /// [`Self::gather`] over a whole [`Graph`] and [`Partition`], for
+    /// `active` listed ascending.
+    pub fn of_graph(graph: &Graph, partition: &Partition, active: &[VertexId]) -> Self {
+        let mut index = vec![Self::INACTIVE; graph.num_vertices()];
+        for (i, &a) in active.iter().enumerate() {
+            index[a as usize] = i as u32;
+        }
+        let mut adjacency = Self::default();
+        adjacency.gather(
+            partition.num_parts(),
+            active,
+            |u| index[u as usize],
+            |u| partition.part_of(u),
+            |u| graph.neighbors(u).iter().copied(),
+            1,
+        );
+        adjacency
+    }
+
+    /// The active vertices, ascending.
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vertices
+    }
+
+    /// The active neighbours of active vertex `i` (its index in
+    /// [`Self::vertices`]), as ascending active-set indices.
+    pub fn active_row(&self, i: usize) -> &[u32] {
+        &self.rows.targets[self.rows.offsets[i]..self.rows.offsets[i + 1]]
+    }
+
+    /// The inactive neighbours of active vertex `i`, counted per part, as
+    /// `(part, count)` in ascending part order (parts with none left out).
+    pub fn inactive_row(&self, i: usize) -> &[(u32, u32)] {
+        &self.rows.inactive[self.rows.inactive_offsets[i]..self.rows.inactive_offsets[i + 1]]
+    }
+
+    /// Adjacency entries the gather read: the active vertices' degrees,
+    /// summed.
+    pub fn entries(&self) -> usize {
+        self.rows.entries
+    }
+
+    /// Ranks part pairs by cut edges with at least one active endpoint —
+    /// the refinement schedule of `mdbgp-stream`. Returns at most
+    /// `max_pairs` pairs `(p, q)` with `p < q`, most-cut first, ties in
+    /// pair order. A part with no cut edges at the active set (e.g. one
+    /// drained empty by removals) never appears in a pair.
+    pub fn rank_pairs(&self, max_pairs: usize) -> Vec<(u32, u32)> {
+        let k = self.k;
+        let mut pairs: Vec<((u32, u32), usize)> = self
+            .rows
+            .cut
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(idx, &c)| (((idx / k) as u32, (idx % k) as u32), c))
+            .collect();
+        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        pairs.truncate(max_pairs);
+        pairs.into_iter().map(|(pq, _)| pq).collect()
+    }
+
+    /// Splits the active set over one round of part-disjoint `pairs`
+    /// ([`GdPartitioner::plan_disjoint_rounds`]), reading each active
+    /// vertex's current part once through `part_of`: a pair's movable
+    /// vertices are its active members, ascending.
+    pub fn round(&self, pairs: &[(u32, u32)], part_of: impl Fn(VertexId) -> u32) -> PairRound {
+        let mut pair_of_part = vec![usize::MAX; self.k];
+        for (r, &(p, q)) in pairs.iter().enumerate() {
+            debug_assert!(
+                pair_of_part[p as usize] == usize::MAX,
+                "pairs share part {p}"
+            );
+            debug_assert!(
+                pair_of_part[q as usize] == usize::MAX,
+                "pairs share part {q}"
+            );
+            pair_of_part[p as usize] = r;
+            pair_of_part[q as usize] = r;
+        }
+        let parts: Vec<u32> = self.vertices.iter().map(|&a| part_of(a)).collect();
+        let mut members = vec![Vec::new(); pairs.len()];
+        let mut position = vec![0u32; parts.len()];
+        for (i, &part) in parts.iter().enumerate() {
+            if let Some(&r) = pair_of_part
+                .get(part as usize)
+                .filter(|&&r| r != usize::MAX)
+            {
+                position[i] = members[r].len() as u32;
+                members[r].push(i as u32);
+            }
+        }
+        PairRound {
+            pairs: pairs.to_vec(),
+            parts,
+            position,
+            members,
+        }
+    }
+
+    /// Builds pair `r` of `round` as a [`PairProblem`] over its movable
+    /// vertices: each one's local edges are its active-neighbour row
+    /// filtered to the pair, its gradient bias and eliminated degree come
+    /// from its inactive-neighbour counts in `p` and `q`, and its weight
+    /// row from `weights`. `loads` are the current per-dimension loads of
+    /// `p` and `q`, `pair_size` is `|V_p ∪ V_q|`, and `global_total` sets
+    /// the ε budget; the eliminated mass is the pair loads minus the
+    /// movable vertices' weights, so building never visits an eliminated
+    /// vertex. The build also counts the incumbent cut that
+    /// [`PairProblem::judge`] starts from.
+    pub fn pair_problem(
+        &self,
+        round: &PairRound,
+        r: usize,
+        weights: &VertexWeights,
         loads: [&[f64]; 2],
         pair_size: usize,
         global_total: &[f64],
-        k: usize,
     ) -> PairProblem {
-        let m = self.vertices.len();
+        let (p, q) = round.pairs[r];
+        let members = &round.members[r];
+        let m = members.len();
         debug_assert!(pair_size >= m, "more movable vertices than pair members");
-        let d = self.columns.len();
+        let d = weights.dims();
+        let mut vertices = Vec::with_capacity(m);
+        let mut signs = Vec::with_capacity(m);
+        let mut offsets = Vec::with_capacity(m + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        let mut columns = vec![Vec::with_capacity(m); d];
+        let mut bias = Vec::with_capacity(m);
+        let mut movable_load = [vec![0.0; d], vec![0.0; d]];
+        let mut cut = 0usize;
+        for &i in members {
+            let i = i as usize;
+            let v = self.vertices[i];
+            let part = round.parts[i];
+            let side = usize::from(part != p);
+            for (j, column) in columns.iter_mut().enumerate() {
+                let w = weights.weight(j, v);
+                column.push(w);
+                movable_load[side][j] += w;
+            }
+            // Members are ascending in active index, so positions map a
+            // sorted row to a sorted row. Neighbours outside the pair are
+            // dropped without a branch.
+            let row = self.active_row(i);
+            let mut end = targets.len();
+            targets.resize(end + row.len(), 0);
+            for &a in row {
+                let part_a = round.parts[a as usize];
+                let in_pair = (part_a == p) | (part_a == q);
+                targets[end] = round.position[a as usize];
+                end += usize::from(in_pair);
+                cut += usize::from(in_pair & (a as usize > i) & (part_a != part));
+            }
+            targets.truncate(end);
+            offsets.push(end);
+            let (mut in_p, mut in_q) = (0u32, 0u32);
+            for &(part_u, c) in self.inactive_row(i) {
+                if part_u == p {
+                    in_p = c;
+                } else if part_u == q {
+                    in_q = c;
+                }
+            }
+            cut += (if side == 0 { in_q } else { in_p }) as usize;
+            bias.push(f64::from(in_p) - f64::from(in_q));
+            vertices.push(v);
+            signs.push(if side == 0 { 1 } else { -1 });
+        }
+
         let count = pair_size.saturating_sub(m);
         // With nothing eliminated the loads-minus-movable differences are
         // float residue, not mass: solve the whole pair as it stands.
@@ -361,31 +639,64 @@ impl PairProblemBuilder {
         } else {
             // Clamped: a side with nothing eliminated reads ~0 after the
             // subtraction, never a negative mass.
-            let rest =
-                |side: usize, j: usize| (loads[side][j] - self.movable_load[side][j]).max(0.0);
+            let rest = |side: usize, j: usize| (loads[side][j] - movable_load[side][j]).max(0.0);
             Eliminated {
-                bias: self.bias,
+                bias,
                 dot: (0..d).map(|j| rest(0, j) - rest(1, j)).collect(),
                 weight: (0..d).map(|j| rest(0, j) + rest(1, j)).collect(),
                 count,
             }
         };
         PairProblem {
-            pair: self.pair,
+            pair: (p, q),
             warm: WarmStart {
-                x0: self.signs.iter().map(|&s| f64::from(s)).collect(),
+                x0: signs.iter().map(|&s| f64::from(s)).collect(),
                 frozen: vec![false; m],
                 eliminated,
             },
-            vertices: self.vertices,
-            signs: self.signs,
-            graph: Graph::from_csr_unchecked(self.offsets, self.targets),
-            weights: VertexWeights::from_vectors(self.columns),
-            fixed_degree: self.fixed_degree,
+            vertices,
+            signs,
+            graph: Graph::from_csr_unchecked(offsets, targets),
+            weights: VertexWeights::from_vectors(columns),
+            cut,
             pair_total: (0..d).map(|j| loads[0][j] + loads[1][j]).collect(),
             global_total: global_total.to_vec(),
-            k,
+            k: self.k,
         }
+    }
+}
+
+/// `(lo, hi)`'s slot in a `k × k` cut-count matrix.
+#[inline]
+fn cut_index(k: usize, p: u32, q: u32) -> usize {
+    let (lo, hi) = if p < q { (p, q) } else { (q, p) };
+    lo as usize * k + hi as usize
+}
+
+/// The active set of an [`ActiveAdjacency`] split over one round of
+/// part-disjoint pairs ([`ActiveAdjacency::round`]): each active vertex's
+/// part at the start of the round, and each pair's movable vertices.
+#[derive(Debug)]
+pub struct PairRound {
+    pairs: Vec<(u32, u32)>,
+    /// Part of each active vertex, by active index.
+    parts: Vec<u32>,
+    /// Position of each active vertex among its pair's members (unused
+    /// for vertices outside every pair of the round).
+    position: Vec<u32>,
+    /// Each pair's members, as ascending active indices.
+    members: Vec<Vec<u32>>,
+}
+
+impl PairRound {
+    /// Pair `r` of the round.
+    pub fn pair(&self, r: usize) -> (u32, u32) {
+        self.pairs[r]
+    }
+
+    /// Pair `r`'s movable vertices, as ascending active-set indices.
+    pub fn members(&self, r: usize) -> &[u32] {
+        &self.members[r]
     }
 }
 
@@ -508,10 +819,9 @@ impl GdPartitioner {
             .region_around(&problem.weights, &problem.warm.eliminated)
             .per_dim_feasible();
         if !reachable {
-            let cut = problem.cut(&problem.signs);
             return Ok(PairRefinement {
-                cut_before: cut,
-                cut_after: cut,
+                cut_before: problem.cut,
+                cut_after: problem.cut,
                 outcome: PairOutcome::Unreachable,
                 ..PairRefinement::default()
             });
@@ -557,8 +867,8 @@ impl GdPartitioner {
     }
 
     /// Ranks part pairs by cut edges incident to `active` vertices (a
-    /// mask over the whole graph) — [`Self::rank_pairs_around`] for
-    /// callers holding a [`Graph`] and a [`Partition`].
+    /// mask over the whole graph): [`ActiveAdjacency::rank_pairs`] over
+    /// the gather of the marked vertices.
     ///
     /// # Panics
     /// Panics if `active` does not cover the graph — after a purging
@@ -578,68 +888,7 @@ impl GdPartitioner {
         let list: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
             .filter(|&v| active[v as usize])
             .collect();
-        Self::rank_pairs_around(
-            partition.num_parts(),
-            &list,
-            |v| active[v as usize],
-            |v| partition.part_of(v),
-            |v| graph.neighbors(v).iter().copied(),
-            max_pairs,
-            1,
-        )
-    }
-
-    /// Ranks part pairs by cut edges with at least one endpoint in
-    /// `active` — the refinement schedule of `mdbgp-stream`. Walks only
-    /// the active vertices' adjacency and counts each such edge once (at
-    /// its lower endpoint when both are active), so the cost follows the
-    /// active set, not the graph. `active` lists distinct vertices in any
-    /// order; `is_active` must agree with it. Returns at most `max_pairs`
-    /// pairs, most-cut first, ties in pair order. A part with no cut edges
-    /// at the active set (e.g. one drained empty by removals) never
-    /// appears in a pair. The walk splits `active` over `threads` workers;
-    /// the counts are integers, so the ranking never depends on the split.
-    pub fn rank_pairs_around<I>(
-        k: usize,
-        active: &[VertexId],
-        is_active: impl Fn(VertexId) -> bool + Sync,
-        part_of: impl Fn(VertexId) -> u32 + Sync,
-        neighbors: impl Fn(VertexId) -> I + Sync,
-        max_pairs: usize,
-        threads: usize,
-    ) -> Vec<(u32, u32)>
-    where
-        I: IntoIterator<Item = VertexId>,
-    {
-        let partials = parallel::fold_ranges(active.len(), threads, 4096, |range| {
-            let mut counts = vec![0usize; k * k];
-            for &a in &active[range] {
-                let pa = part_of(a);
-                for u in neighbors(a) {
-                    let pu = part_of(u);
-                    if pu != pa && (a < u || !is_active(u)) {
-                        let (lo, hi) = if pa < pu { (pa, pu) } else { (pu, pa) };
-                        counts[lo as usize * k + hi as usize] += 1;
-                    }
-                }
-            }
-            counts
-        });
-        let mut cut_count = vec![0usize; k * k];
-        for counts in partials {
-            for (total, c) in cut_count.iter_mut().zip(counts) {
-                *total += c;
-            }
-        }
-        let mut pairs: Vec<((u32, u32), usize)> = cut_count
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(idx, &c)| (((idx / k) as u32, (idx % k) as u32), c))
-            .collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(max_pairs);
-        pairs.into_iter().map(|(pq, _)| pq).collect()
+        ActiveAdjacency::of_graph(graph, partition, &list).rank_pairs(max_pairs)
     }
 
     /// Greedily schedules `pairs` into rounds of **part-disjoint** pairs —

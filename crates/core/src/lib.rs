@@ -45,6 +45,6 @@ pub use gd::{
     bipartition, bipartition_warm, bipartition_warm_with, BipartitionResult, Eliminated, GdExit,
     GdRunStats, GdWorkspace, IterationRecord, SplitTarget, WarmStart, FRONTIER_TOL, GRAD_TRACE_CAP,
 };
-pub use incremental::{PairOutcome, PairProblem, PairProblemBuilder, PairRefinement};
+pub use incremental::{ActiveAdjacency, PairOutcome, PairProblem, PairRefinement, PairRound};
 pub use kway::KWayGdPartitioner;
 pub use recursive::GdPartitioner;

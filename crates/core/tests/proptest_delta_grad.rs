@@ -13,12 +13,16 @@
 //!
 //! A pair solve keeps only the movable vertices as variables and
 //! eliminates the rest of the pair (a constant gradient bias plus fixed
-//! slab mass); the last property checks that reduced problem against the
-//! whole pair — gradient rows, fixed mass, cut delta and accept decision.
+//! slab mass); a property checks that reduced problem against the whole
+//! pair — gradient rows, fixed mass, absolute cuts, cut delta and accept
+//! decision. Both the problem and the pair ranking come from one gather
+//! of the movable vertices' adjacency ([`ActiveAdjacency`]); the last two
+//! properties check that gather and its ranking against brute force, on
+//! one thread and on three.
 
 use mdbgp_core::matvec::matvec;
-use mdbgp_core::{GdConfig, GdPartitioner, GdWorkspace, PairOutcome, PairProblem};
-use mdbgp_graph::{gen, Graph, Partition, VertexWeights};
+use mdbgp_core::{ActiveAdjacency, GdConfig, GdPartitioner, GdWorkspace, PairOutcome, PairProblem};
+use mdbgp_graph::{gen, Graph, Partition, VertexId, VertexWeights};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +70,16 @@ fn pair_cut(graph: &Graph, signs: &[i8]) -> usize {
         .count()
 }
 
+/// Cut edges of a ±1 assignment of the whole pair with at least one
+/// movable endpoint — every edge a pair solve can change.
+fn movable_cut(s: &ChurnedPair, signs: &[i8]) -> usize {
+    s.graph
+        .edges()
+        .filter(|&(u, v)| !s.frozen[u as usize] || !s.frozen[v as usize])
+        .filter(|&(u, v)| signs[u as usize] != signs[v as usize])
+        .count()
+}
+
 /// The acceptance rule evaluated on the whole pair, the way a solve over
 /// every pair vertex would: `(cut delta, outcome)` of moving from
 /// `before` to `after`.
@@ -99,6 +113,80 @@ fn whole_pair_verdict(
         PairOutcome::Applied
     };
     (cut_after as i64 - cut_before as i64, outcome)
+}
+
+/// A random graph with a random `k`-part partition and a random active
+/// set (ascending), each vertex active with probability `active_frac`.
+fn random_active_state(
+    seed: u64,
+    n: usize,
+    avg_degree: usize,
+    k: usize,
+    active_frac: f64,
+) -> (Graph, Partition, Vec<VertexId>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let graph = gen::erdos_renyi(n, n * avg_degree / 2, &mut rng);
+    let partition = Partition::new((0..n).map(|_| rng.gen_range(0..k as u32)).collect(), k);
+    let active = (0..n as VertexId)
+        .filter(|_| rng.gen_bool(active_frac))
+        .collect();
+    (graph, partition, active)
+}
+
+/// Checks a gather of `active` against brute force: each row against a
+/// classification of the vertex's neighbours (active ones as ascending
+/// active indices, inactive ones counted per part), the entry count
+/// against the summed degrees, and the whole ranking against an O(m)
+/// count of the cut edges with an active endpoint.
+fn check_gather(
+    graph: &Graph,
+    partition: &Partition,
+    active: &[VertexId],
+    adjacency: &ActiveAdjacency,
+) {
+    let k = partition.num_parts();
+    let mut index = vec![ActiveAdjacency::INACTIVE; graph.num_vertices()];
+    for (i, &a) in active.iter().enumerate() {
+        index[a as usize] = i as u32;
+    }
+    assert_eq!(adjacency.vertices(), active);
+    let mut entries = 0usize;
+    for (i, &a) in active.iter().enumerate() {
+        let mut row = Vec::new();
+        let mut counts = vec![0u32; k];
+        for &u in graph.neighbors(a) {
+            match index[u as usize] {
+                ActiveAdjacency::INACTIVE => counts[partition.part_of(u) as usize] += 1,
+                j => row.push(j),
+            }
+        }
+        row.sort_unstable();
+        let inactive: Vec<(u32, u32)> = (0..k as u32)
+            .map(|p| (p, counts[p as usize]))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        assert_eq!(adjacency.active_row(i), row, "active row of {a}");
+        assert_eq!(adjacency.inactive_row(i), inactive, "inactive row of {a}");
+        entries += graph.degree(a);
+    }
+    assert_eq!(adjacency.entries(), entries);
+
+    let mut cut = std::collections::BTreeMap::new();
+    for (u, v) in graph.edges() {
+        let (pu, pv) = (partition.part_of(u), partition.part_of(v));
+        let touches = index[u as usize] != ActiveAdjacency::INACTIVE
+            || index[v as usize] != ActiveAdjacency::INACTIVE;
+        if touches && pu != pv {
+            *cut.entry((pu.min(pv), pu.max(pv))).or_insert(0usize) += 1;
+        }
+    }
+    let mut ranked: Vec<((u32, u32), usize)> = cut.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let expected: Vec<(u32, u32)> = ranked.into_iter().map(|(pq, _)| pq).collect();
+    assert_eq!(adjacency.rank_pairs(usize::MAX), expected.clone());
+    for max_pairs in 0..expected.len() {
+        assert_eq!(adjacency.rank_pairs(max_pairs), &expected[..max_pairs]);
+    }
 }
 
 proptest! {
@@ -168,9 +256,13 @@ proptest! {
     /// The reduced pair problem — frozen vertices read as "not movable"
     /// and eliminated — stands for the whole pair exactly: its first full
     /// gradient on the movable vertices equals the whole-pair `A·z` rows,
-    /// its fixed mass is the eliminated vertices' sum, and its accept
-    /// decision and cut delta equal the whole pair's `pair_cut` before and
-    /// after, for the solve's own result and for random candidates.
+    /// its fixed mass is the eliminated vertices' sum, its cuts before and
+    /// after are the cut pair edges with a movable endpoint, and its
+    /// accept decision and cut delta equal the whole pair's `pair_cut`
+    /// before and after — for the solve's own result and for candidates
+    /// that flip random vertices, misplaced vertices, a vertex with all its
+    /// movable neighbours (so both ends of those edges flip), or every
+    /// movable vertex.
     #[test]
     fn reduced_pair_matches_the_whole_pair(
         seed in 0u64..10_000,
@@ -242,27 +334,148 @@ proptest! {
         // Candidates through the acceptance rule on both sides: random
         // flips (mostly cut regressions) alternate with healing subsets
         // that send misplaced vertices back to their planted side (cut
-        // improvements, so the balance verdict decides).
+        // improvements, so the balance verdict decides); then a vertex
+        // flipped with all its movable neighbours, and every movable
+        // vertex flipped.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        for round in 0..8 {
+        let position = |v: u32| movable.binary_search(&v).ok();
+        for round in 0..12 {
+            let mut flip = vec![false; movable.len()];
+            match round {
+                0..=7 => {
+                    for (i, &v) in movable.iter().enumerate() {
+                        let planted = if (v as usize) < half { 1 } else { -1 };
+                        flip[i] = if round % 2 == 0 {
+                            rng.gen_bool(0.1)
+                        } else {
+                            problem.signs()[i] != planted && rng.gen_bool(0.7)
+                        };
+                    }
+                }
+                8..=10 if !movable.is_empty() => {
+                    let v = movable[rng.gen_range(0..movable.len())];
+                    for u in std::iter::once(v).chain(s.graph.neighbors(v).iter().copied()) {
+                        if let Some(i) = position(u) {
+                            flip[i] = true;
+                        }
+                    }
+                }
+                _ => flip.fill(true),
+            }
             let mut candidate = problem.signs().to_vec();
             let mut whole_after = signs.clone();
             for (i, &v) in movable.iter().enumerate() {
-                let planted = if (v as usize) < half { 1 } else { -1 };
-                let flip = if round % 2 == 0 {
-                    rng.gen_bool(0.1)
-                } else {
-                    candidate[i] != planted && rng.gen_bool(0.7)
-                };
-                if flip {
+                if flip[i] {
                     candidate[i] = -candidate[i];
                     whole_after[v as usize] = candidate[i];
                 }
             }
             let (before, after, outcome) = problem.judge(EPS, &candidate);
+            prop_assert_eq!(before, movable_cut(&s, &signs), "incumbent cut");
+            prop_assert_eq!(after, movable_cut(&s, &whole_after), "candidate cut");
             let (delta, whole_outcome) = whole_pair_verdict(&s, EPS, &signs, &whole_after);
             prop_assert_eq!(outcome, whole_outcome);
             prop_assert_eq!(after as i64 - before as i64, delta);
         }
+    }
+
+    /// One gather of the active set's adjacency holds exactly what brute
+    /// force finds ([`check_gather`]), and every ranked pair's problem
+    /// built from it has the whole graph's local edges, biases and
+    /// incumbent cut.
+    #[test]
+    fn active_adjacency_matches_brute_force(
+        seed in 0u64..10_000,
+        n in 50usize..3_000,
+        avg_degree in 1usize..12,
+        k in 2usize..7,
+        active_frac in 0.05f64..1.0,
+        max_pairs in 1usize..10,
+    ) {
+        let (graph, partition, active) = random_active_state(seed, n, avg_degree, k, active_frac);
+        let adjacency = ActiveAdjacency::of_graph(&graph, &partition, &active);
+        check_gather(&graph, &partition, &active, &adjacency);
+        let mut mask = vec![false; n];
+        active.iter().for_each(|&a| mask[a as usize] = true);
+        prop_assert_eq!(
+            GdPartitioner::rank_pairs_by_active_cut(&graph, &partition, &mask, max_pairs),
+            adjacency.rank_pairs(max_pairs)
+        );
+
+        // Each ranked pair's problem, round by round, against the graph.
+        let weights = VertexWeights::unit(n);
+        let size = |p: u32| (0..n as VertexId).filter(|&v| partition.part_of(v) == p).count();
+        let pairs = adjacency.rank_pairs(max_pairs);
+        for round in GdPartitioner::plan_disjoint_rounds(&pairs) {
+            let split = adjacency.round(&round, |v| partition.part_of(v));
+            for (r, &(p, q)) in round.iter().enumerate() {
+                let in_pair = |v: VertexId| [p, q].contains(&partition.part_of(v));
+                let members: Vec<VertexId> =
+                    active.iter().copied().filter(|&v| in_pair(v)).collect();
+                let (size_p, size_q) = (size(p), size(q));
+                let problem = adjacency.pair_problem(
+                    &split,
+                    r,
+                    &weights,
+                    [&[size_p as f64], &[size_q as f64]],
+                    size_p + size_q,
+                    &[n as f64],
+                );
+                prop_assert_eq!(problem.vertices(), members.as_slice());
+                let bias = &problem.warm().eliminated.bias;
+                for (i, &v) in members.iter().enumerate() {
+                    let local: Vec<u32> = graph
+                        .neighbors(v)
+                        .iter()
+                        .filter_map(|u| members.binary_search(u).ok().map(|x| x as u32))
+                        .collect();
+                    prop_assert_eq!(problem.graph().neighbors(i as u32), local.as_slice());
+                    let eliminated: f64 = graph
+                        .neighbors(v)
+                        .iter()
+                        .filter(|&&u| in_pair(u) && members.binary_search(&u).is_err())
+                        .map(|&u| if partition.part_of(u) == p { 1.0 } else { -1.0 })
+                        .sum();
+                    prop_assert_eq!(bias.get(i).copied().unwrap_or(0.0), eliminated);
+                }
+                let is_member = |v: VertexId| members.binary_search(&v).is_ok();
+                let incumbent = graph
+                    .edges()
+                    .filter(|&(u, v)| in_pair(u) && in_pair(v) && (is_member(u) || is_member(v)))
+                    .filter(|&(u, v)| partition.part_of(u) != partition.part_of(v))
+                    .count();
+                prop_assert_eq!(problem.judge(0.05, problem.signs()).0, incumbent);
+            }
+        }
+    }
+
+    /// With threads the gather splits active sets of 4096 vertices or more
+    /// into ranges; over neighbour lists reversed (so every row needs its
+    /// sort) it still matches brute force, and equals the serial gather.
+    #[test]
+    fn threaded_active_adjacency_matches_brute_force(
+        seed in 0u64..10_000,
+        n in 5_000usize..10_000,
+        avg_degree in 1usize..12,
+        k in 2usize..7,
+        active_frac in 0.9f64..1.0,
+    ) {
+        let (graph, partition, active) = random_active_state(seed, n, avg_degree, k, active_frac);
+        prop_assert!(active.len() >= 4096);
+        let mut index = vec![ActiveAdjacency::INACTIVE; n];
+        for (i, &a) in active.iter().enumerate() {
+            index[a as usize] = i as u32;
+        }
+        let mut threaded = ActiveAdjacency::default();
+        threaded.gather(
+            k,
+            &active,
+            |u| index[u as usize],
+            |u| partition.part_of(u),
+            |u| graph.neighbors(u).iter().rev().copied(),
+            3,
+        );
+        check_gather(&graph, &partition, &active, &threaded);
+        prop_assert_eq!(&threaded, &ActiveAdjacency::of_graph(&graph, &partition, &active));
     }
 }

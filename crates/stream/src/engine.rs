@@ -64,7 +64,8 @@ use crate::pipeline::{
 use crate::store::PartitionStore;
 use crate::TOMBSTONE;
 use mdbgp_core::{
-    parallel, GdConfig, GdPartitioner, GdWorkspace, PairOutcome, PairProblem, PairProblemBuilder,
+    parallel, ActiveAdjacency, GdConfig, GdPartitioner, GdWorkspace, PairOutcome, PairProblem,
+    PairRound,
 };
 use mdbgp_graph::{Graph, Partition, PartitionError, Partitioner, VertexId, VertexWeights};
 use mdbgp_obs::{MetricsRegistry, SpanNode, SpanTree};
@@ -105,6 +106,7 @@ pub const METRIC_ALLOWLIST: &[&str] = &[
     "stream.log.rotations",
     "stream.place.conflicts",
     "stream.place.repair_passes",
+    "stream.refine.active_edges",
     "stream.refine.active_vertices",
     "stream.refine.drift_triggers",
     "stream.refine.full_scans",
@@ -375,17 +377,18 @@ pub struct StreamingPartitioner {
     /// byte-identical results because a [`GdWorkspace`] carries no state
     /// between solves.
     workspaces: Vec<GdWorkspace>,
-    /// Per-vertex refinement scratch, [`NO_SLOT`] outside a refinement
-    /// pass: during one, every active vertex holds a slot — its position
-    /// among the movable vertices of its pair in the current round. Grown
-    /// to the id space on demand and reset vertex by vertex at the end of
-    /// each pass, never reallocated per pass. Not serialized.
+    /// Per-vertex refinement scratch, [`ActiveAdjacency::INACTIVE`]
+    /// outside a refinement pass: during one, every active vertex holds its
+    /// index in the active set. Grown to the id space on demand and reset
+    /// vertex by vertex at the end of each pass, never reallocated per
+    /// pass. Not serialized.
     refine_slots: Vec<u32>,
+    /// The refinement pass's one read of the active set's adjacency,
+    /// gathered after the active set is marked and read by the pair
+    /// ranking and every pair problem of the pass. Scratch whose buffers
+    /// are reused across passes; not serialized.
+    adjacency: ActiveAdjacency,
 }
-
-/// [`StreamingPartitioner::refine_slots`] value of a vertex outside the
-/// active set.
-const NO_SLOT: u32 = u32::MAX;
 
 /// Vertices touched since the last refinement (new, re-weighted, moved, or
 /// endpoint of an added/removed edge): a mask over the id space for O(1)
@@ -522,6 +525,7 @@ impl StreamingPartitioner {
             obs: MetricsRegistry::new(),
             workspaces: Vec::new(),
             refine_slots: Vec::new(),
+            adjacency: ActiveAdjacency::default(),
         })
     }
 
@@ -551,6 +555,7 @@ impl StreamingPartitioner {
             obs: MetricsRegistry::new(),
             workspaces: Vec::new(),
             refine_slots: Vec::new(),
+            adjacency: ActiveAdjacency::default(),
         })
     }
 
@@ -893,6 +898,7 @@ impl StreamingPartitioner {
             obs,
             workspaces: Vec::new(),
             refine_slots: Vec::new(),
+            adjacency: ActiveAdjacency::default(),
         };
         // Restore publishes view #0 of this process: readers attaching to
         // the restored engine immediately see the restored assignment at
@@ -1458,16 +1464,21 @@ impl StreamingPartitioner {
     }
 
     /// The refinement pass body, with its sub-stages (`rebalance`, and
-    /// `gd` with its `rank` and `pairs` children) recorded as children of
+    /// `gd` with its `gather` and `pairs` children) recorded as children of
     /// whatever span is currently open on `spans` — `"ingest.refine"`
     /// when called from [`Self::ingest`], `"refine"` from
     /// [`Self::refine_now`].
     ///
     /// Every loop is bounded by the dirty set, the active set (the dirty
-    /// vertices plus their 1-hop halo) or their adjacency, so a pass costs
+    /// vertices plus their 1-hop halo) or its adjacency, so a pass costs
     /// time in proportion to the churn, not to the graph; the rebalance's
     /// rare full-membership fallback is the one exception, and it is
-    /// counted.
+    /// counted. The active set's adjacency is read once, by the gather
+    /// ([`ActiveAdjacency`]) that the pair ranking and every pair problem
+    /// are built from. Counting the inactive neighbours there once is
+    /// exact: from the gather to the post-GD touch-up only active vertices
+    /// change parts (the first rebalance runs before the gather, and GD
+    /// moves only active vertices), and the graph does not change.
     fn refine_with_spans(&mut self, spans: &SpanTree) -> Result<(usize, usize), PartitionError> {
         let started = Instant::now();
         let mut rebalance_moves = {
@@ -1481,29 +1492,25 @@ impl StreamingPartitioner {
         let mut refine_moves = 0usize;
         if self.graph.num_vertices() > 0 {
             let _s = spans.span("gd");
-            let (active, pairs) = {
-                let _s = spans.span("rank");
-                let active = self.mark_active();
-                let (graph, store, slots) = (&self.graph, &self.store, &self.refine_slots);
-                let pairs = GdPartitioner::rank_pairs_around(
-                    self.cfg.k,
-                    &active,
-                    |u| slots[u as usize] != NO_SLOT,
-                    |u| store.shard_of(u),
-                    |u| graph.neighbors(u),
-                    self.cfg.max_refine_pairs,
-                    self.cfg.threads,
-                );
-                (active, pairs)
+            let pairs = {
+                let _s = spans.span("gather");
+                self.gather_active();
+                self.adjacency.rank_pairs(self.cfg.max_refine_pairs)
             };
-            self.obs
-                .counter_add("stream.refine.active_vertices", active.len() as u64);
+            self.obs.counter_add(
+                "stream.refine.active_vertices",
+                self.adjacency.vertices().len() as u64,
+            );
+            self.obs.counter_add(
+                "stream.refine.active_edges",
+                self.adjacency.entries() as u64,
+            );
             let solved = {
                 let _s = spans.span("pairs");
-                self.refine_pairs(&active, &pairs)
+                self.refine_pairs(&pairs)
             };
-            for &a in &active {
-                self.refine_slots[a as usize] = NO_SLOT;
+            for &a in self.adjacency.vertices() {
+                self.refine_slots[a as usize] = ActiveAdjacency::INACTIVE;
             }
             refine_moves = solved?;
         }
@@ -1547,11 +1554,12 @@ impl StreamingPartitioner {
 
     /// Marks the active set — the live dirty vertices plus their 1-hop
     /// halo, the vertices this pass's GD may move — in
-    /// [`Self::refine_slots`] and returns it in ascending id order.
+    /// [`Self::refine_slots`], each with its index in the set, and returns
+    /// it in ascending id order.
     fn mark_active(&mut self) -> Vec<VertexId> {
         let n = self.graph.num_vertices();
         if self.refine_slots.len() < n {
-            self.refine_slots.resize(n, NO_SLOT);
+            self.refine_slots.resize(n, ActiveAdjacency::INACTIVE);
         }
         let Self {
             dirty,
@@ -1565,17 +1573,36 @@ impl StreamingPartitioner {
                 continue;
             }
             for u in std::iter::once(d).chain(graph.neighbors(d)) {
-                if slots[u as usize] == NO_SLOT {
+                if slots[u as usize] == ActiveAdjacency::INACTIVE {
                     slots[u as usize] = 0;
                     active.push(u);
                 }
             }
         }
         active.sort_unstable();
+        for (i, &a) in active.iter().enumerate() {
+            slots[a as usize] = i as u32;
+        }
         active
     }
 
-    /// Warm-started pairwise GD over the ranked `pairs`; returns the
+    /// Marks the active set ([`Self::mark_active`]) and reads its
+    /// adjacency through the overlay into [`Self::adjacency`].
+    fn gather_active(&mut self) {
+        let active = self.mark_active();
+        let (graph, store, slots) = (&self.graph, &self.store, &self.refine_slots);
+        self.adjacency.gather(
+            self.cfg.k,
+            &active,
+            |u| slots[u as usize],
+            |u| store.shard_of(u),
+            |u| graph.neighbors(u),
+            self.cfg.threads,
+        );
+    }
+
+    /// Warm-started pairwise GD over the ranked `pairs`, each pair solved
+    /// over its members in the pass's gathered active set; returns the
     /// number of vertices moved.
     ///
     /// Pairs are scheduled into rounds of part-disjoint pairs
@@ -1586,11 +1613,7 @@ impl StreamingPartitioner {
     /// moves are applied at the round barrier, in round order, so the
     /// next round sees them and `threads = 1 ≡ threads = N` by
     /// construction.
-    fn refine_pairs(
-        &mut self,
-        active: &[VertexId],
-        pairs: &[(u32, u32)],
-    ) -> Result<usize, PartitionError> {
+    fn refine_pairs(&mut self, pairs: &[(u32, u32)]) -> Result<usize, PartitionError> {
         let mut gd_cfg = self.cfg.gd.clone();
         gd_cfg.epsilon = self.cfg.epsilon;
         gd_cfg.iterations = self.cfg.refine_iterations;
@@ -1616,20 +1639,9 @@ impl StreamingPartitioner {
                 .collect();
 
             // The movable vertices of each pair: its active members at the
-            // current parts, ascending, each slotted at its position.
-            let mut pair_of_part = vec![usize::MAX; self.cfg.k];
-            for (i, &(p, q)) in round.iter().enumerate() {
-                pair_of_part[p as usize] = i;
-                pair_of_part[q as usize] = i;
-            }
-            let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); round.len()];
-            for &a in active {
-                let i = pair_of_part[self.store.shard_of(a) as usize];
-                if i != usize::MAX {
-                    self.refine_slots[a as usize] = members[i].len() as u32;
-                    members[i].push(a);
-                }
-            }
+            // parts the previous rounds left.
+            let store = &self.store;
+            let split = self.adjacency.round(&round, |a| store.shard_of(a));
 
             // One reusable GD workspace per worker: pairs of a round are
             // claimed work-stealing style. Which worker serves which pair
@@ -1639,19 +1651,19 @@ impl StreamingPartitioner {
             if self.workspaces.len() < workers {
                 self.workspaces.resize_with(workers, GdWorkspace::default);
             }
-            let (graph, store, slots) = (&self.graph, &self.store, &self.refine_slots);
+            let (adjacency, weights) = (&self.adjacency, self.graph.weights());
             let outcomes =
-                parallel::par_map_with(&round, &mut self.workspaces[..workers], |ws, i, &pair| {
-                    let problem = pair_problem(graph, store, slots, pair, &members[i]);
+                parallel::par_map_with(&round, &mut self.workspaces[..workers], |ws, i, _| {
+                    let problem = pair_problem(adjacency, &split, i, weights, store);
                     gd.solve_pair(ws, &problem, seeds[i])
                 });
-            for (outcome, pair_members) in outcomes.into_iter().zip(&members) {
+            for (i, outcome) in outcomes.into_iter().enumerate() {
                 let outcome = outcome?;
                 // Recorded at the deterministic round barrier (par_map
                 // preserves round order), so the GD series are identical
                 // for threads = 1 and threads = N.
                 self.obs
-                    .counter_add("core.gd.solve_vertices", pair_members.len() as u64);
+                    .counter_add("core.gd.solve_vertices", split.members(i).len() as u64);
                 self.obs
                     .observe("core.gd.refine_iterations", outcome.gd.iterations as u64);
                 self.obs.counter_add(
@@ -2054,40 +2066,30 @@ impl StreamingPartitioner {
     }
 }
 
-/// Builds `pair`'s reduced GD problem over `members` — its movable
-/// vertices, ascending, each holding its position in `slots` — from the
-/// overlay graph and the store: edges to other movable vertices stay,
-/// and the rest of the pair is eliminated, its mass taken from the part
-/// loads. Reads only state that no other pair of the round writes, and
-/// visits only `members` and their adjacency.
+/// Builds pair `r` of `round` as its reduced GD problem, from the pass's
+/// gathered `adjacency`, the members' weight rows and the store's part
+/// loads: edges to other movable vertices stay, and the rest of the pair
+/// is eliminated, its mass taken from the part loads. Reads only state
+/// that no other pair of the round writes, and visits only the pair's
+/// members and their gathered rows.
 fn pair_problem(
-    graph: &DynamicGraph,
+    adjacency: &ActiveAdjacency,
+    round: &PairRound,
+    r: usize,
+    weights: &VertexWeights,
     store: &PartitionStore,
-    slots: &[u32],
-    (p, q): (u32, u32),
-    members: &[VertexId],
 ) -> PairProblem {
-    let weights = graph.weights();
+    let (p, q) = round.pair(r);
     let dims = weights.dims();
-    let mut builder = PairProblemBuilder::new((p, q), dims);
-    for &v in members {
-        builder.push_vertex(
-            v,
-            store.shard_of(v),
-            |j| weights.weight(j, v),
-            graph.neighbors(v).map(|u| {
-                let slot = slots[u as usize];
-                (store.shard_of(u), (slot != NO_SLOT).then_some(slot))
-            }),
-        );
-    }
     let loads = |part: u32| -> Vec<f64> { (0..dims).map(|j| store.load(part, j)).collect() };
     let totals: Vec<f64> = (0..dims).map(|j| store.total(j)).collect();
-    builder.finish(
+    adjacency.pair_problem(
+        round,
+        r,
+        weights,
         [&loads(p), &loads(q)],
         store.part_size(p) + store.part_size(q),
         &totals,
-        store.num_parts(),
     )
 }
 
@@ -2887,8 +2889,9 @@ mod tests {
     }
 
     /// A one-edge batch refines only around that edge: the active set is
-    /// the two endpoints plus their neighbours, each pair solves over its
-    /// active members alone, and both stay far below the graph size.
+    /// the two endpoints plus their neighbours, the gather reads exactly
+    /// their adjacency, each pair solves over its active members alone,
+    /// and all of it stays far below the graph size.
     #[test]
     fn refinement_work_follows_the_churn_not_the_graph() {
         let (g, w) = community(20_000, 41);
@@ -2911,12 +2914,28 @@ mod tests {
         assert_eq!(report.rebalance_moves, 0);
 
         let halo = 2 + sp.graph().degree(0) + sp.graph().degree(far);
+        let halo_set: std::collections::BTreeSet<VertexId> = [0, far]
+            .into_iter()
+            .flat_map(|d| std::iter::once(d).chain(sp.graph().neighbors(d)))
+            .collect();
+        let halo_degrees: usize = halo_set.iter().map(|&v| sp.graph().degree(v)).sum();
+        let two_m = 2 * sp.graph().num_edges();
         let m = sp.metrics();
         let active = m.counter("stream.refine.active_vertices") as usize;
+        let active_edges = m.counter("stream.refine.active_edges") as usize;
         let solved = m.counter("core.gd.solve_vertices") as usize;
         assert!(
             (2..=halo).contains(&active),
             "active set {active} must be the edge's halo (at most {halo})"
+        );
+        assert_eq!(active, halo_set.len(), "the active set is the edge's halo");
+        assert_eq!(
+            active_edges, halo_degrees,
+            "the gather reads the halo's adjacency once"
+        );
+        assert!(
+            active_edges * 20 < two_m,
+            "gathered {active_edges} adjacency entries of 2m = {two_m}"
         );
         assert!(
             solved >= 1 && solved <= active,
@@ -2927,6 +2946,77 @@ mod tests {
             "active set {active} is not far below n = {n}"
         );
         assert_eq!(m.counter("core.gd.pairs_degenerate"), 0);
+    }
+
+    /// The pass's gather reads the overlay exactly as the id-preserving
+    /// live-edge CSR lists it — through tombstoned base edges, delta
+    /// edges, a removed vertex and a recycled id — and the pair problems
+    /// built from the two gathers are equal.
+    #[test]
+    fn active_gather_sees_the_overlay_like_the_live_csr() {
+        let (g, w) = community(2_000, 43);
+        let mut cfg = fast_cfg(4, 0.1);
+        cfg.compact_slack = 10.0; // keep the overlay: no purge
+        cfg.drift_headroom = 100.0; // no refinement until asked
+        let mut sp = StreamingPartitioner::bootstrap(g.clone(), w, cfg).unwrap();
+        let (victim, dead) = (7u32, 11u32);
+        let clear = |u: u32, v: u32| ![u, v].iter().any(|x| *x == victim || *x == dead);
+        let mut batch = UpdateBatch::new();
+        for (u, v) in g.edges().step_by(37).filter(|&(u, v)| clear(u, v)).take(60) {
+            batch.remove_edge(u, v);
+        }
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut added = std::collections::HashSet::new();
+        while added.len() < 80 {
+            let (u, v) = (rng.gen_range(0..2_000u32), rng.gen_range(0..2_000u32));
+            if u < v && clear(u, v) && !g.has_edge(u, v) && added.insert((u, v)) {
+                batch.add_edge(u, v);
+            }
+        }
+        batch.remove_vertex(dead).remove_vertex(victim);
+        assert!(!sp.ingest(&batch).unwrap().refined);
+        let mut batch = UpdateBatch::new();
+        batch.add_vertex(vec![1.0, 3.0], vec![1, 2, 3]);
+        let report = sp.ingest(&batch).unwrap();
+        assert!(!report.refined);
+        assert_eq!(
+            report.arrival_ids,
+            vec![victim],
+            "the removed id is recycled"
+        );
+        let graph = sp.graph();
+        assert!(graph.tombstoned_edge_count() > 0 && graph.delta_edge_count() > 0);
+        assert!(!graph.is_live(dead));
+
+        sp.gather_active();
+        let overlay = &sp.adjacency;
+        assert!(overlay.vertices().contains(&victim));
+        assert!(!overlay.vertices().contains(&dead));
+        let live_csr = sp.graph().snapshot();
+        let mut csr = ActiveAdjacency::default();
+        csr.gather(
+            sp.cfg.k,
+            overlay.vertices(),
+            |u| sp.refine_slots[u as usize],
+            |u| sp.store.shard_of(u),
+            |u| live_csr.neighbors(u).iter().copied(),
+            1,
+        );
+        assert_eq!(overlay, &csr);
+
+        let pairs = overlay.rank_pairs(sp.cfg.max_refine_pairs);
+        assert!(!pairs.is_empty());
+        let shard = |a: VertexId| sp.store.shard_of(a);
+        let weights = sp.graph().weights();
+        for round in GdPartitioner::plan_disjoint_rounds(&pairs) {
+            let (split_o, split_c) = (overlay.round(&round, shard), csr.round(&round, shard));
+            for (r, pair) in round.iter().enumerate() {
+                let from_overlay = pair_problem(overlay, &split_o, r, weights, &sp.store);
+                let from_csr = pair_problem(&csr, &split_c, r, weights, &sp.store);
+                assert!(!from_overlay.vertices().is_empty());
+                assert_eq!(from_overlay, from_csr, "pair {pair:?}");
+            }
+        }
     }
 
     #[test]

@@ -102,12 +102,13 @@
 //!    drift check, and (when triggered) rebalance + warm-started pairwise
 //!    GD. The refinement pass never compacts: it reads the graph through
 //!    the overlay, skips tombstoned ids, and does work in proportion to
-//!    the *active set* — the dirty vertices plus their 1-hop halo. Pairs
-//!    are ranked from the active vertices' adjacency, each pair solves
-//!    over its active members with the rest of the pair eliminated
-//!    (constant gradient bias + fixed slab mass), and every move updates
-//!    the intra/cut counters as it happens, so no pass sweeps the whole
-//!    graph.
+//!    the *active set* — the dirty vertices plus their 1-hop halo. The
+//!    active set's adjacency is read once, into a gather
+//!    ([`mdbgp_core::ActiveAdjacency`]) that the pairs are ranked from and
+//!    every pair problem is built from; each pair solves over its active
+//!    members with the rest of the pair eliminated (constant gradient
+//!    bias + fixed slab mass), and every move updates the intra/cut
+//!    counters as it happens, so no pass sweeps the whole graph.
 //!
 //! The speculative stage trades a little placement information for
 //! parallelism — an arrival cannot see the in-flight decisions of *other*
@@ -173,9 +174,10 @@
 //!
 //! 1. **GD mat-vec** — bootstrap gradient iterations split CSR rows into
 //!    equal-edge-count chunks ([`mdbgp_core::matvec::matvec_parallel`]);
-//! 2. **pairwise refinement rounds** — the pair ranking counts cut edges
-//!    over disjoint ranges of the active set, the ranked part pairs are
-//!    scheduled into rounds of part-disjoint pairs
+//! 2. **pairwise refinement rounds** — the gather of the active set's
+//!    adjacency (with its cut-edge counts) splits over disjoint ranges of
+//!    the active set whose rows concatenate in range order, the ranked
+//!    part pairs are scheduled into rounds of part-disjoint pairs
 //!    (`GdPartitioner::plan_disjoint_rounds`, a maximal matching per
 //!    round), each round's pair problems are built and solved
 //!    concurrently from state no other pair of the round writes, and the
@@ -213,8 +215,9 @@
 //!   monotone by construction (see the [`mdbgp_obs`] crate docs).
 //! * **Spans** — ingest opens a `"ingest"` root span with one child per
 //!   pipeline stage; the refinement pass nests `rebalance` and `gd` under
-//!   `"refine"`, and `gd` splits into `rank` (active set + pair ranking)
-//!   and `pairs` (building and solving the pair problems). Per-batch trees roll up into
+//!   `"refine"`, and `gd` splits into `gather` (marking the active set,
+//!   gathering its adjacency and ranking the pairs) and `pairs` (building
+//!   and solving the pair problems). Per-batch trees roll up into
 //!   cumulative per-path totals and latency histograms on absorption.
 //! * **Journal** — structured events (`compact.purge`, `refine.pass`,
 //!   `refine.drift_trigger`, `place.repair`, `rebalance.full_scan`,

@@ -116,6 +116,18 @@ impl StageTimings {
     }
 }
 
+/// Stage by stage, so a run's per-batch timings sum to its stage totals.
+impl std::ops::AddAssign for StageTimings {
+    fn add_assign(&mut self, other: Self) {
+        self.validate_ms += other.validate_ms;
+        self.split_ms += other.split_ms;
+        self.place_ms += other.place_ms;
+        self.repair_ms += other.repair_ms;
+        self.commit_ms += other.commit_ms;
+        self.refine_ms += other.refine_ms;
+    }
+}
+
 /// One arriving vertex between the split and commit stages.
 #[derive(Clone, Debug)]
 pub(crate) struct PendingArrival {
