@@ -3,6 +3,7 @@
 //! incremental path replaces.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use mdbgp_bench::churn::{queue_arrivals, IdTracker};
 use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, InducedSubgraph, Partitioner, VertexWeights};
 use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
@@ -32,17 +33,9 @@ fn setup() -> (StreamingPartitioner, UpdateBatch) {
     let sp = StreamingPartitioner::bootstrap(boot.graph.clone(), weights, cfg).unwrap();
 
     let mut batch = UpdateBatch::new();
-    for v in N as u32..total as u32 {
-        let backward: Vec<u32> = cg
-            .graph
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| u < v)
-            .collect();
-        let w = backward.len().max(1) as f64;
-        batch.add_vertex(vec![1.0, w], backward);
-    }
+    let mut tracker = IdTracker::identity(N);
+    let (from, to) = (N as u32, total as u32);
+    queue_arrivals(&mut batch, &cg.graph, sp.graph(), &mut tracker, from, to);
     (sp, batch)
 }
 

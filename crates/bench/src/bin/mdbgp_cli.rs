@@ -434,23 +434,17 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         batch_no += 1;
         let end = ((arrived as usize + per_batch).min(n)) as u32;
         let mut batch = UpdateBatch::new();
-        // Arrival ids recycle tombstoned slots under churn; mirror the
-        // engine's free list so same-batch co-arrival edges resolve, and
-        // verify against the authoritative report below.
-        let predicted =
-            mdbgp_bench::churn::predict_arrival_ids(sp.graph(), (end - arrived) as usize);
-        for v in arrived..end {
-            let backward: Vec<u32> = graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| u < v)
-                .filter_map(|u| tracker.current(u))
-                .collect();
-            let w = backward.len().max(1) as f64;
-            batch.add_vertex(vec![1.0, w], backward);
-            tracker.push(predicted[(v - arrived) as usize]);
-        }
+        // Arrival ids recycle tombstoned slots under churn; the script
+        // mirrors the engine's free list so same-batch co-arrival edges
+        // resolve, and the report below verifies the predictions.
+        mdbgp_bench::churn::queue_arrivals(
+            &mut batch,
+            &graph,
+            sp.graph(),
+            &mut tracker,
+            arrived,
+            end,
+        );
         if churn > 0.0 {
             let removals = ((end - arrived) as f64 * churn) as usize;
             mdbgp_bench::churn::queue_removals(

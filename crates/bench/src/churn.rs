@@ -1,16 +1,18 @@
-//! Shared machinery for driving churn (deletion) workloads against a
+//! Shared machinery for scripting update streams against a
 //! [`mdbgp_stream::StreamingPartitioner`] from replay-style harnesses.
 //!
-//! The harnesses (`stream_online`, `mdbgp_cli stream`) address vertices by
-//! their ids in some *original* history graph, but under churn the
-//! engine's ids shift: a purging compaction drops tombstoned vertices and
-//! reports an old→new map in
+//! The harnesses (the `stream_online` bench in every mode, `mdbgp_cli
+//! stream`) address vertices by their ids in some *original* history
+//! graph, but under churn the engine's ids shift: a purging compaction
+//! drops tombstoned vertices and reports an old→new map in
 //! [`mdbgp_stream::engine::BatchReport::remap`]. [`IdTracker`] maintains
 //! the original→current translation so a harness can keep scripting in
-//! original ids; [`queue_removals`] appends a deterministic mix of edge
-//! and vertex removals to a batch, sampled from the live graph.
+//! original ids; [`queue_arrivals`] appends the next originals of the
+//! history graph as arrivals, and [`queue_removals`] appends a
+//! deterministic mix of edge and vertex removals to a batch, sampled from
+//! the live graph.
 
-use mdbgp_graph::VertexId;
+use mdbgp_graph::{Graph, VertexId};
 use mdbgp_stream::{DynamicGraph, UpdateBatch, TOMBSTONE};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -138,6 +140,36 @@ pub fn verify_arrival_ids(
         }
     }
     Ok(())
+}
+
+/// Appends original vertices `from..to` of the history graph `full` to
+/// `batch` as arrivals: each carries its backward edges (to earlier
+/// originals still live, translated through `tracker`) and the weights
+/// `[1, max(1, backward degree)]`. Each arrival's engine id is predicted
+/// against `graph` with [`predict_arrival_ids`] and pushed into `tracker`,
+/// so edges between co-arrivals resolve; check the predictions against
+/// the batch's report with [`verify_arrival_ids`].
+pub fn queue_arrivals(
+    batch: &mut UpdateBatch,
+    full: &Graph,
+    graph: &DynamicGraph,
+    tracker: &mut IdTracker,
+    from: VertexId,
+    to: VertexId,
+) {
+    let predicted = predict_arrival_ids(graph, (to - from) as usize);
+    for (v, id) in (from..to).zip(predicted) {
+        let backward: Vec<VertexId> = full
+            .neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&u| u < v)
+            .filter_map(|u| tracker.current(u))
+            .collect();
+        let degree_weight = backward.len().max(1) as f64;
+        batch.add_vertex(vec![1.0, degree_weight], backward);
+        tracker.push(id);
+    }
 }
 
 /// Appends `edge_removals` random live-edge removals and `vertex_removals`

@@ -11,12 +11,13 @@
 //!   (hash / vertex / edge / vertex-edge and the baseline algorithms),
 //! * [`table`] — plain-text tables and bar charts that mimic the paper's
 //!   figures in a terminal,
-//! * [`perfgate`] — the CI perf-regression gate: flat-JSON perf records
-//!   emitted by `stream_online --json-out` and the machine-independent
-//!   comparison against the committed `BENCH_stream.json` /
-//!   `BENCH_stream_churn.json` baselines,
-//! * [`churn`] — id tracking and removal-batch generation for driving
-//!   deletion workloads through the streaming harnesses.
+//! * [`perfgate`] — the CI perf-regression gate: the one perf-record
+//!   schema `stream_online --json-out` writes in every mode, and the
+//!   machine-independent comparison against the committed
+//!   `BENCH_stream*.json` baselines,
+//! * [`churn`] — the arrival and removal scripts and the id tracking
+//!   that drive update streams through `stream_online` and
+//!   `mdbgp_cli stream`.
 
 pub mod churn;
 pub mod curves;

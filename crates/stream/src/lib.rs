@@ -158,8 +158,8 @@
 //! post-batch `(id_epoch, batch_seq)` stamp and view checksum, and the
 //! follower compares its own published view against both after every
 //! record — a replica cannot drift silently for even one batch
-//! ([`replica`] walks the protocol; the `stream_replicate` bench and CI
-//! leg hold a leader + 2 followers bitwise identical across purges).
+//! ([`replica`] walks the protocol; `stream_online --followers 2` and its
+//! CI leg hold a leader + 2 followers bitwise identical across purges).
 //!
 //! ## Threading model
 //!
@@ -244,7 +244,7 @@
 //! `stream.store.stale_epoch_reads`) and a lock-free latency histogram
 //! (`stream.store.lookup_us`) that the engine mirrors into the registry
 //! at sync points; `stream.store.view_swaps` counts view publications.
-//! The `stream_serve` bench gates `lookup_p99_us` against a committed
+//! `stream_online --readers 4` gates `lookup_p99_us` against a committed
 //! baseline in CI (see `docs/BENCHMARKS.md`).
 //!
 //! ## Further reading

@@ -211,7 +211,8 @@ proptest! {
 /// ingests churn heavy enough to purge (and renumber ids) at least twice.
 /// Every pinned view must verify its checksum, every lookup answers from
 /// a consistent epoch (readers adopt on refresh, so the stale-epoch
-/// counter stays zero), and lookups keep flowing throughout.
+/// counter stays zero), and every reader serves lookups: the ingest side
+/// stops the readers only once each one has counted its own.
 #[test]
 fn readers_spin_across_purges_without_torn_or_stale_reads() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -219,12 +220,14 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
     let mut sp = engine(1, 7, true);
     let stop = AtomicBool::new(false);
     let torn = AtomicU64::new(0);
+    let served: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
     let handles: Vec<_> = (0..4).map(|_| sp.reader()).collect();
 
     std::thread::scope(|scope| {
         for (t, mut h) in handles.into_iter().enumerate() {
             let stop = &stop;
             let torn = &torn;
+            let served = &served[t];
             scope.spawn(move || {
                 let mut lcg = 0x2545_F491_4F6C_DD1Du64.wrapping_add(t as u64);
                 while !stop.load(Ordering::Relaxed) {
@@ -247,6 +250,7 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
                             let v = ((lcg >> 33) as usize % n) as u32;
                             // Tombstoned ids answer None; both are valid.
                             let _ = h.lookup(v);
+                            served.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -262,6 +266,14 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
             if sp.telemetry().remaps >= 2 {
                 break;
             }
+        }
+        // The ingest loop can finish before a reader thread is scheduled
+        // at all; wait (bounded) until every reader has served.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while served.iter().any(|c| c.load(Ordering::Relaxed) == 0)
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -281,6 +293,12 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
         0,
         "readers adopted on every refresh; no lookup may cross an epoch"
     );
+    for (t, count) in served.iter().enumerate() {
+        assert!(
+            count.load(std::sync::atomic::Ordering::Relaxed) > 0,
+            "reader {t} served no lookups"
+        );
+    }
     assert!(
         sp.store().lookup_count() > 0,
         "readers must actually have served lookups"
