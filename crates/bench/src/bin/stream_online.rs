@@ -378,8 +378,7 @@ impl Replicated {
             torn_reads.fetch_add(u64::from(torn), Ordering::Relaxed);
         }
         // Rotate after the tailers caught up, as a retention policy would;
-        // followers adopt the fresh segment (and canonicalize their heaps)
-        // on their next replay.
+        // followers adopt the fresh segment on their next replay.
         if batch_no.is_multiple_of(rotate_every) {
             let rotated = leader.rotate();
             rotated.map_err(|e| format!("log rotation after batch {batch_no}: {e}"))?;

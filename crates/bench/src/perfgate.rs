@@ -549,11 +549,13 @@ pub const SNAPSHOT_REGRESSION: f64 = 1.0;
 pub const LOOKUP_REGRESSION: f64 = 1.0;
 
 /// Allowed regression of the machine-normalized follower replay lag (the
-/// replication leg's committed bound). Replay is ingest re-run, so its
-/// wall-clock inherits all of ingest's jitter on a small leg — hence the
-/// wide band, like the other small-quantity gates. The regressions it
-/// exists for (a follower that re-verifies the whole log per record, a
-/// wire decode gone quadratic) cost well over 2×.
+/// replication leg's committed bound). Replay re-runs ingest's cheap
+/// stages and applies the leader's logged refinement moves, a few ms per
+/// record on a small leg, so host jitter moves it proportionally more
+/// than the totals — hence the wide band, like the other small-quantity
+/// gates. The regressions it exists for (a follower that re-runs
+/// refinement, re-verifies the whole log per record, or decodes it
+/// quadratically) cost well over 2×.
 pub const REPLAY_REGRESSION: f64 = 1.0;
 
 /// Floor (µs) a baseline p99 lookup latency is clamped to before the

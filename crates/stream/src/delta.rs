@@ -44,9 +44,55 @@ pub enum StreamUpdate {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct UpdateBatch {
     pub updates: Vec<StreamUpdate>,
+    /// The leader's refinement decision for this batch, on a batch read
+    /// back from a replication log ([`crate::wire`]): `Some(None)` when
+    /// no pass ran, `Some(Some(pass))` when one did. `None` on every batch
+    /// a caller builds; only the crate sets it. A batch that carries a
+    /// decision is ingested with the decision applied in place of the
+    /// refinement triggers ([`crate::StreamingPartitioner::ingest`]).
+    pub(crate) decision: Option<Option<RefinePass>>,
+}
+
+/// One refinement pass as the engine ran it: every vertex move in the
+/// order it was applied, and the refinement seed the pass left behind.
+/// The moves fall into three runs: the pre-GD rebalance (a swap is two
+/// moves), the GD moves in round order from `gd_start`, and the post-GD
+/// touch-up rebalance from `touchup_start`. Reported on
+/// [`crate::BatchReport::refine_pass`]; a replication leader logs it with
+/// the batch so followers apply the moves instead of re-running the pass.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RefinePass {
+    /// Moved vertex of each move, in application order.
+    pub(crate) vertices: Vec<VertexId>,
+    /// Destination part of each move (same length as `vertices`).
+    pub(crate) parts: Vec<u32>,
+    /// Index of the first GD move.
+    pub(crate) gd_start: usize,
+    /// Index of the first touch-up move (`gd_start <= touchup_start <= len`).
+    pub(crate) touchup_start: usize,
+    /// The engine's refinement seed after the pass.
+    pub(crate) seed: u64,
+}
+
+impl RefinePass {
+    /// Moves made by the two rebalance runs (a swap counts two).
+    pub(crate) fn rebalance_moves(&self) -> usize {
+        self.gd_start + self.vertices.len() - self.touchup_start
+    }
+
+    /// Moves made by GD.
+    pub(crate) fn gd_moves(&self) -> usize {
+        self.touchup_start - self.gd_start
+    }
+
+    pub(crate) fn push(&mut self, v: VertexId, part: u32) {
+        self.vertices.push(v);
+        self.parts.push(part);
+    }
 }
 
 impl UpdateBatch {
+    /// An empty batch, carrying no refinement decision.
     pub fn new() -> Self {
         Self::default()
     }

@@ -40,7 +40,9 @@
 //!    the churn: only the active set — the dirty vertices plus their
 //!    1-hop halo — moves, and each pair solves over its active members
 //!    alone. The pass never compacts, and costs time in proportion to the
-//!    active set and its adjacency.
+//!    active set and its adjacency. A batch read back from a replication
+//!    log carries the leader's pass instead, and its moves are applied
+//!    without running one ([`StreamingPartitioner::ingest`]).
 //!
 //! Per-stage wall-clocks are reported in [`BatchReport::timings`];
 //! placement conflicts and repair passes land in both the report and the
@@ -56,7 +58,7 @@
 //! plus a few cheap GD iterations over the affected pairs, instead of a
 //! full from-scratch solve.
 
-use crate::delta::{StreamUpdate, UpdateBatch};
+use crate::delta::{RefinePass, StreamUpdate, UpdateBatch};
 use crate::dynamic::DynamicGraph;
 use crate::pipeline::{
     conflict_repair, speculative_place, DeferredEffect, PendingArrival, SplitOutcome, StageTimings,
@@ -278,6 +280,11 @@ pub struct BatchReport {
     pub max_imbalance: f64,
     /// Post-batch (post-refinement) edge locality.
     pub edge_locality: f64,
+    /// The refinement pass that ran after this batch, move by move (`None`
+    /// when none ran). A replication leader logs it with the batch, and
+    /// its followers apply the moves instead of re-running the pass
+    /// ([`crate::replica`]).
+    pub refine_pass: Option<RefinePass>,
     /// Old→new vertex-id map if a compaction purged tombstoned vertices
     /// during this batch (`remap[old]` is the new id, [`crate::TOMBSTONE`]
     /// for dropped ids). Callers holding vertex ids **must** rewrite them;
@@ -317,6 +324,7 @@ impl PartialEq for BatchReport {
             && self.refined == other.refined
             && self.rebalance_moves == other.rebalance_moves
             && self.refine_moves == other.refine_moves
+            && self.refine_pass == other.refine_pass
             && self.placement_conflicts == other.placement_conflicts
             && self.repair_passes == other.repair_passes
             && self.repair_spec_rounds == other.repair_spec_rounds
@@ -764,19 +772,6 @@ impl StreamingPartitioner {
         Ok(info)
     }
 
-    /// Re-keys the rebalance heaps at the current totals — the same
-    /// canonicalization [`Self::save_snapshot`] applies to the saver.
-    /// Canonicalizing is semantically neutral (the heaps are a candidate
-    /// queue over the same state) but changes *which equivalent* queue
-    /// the engine holds, and rebalance pops in queue order; a replication
-    /// follower therefore calls this when it adopts a new log segment, so
-    /// its queue matches the leader's post-rotation one and heap-driven
-    /// refinement stays bitwise in lockstep ([`crate::replica`]).
-    /// Idempotent.
-    pub fn canonicalize_heaps(&mut self) {
-        self.store.rebuild_heaps(self.graph.weights());
-    }
-
     /// Rebuilds an engine from a [`Self::save_snapshot`] stream with no
     /// expectations beyond internal consistency. Equivalent to
     /// [`Self::restore_expecting`] with a default
@@ -1101,6 +1096,17 @@ impl StreamingPartitioner {
     /// speculative placement → conflict repair → commit → (compaction,
     /// drift check, refinement). All-or-nothing: the batch is validated up
     /// front, and an `Err` leaves the engine untouched.
+    ///
+    /// A batch read back from a replication log carries the leader's
+    /// refinement decision ([`crate::replica`]). Its stages up to the
+    /// compaction run as above; then the decision takes the place of the
+    /// drift check and the pass: the logged moves apply through the same
+    /// accounting, so no rebalance heap is popped and no GD runs. Every
+    /// move is checked before the first one applies. A decision that does
+    /// not fit the post-batch state (a part ≥ k, an unknown or removed
+    /// vertex, a move to the vertex's own part) fails with an error naming
+    /// the move, after the batch's updates applied: such an engine has
+    /// left the leader's lineage and must be discarded.
     pub fn ingest(&mut self, batch: &UpdateBatch) -> Result<BatchReport, PartitionError> {
         let spans = SpanTree::new();
         let root = spans.span("ingest");
@@ -1189,39 +1195,24 @@ impl StreamingPartitioner {
         }
 
         // The drift check, any triggered compaction and the refinement all
-        // bill to the "refine" stage, matching the pre-span accounting.
-        let (drift_trigger, schedule_trigger, rebalance_moves, refine_moves) = {
+        // bill to the "refine" stage, matching the pre-span accounting. A
+        // batch carrying a logged decision applies it in place of the
+        // triggers and the pass, which already ran on the leader.
+        let refine_pass = {
             let _s = spans.span("refine");
             if self.graph.needs_compaction(self.cfg.compact_slack) {
                 self.compact_graph(); // counts itself in telemetry.compactions
             }
-
-            // Drift telemetry: refine when ε is threatened, or on schedule.
-            // The live totals make this sensitive to removals in both
-            // directions (see the module docs).
-            let imbalance = self.max_imbalance();
-            let drift_trigger = imbalance > self.cfg.drift_headroom * self.cfg.epsilon;
-            let schedule_trigger =
-                self.cfg.refine_every > 0 && self.batches_since_refine >= self.cfg.refine_every;
-            if drift_trigger {
-                self.obs.counter_add("stream.refine.drift_triggers", 1);
-                self.obs
-                    .journal_event("refine.drift_trigger", &[("imbalance", imbalance)]);
+            match &batch.decision {
+                Some(decision) => {
+                    if let Some(pass) = decision {
+                        self.apply_pass(pass)?;
+                    }
+                    decision.clone()
+                }
+                None if self.refine_triggered() => Some(self.refine_with_spans(&spans)?),
+                None => None,
             }
-            if schedule_trigger {
-                self.obs.counter_add("stream.refine.schedule_triggers", 1);
-            }
-            let (rebalance_moves, refine_moves) = if drift_trigger || schedule_trigger {
-                self.refine_with_spans(&spans)?
-            } else {
-                (0, 0)
-            };
-            (
-                drift_trigger,
-                schedule_trigger,
-                rebalance_moves,
-                refine_moves,
-            )
         };
 
         // Commit + refine are done: publish this batch's view. Readers
@@ -1254,9 +1245,10 @@ impl StreamingPartitioner {
             edges_added: split.edges_added,
             edges_removed: split.edges_removed,
             weight_updates: split.weight_updates,
-            refined: drift_trigger || schedule_trigger,
-            rebalance_moves,
-            refine_moves,
+            refined: refine_pass.is_some(),
+            rebalance_moves: refine_pass.as_ref().map_or(0, RefinePass::rebalance_moves),
+            refine_moves: refine_pass.as_ref().map_or(0, RefinePass::gd_moves),
+            refine_pass,
             placement_conflicts,
             repair_passes,
             repair_spec_rounds,
@@ -1460,7 +1452,27 @@ impl StreamingPartitioner {
         // A direct refinement is a batch boundary of its own: readers get
         // the refined assignment atomically.
         self.publish_view();
-        result
+        result.map(|pass| (pass.rebalance_moves(), pass.gd_moves()))
+    }
+
+    /// Evaluates the refinement triggers after a batch and counts the ones
+    /// that fire: drift (ε is threatened) and schedule. The live totals
+    /// make the drift check sensitive to removals in both directions (see
+    /// the module docs).
+    fn refine_triggered(&mut self) -> bool {
+        let imbalance = self.max_imbalance();
+        let drift_trigger = imbalance > self.cfg.drift_headroom * self.cfg.epsilon;
+        let schedule_trigger =
+            self.cfg.refine_every > 0 && self.batches_since_refine >= self.cfg.refine_every;
+        if drift_trigger {
+            self.obs.counter_add("stream.refine.drift_triggers", 1);
+            self.obs
+                .journal_event("refine.drift_trigger", &[("imbalance", imbalance)]);
+        }
+        if schedule_trigger {
+            self.obs.counter_add("stream.refine.schedule_triggers", 1);
+        }
+        drift_trigger || schedule_trigger
     }
 
     /// The refinement pass body, with its sub-stages (`rebalance`, and
@@ -1479,17 +1491,21 @@ impl StreamingPartitioner {
     /// exact: from the gather to the post-GD touch-up only active vertices
     /// change parts (the first rebalance runs before the gather, and GD
     /// moves only active vertices), and the graph does not change.
-    fn refine_with_spans(&mut self, spans: &SpanTree) -> Result<(usize, usize), PartitionError> {
+    ///
+    /// Returns the pass's moves in the order they were applied, which is
+    /// what [`Self::apply_pass`] replays.
+    fn refine_with_spans(&mut self, spans: &SpanTree) -> Result<RefinePass, PartitionError> {
         let started = Instant::now();
-        let mut rebalance_moves = {
+        let mut pass = RefinePass::default();
+        {
             let _s = spans.span("rebalance");
-            self.greedy_rebalance(self.cfg.max_rebalance_moves)
-        };
+            self.greedy_rebalance(self.cfg.max_rebalance_moves, &mut pass);
+        }
+        pass.gd_start = pass.vertices.len();
 
         // Warm-started pairwise GD around the churn: only active vertices
         // (including any the rebalance just moved) may move, and each pair
         // solves over its active members alone.
-        let mut refine_moves = 0usize;
         if self.graph.num_vertices() > 0 {
             let _s = spans.span("gd");
             let pairs = {
@@ -1507,13 +1523,14 @@ impl StreamingPartitioner {
             );
             let solved = {
                 let _s = spans.span("pairs");
-                self.refine_pairs(&pairs)
+                self.refine_pairs(&pairs, &mut pass)
             };
             for &a in self.adjacency.vertices() {
                 self.refine_slots[a as usize] = ActiveAdjacency::INACTIVE;
             }
-            refine_moves = solved?;
+            solved?;
         }
+        pass.touchup_start = pass.vertices.len();
 
         // This pass has consumed the churn; reset the dirty set *before*
         // the touch-up below so vertices the touch-up moves stay marked
@@ -1526,30 +1543,94 @@ impl StreamingPartitioner {
         // the GD pass behaved — the heaps make the occasional extra move
         // O(log n)). The touch-up spends whatever is left of the pass's
         // move budget, keeping `max_rebalance_moves` a true per-pass cap.
-        rebalance_moves += {
+        {
             let _s = spans.span("rebalance"); // merges with the first pass
-            self.greedy_rebalance(self.cfg.max_rebalance_moves.saturating_sub(rebalance_moves))
-        };
+            let budget = self.cfg.max_rebalance_moves.saturating_sub(pass.gd_start);
+            self.greedy_rebalance(budget, &mut pass);
+        }
 
+        pass.seed = self.refine_seed;
+        self.finish_pass(&pass, started);
+        Ok(pass)
+    }
+
+    /// Applies a pass another engine ran from the same state (a
+    /// replication leader's logged decision) in place of running one: the
+    /// moves before the touch-up, then the dirty-set reset, then the
+    /// touch-up moves, each marked dirty, exactly as
+    /// [`Self::refine_with_spans`] interleaves them. The moves go through
+    /// [`Self::move_and_count`], so loads and locality counters end as the
+    /// leader's did; the rebalance heaps only take the moves' pushes.
+    /// Every move is checked ([`Self::check_pass`]) before the first one
+    /// applies.
+    fn apply_pass(&mut self, pass: &RefinePass) -> Result<(), PartitionError> {
+        let started = Instant::now();
+        self.check_pass(pass)?;
+        let moves = pass.vertices.iter().zip(&pass.parts);
+        for (&v, &part) in moves.clone().take(pass.touchup_start) {
+            self.move_and_count(v, part);
+        }
+        self.dirty.clear();
+        for (&v, &part) in moves.skip(pass.touchup_start) {
+            self.move_and_count(v, part);
+            self.dirty.mark(v);
+        }
+        self.refine_seed = pass.seed;
+        self.finish_pass(pass, started);
+        Ok(())
+    }
+
+    /// Checks every move of a logged pass against the state it applies
+    /// to, following the parts the pass's earlier moves leave behind: the
+    /// destination part must exist, the vertex must be live, and the move
+    /// must change its part. `move_vertex` indexes the accounting by both
+    /// parts, and a move to the vertex's own part would corrupt the
+    /// locality counters: [`Self::locality_gain`] counts it while
+    /// `move_vertex` ignores it.
+    fn check_pass(&self, pass: &RefinePass) -> Result<(), PartitionError> {
+        let (k, n) = (self.cfg.k, self.store.num_vertices());
+        let mut moved: std::collections::HashMap<VertexId, u32> = std::collections::HashMap::new();
+        for (i, (&v, &part)) in pass.vertices.iter().zip(&pass.parts).enumerate() {
+            let why = if part as usize >= k {
+                format!("part {part} does not exist (k = {k})")
+            } else if v as usize >= n {
+                format!("vertex {v} is not a known vertex (the id space has {n})")
+            } else if self.store.shard_of(v) == TOMBSTONE {
+                format!("vertex {v} was removed")
+            } else if moved.insert(v, part).unwrap_or(self.store.shard_of(v)) == part {
+                format!("vertex {v} is already in part {part}")
+            } else {
+                continue;
+            };
+            return Err(PartitionError::Config(format!(
+                "logged refinement move {i} (vertex {v} to part {part}): {why}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Closes a refinement pass, run or applied: resets the schedule and
+    /// records the pass in the telemetry, the counters and the journal.
+    fn finish_pass(&mut self, pass: &RefinePass, started: Instant) {
+        let (rebalance_moves, gd_moves) = (pass.rebalance_moves(), pass.gd_moves());
         self.batches_since_refine = 0;
         self.telemetry.refinements += 1;
         self.telemetry.rebalance_moves += rebalance_moves;
-        self.telemetry.refine_moves += refine_moves;
+        self.telemetry.refine_moves += gd_moves;
         self.telemetry.last_refine_secs = started.elapsed().as_secs_f64();
         self.obs.counter_add("stream.refine.passes", 1);
         self.obs
             .counter_add("stream.refine.rebalance_moves", rebalance_moves as u64);
         self.obs
-            .counter_add("stream.refine.gd_moves", refine_moves as u64);
+            .counter_add("stream.refine.gd_moves", gd_moves as u64);
         self.obs.journal_event(
             "refine.pass",
             &[
                 ("rebalance_moves", rebalance_moves as f64),
-                ("gd_moves", refine_moves as f64),
+                ("gd_moves", gd_moves as f64),
                 ("wall_secs", self.telemetry.last_refine_secs),
             ],
         );
-        Ok((rebalance_moves, refine_moves))
     }
 
     /// Marks the active set — the live dirty vertices plus their 1-hop
@@ -1602,8 +1683,8 @@ impl StreamingPartitioner {
     }
 
     /// Warm-started pairwise GD over the ranked `pairs`, each pair solved
-    /// over its members in the pass's gathered active set; returns the
-    /// number of vertices moved.
+    /// over its members in the pass's gathered active set; every move is
+    /// appended to `pass`.
     ///
     /// Pairs are scheduled into rounds of part-disjoint pairs
     /// ([`GdPartitioner::plan_disjoint_rounds`]). Within a round no part is
@@ -1613,12 +1694,15 @@ impl StreamingPartitioner {
     /// moves are applied at the round barrier, in round order, so the
     /// next round sees them and `threads = 1 ≡ threads = N` by
     /// construction.
-    fn refine_pairs(&mut self, pairs: &[(u32, u32)]) -> Result<usize, PartitionError> {
+    fn refine_pairs(
+        &mut self,
+        pairs: &[(u32, u32)],
+        pass: &mut RefinePass,
+    ) -> Result<(), PartitionError> {
         let mut gd_cfg = self.cfg.gd.clone();
         gd_cfg.epsilon = self.cfg.epsilon;
         gd_cfg.iterations = self.cfg.refine_iterations;
         gd_cfg.track_history = false;
-        let mut moved = 0usize;
         for round in GdPartitioner::plan_disjoint_rounds(pairs) {
             // Threads left idle by a small round (common when one hot
             // part appears in every ranked pair, making every round a
@@ -1701,11 +1785,11 @@ impl StreamingPartitioner {
                 }
                 for &(v, part) in &outcome.moves {
                     self.move_and_count(v, part);
-                    moved += 1;
+                    pass.push(v, part);
                 }
             }
         }
-        Ok(moved)
+        Ok(())
     }
 
     /// Moves `v` to `dst`, keeping the store's loads and its intra/cut
@@ -1744,9 +1828,9 @@ impl StreamingPartitioner {
     /// (counted in [`StreamTelemetry::rebalance_full_scans`]). Moves at
     /// most `max_moves` vertices (the caller splits
     /// [`StreamConfig::max_rebalance_moves`] across the pre-GD pass and
-    /// the post-GD touch-up so the config stays a true per-pass cap);
-    /// returns the number moved.
-    fn greedy_rebalance(&mut self, max_moves: usize) -> usize {
+    /// the post-GD touch-up so the config stays a true per-pass cap) and
+    /// appends every move to `pass`.
+    fn greedy_rebalance(&mut self, max_moves: usize, pass: &mut RefinePass) {
         let target = self.cfg.epsilon * self.cfg.drift_headroom.min(1.0);
         let k = self.cfg.k;
         let dims = self.graph.weights().dims();
@@ -1814,6 +1898,7 @@ impl StreamingPartitioner {
             }
             if let Some((v, dst, _, _)) = best_move {
                 self.move_and_count(v, dst);
+                pass.push(v, dst);
                 self.dirty.mark(v);
                 moves += 1;
                 continue;
@@ -1844,11 +1929,12 @@ impl StreamingPartitioner {
             };
             self.move_and_count(v, dst);
             self.move_and_count(u, src);
+            pass.push(v, dst);
+            pass.push(u, src);
             self.dirty.mark(v);
             self.dirty.mark(u);
             moves += 2;
         }
-        moves
     }
 
     /// Heap candidates evaluated per rebalance step before falling back to
@@ -2796,6 +2882,102 @@ mod tests {
             a.spans.child_ms("commit") > 0.0,
             "commit stage must be timed"
         );
+    }
+
+    /// What the next refinement pass and the next reports read, besides
+    /// the heaps: assignment, loads (bitwise), locality counters, dirty
+    /// set, seed and schedule.
+    type RefineState = (
+        Vec<u32>,
+        Vec<u64>,
+        (usize, usize),
+        Vec<VertexId>,
+        u64,
+        usize,
+    );
+
+    fn refine_state(sp: &mut StreamingPartitioner) -> RefineState {
+        let dims = sp.graph.weights().dims();
+        let loads = (0..sp.cfg.k as u32)
+            .flat_map(|p| (0..dims).map(move |j| (p, j)))
+            .map(|(p, j)| sp.store.load(p, j).to_bits())
+            .collect();
+        (
+            sp.store.as_slice().to_vec(),
+            loads,
+            (sp.store.intra_edges(), sp.store.cut_edges()),
+            sp.dirty.sorted().to_vec(),
+            sp.refine_seed,
+            sp.batches_since_refine,
+        )
+    }
+
+    /// A follower-side engine that applies each batch's logged pass ends
+    /// every batch in the state the engine that ran the pass did, without
+    /// popping a heap or solving a pair.
+    #[test]
+    fn an_applied_pass_leaves_the_state_the_run_pass_left() {
+        let (g, w) = community(600, 23);
+        let mut cfg = fast_cfg(4, 0.05);
+        cfg.refine_every = 1;
+        let mut leader = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
+        let mut bytes = Vec::new();
+        leader.save_snapshot(&mut bytes).unwrap();
+        let mut follower = StreamingPartitioner::restore(&bytes[..]).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut moves = 0;
+        for _ in 0..6 {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..20 {
+                let nbrs = vec![rng.gen_range(0..600), rng.gen_range(0..600)];
+                batch.add_vertex(vec![1.0, 2.0], nbrs);
+            }
+            for _ in 0..15 {
+                batch.set_weight(rng.gen_range(0..600), 0, rng.gen_range(1.5..3.0));
+            }
+            let report = leader.ingest(&batch).unwrap();
+            let pass = report.refine_pass.clone().expect("refine_every = 1");
+            moves += pass.vertices.len();
+            batch.decision = Some(Some(pass));
+            assert_eq!(follower.ingest(&batch).unwrap(), report);
+            assert_eq!(refine_state(&mut follower), refine_state(&mut leader));
+        }
+        assert!(moves > 0, "the stream must make refinement moves");
+        let m = follower.metrics();
+        assert_eq!(m.counter("stream.refine.passes"), 6);
+        assert_eq!(m.counter("stream.store.heap_pops"), 0);
+        assert_eq!(m.counter("core.gd.solve_vertices"), 0);
+    }
+
+    /// The touch-up moves of a logged pass apply after the dirty-set
+    /// reset and stay marked, as in a run pass; the seed and schedule come
+    /// from the decision, and the locality counters stay exact.
+    #[test]
+    fn a_logged_touch_up_leaves_only_its_moves_dirty() {
+        let (g, w) = community(300, 29);
+        let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(4, 0.05)).unwrap();
+        let (a, b, c) = (3, 5, 7);
+        let other = |v| (sp.shard_of(v) + 1) % 4;
+        let parts = vec![other(a), other(b), other(c)];
+        let mut batch = UpdateBatch::new();
+        batch.add_vertex(vec![1.0, 2.0], vec![a, 11]); // marks 300, a and 11
+        batch.decision = Some(Some(RefinePass {
+            vertices: vec![a, b, c],
+            parts,
+            gd_start: 1,
+            touchup_start: 2,
+            seed: 77,
+        }));
+        let report = sp.ingest(&batch).unwrap();
+        assert!(report.refined);
+        assert_eq!((report.rebalance_moves, report.refine_moves), (2, 1));
+        assert_eq!(sp.dirty.sorted(), &[c]);
+        assert_eq!((sp.refine_seed, sp.batches_since_refine), (77, 0));
+        let live_edges: Vec<(u32, u32)> = sp.graph().snapshot().edges().collect();
+        let mut oracle = sp.store().clone();
+        oracle.rebuild_edge_stats(live_edges.into_iter());
+        assert_eq!(sp.store().intra_edges(), oracle.intra_edges());
+        assert_eq!(sp.store().cut_edges(), oracle.cut_edges());
     }
 
     /// End-to-end instrumentation check on a churn+drift workload: the

@@ -154,7 +154,10 @@
 //! checksummed record per batch to a rotating log ([`wire`]), and any
 //! number of [`Follower`]s bootstrap from the snapshot and replay the
 //! tail through their *own* ingest pipelines, publishing one
-//! [`ReadView`] per applied batch. Each record carries the leader's
+//! [`ReadView`] per applied batch. Refinement is the one stage a follower
+//! does not recompute: each record carries the leader's refinement
+//! decision ([`RefinePass`]), and the follower applies its moves. Each
+//! record also carries the leader's
 //! post-batch `(id_epoch, batch_seq)` stamp and view checksum, and the
 //! follower compares its own published view against both after every
 //! record — a replica cannot drift silently for even one batch
@@ -315,7 +318,7 @@ pub mod wire;
 /// vertex that was dropped. Never a valid part or vertex id.
 pub const TOMBSTONE: u32 = u32::MAX;
 
-pub use delta::{StreamUpdate, UpdateBatch};
+pub use delta::{RefinePass, StreamUpdate, UpdateBatch};
 pub use dynamic::DynamicGraph;
 pub use engine::{
     BatchReport, StreamConfig, StreamTelemetry, StreamingPartitioner, METRIC_ALLOWLIST,

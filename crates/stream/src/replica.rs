@@ -24,6 +24,24 @@
 //! on the first mismatch — a replica can drift silently for exactly zero
 //! batches.
 //!
+//! ## Decisions, not computation
+//!
+//! One stage is replayed from the leader's decision instead: refinement.
+//! Its projected-gradient pass is the costly step of ingest, so every
+//! record also carries the batch's refinement decision — whether a pass
+//! ran, and if so its moves in application order and the post-pass seed
+//! ([`crate::delta::RefinePass`], taken from the leader's
+//! [`BatchReport::refine_pass`]). A follower recomputes validation,
+//! split, placement, repair, commit and compaction, and *applies* the
+//! logged moves through the same accounting ([`StreamingPartitioner::ingest`]).
+//! It never pops a rebalance heap, never runs GD and holds no GD
+//! workspace, so replay costs the batch's cheap stages plus O(moves).
+//! Refinement stays deterministic on the leader, where threads 1 ≡
+//! threads N and save → restore byte-identity remain contracts. The
+//! decision rides *inside* the logged batch rather than beside the
+//! record, so a record re-framed through [`read_record`] and
+//! [`write_record`] keeps it; only the crate sets it.
+//!
 //! ## Leader protocol
 //!
 //! A [`Leader`] owns the engine. Creating it (or calling
@@ -55,7 +73,10 @@
 //! and replay is resumable: re-reading a longer copy of the same segment
 //! skips records at or below the follower's current stamp (verifying the
 //! checksum of the one that matches it exactly), so tailing a growing
-//! log is just calling `replay` again on the new bytes.
+//! log is just calling `replay` again on the new bytes. A follower that
+//! returns an error from `replay` (a divergence, or a record its engine
+//! rejects) has left the leader's lineage: discard it and bootstrap a new
+//! one from the leader's current snapshot.
 
 use std::io::Read;
 
@@ -78,9 +99,10 @@ pub enum ReplicaError {
     Snapshot(SnapshotError),
     /// The batch log could not be written or read.
     Wire(WireError),
-    /// A replayed batch was rejected by the follower's own ingest
-    /// validation — on a healthy pair this cannot happen (the leader
-    /// ingested the same batch), so it indicates the log and snapshot
+    /// A replayed batch, or its logged refinement decision, was rejected
+    /// by the follower's own ingest checks — on a healthy pair this
+    /// cannot happen (the leader ingested the same batch and made those
+    /// moves from the same state), so it indicates the log and snapshot
     /// are from different lineages.
     Ingest(PartitionError),
     /// The follower applied a record and arrived at a different state
@@ -195,15 +217,19 @@ impl Leader {
     }
 
     /// Ingests a batch through the wrapped engine and appends one log
-    /// record stamped with the post-batch published view. The
-    /// [`BatchReport`] is the engine's, verbatim.
+    /// record stamped with the post-batch published view and carrying the
+    /// batch's refinement decision (from [`BatchReport::refine_pass`]).
+    /// The [`BatchReport`] is the engine's, verbatim.
     pub fn ingest(&mut self, batch: &UpdateBatch) -> Result<BatchReport, ReplicaError> {
         let report = self.engine.ingest(batch)?;
         let view = self.engine.read_view();
         let record = LogRecord {
             stamp: view.epoch(),
             view_checksum: view.checksum(),
-            batch: batch.clone(),
+            batch: UpdateBatch {
+                updates: batch.updates.clone(),
+                decision: Some(report.refine_pass.clone()),
+            },
         };
         let written = write_record(&mut self.log, &record)?;
         self.segment_records += 1;
@@ -293,14 +319,11 @@ impl Leader {
 
 /// The read side of replication: an engine bootstrapped from a leader
 /// snapshot that replays log records through its own ingest pipeline,
-/// publishing one [`ReadView`] per applied batch and checking each
-/// against the leader's stamp. See the module docs.
+/// applying each record's refinement decision, publishing one
+/// [`ReadView`] per applied batch and checking each against the leader's
+/// stamp. See the module docs.
 pub struct Follower {
     engine: StreamingPartitioner,
-    /// The segment number last adopted by [`Self::replay`] — used to
-    /// tell a re-read (tail) of the same segment apart from a genuinely
-    /// new one, which requires a heap canonicalization (see `replay`).
-    segment: Option<u64>,
     replayed: u64,
 }
 
@@ -321,7 +344,6 @@ impl Follower {
         let engine = StreamingPartitioner::restore_expecting(snapshot, expect)?;
         Ok(Follower {
             engine,
-            segment: None,
             replayed: 0,
         })
     }
@@ -359,17 +381,6 @@ impl Follower {
                 mine
             },
         )?;
-        if self.segment != Some(header.segment) {
-            // First adoption of this segment. The leader's rotation
-            // snapshot canonicalized *its* rebalance heaps
-            // (`save_snapshot` re-keys the saver's queue); mirror that
-            // here so heap-driven refinement stays bitwise in lockstep.
-            // Idempotent, and at first adoption the follower is exactly
-            // at the segment base — the same state the leader
-            // canonicalized at.
-            self.engine.canonicalize_heaps();
-            self.segment = Some(header.segment);
-        }
         let mut current = mine;
         let mut current_checksum = view.checksum();
         let mut applied = 0u64;
@@ -460,11 +471,19 @@ impl Follower {
     pub fn replayed(&self) -> u64 {
         self.replayed
     }
+
+    /// Unwraps the engine, e.g. to promote the follower:
+    /// `Leader::new(follower.into_engine())` (whose bootstrap snapshot
+    /// rebuilds the rebalance heaps the follower never popped).
+    pub fn into_engine(self) -> StreamingPartitioner {
+        self.engine
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::RefinePass;
     use crate::engine::StreamConfig;
     use mdbgp_core::GdConfig;
     use mdbgp_graph::{gen, VertexWeights};
@@ -614,5 +633,104 @@ mod tests {
         let mut follower = Follower::bootstrap(leader.snapshot_bytes()).unwrap();
         let err = follower.replay(&log[..]).unwrap_err();
         assert!(matches!(err, ReplicaError::Divergence { .. }), "{err}");
+    }
+
+    /// Re-frames the leader's one record through `write_record` with its
+    /// refinement decision replaced by a pass of `moves` (rebalance moves
+    /// only), replays it on a fresh follower and returns the error. The
+    /// follower's store must not have taken the forged pass's first move:
+    /// every move is checked before any applies. A re-bootstrapped
+    /// follower then replays the genuine log to the leader's view.
+    fn reject_forged_pass(leader: &Leader, moves: &[(u32, u32)]) -> String {
+        let mut src = leader.log_bytes();
+        let header = read_log_header(&mut src).unwrap();
+        let mut record = read_record(&mut src).unwrap().unwrap();
+        record.batch.decision = Some(Some(RefinePass {
+            vertices: moves.iter().map(|m| m.0).collect(),
+            parts: moves.iter().map(|m| m.1).collect(),
+            gd_start: moves.len(),
+            touchup_start: moves.len(),
+            seed: 1,
+        }));
+        let mut log = Vec::new();
+        write_log_header(&mut log, header.k, header.dims, header.segment, header.base).unwrap();
+        write_record(&mut log, &record).unwrap();
+
+        let mut follower = Follower::bootstrap(leader.snapshot_bytes()).unwrap();
+        let (first, first_part) = moves[0];
+        let before = follower.engine().store().shard_of(first);
+        assert_ne!(
+            before, first_part,
+            "the first forged move must be a real move"
+        );
+        let err = follower.replay(&log[..]).unwrap_err();
+        assert!(matches!(err, ReplicaError::Ingest(_)), "{err}");
+        assert_eq!(follower.engine().store().shard_of(first), before);
+        assert_eq!(follower.replayed(), 0);
+
+        let mut fresh = Follower::bootstrap(leader.snapshot_bytes()).unwrap();
+        assert_eq!(fresh.replay(leader.log_bytes()).unwrap(), 1);
+        let (lv, fv) = (leader.engine().read_view(), fresh.view());
+        assert_eq!((lv.epoch(), lv.checksum()), (fv.epoch(), fv.checksum()));
+        err.to_string()
+    }
+
+    /// A leader that ingested one churny batch, and a vertex untouched by
+    /// it with its part and a different one.
+    fn leader_with_one_record(seed: u64) -> (Leader, u32, u32, u32) {
+        let mut leader = Leader::new(leader_engine(300, seed)).unwrap();
+        let before = leader.engine().read_view();
+        let mut rng = StdRng::seed_from_u64(seed);
+        leader.ingest(&churny_batch(&mut rng, 300)).unwrap();
+        let v = 299;
+        let part = before.shard_of(v);
+        (leader, v, part, (part + 1) % 4)
+    }
+
+    #[test]
+    fn logged_move_to_a_missing_part_is_rejected() {
+        let (leader, v, _, other) = leader_with_one_record(31);
+        let why = reject_forged_pass(&leader, &[(v, other), (v, 4)]);
+        assert!(why.contains("logged refinement move 1"), "{why}");
+        assert!(why.contains("part 4 does not exist (k = 4)"), "{why}");
+    }
+
+    #[test]
+    fn logged_move_of_an_unknown_vertex_is_rejected() {
+        let (leader, v, _, other) = leader_with_one_record(32);
+        let n = leader.engine().graph().num_vertices() as u32;
+        let why = reject_forged_pass(&leader, &[(v, other), (n, 0)]);
+        assert!(
+            why.contains(&format!("vertex {n} is not a known vertex")),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn logged_move_of_a_removed_vertex_is_rejected() {
+        let mut leader = Leader::new(leader_engine(300, 33)).unwrap();
+        let other = |v| (leader.engine().shard_of(v) + 1) % 4;
+        let moves = [(8, other(8)), (7, other(7))];
+        let mut batch = UpdateBatch::new();
+        batch.remove_vertex(7);
+        leader.ingest(&batch).unwrap();
+        // One removal stays far below the compaction slack: vertex 7 is
+        // tombstoned, not purged.
+        assert_eq!(leader.engine().shard_of(7), crate::TOMBSTONE);
+        let why = reject_forged_pass(&leader, &moves);
+        assert!(why.contains("vertex 7 was removed"), "{why}");
+    }
+
+    #[test]
+    fn logged_move_to_the_vertex_s_own_part_is_rejected() {
+        let (leader, v, part, other) = leader_with_one_record(34);
+        // Away and back is two real moves; a third to the same part is
+        // the no-op the check must catch.
+        let why = reject_forged_pass(&leader, &[(v, other), (v, part), (v, part)]);
+        assert!(why.contains("logged refinement move 2"), "{why}");
+        assert!(
+            why.contains(&format!("vertex {v} is already in part {part}")),
+            "{why}"
+        );
     }
 }

@@ -4,12 +4,14 @@
 //! A snapshot moves a whole engine; the **batch log** moves everything
 //! that happened *since*. A leader appends one framed record per ingested
 //! [`UpdateBatch`], stamped with the post-batch [`ViewEpoch`] and the
-//! published view's checksum; a follower bootstraps from the snapshot and
-//! replays the log tail through its own ingest pipeline
-//! ([`crate::replica`]). Because ingestion is deterministic (threads 1 ≡
-//! threads N, restore is byte-identical), replaying the same records
-//! reproduces the leader's view sequence bit for bit — the stamps and
-//! checksums in the records are the divergence detector, not the
+//! published view's checksum, and carrying the leader's refinement
+//! decision for the batch; a follower bootstraps from the snapshot and
+//! replays the log tail through its own ingest pipeline, which applies
+//! the logged decision in place of a refinement pass
+//! ([`crate::replica`]). Because every other stage is deterministic
+//! (threads 1 ≡ threads N, restore is byte-identical), replaying the same
+//! records reproduces the leader's view sequence bit for bit — the stamps
+//! and checksums in the records are the divergence detector, not the
 //! mechanism of consistency.
 //!
 //! ## Log layout
@@ -20,7 +22,7 @@
 //! | offset | size | field                                           |
 //! |--------|------|-------------------------------------------------|
 //! | 0      | 8    | magic `b"MDBGPLOG"`                             |
-//! | 8      | 4    | format version (`u32`, currently 1)             |
+//! | 8      | 4    | format version (`u32`, currently 2)             |
 //! | 12     | 4    | part count `k` (`u32`)                          |
 //! | 16     | 4    | weight dimensions `d` (`u32`)                   |
 //! | 20     | 8    | segment number (`u64`, 0 at birth, +1 per rotation) |
@@ -48,8 +50,17 @@
 //!
 //! and the payload holds the post-batch stamp (`id_epoch`, `batch_seq`,
 //! both `u64`), the leader's published view checksum (`u64`,
-//! [`crate::ReadView::checksum`]), and the serialized updates (count +
-//! one tagged [`StreamUpdate`] each). A clean EOF at a frame boundary
+//! [`crate::ReadView::checksum`]), the serialized updates (count + one
+//! tagged [`StreamUpdate`] each), and the batch's refinement decision, a
+//! tag followed by its fields:
+//!
+//! | tag (`u8`) | decision                          | followed by |
+//! |------------|-----------------------------------|-------------|
+//! | 0          | none (a batch a caller built)     | —           |
+//! | 1          | no refinement pass ran            | —           |
+//! | 2          | a pass ran ([`RefinePass`])       | post-pass seed (`u64`), GD start and touch-up start (`u64` each), the moved vertices and their parts (two `u32` columns, each a `u64` length + entries, equal lengths) |
+//!
+//! A leader always writes tag 1 or 2. A clean EOF at a frame boundary
 //! ends the log ([`read_record`] returns `None`); bytes that stop inside
 //! a frame are [`WireError::Truncated`] with the section named. The
 //! frame's length prefix only bounds an incremental read — a corrupt
@@ -60,22 +71,24 @@
 //!
 //! Reading is all-or-nothing per record: every rejection — bad magic,
 //! unsupported version, truncation, checksum mismatch, an unknown update
-//! tag — returns the specific named [`WireError`] variant with no partial
+//! or decision tag, a decision whose columns or start indices disagree —
+//! returns the specific named [`WireError`] variant with no partial
 //! record surfaced. Like the snapshot checksum, FNV-1a here is an
 //! *integrity* check (bit rot, torn appends), not authenticity; feed logs
 //! from trusted storage.
 
 use std::io::{Read, Write};
 
-use crate::delta::{StreamUpdate, UpdateBatch};
+use crate::delta::{RefinePass, StreamUpdate, UpdateBatch};
 use crate::snapshot::{fnv1a, PayloadReader, PayloadWriter, SnapshotError};
 use crate::ViewEpoch;
 
 /// First 8 bytes of every batch log.
 pub const LOG_MAGIC: [u8; 8] = *b"MDBGPLOG";
 
-/// Current log format version.
-pub const LOG_VERSION: u32 = 1;
+/// Current log format version (2: records carry the refinement
+/// decision).
+pub const LOG_VERSION: u32 = 2;
 
 /// Fixed log header size in bytes (magic + version + k + dims + segment
 /// + base epoch + base seq + checksum).
@@ -121,7 +134,8 @@ pub enum WireError {
     /// restored: its base stamp is not the follower's `(id_epoch,
     /// batch_seq)` — this log tail belongs to a different snapshot.
     BaseMismatch { log: ViewEpoch, state: ViewEpoch },
-    /// The record parsed but violates the format (unknown update tag,
+    /// The record parsed but violates the format (unknown update or
+    /// decision tag, a decision whose columns or start indices disagree,
     /// trailing bytes, a stamp that runs backwards).
     Corrupt(String),
 }
@@ -230,12 +244,8 @@ pub struct LogHeader {
     /// Weight dimensions `d`.
     pub dims: usize,
     /// Which segment of the leader's log this is: 0 for the segment
-    /// opened at the leader's birth, +1 per rotation. A follower
-    /// canonicalizes its rebalance heaps when it first adopts a segment
-    /// (mirroring the canonicalization the leader's snapshot performed
-    /// at rotation — [`crate::StreamingPartitioner::canonicalize_heaps`]),
-    /// and the number tells re-reads of the same segment apart from a
-    /// genuinely new one.
+    /// opened at the leader's birth, +1 per rotation. Informational:
+    /// adoption and replay go by the base stamp and the record stamps.
     pub segment: u64,
     /// The [`ViewEpoch`] of the snapshot this log continues from: record
     /// 1 applies on top of exactly that state.
@@ -269,18 +279,20 @@ impl LogHeader {
     }
 }
 
-/// One replication unit: the batch the leader ingested, the `(id_epoch,
-/// batch_seq)` stamp of the view it published afterwards, and that view's
-/// checksum. A follower replays `batch`, then proves it arrived at the
-/// same place by comparing its own published view against `stamp` +
-/// `view_checksum` ([`crate::replica::Follower`]).
+/// One replication unit: the batch the leader ingested (with its
+/// refinement decision), the `(id_epoch, batch_seq)` stamp of the view it
+/// published afterwards, and that view's checksum. A follower replays
+/// `batch`, then proves it arrived at the same place by comparing its own
+/// published view against `stamp` + `view_checksum`
+/// ([`crate::replica::Follower`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogRecord {
     /// The leader's post-batch published [`ViewEpoch`].
     pub stamp: ViewEpoch,
     /// [`crate::ReadView::checksum`] of the leader's post-batch view.
     pub view_checksum: u64,
-    /// The ingested batch, verbatim.
+    /// The ingested batch, verbatim; a leader's record also carries the
+    /// batch's refinement decision inside it.
     pub batch: UpdateBatch,
 }
 
@@ -358,6 +370,7 @@ pub fn write_record<W: Write>(w: &mut W, record: &LogRecord) -> Result<usize, Wi
     for update in &record.batch.updates {
         encode_update(&mut pw, update);
     }
+    encode_decision(&mut pw, &record.batch.decision);
     let frame = |e| WireError::io("record frame", e);
     w.write_all(&(pw.buf.len() as u32).to_le_bytes())
         .map_err(frame)?;
@@ -426,15 +439,16 @@ pub fn read_record<R: Read>(r: &mut R) -> Result<Option<LogRecord>, WireError> {
         // long before memory becomes a concern.
         updates.push(decode_update(&mut pr)?);
     }
+    let decision = decode_decision(&mut pr)?;
     if !pr.finished() {
         return Err(WireError::Corrupt(
-            "trailing bytes after the last update".into(),
+            "trailing bytes after the refinement decision".into(),
         ));
     }
     Ok(Some(LogRecord {
         stamp,
         view_checksum,
-        batch: UpdateBatch { updates },
+        batch: UpdateBatch { updates, decision },
     }))
 }
 
@@ -502,6 +516,64 @@ fn decode_update(r: &mut PayloadReader) -> Result<StreamUpdate, WireError> {
     })
 }
 
+// Decision tags, numbered like the update tags: part of the wire format.
+const DECISION_NONE: u8 = 0;
+const DECISION_NO_PASS: u8 = 1;
+const DECISION_PASS: u8 = 2;
+
+fn encode_decision(w: &mut PayloadWriter, decision: &Option<Option<RefinePass>>) {
+    match decision {
+        None => w.put_u8(DECISION_NONE),
+        Some(None) => w.put_u8(DECISION_NO_PASS),
+        Some(Some(pass)) => {
+            w.put_u8(DECISION_PASS);
+            w.put_u64(pass.seed);
+            w.put_usize(pass.gd_start);
+            w.put_usize(pass.touchup_start);
+            w.put_vec_u32(&pass.vertices);
+            w.put_vec_u32(&pass.parts);
+        }
+    }
+}
+
+/// Decodes a decision and checks its shape: equal columns, and start
+/// indices in order within the move count. Whether the moves fit the
+/// follower's state is the engine's check, made before the first applies.
+fn decode_decision(r: &mut PayloadReader) -> Result<Option<Option<RefinePass>>, WireError> {
+    let pass = match r.get_u8("decision tag")? {
+        DECISION_NONE => return Ok(None),
+        DECISION_NO_PASS => return Ok(Some(None)),
+        DECISION_PASS => RefinePass {
+            seed: r.get_u64("decision.seed")?,
+            gd_start: r.get_usize("decision.gd_start")?,
+            touchup_start: r.get_usize("decision.touchup_start")?,
+            vertices: r.get_vec_u32("decision.vertices")?,
+            parts: r.get_vec_u32("decision.parts")?,
+        },
+        other => return Err(WireError::Corrupt(format!("unknown decision tag {other}"))),
+    };
+    let moves = pass.vertices.len();
+    let why = if pass.parts.len() != moves {
+        format!(
+            "decision.parts holds {} entries, decision.vertices {moves}",
+            pass.parts.len()
+        )
+    } else if pass.touchup_start > moves {
+        format!(
+            "decision.touchup_start {} is past the move count {moves}",
+            pass.touchup_start
+        )
+    } else if pass.gd_start > pass.touchup_start {
+        format!(
+            "decision.gd_start {} is past decision.touchup_start {}",
+            pass.gd_start, pass.touchup_start
+        )
+    } else {
+        return Ok(Some(Some(pass)));
+    };
+    Err(WireError::Corrupt(why))
+}
+
 fn read_exact_or_truncated<R: Read>(
     r: &mut R,
     buf: &mut [u8],
@@ -539,8 +611,19 @@ mod tests {
         batch1.add_edge(1, 2);
         batch1.remove_edge(0, 3);
         batch1.set_weight(2, 1, 0.75);
+        // A leader's records carry a decision: a pass for the first batch,
+        // no pass for the second. The third (a batch a caller built)
+        // carries no decision at all.
+        batch1.decision = Some(Some(RefinePass {
+            vertices: vec![3, 0, 2, 1],
+            parts: vec![1, 5, 0, 7],
+            gd_start: 2,
+            touchup_start: 3,
+            seed: 0x0123_4567_89AB_CDEF,
+        }));
         let mut batch2 = UpdateBatch::new();
         batch2.remove_vertex(3);
+        batch2.decision = Some(None);
         let records = vec![
             LogRecord {
                 stamp: ViewEpoch {
@@ -720,15 +803,16 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn unknown_update_tag_is_corrupt_not_a_panic() {
-        // Hand-frame a record whose only update has tag 200.
+    /// Hand-frames one record: the stamp, the view checksum and
+    /// `update_count`, then whatever `rest` writes. Returns the message of
+    /// the `Corrupt` error reading it must fail with.
+    fn corrupt_record(update_count: usize, rest: impl FnOnce(&mut PayloadWriter)) -> String {
         let mut pw = PayloadWriter::new();
         pw.put_u64(0); // id_epoch
         pw.put_u64(1); // batch_seq
         pw.put_u64(0); // view checksum
-        pw.put_usize(1); // one update
-        pw.put_u8(200); // bogus tag
+        pw.put_usize(update_count);
+        rest(&mut pw);
         let mut bytes = Vec::new();
         write_log_header(&mut bytes, 2, 2, 0, ViewEpoch::default()).unwrap();
         bytes.extend_from_slice(&(pw.buf.len() as u32).to_le_bytes());
@@ -738,7 +822,70 @@ mod tests {
         read_log_header(&mut r).unwrap();
         let err = read_record(&mut r).unwrap_err();
         assert!(matches!(err, WireError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("unknown update tag 200"), "{err}");
+        err.to_string()
+    }
+
+    /// Writes a pass decision with the given start indices and columns.
+    fn put_pass(pw: &mut PayloadWriter, starts: (usize, usize), vertices: &[u32], parts: &[u32]) {
+        pw.put_u8(DECISION_PASS);
+        pw.put_u64(7); // seed
+        pw.put_usize(starts.0);
+        pw.put_usize(starts.1);
+        pw.put_vec_u32(vertices);
+        pw.put_vec_u32(parts);
+    }
+
+    #[test]
+    fn unknown_update_tag_is_corrupt_not_a_panic() {
+        let why = corrupt_record(1, |pw| pw.put_u8(200));
+        assert!(why.contains("unknown update tag 200"), "{why}");
+    }
+
+    #[test]
+    fn unknown_decision_tag_is_corrupt() {
+        let why = corrupt_record(0, |pw| pw.put_u8(3));
+        assert!(why.contains("unknown decision tag 3"), "{why}");
+    }
+
+    #[test]
+    fn unequal_decision_columns_are_corrupt() {
+        let why = corrupt_record(0, |pw| put_pass(pw, (0, 0), &[4, 5], &[1]));
+        assert!(
+            why.contains("decision.parts holds 1 entries, decision.vertices 2"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn decision_start_past_the_move_count_is_corrupt() {
+        let why = corrupt_record(0, |pw| put_pass(pw, (0, 3), &[4, 5], &[1, 2]));
+        assert!(
+            why.contains("decision.touchup_start 3 is past the move count 2"),
+            "{why}"
+        );
+        let why = corrupt_record(0, |pw| put_pass(pw, (2, 1), &[4, 5], &[1, 2]));
+        assert!(
+            why.contains("decision.gd_start 2 is past decision.touchup_start 1"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn previous_format_version_is_unsupported() {
+        // A version-1 log (records without a decision section) shares this
+        // version's header layout: patch the version and re-seal the
+        // header checksum. Its records are never read.
+        let (mut bytes, _) = sample_log();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes[8..LOG_HEADER_BYTES - 8].to_vec();
+        bytes[LOG_HEADER_BYTES - 8..LOG_HEADER_BYTES].copy_from_slice(&fnv1a(&body).to_le_bytes());
+        assert!(matches!(
+            read_all(&bytes).unwrap_err(),
+            WireError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
+        ));
     }
 
     #[test]

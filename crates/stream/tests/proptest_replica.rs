@@ -7,10 +7,17 @@
 //! a rotated segment. The whole scenario is run at `threads = 1` and
 //! `threads = 4` and the two stamp streams must be identical — the
 //! replication tier inherits the engine's thread-count invariance.
+//!
+//! The follower applies the leader's logged refinement decisions instead
+//! of refining, so the scenario ends by proving its whole engine state,
+//! not only its view, equals the leader's: the promoted follower and the
+//! leader ingest the same batches into equal reports and stamps.
 
 use mdbgp_core::GdConfig;
 use mdbgp_graph::{gen, VertexWeights};
-use mdbgp_stream::{Follower, Leader, StreamConfig, StreamingPartitioner, UpdateBatch};
+use mdbgp_stream::{
+    Follower, Leader, MetricsRegistry, StreamConfig, StreamingPartitioner, UpdateBatch,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,6 +157,39 @@ fn run_scenario(
         "stream failed to cross two purges (epoch {})",
         leader.engine().id_epoch()
     );
+
+    // The follower applied the leader's refinement moves: the same pass
+    // and move counts, without a GD solve or a heap pop.
+    let refine_counts = |reg: &MetricsRegistry| -> Vec<u64> {
+        ["passes", "rebalance_moves", "gd_moves"]
+            .map(|c| reg.counter(&format!("stream.refine.{c}")))
+            .to_vec()
+    };
+    let leader_counts = refine_counts(leader.metrics_mut());
+    let fm = follower.metrics_mut();
+    assert_eq!(refine_counts(fm), leader_counts);
+    let gd: Vec<&str> = fm
+        .metric_names()
+        .into_iter()
+        .filter(|n| n.starts_with("core.gd."))
+        .collect();
+    assert!(gd.is_empty(), "the follower recorded GD counters {gd:?}");
+    assert_eq!(fm.counter("stream.store.heap_pops"), 0);
+
+    // Promotion: its snapshot rebuilds the heaps the follower never
+    // popped, as the leader's rotation does for the leader. From there
+    // the two leaders refine on their own and must agree on everything.
+    leader.rotate().expect("rotate");
+    let mut promoted = Leader::new(follower.into_engine()).expect("promote");
+    for _ in 0..3 {
+        let batch = build_batch(leader.engine(), &mut rng, arrivals, removals, drifts);
+        let expected = leader.ingest(&batch).expect("leader ingest");
+        let got = promoted.ingest(&batch).expect("promoted ingest");
+        assert_eq!(expected, got);
+        let (lv, pv) = (leader.engine().read_view(), promoted.engine().read_view());
+        assert_eq!((lv.epoch(), lv.checksum()), (pv.epoch(), pv.checksum()));
+        stamps.push((lv.epoch().id_epoch, lv.epoch().batch_seq, lv.checksum()));
+    }
     stamps
 }
 
