@@ -50,63 +50,8 @@
 //! vertex's weight at tombstoning time.
 
 use crate::TOMBSTONE;
-use mdbgp_core::parallel::{
-    even_boundaries, fixed_boundaries, for_each_chunk_mut, prefix_boundaries,
-};
+use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut, prefix_boundaries};
 use mdbgp_graph::{Graph, VertexId, VertexWeights};
-use std::collections::HashMap;
-
-/// Touched vertices per deferred-flush work range — fixed so the range
-/// count reported by [`DynamicGraph::flush_deferred`] depends only on the
-/// batch contents, never on the thread count (the determinism diff in CI
-/// compares it byte-for-byte across thread counts).
-const DEFERRED_FLUSH_CHUNK: usize = 256;
-
-/// Buffered adjacency mutations for one vertex while a deferred batch is
-/// open — net lists against the *committed* state, each sorted ascending:
-/// `add`/`del` splice the delta adjacency (`add` disjoint from it, `del` a
-/// subset), `tomb`/`untomb` splice the edge-tombstone list likewise.
-/// Opposite operations on the same neighbour cancel instead of stacking,
-/// so replaying `(delta ∖ del) ∪ add` / `(removed ∖ untomb) ∪ tomb` at
-/// flush time reproduces exactly the state direct mutation would have
-/// built.
-#[derive(Clone, Debug, Default)]
-struct PendingAdj {
-    add: Vec<VertexId>,
-    del: Vec<VertexId>,
-    tomb: Vec<VertexId>,
-    untomb: Vec<VertexId>,
-}
-
-/// One overlay entry's net `(additions, removals)` pair for a single
-/// committed list — which pair depends on whether the flush is replaying
-/// the delta adjacency or the edge tombstones.
-type NetLists<'a> = (&'a [VertexId], &'a [VertexId]);
-
-/// Merges `(list ∖ del) ∪ add` in one sorted pass. `del` must be a subset
-/// of `list` and `add` disjoint from it — the cancellation discipline in
-/// the deferred mutation paths guarantees both.
-fn apply_net(list: &mut Vec<VertexId>, add: &[VertexId], del: &[VertexId]) {
-    if add.is_empty() && del.is_empty() {
-        return;
-    }
-    let mut out = Vec::with_capacity(list.len() + add.len() - del.len());
-    let (mut ai, mut di) = (0, 0);
-    for &x in list.iter() {
-        while ai < add.len() && add[ai] < x {
-            out.push(add[ai]);
-            ai += 1;
-        }
-        if di < del.len() && del[di] == x {
-            di += 1;
-            continue;
-        }
-        out.push(x);
-    }
-    out.extend_from_slice(&add[ai..]);
-    debug_assert_eq!(di, del.len(), "pending removals must exist in the list");
-    *list = out;
-}
 
 /// A growing-and-shrinking graph: base CSR + delta adjacency + tombstones
 /// + multi-dimensional weights.
@@ -134,20 +79,12 @@ pub struct DynamicGraph {
     /// `free` contains exactly the ids with `dead[v] == true`.
     free: Vec<VertexId>,
     weights: VertexWeights,
-    /// Worker count for the parallel compaction merge and deferred-batch
-    /// flush. Not serialized: a restored graph starts at 1 and the engine
-    /// re-applies its configured count. Never influences results — every
-    /// parallel pass here is pure integer data movement into disjoint
+    /// Worker count for the parallel compaction merge and the purge's
+    /// weight gather. Not serialized: a restored graph starts at 1 and the
+    /// engine re-applies its configured count. Never influences results —
+    /// every parallel pass here is pure data movement into disjoint
     /// output ranges.
     threads: usize,
-    /// Deferred-batch overlay (see [`Self::begin_deferred`]); empty
-    /// outside a deferred batch.
-    pending: HashMap<VertexId, PendingAdj>,
-    /// Whether a deferred batch is open.
-    deferred: bool,
-    /// Flush ranges applied since [`Self::begin_deferred`], including
-    /// mid-batch flushes forced by [`Self::remove_vertex`].
-    deferred_ranges: usize,
 }
 
 impl DynamicGraph {
@@ -173,15 +110,13 @@ impl DynamicGraph {
             free: Vec::new(),
             weights,
             threads: 1,
-            pending: HashMap::new(),
-            deferred: false,
-            deferred_ranges: 0,
         }
     }
 
-    /// Sets the worker count for the parallel compaction merge and
-    /// deferred-batch flush. Results are identical for every count — only
-    /// wall-clock changes.
+    /// Sets the worker count for the parallel compaction merge and the
+    /// purge's weight gather. Results are identical for every count —
+    /// only wall-clock changes. Mutations ([`Self::add_edge`],
+    /// [`Self::remove_edge`], [`Self::remove_vertex`]) are always serial.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -201,9 +136,6 @@ impl DynamicGraph {
             free: Vec::new(),
             weights: VertexWeights::from_vectors(vec![Vec::new(); dims]),
             threads: 1,
-            pending: HashMap::new(),
-            deferred: false,
-            deferred_ranges: 0,
         }
     }
 
@@ -251,36 +183,21 @@ impl DynamicGraph {
         self.removed_base_edges
     }
 
-    /// Live degree of `v` (0 for a tombstoned vertex). Sees through the
-    /// deferred-batch overlay.
+    /// Live degree of `v` (0 for a tombstoned vertex).
     pub fn degree(&self, v: VertexId) -> usize {
-        let mut removed_len = self.removed[v as usize].len();
-        let mut delta_len = self.delta[v as usize].len();
-        if let Some(p) = self.pending.get(&v) {
-            removed_len = removed_len + p.tomb.len() - p.untomb.len();
-            delta_len = delta_len + p.add.len() - p.del.len();
-        }
         let base_deg = if (v as usize) < self.base.num_vertices() {
-            self.base.degree(v) - removed_len
+            self.base.degree(v) - self.removed[v as usize].len()
         } else {
             0
         };
-        base_deg + delta_len
+        base_deg + self.delta[v as usize].len()
     }
 
     /// Live neighbours of `v`: base slice filtered through the edge
     /// tombstones, chained with the delta (each sorted; the union is *not*
     /// globally sorted, but is duplicate-free). Empty for a tombstoned
     /// vertex — removal sheds its incident edges.
-    ///
-    /// Not overlay-aware: must not be called while a deferred batch holds
-    /// buffered mutations ([`Self::remove_vertex`], the one mid-batch
-    /// caller, flushes first).
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        debug_assert!(
-            self.pending.is_empty(),
-            "neighbors() while deferred mutations are pending: flush first"
-        );
         let base: &[VertexId] = if (v as usize) < self.base.num_vertices() {
             self.base.neighbors(v)
         } else {
@@ -293,44 +210,19 @@ impl DynamicGraph {
             .chain(self.delta[v as usize].iter().copied())
     }
 
-    /// Whether edge `{u, v}` is live (present and not tombstoned). Sees
-    /// through the deferred-batch overlay.
+    /// Whether edge `{u, v}` is live (present and not tombstoned).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if (u as usize) < self.base.num_vertices()
-            && (v as usize) < self.base.num_vertices()
-            && self.base.has_edge(u, v)
-        {
-            return !self.edge_tombstoned(u, v);
-        }
-        self.delta_has(u, v)
-    }
-
-    /// Whether `v` sits in `u`'s *effective* delta adjacency (committed
-    /// delta spliced with the pending overlay).
-    fn delta_has(&self, u: VertexId, v: VertexId) -> bool {
-        if let Some(p) = self.pending.get(&u) {
-            if p.add.binary_search(&v).is_ok() {
-                return true;
-            }
-            if p.del.binary_search(&v).is_ok() {
-                return false;
-            }
+        if self.in_base(u, v) {
+            return self.removed[u as usize].binary_search(&v).is_err();
         }
         self.delta[u as usize].binary_search(&v).is_ok()
     }
 
-    /// Whether base edge `{u, v}` is *effectively* tombstoned (committed
-    /// tombstones spliced with the pending overlay).
-    fn edge_tombstoned(&self, u: VertexId, v: VertexId) -> bool {
-        if let Some(p) = self.pending.get(&u) {
-            if p.tomb.binary_search(&v).is_ok() {
-                return true;
-            }
-            if p.untomb.binary_search(&v).is_ok() {
-                return false;
-            }
-        }
-        self.removed[u as usize].binary_search(&v).is_ok()
+    /// Whether `{u, v}` is an edge of the base CSR, tombstoned or not.
+    fn in_base(&self, u: VertexId, v: VertexId) -> bool {
+        (u as usize) < self.base.num_vertices()
+            && (v as usize) < self.base.num_vertices()
+            && self.base.has_edge(u, v)
     }
 
     /// The multi-dimensional vertex weights. Rows of tombstoned vertices
@@ -400,89 +292,29 @@ impl DynamicGraph {
         // A tombstoned base edge is resurrected in place; inserting it into
         // the delta instead would double-count the edge in every read until
         // the next compaction deduplicated it.
-        if self.edge_tombstoned(u, v) {
+        if let Ok(pos) = self.removed[u as usize].binary_search(&v) {
+            self.removed[u as usize].remove(pos);
+            // Invariant, not input: tombstones are only ever inserted
+            // symmetrically, so the mirror entry must exist.
+            let pos = self.removed[v as usize]
+                .binary_search(&u)
+                .expect("edge tombstones must be symmetric");
+            self.removed[v as usize].remove(pos);
             self.removed_base_edges -= 1;
-            if self.deferred {
-                self.pend_untomb(u, v);
-                self.pend_untomb(v, u);
-            } else {
-                // Invariant, not input: `edge_tombstoned(u, v)` above just
-                // found the committed entry (deferred mode was handled in
-                // the other branch), and tombstones are only ever inserted
-                // symmetrically — so both searches must hit.
-                let pos = self.removed[u as usize]
-                    .binary_search(&v)
-                    .expect("effective tombstone without a committed entry");
-                self.removed[u as usize].remove(pos);
-                let pos = self.removed[v as usize]
-                    .binary_search(&u)
-                    .expect("edge tombstones must be symmetric");
-                self.removed[v as usize].remove(pos);
-            }
             return true;
         }
         self.delta_edges += 1;
-        if self.deferred {
-            self.pend_add(u, v);
-            self.pend_add(v, u);
-        } else {
-            let du = &mut self.delta[u as usize];
-            let pos = du.binary_search(&v).unwrap_err();
-            du.insert(pos, v);
-            let dv = &mut self.delta[v as usize];
-            let pos = dv.binary_search(&u).unwrap_err();
-            dv.insert(pos, u);
-        }
+        let du = &mut self.delta[u as usize];
+        let pos = du
+            .binary_search(&v)
+            .expect_err("has_edge ruled out a delta entry");
+        du.insert(pos, v);
+        let dv = &mut self.delta[v as usize];
+        let pos = dv
+            .binary_search(&u)
+            .expect_err("delta adjacency must be symmetric");
+        dv.insert(pos, u);
         true
-    }
-
-    /// Buffers "clear the tombstone on base edge `{u, v}`" on `u`'s side:
-    /// a tombstone pended this batch cancels, a committed one gets an
-    /// `untomb` entry.
-    fn pend_untomb(&mut self, u: VertexId, v: VertexId) {
-        let p = self.pending.entry(u).or_default();
-        if let Ok(i) = p.tomb.binary_search(&v) {
-            p.tomb.remove(i);
-        } else {
-            let i = p.untomb.binary_search(&v).unwrap_err();
-            p.untomb.insert(i, v);
-        }
-    }
-
-    /// Buffers "tombstone base edge `{u, v}`" on `u`'s side: a clear
-    /// pended this batch cancels, otherwise a `tomb` entry lands.
-    fn pend_tomb(&mut self, u: VertexId, v: VertexId) {
-        let p = self.pending.entry(u).or_default();
-        if let Ok(i) = p.untomb.binary_search(&v) {
-            p.untomb.remove(i);
-        } else {
-            let i = p.tomb.binary_search(&v).unwrap_err();
-            p.tomb.insert(i, v);
-        }
-    }
-
-    /// Buffers "insert delta edge `{u, v}`" on `u`'s side: a delta delete
-    /// pended this batch cancels, otherwise an `add` entry lands.
-    fn pend_add(&mut self, u: VertexId, v: VertexId) {
-        let p = self.pending.entry(u).or_default();
-        if let Ok(i) = p.del.binary_search(&v) {
-            p.del.remove(i);
-        } else {
-            let i = p.add.binary_search(&v).unwrap_err();
-            p.add.insert(i, v);
-        }
-    }
-
-    /// Buffers "remove delta edge `{u, v}`" on `u`'s side: an insert
-    /// pended this batch cancels, otherwise a `del` entry lands.
-    fn pend_del(&mut self, u: VertexId, v: VertexId) {
-        let p = self.pending.entry(u).or_default();
-        if let Ok(i) = p.add.binary_search(&v) {
-            p.add.remove(i);
-        } else {
-            let i = p.del.binary_search(&v).unwrap_err();
-            p.del.insert(i, v);
-        }
     }
 
     /// Removes undirected edge `{u, v}`: a delta edge is dropped in place,
@@ -504,47 +336,30 @@ impl DynamicGraph {
         if u == v {
             return false;
         }
-        if self.delta_has(u, v) {
+        if let Ok(pos) = self.delta[u as usize].binary_search(&v) {
+            self.delta[u as usize].remove(pos);
+            // Invariant, not input: delta adjacency is only ever inserted
+            // symmetrically, so the mirror entry must exist.
+            let pos = self.delta[v as usize]
+                .binary_search(&u)
+                .expect("delta adjacency must be symmetric");
+            self.delta[v as usize].remove(pos);
             self.delta_edges -= 1;
-            if self.deferred {
-                self.pend_del(u, v);
-                self.pend_del(v, u);
-            } else {
-                // Invariant, not input: the caller just observed the edge
-                // live in the delta layer, and delta adjacency is only
-                // ever inserted symmetrically — both searches must hit.
-                let pos = self.delta[u as usize]
-                    .binary_search(&v)
-                    .expect("effective delta edge without a committed entry");
-                self.delta[u as usize].remove(pos);
-                let pos = self.delta[v as usize]
-                    .binary_search(&u)
-                    .expect("delta adjacency must be symmetric");
-                self.delta[v as usize].remove(pos);
-            }
             return true;
         }
-        let in_base = (u as usize) < self.base.num_vertices()
-            && (v as usize) < self.base.num_vertices()
-            && self.base.has_edge(u, v);
-        if in_base {
-            if self.edge_tombstoned(u, v) {
-                return false; // already tombstoned
-            }
-            self.removed_base_edges += 1;
-            if self.deferred {
-                self.pend_tomb(u, v);
-                self.pend_tomb(v, u);
-            } else {
-                let pos = self.removed[u as usize].binary_search(&v).unwrap_err();
-                self.removed[u as usize].insert(pos, v);
-                let pos = self.removed[v as usize].binary_search(&u).unwrap_err();
-                self.removed[v as usize].insert(pos, u);
-            }
-            true
-        } else {
-            false
+        if !self.in_base(u, v) {
+            return false;
         }
+        let Err(pos) = self.removed[u as usize].binary_search(&v) else {
+            return false; // already tombstoned
+        };
+        self.removed[u as usize].insert(pos, v);
+        let pos = self.removed[v as usize]
+            .binary_search(&u)
+            .expect_err("edge tombstones must be symmetric");
+        self.removed[v as usize].insert(pos, u);
+        self.removed_base_edges += 1;
+        true
     }
 
     /// Tombstones vertex `v`: removes every live incident edge, then marks
@@ -561,15 +376,6 @@ impl DynamicGraph {
             "vertex {v} out of range"
         );
         assert!(self.is_live(v), "vertex {v} is already tombstoned");
-        // Mid-batch vertex removal folds the overlay in first (the
-        // neighbour walk is not overlay-aware) and sheds its edges
-        // directly, so the dead slot's committed adjacency is canonically
-        // empty — the invariant `add_vertex` recycling relies on.
-        let was_deferred = self.deferred;
-        if was_deferred {
-            self.flush_pending();
-            self.deferred = false;
-        }
         let nbrs: Vec<VertexId> = self.neighbors(v).collect();
         for &u in &nbrs {
             let removed = self.remove_edge(v, u);
@@ -578,84 +384,7 @@ impl DynamicGraph {
         self.dead[v as usize] = true;
         self.dead_count += 1;
         self.free.push(v);
-        self.deferred = was_deferred;
         nbrs
-    }
-
-    /// Opens a deferred batch: subsequent [`Self::add_edge`] /
-    /// [`Self::remove_edge`] calls make their decisions immediately
-    /// (return values, edge counters and every overlay-aware read are
-    /// exact), but the O(deg) sorted-list splices are buffered per vertex
-    /// and applied by [`Self::flush_deferred`] in parallel over disjoint
-    /// vertex ranges. Determinism is structural: each buffered splice
-    /// lands only on its own vertex's lists, so application order across
-    /// vertices is irrelevant and the flushed state is bitwise identical
-    /// to direct mutation for every thread count.
-    ///
-    /// # Panics
-    /// Panics (debug) if a deferred batch is already open.
-    pub fn begin_deferred(&mut self) {
-        debug_assert!(
-            !self.deferred && self.pending.is_empty(),
-            "deferred batch already open"
-        );
-        self.deferred = true;
-        self.deferred_ranges = 0;
-    }
-
-    /// Applies every buffered mutation and closes the deferred batch.
-    /// Returns the number of touched-vertex work ranges flushed (counting
-    /// mid-batch flushes forced by [`Self::remove_vertex`]) — a function
-    /// of the batch contents only, never the thread count.
-    pub fn flush_deferred(&mut self) -> usize {
-        self.flush_pending();
-        self.deferred = false;
-        std::mem::take(&mut self.deferred_ranges)
-    }
-
-    /// Applies the pending overlay to the committed adjacency. Touched
-    /// vertices are split into fixed-size work ranges
-    /// ([`DEFERRED_FLUSH_CHUNK`], so the range count is thread-count
-    /// independent), which are grouped among up to `self.threads` workers;
-    /// each worker owns a disjoint contiguous region of the outer
-    /// adjacency vectors.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let mut touched: Vec<VertexId> = pending.keys().copied().collect();
-        touched.sort_unstable();
-        let work = fixed_boundaries(touched.len(), DEFERRED_FLUSH_CHUNK);
-        self.deferred_ranges += work.len() - 1;
-        // Group the fixed work ranges among the workers, then convert the
-        // group boundaries from touched-index space to outer-vector space
-        // (touched is sorted, so the groups own disjoint contiguous
-        // regions of `delta` / `removed`).
-        let groups = even_boundaries(work.len() - 1, self.threads);
-        let n = self.delta.len();
-        let mut outer = Vec::with_capacity(groups.len());
-        outer.push(0usize);
-        for &g in &groups[1..groups.len() - 1] {
-            outer.push(touched[work[g]] as usize);
-        }
-        outer.push(n);
-        let scatter = |range: std::ops::Range<usize>,
-                       chunk: &mut [Vec<VertexId>],
-                       net: &dyn for<'a> Fn(&'a PendingAdj) -> NetLists<'a>| {
-            let lo = touched.partition_point(|&v| (v as usize) < range.start);
-            let hi = touched.partition_point(|&v| (v as usize) < range.end);
-            for &v in &touched[lo..hi] {
-                let (add, del) = net(&pending[&v]);
-                apply_net(&mut chunk[v as usize - range.start], add, del);
-            }
-        };
-        for_each_chunk_mut(&mut self.delta, &outer, |range, chunk| {
-            scatter(range, chunk, &|p| (&p.add, &p.del));
-        });
-        for_each_chunk_mut(&mut self.removed, &outer, |range, chunk| {
-            scatter(range, chunk, &|p| (&p.tomb, &p.untomb));
-        });
     }
 
     /// Overwrites weight dimension `dim` of `v`.
@@ -838,10 +567,6 @@ impl DynamicGraph {
     /// unsorted — debug builds re-validate every invariant via
     /// [`Graph::from_csr`] inside [`Graph::from_csr_unchecked`].
     fn assemble_csr(&self, order: &[VertexId], map: impl Fn(VertexId) -> VertexId + Sync) -> Graph {
-        debug_assert!(
-            self.pending.is_empty(),
-            "CSR assembly while deferred mutations are pending: flush first"
-        );
         let mut offsets = Vec::with_capacity(order.len() + 1);
         offsets.push(0usize);
         let mut total = 0usize;
@@ -947,10 +672,6 @@ impl DynamicGraph {
     /// saver would have), and the weight rows with their live totals —
     /// into a snapshot payload.
     pub(crate) fn encode_snapshot(&self, w: &mut crate::snapshot::PayloadWriter) {
-        debug_assert!(
-            self.pending.is_empty() && !self.deferred,
-            "snapshot while a deferred batch is open"
-        );
         w.put_vec_usize(self.base.raw_offsets());
         w.put_vec_u32(self.base.raw_targets());
         w.put_usize(self.delta.len());
@@ -1111,9 +832,6 @@ impl DynamicGraph {
             free,
             weights,
             threads: 1,
-            pending: HashMap::new(),
-            deferred: false,
-            deferred_ranges: 0,
         })
     }
 
@@ -1360,73 +1078,37 @@ mod tests {
     }
 
     #[test]
-    fn deferred_batch_matches_direct_mutation() {
-        // The same op script, deferred and direct, must commit identical
-        // state — including tombstone resurrections and add/remove
-        // cancellations that never reach the committed lists.
-        let script = |dg: &mut DynamicGraph| {
-            assert!(dg.add_edge(0, 3)); // delta insert
-            assert!(dg.remove_edge(1, 2)); // base tombstone
-            assert!(dg.add_edge(2, 1)); // resurrection cancels the tombstone
-            assert!(dg.remove_edge(0, 3)); // cancels the delta insert
-            assert!(dg.add_edge(0, 2)); // delta insert that survives
-            assert!(dg.remove_edge(0, 1)); // base tombstone that survives
-            let v = dg.add_vertex(&[1.0, 1.0]);
-            assert!(dg.add_edge(v, 2));
-        };
-        let mut direct = seeded();
-        script(&mut direct);
-        let mut def = seeded();
-        def.set_threads(4);
-        def.begin_deferred();
-        script(&mut def);
-        assert!(def.flush_deferred() >= 1);
-        assert_eq!(def.num_edges(), direct.num_edges());
-        assert_eq!(def.delta_edge_count(), direct.delta_edge_count());
-        assert_eq!(def.tombstoned_edge_count(), direct.tombstoned_edge_count());
-        assert_eq!(def.snapshot(), direct.snapshot());
-    }
-
-    #[test]
-    fn deferred_reads_see_through_the_overlay() {
+    fn mixed_edits_match_a_one_shot_build() {
         let mut dg = seeded();
-        dg.begin_deferred();
-        assert!(dg.add_edge(0, 2));
-        assert!(dg.has_edge(0, 2));
-        assert!(!dg.add_edge(2, 0), "duplicate must be seen via overlay");
-        assert_eq!(dg.degree(0), 2);
-        assert!(dg.remove_edge(0, 1));
-        assert!(!dg.has_edge(0, 1));
-        assert_eq!(dg.degree(0), 1);
-        assert_eq!(dg.num_edges(), 3);
-        // Mid-batch vertex removal flushes implicitly and stays exact.
+        assert!(dg.add_edge(0, 3)); // delta insert ...
+        assert!(dg.remove_edge(1, 2)); // base tombstone ...
+        assert!(dg.add_edge(2, 1)); // ... resurrected in place
+        assert!(dg.remove_edge(0, 3)); // ... cancelled
+        assert!(dg.add_edge(0, 2)); // delta insert that survives
+        assert!(!dg.add_edge(2, 0), "delta duplicate");
+        assert!(!dg.add_edge(1, 2), "resurrected base duplicate");
+        assert!(dg.remove_edge(0, 1)); // base tombstone that survives
+        assert_eq!(dg.degree(0), 1, "tombstoned base edge leaves the degree");
+        let v = dg.add_vertex(&[1.0, 1.0]);
+        assert!(dg.add_edge(v, 2));
+        assert_eq!(dg.num_edges(), 4);
+        assert_eq!(dg.delta_edge_count(), 2);
+        assert_eq!(dg.tombstoned_edge_count(), 1);
+        assert_eq!(
+            dg.snapshot(),
+            graph_from_edges(5, &[(1, 2), (2, 3), (0, 2), (2, 4)])
+        );
+        // Vertex removal returns only live neighbours: 1's tombstoned base
+        // edge to 0 is not among them.
+        assert_eq!(dg.remove_vertex(1), vec![2]);
+        assert_eq!(dg.degree(2), 3);
         let mut nbrs = dg.remove_vertex(2);
         nbrs.sort_unstable();
-        assert_eq!(nbrs, vec![0, 1, 3]);
-        assert!(dg.flush_deferred() >= 1);
-        assert!(!dg.has_edge(0, 2));
+        assert_eq!(nbrs, vec![0, 3, 4], "base and delta neighbours alike");
         assert_eq!(dg.degree(0), 0);
-    }
-
-    #[test]
-    fn deferred_flush_multi_range_matches_direct() {
-        // Touch > 2 * DEFERRED_FLUSH_CHUNK vertices so the flush takes the
-        // grouped multi-range path at threads 4.
-        let n: u32 = 600;
-        let g = graph_from_edges(n as usize, &[(0, 1)]);
-        let w = VertexWeights::from_vectors(vec![vec![1.0; n as usize]]);
-        let mut direct = DynamicGraph::new(g, w);
-        let mut def = direct.clone();
-        def.set_threads(4);
-        def.begin_deferred();
-        for v in 1..n - 1 {
-            assert!(def.add_edge(v, v + 1));
-            assert!(direct.add_edge(v, v + 1));
-        }
-        let ranges = def.flush_deferred();
-        assert_eq!(ranges, 599usize.div_ceil(DEFERRED_FLUSH_CHUNK));
-        assert_eq!(def.delta_edge_count(), direct.delta_edge_count());
-        assert_eq!(def.snapshot(), direct.snapshot());
+        assert_eq!(dg.num_edges(), 0);
+        assert_eq!(dg.delta_edge_count(), 0);
+        assert_eq!(dg.tombstoned_edge_count(), 3);
     }
 
     #[test]

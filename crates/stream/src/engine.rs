@@ -11,10 +11,8 @@
 //! 2. **splits** the batch: updates apply to the graph in order —
 //!    tombstoning removed edges/vertices, releasing their capacity — but
 //!    arrivals are only collected, not placed
-//!    (`pipeline::SplitOutcome`); every decision is made serially against
-//!    a mutation overlay while the O(deg) adjacency splices buffer into
-//!    per-vertex net lists, flushed concurrently by vertex range at the
-//!    end of the stage;
+//!    (`pipeline::SplitOutcome`); the stage is serial and mutates the
+//!    graph directly;
 //! 3. **places speculatively**: fixed-size chunks of arrivals are scored
 //!    concurrently on the worker pool against a frozen load snapshot, each
 //!    chunk holding its own capacity reservations
@@ -26,10 +24,8 @@
 //!    concurrent arrival-order chunks, small remainders serially — so
 //!    `threads = 1` and `threads = N` produce byte-identical partitions
 //!    by construction;
-//! 5. **commits** the assignments into the store — the serial walk does
-//!    the scalar accounting while the rebalance-heap pushes are staged
-//!    and replayed concurrently per heap in serial order — and settles
-//!    the deferred edge accounting;
+//! 5. **commits** the assignments into the store, serially and in
+//!    arrival order, and settles the deferred edge accounting;
 //! 6. compacts once the churn outgrows the base CSR (a purge remaps ids;
 //!    the map is surfaced in [`BatchReport::remap`]), checks the drift
 //!    telemetry, and — when ε is threatened or a scheduled interval
@@ -121,7 +117,6 @@ pub const METRIC_ALLOWLIST: &[&str] = &[
     "stream.replica.divergence_checks",
     "stream.snapshot.restores",
     "stream.snapshot.saves",
-    "stream.split.parallel_ranges",
     "stream.store.heap_pops",
     "stream.store.live_vertices",
     "stream.store.lookup_us",
@@ -156,10 +151,12 @@ pub struct StreamConfig {
     /// Seed for bootstrap and refinement (incremented per refinement).
     pub seed: u64,
     /// Worker threads for the parallel paths (1 = fully serial): the
-    /// bootstrap/refinement GD mat-vec, the pairwise refinement rounds
-    /// (part-disjoint pairs run concurrently), and the LDG placement
-    /// scoring sweep for large `k`. Overrides [`GdConfig::threads`] on the
-    /// embedded GD configuration.
+    /// bootstrap/refinement GD mat-vec, speculative placement and its
+    /// repair rounds, the compaction merge and purge renumbering, the
+    /// refinement gather and the pairwise refinement rounds (part-disjoint
+    /// pairs run concurrently). Split and commit are serial at every
+    /// count. Overrides [`GdConfig::threads`] on the embedded GD
+    /// configuration.
     pub threads: usize,
 }
 
@@ -1266,16 +1263,11 @@ impl StreamingPartitioner {
     /// materialized, so the placement stage can score affinity), and store
     /// effects touching a pending arrival are parked in the deferred
     /// ledger. Effects between already-assigned vertices apply immediately,
-    /// exactly as the pre-pipeline engine did.
+    /// exactly as the pre-pipeline engine did. Serial: every update
+    /// mutates the graph directly, in batch order.
     fn stage_split(&mut self, batch: &UpdateBatch) -> SplitOutcome {
         let dims = self.graph.weights().dims();
         let mut out = SplitOutcome::default();
-        // Adjacency splices are deferred into per-vertex net lists while
-        // the loop makes every decision serially against the overlay; the
-        // flush at the end applies them in parallel by vertex range. The
-        // range count depends only on the batch (touched vertices / fixed
-        // chunk), so the counter is safe for the deterministic dump diff.
-        self.graph.begin_deferred();
         for update in &batch.updates {
             match update {
                 StreamUpdate::AddVertex { weights, neighbors } => {
@@ -1382,24 +1374,16 @@ impl StreamingPartitioner {
                 }
             }
         }
-        let ranges = self.graph.flush_deferred();
-        self.obs
-            .counter_add("stream.split.parallel_ranges", ranges as u64);
         out
     }
 
     /// Stage 5 — commits the repaired placements into the store (in
     /// arrival order, which is id-assignment order, so fresh ids append in
     /// sequence) and settles the deferred edge accounting against the
-    /// now-final parts. The serial walk does every scalar accounting step
-    /// (loads, stamps, slot growth) but stages the rebalance-heap entries
-    /// in a [`crate::store::HeapSink`]; `apply_heap_entries` then replays
-    /// them onto the per-`(part, dim)` heaps concurrently — each heap's
-    /// pushes land in the exact serial order, so the heap layout is
-    /// byte-identical at any thread count.
+    /// now-final parts. Serial: each arrival's accounting and
+    /// rebalance-heap pushes land in the store directly.
     fn stage_commit(&mut self, split: &SplitOutcome, parts: &[u32]) {
         let dims = self.graph.weights().dims();
-        let mut sink = self.store.heap_sink();
         for (arrival, &part) in split.arrivals.iter().zip(parts) {
             if arrival.dead {
                 if (arrival.id as usize) >= self.store.num_vertices() {
@@ -1416,15 +1400,13 @@ impl StreamingPartitioner {
                 .map(|j| self.graph.weights().weight(j, arrival.id))
                 .collect();
             if (arrival.id as usize) < self.store.num_vertices() {
-                self.store
-                    .assign_slot_collect(arrival.id, part, &row, &mut sink);
+                self.store.assign_slot(arrival.id, part, &row);
             } else {
-                self.store.push_assignment_collect(part, &row, &mut sink);
+                self.store.push_assignment(part, &row);
                 debug_assert_eq!(self.store.num_vertices(), arrival.id as usize + 1);
             }
             self.telemetry.vertices_placed += 1;
         }
-        self.store.apply_heap_entries(sink);
         for effect in &split.ledger {
             match *effect {
                 DeferredEffect::EdgeAdded(u, v) => self.store.on_edge_added(u, v),

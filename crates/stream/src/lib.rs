@@ -75,12 +75,12 @@
 //! 1. **validate** — the whole batch is checked up front, including a
 //!    simulation of the vertex ids the batch itself will create or recycle,
 //!    so ingestion is all-or-nothing: an `Err` leaves the engine untouched.
-//! 2. **split** — updates apply to the [`DynamicGraph`] in order (edges,
-//!    removals, weight drift; arrivals get their ids and adjacency), but
-//!    arrivals are *not* placed yet. Arrival ids come off the free list of
-//!    tombstoned slots first (LIFO) — under churn the id space stays
-//!    bounded between purges, and callers read the assigned ids from
-//!    [`BatchReport::arrival_ids`] instead of predicting them.
+//! 2. **split** — updates apply serially to the [`DynamicGraph`] in
+//!    order (edges, removals, weight drift; arrivals get their ids and
+//!    adjacency), but arrivals are *not* placed yet. Arrival ids come off
+//!    the free list of tombstoned slots first (LIFO) — under churn the id
+//!    space stays bounded between purges, and callers read the assigned
+//!    ids from [`BatchReport::arrival_ids`] instead of predicting them.
 //! 3. **speculative placement** — arrivals are placed in fixed-size chunks,
 //!    concurrently on [`StreamConfig::threads`] workers, against a *frozen*
 //!    snapshot of the per-(part, dimension) loads; each chunk reserves
@@ -95,9 +95,9 @@
 //!    construction*. Evictions and passes are surfaced as
 //!    [`BatchReport::placement_conflicts`] / [`BatchReport::repair_passes`]
 //!    and in [`StreamTelemetry`].
-//! 5. **commit** — assignments land in the [`PartitionStore`] and the edge
-//!    accounting deferred by the split stage settles against the final
-//!    parts.
+//! 5. **commit** — assignments land serially in the [`PartitionStore`]
+//!    and the edge accounting deferred by the split stage settles against
+//!    the final parts.
 //! 6. **refine** — compaction only when churn outgrew the slack, the
 //!    drift check, and (when triggered) rebalance + warm-started pairwise
 //!    GD. The refinement pass never compacts: it reads the graph through
@@ -173,7 +173,7 @@
 //! serving path) via [`mdbgp_core::parallel`], and every reduction is
 //! order-preserving, so the partition produced is bitwise identical for
 //! any thread count (property-tested in `proptest_refine_parallel`).
-//! Three sections engage the pool:
+//! Four sections engage the pool:
 //!
 //! 1. **GD mat-vec** — bootstrap gradient iterations split CSR rows into
 //!    equal-edge-count chunks ([`mdbgp_core::matvec::matvec_parallel`]);
@@ -190,7 +190,15 @@
 //!    chunk-local capacity reservations (see *Batch lifecycle*); within a
 //!    single-chunk batch the per-part scoring sweep folds over disjoint
 //!    part ranges instead (only engaged for large `k`, where it amortizes
-//!    the spawn).
+//!    the spawn); large conflict-repair loser sets are re-placed the same
+//!    way;
+//! 4. **compaction** — the delta-merge CSR build, the purge renumbering
+//!    and the weight gather split over vertex ranges into disjoint output
+//!    slices.
+//!
+//! Split and commit are serial at every thread count: each update
+//! splices a few sorted adjacency lists or pushes `d` heap entries, and
+//! staging those edits for a parallel flush cost more than it saved.
 //!
 //! The serving path is structurally outside the pool: reader threads hold
 //! [`ReadHandle`]s onto immutable published [`ReadView`]s and answer

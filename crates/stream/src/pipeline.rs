@@ -7,11 +7,12 @@
 //! 1. **validate** — the whole batch is checked against the current state
 //!    (plus a simulation of the ids the batch itself will create), so
 //!    ingestion is all-or-nothing;
-//! 2. **split** — updates are applied to the [`crate::DynamicGraph`] in
-//!    order, but arrivals are *not* placed: they are collected as
-//!    `PendingArrival`s, and every store-side effect that touches a
-//!    pending arrival is parked in a `DeferredEffect` ledger (effects
-//!    between already-assigned vertices apply immediately, as before);
+//! 2. **split** — updates are applied serially to the
+//!    [`crate::DynamicGraph`] in order, but arrivals are *not* placed:
+//!    they are collected as `PendingArrival`s, and every store-side
+//!    effect that touches a pending arrival is parked in a
+//!    `DeferredEffect` ledger (effects between already-assigned vertices
+//!    apply immediately, as before);
 //! 3. **speculative placement** (`speculative_place`) — arrivals are
 //!    scored in fixed-size chunks against a frozen [`LoadSnapshot`], each
 //!    chunk holding its own capacity [`ReservationLedger`]; chunks run
@@ -29,7 +30,7 @@
 //!    count; a small loser set — or one that survives every speculative
 //!    round — falls back to the original serial re-placement loop, whose
 //!    never-evict-twice rule guarantees termination;
-//! 5. **commit** — assignments land in the [`PartitionStore`]
+//! 5. **commit** — assignments land serially in the [`PartitionStore`]
 //!    (`push_assignment` / `assign_slot` / `push_tombstone`) and the
 //!    deferred ledger settles against the now-final parts;
 //! 6. **refine** — compaction, the drift check and (when triggered) the

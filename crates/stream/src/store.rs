@@ -112,18 +112,6 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Staging buffer for a parallel commit: the accounting half of
-/// [`PartitionStore::push_assignment_collect`] /
-/// [`PartitionStore::assign_slot_collect`] runs serially (float loads and
-/// totals are order-sensitive), while the O(log n) rebalance-heap pushes
-/// land here — bucketed per `(part, dimension)` slot in call order — and
-/// are applied concurrently over disjoint slot ranges by
-/// [`PartitionStore::apply_heap_entries`]. Obtain one from
-/// [`PartitionStore::heap_sink`].
-pub struct HeapSink {
-    buckets: Vec<Vec<HeapEntry>>,
-}
-
 /// A frozen copy of the per-`(part, dimension)` loads and the live
 /// per-dimension totals — what the speculative placement stage scores
 /// against while the real store stays untouched until commit, and the
@@ -491,10 +479,9 @@ pub struct PartitionStore {
     /// Entries popped off the rebalance heaps by [`Self::top_movable`]
     /// (stale pops included). Not part of snapshots.
     heap_pops: u64,
-    /// Worker count for the parallel remap scatter, heap rebuild and
-    /// commit-sink apply. Not part of snapshots; never influences results
-    /// — parallel passes here are pure data movement (or per-slot heap
-    /// pushes replayed in the serial order) into disjoint ranges.
+    /// Worker count for the parallel remap scatter and heap rebuild. Not
+    /// part of snapshots; never influences results — parallel passes here
+    /// are pure data movement into disjoint ranges.
     threads: usize,
 }
 
@@ -624,9 +611,9 @@ impl PartitionStore {
         norm(j) - off / (self.dims - 1) as f64
     }
 
-    /// Sets the worker count for the parallel remap scatter, heap rebuild
-    /// and commit-sink apply. Results are identical for every count —
-    /// only wall-clock changes.
+    /// Sets the worker count for the parallel remap scatter and heap
+    /// rebuild. Results are identical for every count — only wall-clock
+    /// changes. Commits, moves and releases are always serial.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -832,7 +819,9 @@ impl PartitionStore {
         }
     }
 
-    /// Appends a newly placed vertex.
+    /// Appends a newly placed vertex. Its heap entries take the same
+    /// stale-backlog check as every other push, so arrivals into a part
+    /// that releases have thinned out keep its heaps bounded.
     pub fn push_assignment(&mut self, part: u32, weight_row: &[f64]) {
         debug_assert!((part as usize) < self.k);
         debug_assert_eq!(weight_row.len(), self.dims);
@@ -847,7 +836,7 @@ impl PartitionStore {
         }
         for j in 0..self.dims {
             let key = self.relief_key(j, weight_row);
-            self.heaps[part as usize * self.dims + j].push(HeapEntry { key, stamp: 0, v });
+            self.push_entry(part, j, HeapEntry { key, stamp: 0, v });
         }
     }
 
@@ -894,122 +883,6 @@ impl PartitionStore {
             };
             self.push_entry(part, j, entry);
         }
-    }
-
-    /// An empty [`HeapSink`] shaped for this store's `(part, dimension)`
-    /// slots.
-    pub fn heap_sink(&self) -> HeapSink {
-        HeapSink {
-            buckets: vec![Vec::new(); self.k * self.dims],
-        }
-    }
-
-    /// [`Self::push_assignment`] with the heap pushes staged into `sink`
-    /// instead of applied inline — the serial accounting half of a
-    /// parallel commit (see [`Self::apply_heap_entries`]).
-    pub fn push_assignment_collect(&mut self, part: u32, weight_row: &[f64], sink: &mut HeapSink) {
-        debug_assert!((part as usize) < self.k);
-        debug_assert_eq!(weight_row.len(), self.dims);
-        self.invalidate_snapshot();
-        let v = self.parts.len() as VertexId;
-        self.parts.push(part);
-        self.part_sizes[part as usize] += 1;
-        for (j, &w) in weight_row.iter().enumerate() {
-            self.loads[part as usize * self.dims + j] += w;
-            self.totals[j] += w;
-            self.stamps.push(0);
-        }
-        for j in 0..self.dims {
-            let key = self.relief_key(j, weight_row);
-            sink.buckets[part as usize * self.dims + j].push(HeapEntry { key, stamp: 0, v });
-        }
-    }
-
-    /// [`Self::assign_slot`] with the heap pushes staged into `sink`
-    /// instead of applied inline — the serial accounting half of a
-    /// parallel commit (see [`Self::apply_heap_entries`]).
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the slot is not currently released.
-    pub fn assign_slot_collect(
-        &mut self,
-        v: VertexId,
-        part: u32,
-        weight_row: &[f64],
-        sink: &mut HeapSink,
-    ) {
-        debug_assert!((part as usize) < self.k);
-        debug_assert_eq!(weight_row.len(), self.dims);
-        debug_assert_eq!(
-            self.parts[v as usize], TOMBSTONE,
-            "assign_slot target {v} is still assigned"
-        );
-        self.invalidate_snapshot();
-        self.parts[v as usize] = part;
-        self.part_sizes[part as usize] += 1;
-        for (j, &w) in weight_row.iter().enumerate() {
-            self.loads[part as usize * self.dims + j] += w;
-            self.totals[j] += w;
-        }
-        for j in 0..self.dims {
-            let stamp = self.bump_stamp(v, j);
-            let entry = HeapEntry {
-                key: self.relief_key(j, weight_row),
-                stamp,
-                v,
-            };
-            sink.buckets[part as usize * self.dims + j].push(entry);
-        }
-    }
-
-    /// Applies every staged heap entry, in parallel over disjoint slot
-    /// ranges balanced by entry count. Each slot replays its bucket in
-    /// the order the collect calls staged it — the order the serial
-    /// `push_assignment` / `assign_slot` path would have pushed — and the
-    /// stale-backlog compaction trigger runs per push exactly as the
-    /// serial `push_entry` path would, so the resulting heap layout is
-    /// bitwise identical for every thread count.
-    pub fn apply_heap_entries(&mut self, sink: HeapSink) {
-        assert_eq!(sink.buckets.len(), self.heaps.len(), "sink shape mismatch");
-        let dims = self.dims;
-        let Self {
-            heaps,
-            parts,
-            stamps,
-            part_sizes,
-            ..
-        } = self;
-        let (parts, stamps, part_sizes) = (&*parts, &*stamps, &*part_sizes);
-        let mut prefix = Vec::with_capacity(sink.buckets.len() + 1);
-        prefix.push(0usize);
-        for b in &sink.buckets {
-            // Invariant: `prefix` was seeded with one element above.
-            prefix.push(prefix.last().unwrap() + b.len() + 1);
-        }
-        let bounds = prefix_boundaries(&prefix, self.threads);
-        for_each_chunk_mut(heaps, &bounds, |range, chunk| {
-            for (off, heap) in chunk.iter_mut().enumerate() {
-                let slot = range.start + off;
-                let bucket = &sink.buckets[slot];
-                if bucket.is_empty() {
-                    continue;
-                }
-                let (p, j) = (slot / dims, slot % dims);
-                for &entry in bucket {
-                    if heap.len() >= 4 * part_sizes[p] + 64 {
-                        let old = std::mem::take(heap);
-                        *heap = old
-                            .into_iter()
-                            .filter(|e| {
-                                parts[e.v as usize] == p as u32
-                                    && stamps[e.v as usize * dims + j] == e.stamp
-                            })
-                            .collect();
-                    }
-                    heap.push(entry);
-                }
-            }
-        });
     }
 
     /// Releases a removed vertex: its weight leaves the part loads and the
@@ -1758,6 +1631,33 @@ mod tests {
             s.heap_len(1, 0)
         );
         assert!(s.top_movable(1, 0, 5).is_empty());
+    }
+
+    #[test]
+    fn fresh_arrivals_keep_the_heap_bound() {
+        // Releases never compact a part that keeps a live member, so its
+        // heaps carry the released entries as stale backlog; the pushes of
+        // fresh arrivals into that part must apply the same 4x bound as
+        // every other push.
+        let n = 200;
+        let w = VertexWeights::from_vectors(vec![vec![1.0; n], vec![2.0; n]]);
+        let mut s = PartitionStore::new(&Partition::new(vec![0; n], 2), &w);
+        for v in 1..n as VertexId {
+            s.release_vertex(v, &[1.0, 2.0]);
+        }
+        assert_eq!(s.part_size(0), 1);
+        for _ in 0..8 {
+            s.push_assignment(0, &[1.0, 2.0]);
+            for j in 0..2 {
+                assert!(
+                    s.heap_len(0, j) <= 4 * s.part_size(0) + 64,
+                    "heap (0, {j}) holds {} entries for {} members",
+                    s.heap_len(0, j),
+                    s.part_size(0)
+                );
+            }
+        }
+        assert_eq!(s.top_movable(0, 0, 16).len(), 9, "every live member ranks");
     }
 
     #[test]

@@ -104,10 +104,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The parallel substrate is bit-identical to the serial one across
-    /// arbitrary churn: a threads-4 replica driven through deferred
-    /// mutation batches must match a threads-1 replica mutated directly —
-    /// every return value, every purge remap, the compacted CSR, the
-    /// restricted weights (exact float equality) and the free-list state.
+    /// arbitrary churn: a threads-4 replica must match a threads-1
+    /// replica — every return value, every purge remap, the compacted
+    /// CSR, the restricted weights (exact float equality) and the
+    /// free-list state.
     #[test]
     fn parallel_deferred_replica_matches_serial_direct(
         (base_edges, ops) in churn_strategy(24, 36, 100),
@@ -118,23 +118,14 @@ proptest! {
         let mut par = DynamicGraph::new(base, w);
         par.set_threads(4);
 
-        let mut open = false;
         for &(sel, a, b) in &ops {
             let op = sel % 8;
             if op >= 5 {
                 // Compaction checkpoint (possibly purging): identical
                 // remaps, then identical renumbered state.
-                if open {
-                    par.flush_deferred();
-                    open = false;
-                }
                 prop_assert_eq!(serial.compact(), par.compact());
                 prop_assert_eq!(serial.compacted_csr(), par.compacted_csr());
                 continue;
-            }
-            if !open {
-                par.begin_deferred();
-                open = true;
             }
             let n = serial.num_vertices() as u32;
             match op {
@@ -158,9 +149,6 @@ proptest! {
                     }
                 }
             }
-        }
-        if open {
-            par.flush_deferred();
         }
 
         prop_assert_eq!(serial.num_edges(), par.num_edges());
