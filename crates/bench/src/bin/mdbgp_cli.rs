@@ -319,66 +319,37 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("load snapshot {path}: {e}"))?;
         sp.set_threads(threads);
         // `read_snapshot` consumed exactly the engine snapshot; what
-        // follows (if anything) is the replay's own trailer.
-        let trailer = mdbgp_bench::resume::read_trailer(&mut reader)
+        // follows must be the replay's own trailer.
+        let state = mdbgp_bench::resume::read_trailer(&mut reader)
             .map_err(|e| format!("load snapshot {path}: {e}"))?;
-        let (n0, batch_no, tracker) = match trailer {
-            Some(state) => {
-                let n0 = state.arrived as usize;
-                if n0 > n {
+        let n0 = state.arrived as usize;
+        if n0 > n {
+            return Err(format!(
+                "snapshot covers {n0} streamed vertices but the input graph has only {n} — \
+                 wrong input file for this snapshot?"
+            ));
+        }
+        let tracker = mdbgp_bench::churn::IdTracker::from_map(state.map);
+        // Light cross-validation: every live translation must land inside
+        // the restored engine's id space.
+        let engine_n = sp.graph().num_vertices() as u32;
+        for orig in 0..tracker.len() as u32 {
+            if let Some(cur) = tracker.current(orig) {
+                if cur >= engine_n {
                     return Err(format!(
-                        "snapshot covers {n0} streamed vertices but the input graph has only \
-                         {n} — wrong input file for this snapshot?"
+                        "resume trailer maps original vertex {orig} to engine id {cur}, outside \
+                         the restored engine's {engine_n}-vertex id space — trailer and snapshot \
+                         disagree"
                     ));
                 }
-                let tracker = mdbgp_bench::churn::IdTracker::from_map(state.map);
-                // Light cross-validation: every live translation must
-                // land inside the restored engine's id space.
-                let engine_n = sp.graph().num_vertices() as u32;
-                for orig in 0..tracker.len() as u32 {
-                    if let Some(cur) = tracker.current(orig) {
-                        if cur >= engine_n {
-                            return Err(format!(
-                                "resume trailer maps original vertex {orig} to engine id {cur}, \
-                                 outside the restored engine's {engine_n}-vertex id space — \
-                                 trailer and snapshot disagree"
-                            ));
-                        }
-                    }
-                }
-                (n0, state.batch_no as usize, tracker)
             }
-            None => {
-                // Legacy snapshot with no trailer: the old restrictions
-                // apply, because without the id map the replay can only
-                // continue if engine ids still *are* the original input
-                // ids — no purge (epoch 0) and no removals ever.
-                if sp.id_epoch() != 0 || sp.telemetry().vertices_removed > 0 {
-                    return Err(format!(
-                        "cannot resume the replay from {path}: the snapshot carries no resume \
-                         trailer (saved by an older build?) and its run removed {} vertices at \
-                         id epoch {}, so engine ids no longer match the input file's original \
-                         ids — trailer-less resume supports churn-free runs only; churn after \
-                         the resume point is fine",
-                        sp.telemetry().vertices_removed,
-                        sp.id_epoch()
-                    ));
-                }
-                let n0 = sp.graph().num_vertices();
-                if n0 > n {
-                    return Err(format!(
-                        "snapshot covers {n0} vertices but the input graph has only {n} — \
-                         wrong input file for this snapshot?"
-                    ));
-                }
-                (n0, 0, mdbgp_bench::churn::IdTracker::identity(n0))
-            }
-        };
+        }
+        let batch_no = state.batch_no as usize;
         println!(
             "resumed from {path} in {:.2}s: {n0}/{n} vertices already ingested \
              ({} batches so far, id epoch {}), locality {:.1}%, imbalance {:.2}%",
             start.elapsed().as_secs_f64(),
-            sp.telemetry().batches,
+            sp.read_view().epoch().batch_seq,
             sp.id_epoch(),
             sp.store().edge_locality() * 100.0,
             sp.max_imbalance() * 100.0
@@ -414,8 +385,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let mut arrived = n0 as u32;
     let mut batch_no = resumed_batches;
     // Fresh bootstrap: the identity tracker, trivially. Resume: the
-    // trailer's map (or, for a trailer-less legacy snapshot, identity —
-    // valid because that path rejects any run that removed vertices).
+    // trailer's map.
     let mut tracker = resumed_tracker;
     // The churn RNG is reseeded fresh on resume: removal *victims* after
     // the resume point differ from the uninterrupted run's, which is
@@ -547,19 +517,21 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     if let Some(remap) = sp.purge() {
         tracker.apply_remap(&remap);
     }
-    let t = sp.telemetry();
+    let (imbalance, locality) = (sp.max_imbalance(), sp.store().edge_locality());
+    let m = sp.metrics();
     println!(
-        "done: {} placed, {} removed, +{} -{} edges, {} compactions ({} remaps), \
-         {} refinements; final imbalance {:.2}%, locality {:.1}%",
-        t.vertices_placed,
-        t.vertices_removed,
-        t.edges_added,
-        t.edges_removed,
-        t.compactions,
-        t.remaps,
-        t.refinements,
-        sp.max_imbalance() * 100.0,
-        sp.store().edge_locality() * 100.0
+        "done: {} arrivals, {} removals, +{} -{} edges, {} compactions ({} purges), \
+         {} refinements (registry counters, counted since this process started or last \
+         restored); final imbalance {:.2}%, locality {:.1}%",
+        m.counter("stream.ingest.arrivals"),
+        m.counter("stream.ingest.removals"),
+        m.counter("stream.ingest.edges_added"),
+        m.counter("stream.ingest.edges_removed"),
+        m.counter("stream.compact.merges"),
+        m.counter("stream.compact.purges"),
+        m.counter("stream.refine.passes"),
+        imbalance * 100.0,
+        locality * 100.0
     );
     if let Ok(out) = args.req("output") {
         let partition = sp.partition();

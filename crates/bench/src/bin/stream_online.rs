@@ -714,9 +714,11 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
     }
     println!("{table}");
 
-    let (replay_batches, replay_total_ms) = match &engine {
+    let (replay_batches, replay_total_ms) = match &mut engine {
         Engine::Replicated(r) => (
-            r.followers.iter().map(|f| f.replayed() as usize).sum(),
+            (r.followers.iter_mut())
+                .map(|f| f.metrics_mut().counter("stream.replica.batches_replayed") as usize)
+                .sum(),
             ms(r.replay),
         ),
         Engine::Solo(_) => (0, 0.0),

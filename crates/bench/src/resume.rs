@@ -5,12 +5,12 @@
 //! own: how far through the input file the stream got, and — under churn
 //! — the original→current id map ([`crate::churn::IdTracker`]) that lets
 //! it keep scripting in original input ids after the engine recycled or
-//! renumbered slots. That map used to die with the saving process, which
-//! is why `--load-snapshot` historically refused any snapshot whose run
-//! had removed vertices (and any id epoch but 0). The trailer fixes that:
-//! `--save-snapshot` appends this small framed record *after* the engine
-//! snapshot in the same file, and the load path reads it back to restore
-//! the harness state exactly.
+//! renumbered slots. `--save-snapshot` appends this small framed record
+//! *after* the engine snapshot in the same file, and `--load-snapshot`
+//! reads it back to restore the harness state exactly. The load path
+//! requires it: without the map no file can prove that its engine ids
+//! still are the input's original ids, because a removed id that a later
+//! arrival recycled leaves neither a tombstone nor an id epoch behind.
 //!
 //! Layout (everything little-endian), following the same self-describing
 //! + checksummed discipline as the snapshot and batch-log formats:
@@ -24,13 +24,11 @@
 //! | …    | payload                                    |
 //!
 //! Payload: `arrived` (`u32`), `batch_no` (`u64`), map length (`u32`),
-//! then one `u32` per original id (`u32::MAX` = removed). A snapshot file
-//! without a trailer (written by an older build, or by a harness that
-//! is not a replay) reads as `Ok(None)` — the caller falls back to the
-//! legacy churn-free resume rules. Errors are `String`s in the CLI's
-//! error idiom; every corruption case (truncation, bad magic, version
-//! skew, checksum mismatch, a map that disagrees with `arrived`) names
-//! what was wrong and yields no partial state.
+//! then one `u32` per original id (`u32::MAX` = removed). Errors are
+//! `String`s in the CLI's error idiom; every failure (a missing trailer,
+//! truncation, bad magic, version skew, checksum mismatch, a map that
+//! disagrees with `arrived`) names what was wrong and yields no partial
+//! state.
 
 use std::io::Read;
 use std::io::Write;
@@ -97,15 +95,21 @@ pub fn write_trailer<W: Write>(w: &mut W, state: &ResumeState) -> Result<(), Str
     Ok(())
 }
 
-/// Reads the trailer that follows the engine snapshot on `r`.
-/// `Ok(None)` when the file simply ends there — a legacy snapshot with
-/// no trailer; every other irregularity is an error naming the problem.
-pub fn read_trailer<R: Read>(r: &mut R) -> Result<Option<ResumeState>, String> {
+/// Reads the trailer that follows the engine snapshot on `r`. A file
+/// that ends right after the engine snapshot is an error naming the
+/// missing trailer, like every other irregularity.
+pub fn read_trailer<R: Read>(r: &mut R) -> Result<ResumeState, String> {
     let mut header = [0u8; 8 + 4 + 4 + 8];
     let mut filled = 0usize;
     while filled < header.len() {
         match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None), // clean EOF: no trailer
+            Ok(0) if filled == 0 => {
+                return Err(
+                    "the file ends after the engine snapshot: it carries no resume \
+                     trailer (MDBGPRPL), which holds the replay's original-id map"
+                        .into(),
+                )
+            }
             Ok(0) => {
                 return Err(format!(
                     "resume trailer truncated: header needs {} bytes, {filled} available",
@@ -171,11 +175,11 @@ pub fn read_trailer<R: Read>(r: &mut R) -> Result<Option<ResumeState>, String> {
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
         .collect();
-    Ok(Some(ResumeState {
+    Ok(ResumeState {
         arrived,
         batch_no,
         map,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -195,13 +199,14 @@ mod tests {
         let state = sample();
         let mut bytes = Vec::new();
         write_trailer(&mut bytes, &state).unwrap();
-        let back = read_trailer(&mut &bytes[..]).unwrap().unwrap();
+        let back = read_trailer(&mut &bytes[..]).unwrap();
         assert_eq!(back, state);
     }
 
     #[test]
-    fn missing_trailer_reads_as_none() {
-        assert_eq!(read_trailer(&mut &[][..]).unwrap(), None);
+    fn missing_trailer_is_an_error_naming_it() {
+        let err = read_trailer(&mut &[][..]).unwrap_err();
+        assert!(err.contains("no resume trailer"), "{err}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! stream`: a churned run killed mid-stream with `--purge-before-save`
 //! leaves a snapshot at id epoch ≥ 1 whose engine ids no longer match
 //! the input file's original ids — the resume trailer's id map is what
-//! makes `--load-snapshot` able to continue the replay anyway. (The old
-//! code rejected every such snapshot with `StaleEpoch`/a churn error.)
+//! makes `--load-snapshot` able to continue the replay anyway, and a file
+//! without the trailer is refused.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -144,8 +144,11 @@ fn kill_and_resume_after_forced_purge() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot file stripped of its resume trailer is refused by name: no
+/// trailer-less file can prove that its engine ids are still the input's
+/// original ids.
 #[test]
-fn trailer_less_snapshots_keep_the_legacy_guardrails() {
+fn trailer_less_snapshots_are_refused_by_name() {
     let dir = scratch_dir("legacy");
     let graph = dir.join("g.txt");
     let snap = dir.join("snap.bin");
@@ -163,8 +166,7 @@ fn trailer_less_snapshots_keep_the_legacy_guardrails() {
     ]);
     assert!(ok, "generate failed: {err}");
 
-    // Save a churn-free snapshot, then strip the trailer to simulate a
-    // file written by an older build.
+    // Save a churn-free snapshot, then strip its trailer.
     let (ok, stdout, err) = run(&[
         "stream",
         "--input",
@@ -188,22 +190,30 @@ fn trailer_less_snapshots_keep_the_legacy_guardrails() {
         .expect("trailer magic in snapshot file");
     std::fs::write(&snap, &bytes[..trailer_at]).expect("strip trailer");
 
-    // A churn-free epoch-0 legacy snapshot still resumes fine.
-    let (ok, stdout, err) = run(&[
-        "stream",
-        "--input",
-        graph.to_str().unwrap(),
-        "--k",
-        "4",
-        "--batches",
-        "5",
-        "--seed",
-        "9",
-        "--load-snapshot",
-        snap.to_str().unwrap(),
-    ]);
-    assert!(ok, "legacy resume failed: {err}\n{stdout}");
-    assert!(stdout.contains("resumed from"), "{stdout}");
+    // Even a churn-free run at id epoch 0 cannot resume without it.
+    let out = Command::new(env!("CARGO_BIN_EXE_mdbgp_cli"))
+        .args([
+            "stream",
+            "--input",
+            graph.to_str().unwrap(),
+            "--k",
+            "4",
+            "--batches",
+            "5",
+            "--seed",
+            "9",
+            "--load-snapshot",
+            snap.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn mdbgp_cli");
+    let (stdout, err) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{err}\n{stdout}");
+    assert!(err.contains("no resume trailer"), "{err}");
+    assert!(!stdout.contains("resumed from"), "{stdout}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,7 @@
 //!
 //! * [`MetricsRegistry`] — named **counters** (monotonic `u64`), **gauges**
 //!   (`f64` last-write-wins), and fixed-log2-bucket **histograms** with
-//!   p50/p90/p99/max summaries. A disabled registry early-returns from every
-//!   recording call.
+//!   p50/p90/p99/max summaries.
 //! * [`SpanTree`] + [`SpanGuard`] — RAII wall-clock span timers. Guards nest:
 //!   opening `"refine"` while `"ingest"` is open produces the dotted path
 //!   `ingest.refine` when the tree is flattened. Repeated spans with the same
@@ -435,7 +434,6 @@ pub struct SpanStat {
 /// journal events. All maps are ordered so rendered dumps are byte-stable.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: bool,
     metrics: BTreeMap<String, MetricValue>,
     spans: BTreeMap<String, SpanStat>,
     journal: Journal,
@@ -448,37 +446,18 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry.
+    /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry {
-            enabled: true,
             metrics: BTreeMap::new(),
             spans: BTreeMap::new(),
             journal: Journal::default(),
         }
     }
 
-    /// A disabled registry: every recording call early-returns.
-    pub fn disabled() -> Self {
-        let mut r = Self::new();
-        r.enabled = false;
-        r
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
     // -- recording ---------------------------------------------------------
 
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
         match self.entry(name, || MetricValue::Counter(0)) {
             MetricValue::Counter(c) => *c += delta,
             _ => panic!("metric {name:?} is not a counter"),
@@ -488,9 +467,6 @@ impl MetricsRegistry {
     /// Sets a counter to an absolute value — for mirroring an externally
     /// maintained monotonic count (e.g. the store's lookup counter).
     pub fn counter_set(&mut self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         match self.entry(name, || MetricValue::Counter(0)) {
             MetricValue::Counter(c) => *c = value,
             _ => panic!("metric {name:?} is not a counter"),
@@ -498,9 +474,6 @@ impl MetricsRegistry {
     }
 
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
         match self.entry(name, || MetricValue::Gauge(0.0)) {
             MetricValue::Gauge(g) => *g = value,
             _ => panic!("metric {name:?} is not a gauge"),
@@ -508,9 +481,6 @@ impl MetricsRegistry {
     }
 
     pub fn observe(&mut self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         match self.entry(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => h.observe(value),
             _ => panic!("metric {name:?} is not a histogram"),
@@ -523,9 +493,6 @@ impl MetricsRegistry {
     /// threads) into the single-threaded dump. The source is authoritative:
     /// call with `shared.snapshot()` at sync points.
     pub fn histogram_set(&mut self, name: &str, value: &Histogram) {
-        if !self.enabled {
-            return;
-        }
         match self.entry(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => **h = value.clone(),
             _ => panic!("metric {name:?} is not a histogram"),
@@ -543,7 +510,7 @@ impl MetricsRegistry {
     /// feeds each node's per-activation mean into the `span.<path>_us`
     /// latency histogram.
     pub fn absorb_spans(&mut self, root: &SpanNode) {
-        if !self.enabled || root.name.is_empty() {
+        if root.name.is_empty() {
             return;
         }
         fn walk(reg: &mut MetricsRegistry, node: &SpanNode, prefix: &str) {
@@ -570,9 +537,6 @@ impl MetricsRegistry {
     }
 
     pub fn journal_event(&mut self, event: &'static str, fields: &[(&'static str, f64)]) {
-        if !self.enabled {
-            return;
-        }
         if self.journal.events.len() == JOURNAL_CAPACITY {
             self.journal.events.pop_front();
             self.journal.dropped += 1;
@@ -1087,24 +1051,6 @@ mod tests {
         assert_eq!(seqs[0], 10);
         assert_eq!(*seqs.last().unwrap(), (JOURNAL_CAPACITY + 10 - 1) as u64);
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut r = MetricsRegistry::disabled();
-        r.counter_add("a.b.c", 5);
-        r.gauge_set("a.b.g", 1.0);
-        r.observe("a.b.h", 7);
-        r.journal_event("ev", &[]);
-        let tree = SpanTree::new();
-        {
-            let _g = tree.span("x");
-        }
-        r.absorb_spans(&tree.snapshot()[0]);
-        assert_eq!(r.counter("a.b.c"), 0);
-        assert!(r.metric_names().is_empty());
-        assert_eq!(r.journal_len(), 0);
-        assert!(r.span_stat("x").is_none());
     }
 
     #[test]

@@ -731,7 +731,9 @@ impl DynamicGraph {
         }
         let base = Graph::from_csr(offsets, targets);
 
-        let n = r.get_usize("graph.delta.len")?;
+        // Every delta and edge-tombstone list takes at least its 8-byte
+        // length prefix, which bounds the id space by the payload.
+        let n = r.get_len(8, "graph.delta.len")?;
         if n < base_n {
             return Err(corrupt(format!(
                 "id space {n} smaller than base CSR {base_n}"
@@ -742,7 +744,7 @@ impl DynamicGraph {
             delta.push(r.get_vec_u32("graph.delta.adj")?);
         }
         let delta_edges = r.get_usize("graph.delta_edges")?;
-        let removed_n = r.get_usize("graph.removed.len")?;
+        let removed_n = r.get_len(8, "graph.removed.len")?;
         if removed_n != n {
             return Err(corrupt(
                 "edge-tombstone table does not cover the id space".into(),
@@ -795,7 +797,8 @@ impl DynamicGraph {
             }
         }
 
-        let dims = r.get_usize("graph.weights.dims")?;
+        // Each weight column takes at least its 8-byte length prefix.
+        let dims = r.get_len(8, "graph.weights.dims")?;
         if dims == 0 {
             return Err(corrupt("weights need at least one dimension".into()));
         }

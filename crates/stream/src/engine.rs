@@ -28,7 +28,7 @@
 //!    arrival order, and settles the deferred edge accounting;
 //! 6. compacts once the churn outgrows the base CSR (a purge remaps ids;
 //!    the map is surfaced in [`BatchReport::remap`]), checks the drift
-//!    telemetry, and — when ε is threatened or a scheduled interval
+//!    trigger, and — when ε is threatened or a scheduled interval
 //!    elapses — runs **incremental refinement**: a greedy multi-constraint
 //!    rebalance (restores ε-feasibility, in the spirit of Maas-style
 //!    greedy repartitioning) followed by warm-started pairwise GD
@@ -42,7 +42,9 @@
 //!
 //! Per-stage wall-clocks are reported in [`BatchReport::timings`];
 //! placement conflicts and repair passes land in both the report and the
-//! lifetime [`StreamTelemetry`].
+//! engine's [`MetricsRegistry`], the one store of its counters. The
+//! registry is not part of a snapshot: a restored engine's counters start
+//! from zero.
 //!
 //! The drift trigger reads the **live** totals of the store, so removals
 //! register in both directions: weight leaving an overloaded part relaxes
@@ -114,7 +116,6 @@ pub const METRIC_ALLOWLIST: &[&str] = &[
     "stream.refine.schedule_triggers",
     "stream.repair.spec_rounds",
     "stream.replica.batches_replayed",
-    "stream.replica.divergence_checks",
     "stream.snapshot.restores",
     "stream.snapshot.saves",
     "stream.store.heap_pops",
@@ -146,8 +147,6 @@ pub struct StreamConfig {
     pub refine_every: usize,
     /// Drift trigger: refine when `max_imbalance > drift_headroom · ε`.
     pub drift_headroom: f64,
-    /// Upper bound on greedy rebalance moves per refinement pass.
-    pub max_rebalance_moves: usize,
     /// Seed for bootstrap and refinement (incremented per refinement).
     pub seed: u64,
     /// Worker threads for the parallel paths (1 = fully serial): the
@@ -173,7 +172,6 @@ impl StreamConfig {
             compact_slack: 0.15,
             refine_every: 0,
             drift_headroom: 0.9,
-            max_rebalance_moves: 256,
             seed: 42,
             threads: 1,
         }
@@ -205,41 +203,6 @@ impl StreamConfig {
         }
         Ok(())
     }
-}
-
-/// Lifetime counters exposed for dashboards and tests.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StreamTelemetry {
-    pub batches: usize,
-    pub vertices_placed: usize,
-    pub vertices_removed: usize,
-    pub edges_added: usize,
-    pub edges_removed: usize,
-    pub weight_updates: usize,
-    /// Compactions that actually merged churn into the base CSR — the
-    /// slack-triggered ones in ingest and explicit [`StreamingPartitioner::purge`]s.
-    pub compactions: usize,
-    /// The subset of `compactions` that purged tombstoned vertices and
-    /// remapped ids.
-    pub remaps: usize,
-    pub refinements: usize,
-    pub rebalance_moves: usize,
-    /// Rebalance moves whose candidate came from a full membership rescan
-    /// because every heap candidate overshot (rare; the common path pops
-    /// O(log n) candidates off the per-part heaps).
-    pub rebalance_full_scans: usize,
-    pub refine_moves: usize,
-    /// Speculative placements evicted by the conflict-repair stage because
-    /// concurrent chunks oversubscribed a `(part, dimension)` slot. High
-    /// counts mean the batch's arrivals fight for the same parts (e.g. one
-    /// hot community) — placement quality degrades toward balance-only for
-    /// the losers.
-    pub placement_conflicts: usize,
-    /// Repair passes that actually evicted and re-placed arrivals (0 for a
-    /// conflict-free batch; almost always 1 otherwise).
-    pub repair_passes: usize,
-    /// Wall-clock seconds of the most recent refinement pass.
-    pub last_refine_secs: f64,
 }
 
 /// Per-batch outcome returned by [`StreamingPartitioner::ingest`].
@@ -340,7 +303,7 @@ impl std::fmt::Debug for StreamingPartitioner {
             .field("num_vertices", &self.graph.num_vertices())
             .field("num_edges", &self.graph.num_edges())
             .field("id_epoch", &self.id_epoch)
-            .field("batches", &self.telemetry.batches)
+            .field("batches", &self.batches)
             .finish_non_exhaustive()
     }
 }
@@ -363,17 +326,20 @@ pub struct StreamingPartitioner {
     /// translate pinned ids across the purge. The two drains happen at
     /// different times, hence two composition chains over the same maps.
     view_remap: Option<Vec<VertexId>>,
-    telemetry: StreamTelemetry,
+    /// Batches ingested over the engine's lifetime: the `batch_seq` of
+    /// every published view. Snapshots carry it.
+    batches: u64,
     batches_since_refine: usize,
     refine_seed: u64,
     /// Number of purging compactions this engine's id space has gone
     /// through — the version external id holders must match (see
     /// [`Self::id_epoch`]).
     id_epoch: u64,
-    /// Metrics / span / journal sink. **Not** serialized into snapshots —
-    /// observability counters restart from zero on restore (a restored
-    /// engine immediately journals a `snapshot.restore` event, so dumps
-    /// are self-describing about the reset).
+    /// Metrics / span / journal sink, the one store of the engine's
+    /// counters. **Not** serialized into snapshots — counters restart from
+    /// zero on restore (a restored engine immediately journals a
+    /// `snapshot.restore` event, so dumps are self-describing about the
+    /// reset).
     obs: MetricsRegistry,
     /// Per-worker GD iterate storage, reused across every pair of every
     /// disjoint refine round and across batches (grown on demand to the
@@ -523,7 +489,7 @@ impl StreamingPartitioner {
             dirty: DirtySet::from_mask(vec![false; n]),
             pending_remap: None,
             view_remap: None,
-            telemetry: StreamTelemetry::default(),
+            batches: 0,
             batches_since_refine: 0,
             refine_seed,
             id_epoch: 0,
@@ -553,7 +519,7 @@ impl StreamingPartitioner {
             dirty: DirtySet::default(),
             pending_remap: None,
             view_remap: None,
-            telemetry: StreamTelemetry::default(),
+            batches: 0,
             batches_since_refine: 0,
             refine_seed,
             id_epoch: 0,
@@ -574,40 +540,25 @@ impl StreamingPartitioner {
         &self.graph
     }
 
-    /// Lifetime telemetry.
-    pub fn telemetry(&self) -> &StreamTelemetry {
-        &self.telemetry
-    }
-
     /// The metrics registry, with the store-owned mirrors (lookup counts,
     /// heap pops, live balance gauges) synced to the current moment.
     /// `&mut self` precisely because of that sync; use
-    /// [`Self::metrics_mut`] to toggle or record from outside the engine.
+    /// [`Self::metrics_mut`] to record from outside the engine.
     pub fn metrics(&mut self) -> &MetricsRegistry {
         self.sync_store_metrics();
         &self.obs
     }
 
-    /// Mutable access to the metrics registry (e.g.
-    /// [`MetricsRegistry::set_enabled`]), mirrors synced as in
+    /// Mutable access to the metrics registry, mirrors synced as in
     /// [`Self::metrics`].
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         self.sync_store_metrics();
         &mut self.obs
     }
 
-    /// Enables or disables metrics recording. Disabled recording calls are
-    /// early-return no-ops; already-recorded state is kept.
-    pub fn set_metrics_enabled(&mut self, on: bool) {
-        self.obs.set_enabled(on);
-    }
-
     /// Pulls the externally-maintained monotone counters (store) and the
     /// live balance gauges into the registry so dumps are current.
     fn sync_store_metrics(&mut self) {
-        if !self.obs.enabled() {
-            return;
-        }
         self.obs
             .counter_set("stream.store.lookups", self.store.lookup_count());
         self.obs
@@ -747,7 +698,7 @@ impl StreamingPartitioner {
         if let Some(map) = &self.pending_remap {
             pw.put_vec_u32(map);
         }
-        encode_telemetry(&mut pw, &self.telemetry);
+        pw.put_u64(self.batches);
         pw.put_usize(self.batches_since_refine);
         pw.put_u64(self.refine_seed);
         pw.put_section(snapshot::SEC_END);
@@ -812,7 +763,7 @@ impl StreamingPartitioner {
         let mut graph = DynamicGraph::decode_snapshot(&mut pr)?;
         graph.set_threads(cfg.threads);
         pr.expect_section(snapshot::SEC_STORE)?;
-        let mut store = PartitionStore::decode_snapshot(&mut pr, graph.weights())?;
+        let mut store = PartitionStore::decode_snapshot(&mut pr, cfg.k, graph.weights())?;
         store.set_threads(cfg.threads);
         pr.expect_section(snapshot::SEC_ENGINE)?;
         let dirty = DirtySet::from_mask(pr.get_vec_bool("engine.dirty")?);
@@ -821,7 +772,7 @@ impl StreamingPartitioner {
         } else {
             None
         };
-        let telemetry = decode_telemetry(&mut pr)?;
+        let batches = pr.get_u64("engine.batch_seq")?;
         let batches_since_refine = pr.get_usize("engine.batches_since_refine")?;
         let refine_seed = pr.get_u64("engine.refine_seed")?;
         pr.expect_section(snapshot::SEC_END)?;
@@ -883,7 +834,7 @@ impl StreamingPartitioner {
             // consumers (`pending_remap`), not to view readers — their
             // handles died with the saving process.
             view_remap: None,
-            telemetry,
+            batches,
             batches_since_refine,
             refine_seed,
             id_epoch: info.id_epoch,
@@ -907,7 +858,7 @@ impl StreamingPartitioner {
     fn publish_view(&mut self) {
         let epoch = crate::ViewEpoch {
             id_epoch: self.id_epoch,
-            batch_seq: self.telemetry.batches as u64,
+            batch_seq: self.batches,
         };
         let remap = self.view_remap.take();
         self.store.publish_view(epoch, remap);
@@ -921,14 +872,13 @@ impl StreamingPartitioner {
     /// explicit [`Self::purge`] — never inside a refinement pass.
     fn compact_graph(&mut self) {
         // Count every compaction that actually merges (the slack trigger
-        // and `purge` both land here), so `remaps` stays a subset of
-        // `compactions`.
+        // and `purge` both land here), so `stream.compact.purges` stays a
+        // subset of `stream.compact.merges`.
         let will_merge = self.graph.delta_edge_count() > 0
             || self.graph.tombstoned_edge_count() > 0
             || self.graph.num_tombstoned() > 0
             || self.graph.csr().num_vertices() != self.graph.num_vertices();
         if will_merge {
-            self.telemetry.compactions += 1;
             self.obs.counter_add("stream.compact.merges", 1);
         }
         // Lifetime wall-clock of the parallel delta-merge (and, on purges,
@@ -952,7 +902,6 @@ impl StreamingPartitioner {
         self.dirty.remap(&map, n_new);
         self.store.apply_remap(&map, self.graph.weights());
         record_compact_ms(&mut self.obs, compact_start);
-        self.telemetry.remaps += 1;
         self.id_epoch += 1;
         self.obs.counter_add("stream.compact.purges", 1);
         self.obs.journal_event(
@@ -1154,13 +1103,7 @@ impl StreamingPartitioner {
             self.stage_commit(&split, &parts);
         }
 
-        self.telemetry.batches += 1;
-        self.telemetry.edges_added += split.edges_added;
-        self.telemetry.edges_removed += split.edges_removed;
-        self.telemetry.vertices_removed += split.vertices_removed;
-        self.telemetry.weight_updates += split.weight_updates;
-        self.telemetry.placement_conflicts += placement_conflicts;
-        self.telemetry.repair_passes += repair_passes;
+        self.batches += 1;
         self.batches_since_refine += 1;
 
         self.obs.counter_add("stream.ingest.batches", 1);
@@ -1198,7 +1141,7 @@ impl StreamingPartitioner {
         let refine_pass = {
             let _s = spans.span("refine");
             if self.graph.needs_compaction(self.cfg.compact_slack) {
-                self.compact_graph(); // counts itself in telemetry.compactions
+                self.compact_graph(); // counts itself in stream.compact.merges
             }
             match &batch.decision {
                 Some(decision) => {
@@ -1405,7 +1348,6 @@ impl StreamingPartitioner {
                 self.store.push_assignment(part, &row);
                 debug_assert_eq!(self.store.num_vertices(), arrival.id as usize + 1);
             }
-            self.telemetry.vertices_placed += 1;
         }
         for effect in &split.ledger {
             match *effect {
@@ -1481,7 +1423,7 @@ impl StreamingPartitioner {
         let mut pass = RefinePass::default();
         {
             let _s = spans.span("rebalance");
-            self.greedy_rebalance(self.cfg.max_rebalance_moves, &mut pass);
+            self.greedy_rebalance(&mut pass);
         }
         pass.gd_start = pass.vertices.len();
 
@@ -1523,12 +1465,10 @@ impl StreamingPartitioner {
         // refinement may legally land back inside the trigger band; touch
         // up so steady state always ends below it (a no-op Φ check when
         // the GD pass behaved — the heaps make the occasional extra move
-        // O(log n)). The touch-up spends whatever is left of the pass's
-        // move budget, keeping `max_rebalance_moves` a true per-pass cap.
+        // O(log n)).
         {
             let _s = spans.span("rebalance"); // merges with the first pass
-            let budget = self.cfg.max_rebalance_moves.saturating_sub(pass.gd_start);
-            self.greedy_rebalance(budget, &mut pass);
+            self.greedy_rebalance(&mut pass);
         }
 
         pass.seed = self.refine_seed;
@@ -1592,14 +1532,10 @@ impl StreamingPartitioner {
     }
 
     /// Closes a refinement pass, run or applied: resets the schedule and
-    /// records the pass in the telemetry, the counters and the journal.
+    /// records the pass in the counters and the journal.
     fn finish_pass(&mut self, pass: &RefinePass, started: Instant) {
         let (rebalance_moves, gd_moves) = (pass.rebalance_moves(), pass.gd_moves());
         self.batches_since_refine = 0;
-        self.telemetry.refinements += 1;
-        self.telemetry.rebalance_moves += rebalance_moves;
-        self.telemetry.refine_moves += gd_moves;
-        self.telemetry.last_refine_secs = started.elapsed().as_secs_f64();
         self.obs.counter_add("stream.refine.passes", 1);
         self.obs
             .counter_add("stream.refine.rebalance_moves", rebalance_moves as u64);
@@ -1610,7 +1546,7 @@ impl StreamingPartitioner {
             &[
                 ("rebalance_moves", rebalance_moves as f64),
                 ("gd_moves", gd_moves as f64),
-                ("wall_secs", self.telemetry.last_refine_secs),
+                ("wall_secs", started.elapsed().as_secs_f64()),
             ],
         );
     }
@@ -1800,6 +1736,14 @@ impl StreamingPartitioner {
     /// guarantee monotone progress; Φ = 0 restores slack below the
     /// trigger. Locality is repaired afterwards by the pairwise GD pass.
     ///
+    /// The pass runs until Φ = 0 or until no single move or swap lowers Φ;
+    /// there is no move budget. It terminates because every applied step
+    /// lowers Φ by more than [`Self::MIN_PHI_DROP`]: a step is chosen only
+    /// if it lowers Φ by more than that, and the Φ recomputed from the
+    /// store at the next step must confirm the drop, so rounding cannot
+    /// make the pass cycle. Φ ≥ 0, so a pass that starts at Φ₀ applies at
+    /// most Φ₀ / [`Self::MIN_PHI_DROP`] steps.
+    ///
     /// Candidates come off the [`PartitionStore`] rebalance heaps (the
     /// Maas-style prioritized per-block move queues): the overloaded
     /// part's binding dimension names a heap whose top entries are the
@@ -1807,17 +1751,14 @@ impl StreamingPartitioner {
     /// O(C·k·d + d·log n) with C = [`Self::REBALANCE_CANDIDATES`] instead
     /// of a full O(n·k·d) rescan. A full rescan survives only as a
     /// fallback for the rare step where every heavy candidate overshoots
-    /// (counted in [`StreamTelemetry::rebalance_full_scans`]). Moves at
-    /// most `max_moves` vertices (the caller splits
-    /// [`StreamConfig::max_rebalance_moves`] across the pre-GD pass and
-    /// the post-GD touch-up so the config stays a true per-pass cap) and
-    /// appends every move to `pass`.
-    fn greedy_rebalance(&mut self, max_moves: usize, pass: &mut RefinePass) {
+    /// (counted in `stream.refine.full_scans`). Appends every move to
+    /// `pass`.
+    fn greedy_rebalance(&mut self, pass: &mut RefinePass) {
         let target = self.cfg.epsilon * self.cfg.drift_headroom.min(1.0);
         let k = self.cfg.k;
         let dims = self.graph.weights().dims();
-        let mut moves = 0usize;
-        while moves < max_moves {
+        let mut last_phi = f64::INFINITY;
+        loop {
             // Live totals: released weight is already gone. A drained
             // dimension (no live weight at all) can never violate the
             // trigger; an infinite average zeroes all its ratios.
@@ -1845,6 +1786,10 @@ impl StreamingPartitioner {
             if phi_total <= 0.0 {
                 break; // below the trigger threshold in every dimension
             }
+            if phi_total > last_phi - Self::MIN_PHI_DROP {
+                break; // rounding ate the previous step's predicted drop
+            }
+            last_phi = phi_total;
             // Work on the worst offender; its most violated dimension
             // names the candidate heap (and steers swap pooling below).
             // Unwraps are invariants: Φ sums validated-finite weights so
@@ -1867,7 +1812,6 @@ impl StreamingPartitioner {
                 // Every heavy candidate overshoots; the improving move (if
                 // any) is a light vertex the heap order deprioritizes.
                 // Rescan the full membership once — rare, and counted.
-                self.telemetry.rebalance_full_scans += 1;
                 self.obs.counter_add("stream.refine.full_scans", 1);
                 self.obs.journal_event(
                     "rebalance.full_scan",
@@ -1882,7 +1826,6 @@ impl StreamingPartitioner {
                 self.move_and_count(v, dst);
                 pass.push(v, dst);
                 self.dirty.mark(v);
-                moves += 1;
                 continue;
             }
 
@@ -1898,7 +1841,6 @@ impl StreamingPartitioner {
                 // Heap pools missed members that exist; full membership
                 // fallback (rare). When the pools already covered every
                 // member, a rescan provably finds nothing new.
-                self.telemetry.rebalance_full_scans += 1;
                 self.obs.counter_add("stream.refine.full_scans", 1);
                 self.obs.journal_event(
                     "rebalance.full_scan",
@@ -1915,7 +1857,6 @@ impl StreamingPartitioner {
             pass.push(u, src);
             self.dirty.mark(v);
             self.dirty.mark(u);
-            moves += 2;
         }
     }
 
@@ -1923,6 +1864,10 @@ impl StreamingPartitioner {
     /// a full rescan. Large enough that the fallback fires only on
     /// pathological weight distributions (every heavy vertex overshoots).
     const REBALANCE_CANDIDATES: usize = 32;
+
+    /// The least Φ decrease a rebalance step must achieve to be applied
+    /// (see [`Self::greedy_rebalance`]).
+    const MIN_PHI_DROP: f64 = 1e-18;
 
     /// The dimension in which part `p` is most loaded relative to average.
     fn binding_dimension(&self, p: u32, avgs: &[f64]) -> usize {
@@ -1974,7 +1919,7 @@ impl StreamingPartitioner {
             for dst in (0..k as u32).filter(|&q| q != src) {
                 let pair_before = phis[src as usize] + phis[dst as usize];
                 let delta = self.pair_phi_after(src, dst, &dv, target, avgs) - pair_before;
-                if delta >= -1e-18 {
+                if delta >= -Self::MIN_PHI_DROP {
                     continue;
                 }
                 let new_phi = phi_total + delta;
@@ -2033,7 +1978,7 @@ impl StreamingPartitioner {
     /// load while drift filled its unit load), the improving exchange
     /// pairs a heavy src vertex with a *light* dst vertex that scores at
     /// the bottom of every relief ranking. Rare (counted in
-    /// `rebalance_full_scans`), so the O(|src|·|dst|·d) sweep is
+    /// `stream.refine.full_scans`), so the O(|src|·|dst|·d) sweep is
     /// acceptable where leaving ε violated is not.
     fn best_swap_full_scan(
         &self,
@@ -2108,7 +2053,7 @@ impl StreamingPartitioner {
                     *slot = weights.weight(j, v) - weights.weight(j, u);
                 }
                 let delta = self.pair_phi_after(src, dst, &dv, target, avgs) - pair_before;
-                if delta >= -1e-18 {
+                if delta >= -Self::MIN_PHI_DROP {
                     continue;
                 }
                 let new_phi = phi_rest + pair_before + delta;
@@ -2159,50 +2104,6 @@ fn pair_problem(
         store.part_size(p) + store.part_size(q),
         &totals,
     )
-}
-
-fn encode_telemetry(w: &mut crate::snapshot::PayloadWriter, t: &StreamTelemetry) {
-    for count in [
-        t.batches,
-        t.vertices_placed,
-        t.vertices_removed,
-        t.edges_added,
-        t.edges_removed,
-        t.weight_updates,
-        t.compactions,
-        t.remaps,
-        t.refinements,
-        t.rebalance_moves,
-        t.rebalance_full_scans,
-        t.refine_moves,
-        t.placement_conflicts,
-        t.repair_passes,
-    ] {
-        w.put_usize(count);
-    }
-    w.put_f64(t.last_refine_secs);
-}
-
-fn decode_telemetry(
-    r: &mut crate::snapshot::PayloadReader,
-) -> Result<StreamTelemetry, crate::SnapshotError> {
-    Ok(StreamTelemetry {
-        batches: r.get_usize("telemetry.batches")?,
-        vertices_placed: r.get_usize("telemetry.vertices_placed")?,
-        vertices_removed: r.get_usize("telemetry.vertices_removed")?,
-        edges_added: r.get_usize("telemetry.edges_added")?,
-        edges_removed: r.get_usize("telemetry.edges_removed")?,
-        weight_updates: r.get_usize("telemetry.weight_updates")?,
-        compactions: r.get_usize("telemetry.compactions")?,
-        remaps: r.get_usize("telemetry.remaps")?,
-        refinements: r.get_usize("telemetry.refinements")?,
-        rebalance_moves: r.get_usize("telemetry.rebalance_moves")?,
-        rebalance_full_scans: r.get_usize("telemetry.rebalance_full_scans")?,
-        refine_moves: r.get_usize("telemetry.refine_moves")?,
-        placement_conflicts: r.get_usize("telemetry.placement_conflicts")?,
-        repair_passes: r.get_usize("telemetry.repair_passes")?,
-        last_refine_secs: r.get_f64("telemetry.last_refine_secs")?,
-    })
 }
 
 /// The `limit` highest-scoring vertices of `list` (O(p) selection, order
@@ -2272,15 +2173,13 @@ mod tests {
             );
         }
         assert_eq!(sp.graph().num_vertices(), 750);
-        assert_eq!(sp.telemetry().vertices_placed, 150);
+        assert_eq!(sp.metrics().counter("stream.ingest.arrivals"), 150);
     }
 
     #[test]
     fn weight_drift_triggers_refinement_and_recovers_epsilon() {
         let (g, w) = community(600, 3);
-        let mut cfg = fast_cfg(4, 0.05);
-        cfg.max_rebalance_moves = 1024;
-        let mut sp = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
+        let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(4, 0.05)).unwrap();
         // Drift: inflate the unit weight of one shard's vertices 3x.
         let victims: Vec<u32> = (0..600u32).filter(|&v| sp.shard_of(v) == 0).collect();
         let mut batch = UpdateBatch::new();
@@ -2294,7 +2193,58 @@ mod tests {
             "refinement must restore ε, got {}",
             report.max_imbalance
         );
-        assert!(sp.telemetry().refinements >= 1);
+        assert!(sp.metrics().counter("stream.refine.passes") >= 1);
+    }
+
+    /// The rebalance has no move budget: a drift batch that needs more
+    /// moves than the former fixed cap of 256 gets them all in one pass,
+    /// under the default configuration, and ε holds in every dimension
+    /// afterwards.
+    #[test]
+    fn one_rebalance_pass_moves_as_far_as_epsilon_needs() {
+        const EPS: f64 = 0.05;
+        let n = 4000u32;
+        // Part 0 holds vertices 0..2000. Its first 1500 get a dimension-0
+        // spike below; their light dimension-1 weight keeps the spike's
+        // natural relief (moving them to part 1) clear of dimension 1's
+        // cap.
+        let labels: Vec<u32> = (0..n).map(|v| u32::from(v >= n / 2)).collect();
+        let dim1: Vec<f64> = (0..n)
+            .map(|v| match v {
+                0..=1499 => 0.1,
+                1500..=1999 => 3.7,
+                _ => 1.0,
+            })
+            .collect();
+        let w = VertexWeights::from_vectors(vec![vec![1.0; n as usize], dim1]);
+        let part = Partition::new(labels, 2);
+        let cfg = StreamConfig::new(2, EPS);
+        let mut sp =
+            StreamingPartitioner::from_partition(Graph::empty(n as usize), w, &part, cfg).unwrap();
+        assert!(sp.max_imbalance() <= 1e-9);
+        let mut batch = UpdateBatch::new();
+        for v in 0..1500 {
+            batch.set_weight(v, 0, 2.0);
+        }
+        let report = sp.ingest(&batch).unwrap();
+        assert!(report.refined, "a 27 % overload triggers refinement");
+        assert!(
+            report.rebalance_moves > 256,
+            "the spike needs more than 256 moves, the pass made {}",
+            report.rebalance_moves
+        );
+        let store = sp.store();
+        for j in 0..2 {
+            let avg = store.total(j) / 2.0;
+            for p in 0..2 {
+                let imbalance = store.load(p, j) / avg - 1.0;
+                assert!(
+                    imbalance <= EPS + 1e-9,
+                    "part {p} dimension {j} is {:.2} % over",
+                    imbalance * 100.0
+                );
+            }
+        }
     }
 
     #[test]
@@ -2382,7 +2332,8 @@ mod tests {
         let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(2, 0.1)).unwrap();
         let before_n = sp.graph().num_vertices();
         let before_m = sp.graph().num_edges();
-        let before_t = sp.telemetry().clone();
+        let before_metrics = sp.metrics().deterministic_json();
+        let before_view = sp.read_view().epoch();
         let mut batch = UpdateBatch::new();
         batch.add_vertex(vec![1.0, 2.0], vec![0, 1]);
         batch.add_edge(0, 50_000); // invalid mid-batch
@@ -2394,10 +2345,11 @@ mod tests {
         );
         assert_eq!(sp.graph().num_edges(), before_m);
         assert_eq!(
-            sp.telemetry(),
-            &before_t,
-            "telemetry advanced on failed batch"
+            sp.metrics().deterministic_json(),
+            before_metrics,
+            "counters advanced on failed batch"
         );
+        assert_eq!(sp.read_view().epoch(), before_view);
         // An edge referencing a vertex added earlier in the same batch is
         // valid.
         let mut ok = UpdateBatch::new();
@@ -2414,8 +2366,7 @@ mod tests {
         // (drift_headroom·ε), not merely to ε, or every subsequent batch
         // re-runs a full refinement pass.
         let (g, w) = community(600, 9);
-        let mut cfg = fast_cfg(4, 0.05);
-        cfg.max_rebalance_moves = 2048;
+        let cfg = fast_cfg(4, 0.05);
         let mut sp = StreamingPartitioner::bootstrap(g, w, cfg.clone()).unwrap();
         let victims: Vec<u32> = (0..600u32).filter(|&v| sp.shard_of(v) == 0).collect();
         let mut batch = UpdateBatch::new();
@@ -2430,7 +2381,7 @@ mod tests {
             sp.max_imbalance()
         );
         // A benign follow-up batch must not re-trigger refinement.
-        let refinements_before = sp.telemetry().refinements;
+        let refinements_before = sp.metrics().counter("stream.refine.passes");
         let mut benign = UpdateBatch::new();
         benign.add_edge(0, 1);
         let report = sp.ingest(&benign).unwrap();
@@ -2438,15 +2389,16 @@ mod tests {
             !report.refined,
             "steady state must not re-trigger refinement"
         );
-        assert_eq!(sp.telemetry().refinements, refinements_before);
+        assert_eq!(
+            sp.metrics().counter("stream.refine.passes"),
+            refinements_before
+        );
     }
 
     #[test]
     fn removals_release_capacity_and_hold_epsilon() {
         let (g, w) = community(600, 12);
-        let mut cfg = fast_cfg(4, 0.05);
-        cfg.max_rebalance_moves = 2048;
-        let mut sp = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
+        let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(4, 0.05)).unwrap();
         let before_n = sp.graph().num_live_vertices();
         let before_m = sp.graph().num_edges();
         // Concentrate removals on one shard so the *relative* overload of
@@ -2635,7 +2587,7 @@ mod tests {
 
         // Failed batches are all-or-nothing: vertex 5 and 7 still live.
         assert!(sp.graph().is_live(5) && sp.graph().is_live(7));
-        assert_eq!(sp.telemetry().vertices_removed, 0);
+        assert_eq!(sp.metrics().counter("stream.ingest.removals"), 0);
 
         // Cross-batch: a vertex removed by an earlier batch is named as
         // such, not as unknown.
@@ -2688,11 +2640,15 @@ mod tests {
             "repair must restore ε, got {}",
             report.max_imbalance
         );
+        let m = serial.metrics();
         assert_eq!(
-            serial.telemetry().placement_conflicts,
-            report.placement_conflicts
+            m.counter("stream.place.conflicts"),
+            report.placement_conflicts as u64
         );
-        assert_eq!(serial.telemetry().repair_passes, report.repair_passes);
+        assert_eq!(
+            m.counter("stream.place.repair_passes"),
+            report.repair_passes as u64
+        );
         // Stable eviction order: the earliest arrivals keep the preferred
         // part; the losers are the latest.
         let first = report.arrival_ids[0];
@@ -2745,7 +2701,10 @@ mod tests {
             "repair must restore ε, got {}",
             report.max_imbalance
         );
-        assert_eq!(serial.telemetry().repair_passes, report.repair_passes);
+        assert_eq!(
+            serial.metrics().counter("stream.place.repair_passes"),
+            report.repair_passes as u64
+        );
         // Thread count is invisible: identical report (speculative round
         // count included), identical partition.
         let mut threaded = build(4);
@@ -2963,7 +2922,7 @@ mod tests {
     }
 
     /// End-to-end instrumentation check on a churn+drift workload: the
-    /// registry's counters must agree with the engine's own telemetry,
+    /// registry's counters must agree with the batches and their reports,
     /// the GD iteration histogram and journal must be populated, and the
     /// full dump must pass the CI validator against [`METRIC_ALLOWLIST`]
     /// — which doubles as the allowlist-coverage test (an instrumentation
@@ -2971,9 +2930,7 @@ mod tests {
     #[test]
     fn metrics_registry_tracks_engine_activity() {
         let (g, w) = community(600, 12);
-        let mut cfg = fast_cfg(4, 0.05);
-        cfg.max_rebalance_moves = 1024;
-        let mut sp = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
+        let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(4, 0.05)).unwrap();
 
         // Arrivals + removals, then a drift batch that forces refinement.
         let mut rng = StdRng::seed_from_u64(21);
@@ -2985,7 +2942,7 @@ mod tests {
         for v in 0..10u32 {
             batch.remove_vertex(v);
         }
-        sp.ingest(&batch).unwrap();
+        let first = sp.ingest(&batch).unwrap();
         let victims: Vec<u32> = (10..600u32).filter(|&v| sp.shard_of(v) == 0).collect();
         let mut drift = UpdateBatch::new();
         for &v in &victims {
@@ -2996,22 +2953,27 @@ mod tests {
         let _ = sp.shard_of(0); // exercise the counted lookup path
         let _ = sp.reader().lookup(0); // and the published-view path
 
-        let t = sp.telemetry().clone();
+        let reports = [&first, &report];
+        let total = |f: fn(&BatchReport) -> usize| reports.iter().map(|r| f(r) as u64).sum::<u64>();
         let m = sp.metrics();
-        assert_eq!(m.counter("stream.ingest.batches"), t.batches as u64);
+        assert_eq!(m.counter("stream.ingest.batches"), 2);
+        assert_eq!(m.counter("stream.ingest.arrivals"), 30);
+        assert_eq!(m.counter("stream.ingest.removals"), 10);
         assert_eq!(
-            m.counter("stream.ingest.arrivals"),
-            t.vertices_placed as u64
+            m.counter("stream.refine.passes"),
+            total(|r| usize::from(r.refined))
         );
         assert_eq!(
-            m.counter("stream.ingest.removals"),
-            t.vertices_removed as u64
+            m.counter("stream.refine.rebalance_moves"),
+            total(|r| r.rebalance_moves)
         );
-        assert_eq!(m.counter("stream.refine.passes"), t.refinements as u64);
-        assert_eq!(m.counter("stream.refine.gd_moves"), t.refine_moves as u64);
+        assert_eq!(
+            m.counter("stream.refine.gd_moves"),
+            total(|r| r.refine_moves)
+        );
         assert!(m.counter("stream.store.lookups") >= 2);
         assert!(m.counter("stream.store.heap_pops") >= 1);
-        assert_eq!(m.counter("stream.store.view_swaps"), t.batches as u64);
+        assert_eq!(m.counter("stream.store.view_swaps"), 2);
         assert_eq!(m.counter("stream.store.stale_epoch_reads"), 0);
         let lookup_us = m.summary("stream.store.lookup_us").expect("histogram");
         assert!(lookup_us.count >= 1);
@@ -3040,16 +3002,6 @@ mod tests {
         // Spans from both entry points nest under their own roots.
         assert!(m.span_stat("ingest").is_some());
         assert!(m.span_stat("ingest.place").is_some());
-
-        // A disabled registry stays empty under the same traffic.
-        let (g2, w2) = community(200, 13);
-        let mut quiet = StreamingPartitioner::bootstrap(g2, w2, fast_cfg(2, 0.1)).unwrap();
-        quiet.set_metrics_enabled(false);
-        let mut b2 = UpdateBatch::new();
-        b2.add_vertex(vec![1.0, 1.0], vec![0]);
-        quiet.ingest(&b2).unwrap();
-        assert_eq!(quiet.metrics().counter("stream.ingest.batches"), 0);
-        assert_eq!(quiet.metrics().journal_len(), 0);
     }
 
     /// A one-edge batch refines only around that edge: the active set is
@@ -3179,6 +3131,66 @@ mod tests {
                 let from_csr = pair_problem(&csr, &split_c, r, weights, &sp.store);
                 assert!(!from_overlay.vertices().is_empty());
                 assert_eq!(from_overlay, from_csr, "pair {pair:?}");
+            }
+        }
+    }
+
+    /// A snapshot resealed with a count that claims more than its payload
+    /// holds fails to restore with a named error, before the count sizes
+    /// any allocation: the graph's id space and weight dimension count,
+    /// the store's part count, and the config's and store's part counts
+    /// inflated together.
+    #[test]
+    fn inflated_snapshot_counts_fail_by_name() {
+        use crate::snapshot::{self, PayloadWriter, SnapshotError};
+        let (g, w) = community(200, 51);
+        let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(2, 0.1)).unwrap();
+        let mut bytes = Vec::new();
+        sp.save_snapshot(&mut bytes).unwrap();
+        let (info, payload) = snapshot::read_snapshot(&bytes[..]).unwrap();
+
+        // Section offsets, from the encoders themselves.
+        let encoded = |f: &dyn Fn(&mut PayloadWriter)| {
+            let mut w = PayloadWriter::new();
+            f(&mut w);
+            w.buf.len()
+        };
+        let config_at = 8 + 1; // id-epoch echo, CONFIG tag
+        let graph_at = config_at + encoded(&|w| snapshot::encode_config(w, &sp.cfg)) + 1;
+        let csr = sp.graph.csr();
+        let delta_len_at = graph_at
+            + encoded(&|w| {
+                w.put_vec_usize(csr.raw_offsets());
+                w.put_vec_u32(csr.raw_targets());
+            });
+        let graph_end = graph_at + encoded(&|w| sp.graph.encode_snapshot(w));
+        let (n, dims) = (sp.graph.num_vertices(), 2);
+        let dims_at = graph_end - (8 + 8 * dims) - dims * (8 + 8 * n) - 8;
+        let store_k_at = graph_end + 1;
+
+        let read = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        assert_eq!(read(delta_len_at), n as u64);
+        assert_eq!(read(dims_at), dims as u64);
+        assert_eq!((read(config_at), read(store_k_at)), (2, 2));
+
+        let huge = 1u64 << 40;
+        for inflated in [
+            vec![delta_len_at],
+            vec![dims_at],
+            vec![store_k_at],
+            vec![config_at, store_k_at],
+        ] {
+            let mut forged = payload.clone();
+            for &at in &inflated {
+                forged[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+            }
+            let mut resealed = Vec::new();
+            snapshot::write_snapshot(&mut resealed, info.id_epoch, info.k, info.dims, &forged)
+                .unwrap();
+            match StreamingPartitioner::restore(&resealed[..]) {
+                Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_)) => {}
+                Err(other) => panic!("count at {inflated:?}: unexpected error {other}"),
+                Ok(_) => panic!("count at {inflated:?}: the forged snapshot restored"),
             }
         }
     }

@@ -17,7 +17,7 @@
 //!   placement of arriving vertices under per-dimension `(1+ε)` capacity
 //!   slabs ([`placement`]);
 //! * [`StreamingPartitioner`] — the engine: the staged ingest pipeline
-//!   (see *Batch lifecycle* below), drift telemetry, and **incremental
+//!   (see *Batch lifecycle* below), the drift trigger, and **incremental
 //!   refinement** — greedy multi-constraint rebalancing plus warm-started
 //!   pairwise GD (`mdbgp_core::bipartition_warm` /
 //!   `GdPartitioner::solve_pair`) over the churned vertices and their
@@ -94,7 +94,7 @@
 //!    `threads = N` therefore produce byte-identical partitions *by
 //!    construction*. Evictions and passes are surfaced as
 //!    [`BatchReport::placement_conflicts`] / [`BatchReport::repair_passes`]
-//!    and in [`StreamTelemetry`].
+//!    and in the `stream.place.*` counters of the metrics registry.
 //! 5. **commit** — assignments land serially in the [`PartitionStore`]
 //!    and the edge accounting deferred by the split stage settles against
 //!    the final parts.
@@ -132,7 +132,7 @@
 //! |---|---|---|
 //! | [`DynamicGraph`] | base CSR, delta, edge/vertex tombstones, **free list**, weight rows + live totals | — |
 //! | [`PartitionStore`] | assignments, per-(part, dim) loads, live totals, edge counters | rebalance heaps, stamps, part sizes |
-//! | engine | [`StreamConfig`], dirty set, telemetry, refinement seed/schedule | — |
+//! | engine | [`StreamConfig`], dirty set, `batch_seq`, refinement seed/schedule | — |
 //!
 //! Floats are serialized bit-exactly (the live accounting is maintained
 //! incrementally; re-deriving it would diverge from the saver), and
@@ -210,7 +210,9 @@
 //! ## Observability
 //!
 //! Every engine owns an [`mdbgp_obs::MetricsRegistry`]
-//! ([`StreamingPartitioner::metrics`]) that the whole stack records into:
+//! ([`StreamingPartitioner::metrics`]) that the whole stack records into.
+//! It is the engine's one counter store: no other lifetime tally of
+//! batches, moves or placements exists beside it.
 //!
 //! * **Naming scheme** — metric names are dotted
 //!   `subsystem.stage.metric` paths: `stream.ingest.batches`,
@@ -243,12 +245,10 @@
 //!   that subset; property-tested in `proptest_metrics`).
 //! * **Cost** — recording is a few map updates per batch (never per
 //!   vertex on a hot loop; the store's lookup counter rides the serving
-//!   wrapper only), and a disabled registry
-//!   ([`StreamingPartitioner::set_metrics_enabled`]) early-returns from
-//!   every call. The registry is **not** serialized into snapshots:
-//!   counters restart on restore and the restored engine journals a
-//!   `snapshot.restore` event, so dumps are self-describing about the
-//!   reset.
+//!   wrapper only). The registry is **not** serialized into snapshots:
+//!   counters restart from zero at a restore and the restored engine
+//!   journals a `snapshot.restore` event, so dumps are self-describing
+//!   about the reset.
 //!
 //! The serving read path reports through the same registry: reader
 //! handles tick shared atomic counters (`stream.store.lookups`,
@@ -328,9 +328,7 @@ pub const TOMBSTONE: u32 = u32::MAX;
 
 pub use delta::{RefinePass, StreamUpdate, UpdateBatch};
 pub use dynamic::DynamicGraph;
-pub use engine::{
-    BatchReport, StreamConfig, StreamTelemetry, StreamingPartitioner, METRIC_ALLOWLIST,
-};
+pub use engine::{BatchReport, StreamConfig, StreamingPartitioner, METRIC_ALLOWLIST};
 pub use mdbgp_obs::{
     validate_dump, DumpStats, HistogramSummary, JournalEvent, MetricsRegistry, SpanNode,
 };

@@ -324,7 +324,6 @@ impl Leader {
 /// stamp. See the module docs.
 pub struct Follower {
     engine: StreamingPartitioner,
-    replayed: u64,
 }
 
 impl Follower {
@@ -342,10 +341,7 @@ impl Follower {
         expect: &SnapshotExpectation,
     ) -> Result<Self, ReplicaError> {
         let engine = StreamingPartitioner::restore_expecting(snapshot, expect)?;
-        Ok(Follower {
-            engine,
-            replayed: 0,
-        })
+        Ok(Follower { engine })
     }
 
     /// Replays a log on top of the current state; returns the number of
@@ -427,10 +423,9 @@ impl Follower {
         self.engine.ingest(&record.batch)?;
         let view = self.engine.read_view();
         let (found, found_checksum) = (view.epoch(), view.checksum());
-        self.replayed += 1;
-        let obs = self.engine.metrics_mut();
-        obs.counter_add("stream.replica.batches_replayed", 1);
-        obs.counter_add("stream.replica.divergence_checks", 1);
+        self.engine
+            .metrics_mut()
+            .counter_add("stream.replica.batches_replayed", 1);
         if found != record.stamp || found_checksum != record.view_checksum {
             return Err(ReplicaError::Divergence {
                 at: record.stamp,
@@ -460,16 +455,12 @@ impl Follower {
         &self.engine
     }
 
-    /// Mutable access to the engine's metrics registry (replay counters
-    /// `stream.replica.batches_replayed` /
-    /// `stream.replica.divergence_checks` live there).
+    /// Mutable access to the engine's metrics registry. Its
+    /// `stream.replica.batches_replayed` counter holds the records this
+    /// follower applied since its bootstrap, each checked against the
+    /// leader's stamp and view checksum.
     pub fn metrics_mut(&mut self) -> &mut mdbgp_obs::MetricsRegistry {
         self.engine.metrics_mut()
-    }
-
-    /// Records applied over this follower's lifetime.
-    pub fn replayed(&self) -> u64 {
-        self.replayed
     }
 
     /// Unwraps the engine, e.g. to promote the follower:
@@ -502,6 +493,12 @@ mod tests {
             ..GdConfig::with_epsilon(0.05)
         };
         StreamingPartitioner::bootstrap(cg.graph, w, cfg).unwrap()
+    }
+
+    fn replayed(follower: &mut Follower) -> u64 {
+        follower
+            .metrics_mut()
+            .counter("stream.replica.batches_replayed")
     }
 
     fn churny_batch(rng: &mut StdRng, live_hint: u32) -> UpdateBatch {
@@ -538,7 +535,7 @@ mod tests {
             assert_eq!(lv.checksum(), fv.checksum());
             assert_eq!(lv.as_slice(), fv.as_slice());
         }
-        assert_eq!(follower.replayed(), 8);
+        assert_eq!(replayed(&mut follower), 8);
         // Replaying the full segment again is a no-op (everything is at
         // or below the follower's stamp).
         assert_eq!(follower.replay(leader.log_bytes()).unwrap(), 0);
@@ -612,7 +609,7 @@ mod tests {
         );
         // No partial state: the follower did not move.
         assert_eq!(follower.view().epoch(), before);
-        assert_eq!(follower.replayed(), 0);
+        assert_eq!(replayed(&mut follower), 0);
     }
 
     #[test]
@@ -666,7 +663,7 @@ mod tests {
         let err = follower.replay(&log[..]).unwrap_err();
         assert!(matches!(err, ReplicaError::Ingest(_)), "{err}");
         assert_eq!(follower.engine().store().shard_of(first), before);
-        assert_eq!(follower.replayed(), 0);
+        assert_eq!(replayed(&mut follower), 0);
 
         let mut fresh = Follower::bootstrap(leader.snapshot_bytes()).unwrap();
         assert_eq!(fresh.replay(leader.log_bytes()).unwrap(), 1);

@@ -22,7 +22,7 @@
 //! | offset | size | field                                                |
 //! |--------|------|------------------------------------------------------|
 //! | 0      | 8    | magic `b"MDBGPSNP"`                                  |
-//! | 8      | 4    | format version (`u32`, currently 2)                  |
+//! | 8      | 4    | format version (`u32`, currently 3)                  |
 //! | 12     | 8    | id epoch (`u64`, see below)                          |
 //! | 20     | 4    | part count `k` (`u32`)                               |
 //! | 24     | 4    | weight dimensions `d` (`u32`)                        |
@@ -41,14 +41,40 @@
 //! sections, and the id epoch is cross-checked against the checksummed
 //! echo at the start of the payload.
 //!
+//! The payload's sections, each opened by its one-byte tag:
+//!
+//! | tag    | section | contents, in order                                 |
+//! |--------|---------|----------------------------------------------------|
+//! | `0x01` | CONFIG  | `k`, ε, `refine_iterations`, `max_refine_pairs`,   |
+//! |        |         | `compact_slack`, `refine_every`, `drift_headroom`, |
+//! |        |         | `seed`, `threads`, then the [`GdConfig`]           |
+//! | `0x02` | GRAPH   | base CSR offsets and targets, delta adjacency,     |
+//! |        |         | delta edge count, edge tombstones, removed base    |
+//! |        |         | edge count, vertex tombstones, free list, weight   |
+//! |        |         | dimension count, one column per dimension, totals  |
+//! | `0x03` | STORE   | `k`, `d`, assignments, loads, live totals, intra   |
+//! |        |         | and cut edge counts                                |
+//! | `0x04` | ENGINE  | dirty mask, pending remap (flag + map), `batch_seq`|
+//! |        |         | (`u64`), batches since the last refinement,        |
+//! |        |         | refinement seed                                    |
+//! | `0xFE` | END     | —                                                  |
+//!
+//! Every count in the payload is bounded before it sizes an allocation:
+//! a sequence by the bytes left in the payload, `k` and `d` of the store by
+//! the decoded config and weights. A count that claims more fails with
+//! [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`].
+//!
 //! ## What is serialized vs. rebuilt
 //!
 //! * **Serialized verbatim** — the base CSR, delta adjacency, edge/vertex
 //!   tombstones, the free list, the weight rows *and their live totals*
 //!   (incrementally-maintained floats; re-summing would diverge bitwise),
 //!   the store's assignments/loads/totals/edge counters, the full
-//!   [`crate::StreamConfig`], the dirty set, lifetime telemetry, and the
-//!   refinement seed/schedule state.
+//!   [`crate::StreamConfig`], the dirty set, the batch count (`batch_seq`,
+//!   the stamp of the next published view), and the refinement
+//!   seed/schedule state.
+//! * **Not serialized** — the metrics registry, the engine's one counter
+//!   store: a restored engine's counters start from zero.
 //! * **Rebuilt on load** — the per-`(part, dimension)` rebalance heaps and
 //!   their invalidation stamps. Heap entries carry push-*time* keys, so a
 //!   long-lived engine holds mixed-vintage entries; to keep saver and
@@ -76,7 +102,7 @@
 //! The snapshot payload itself is unchanged by the epoch-published read
 //! path: no [`crate::ReadView`] state is serialized. Instead, a restoring
 //! engine *publishes* view #0 as its final construction step, stamped
-//! with the restored `(id_epoch, batches)` — exactly the stamp of the
+//! with the restored `(id_epoch, batch_seq)` — exactly the stamp of the
 //! saver's last published view — so serving threads attaching to a
 //! warm-restarted replica pin the same epoch-stamped assignment the
 //! saver's readers were pinned to (asserted by `proptest_snapshot`
@@ -99,11 +125,12 @@ use crate::engine::StreamConfig;
 /// First 8 bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MDBGPSNP";
 
-/// Current snapshot format version. Version 2 extended the serialized
-/// [`GdConfig`] with the delta-gradient fields (`grad_recompute_period`,
-/// `grad_check`); version-1 snapshots are rejected with
-/// [`SnapshotError::UnsupportedVersion`] — re-save from a live engine.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot format version. Version 3 keeps one engine counter,
+/// `batch_seq` (the others live in the metrics registry, which snapshots
+/// do not carry), and no rebalance move cap in the config. Every older
+/// version is rejected with [`SnapshotError::UnsupportedVersion`] —
+/// re-save from a live engine.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Fixed header size in bytes (magic + version + epoch + k + dims +
 /// payload length + checksum).
@@ -581,10 +608,10 @@ impl<'a> PayloadReader<'a> {
             .map_err(|_| SnapshotError::Corrupt(format!("{context}: length {v} overflows usize")))
     }
 
-    /// A length prefix that will be multiplied by a per-item byte size:
-    /// bounded by the remaining payload so a corrupt length cannot ask for
-    /// an absurd allocation before the element reads fail.
-    fn get_len(
+    /// A count of items that each take at least `item_bytes` payload
+    /// bytes: bounded by the remaining payload so a corrupt count cannot
+    /// ask for an absurd allocation before the item reads fail.
+    pub(crate) fn get_len(
         &mut self,
         item_bytes: usize,
         context: &'static str,
@@ -664,7 +691,6 @@ pub(crate) fn encode_config(w: &mut PayloadWriter, cfg: &StreamConfig) {
     w.put_f64(cfg.compact_slack);
     w.put_usize(cfg.refine_every);
     w.put_f64(cfg.drift_headroom);
-    w.put_usize(cfg.max_rebalance_moves);
     w.put_u64(cfg.seed);
     w.put_usize(cfg.threads);
     encode_gd_config(w, &cfg.gd);
@@ -679,7 +705,6 @@ pub(crate) fn decode_config(r: &mut PayloadReader) -> Result<StreamConfig, Snaps
         compact_slack: r.get_f64("config.compact_slack")?,
         refine_every: r.get_usize("config.refine_every")?,
         drift_headroom: r.get_f64("config.drift_headroom")?,
-        max_rebalance_moves: r.get_usize("config.max_rebalance_moves")?,
         seed: r.get_u64("config.seed")?,
         threads: r.get_usize("config.threads")?,
         gd: decode_gd_config(r)?,
@@ -845,6 +870,16 @@ mod tests {
             read_snapshot(&broken[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion { found: 99, .. }
         ));
+        // No decoder for the previous version is kept.
+        let mut broken = bytes.clone();
+        broken[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            read_snapshot(&broken[..]).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 2,
+                supported: 3
+            }
+        ));
 
         // Truncated header and truncated payload.
         assert!(matches!(
@@ -977,7 +1012,7 @@ mod tests {
         // in the stream, so scan for it structurally instead.
         let mut r = PayloadReader::new(&w.buf);
         let _ = decode_config(&mut r).unwrap();
-        let tag_pos = 8 * 10 + 8 + 8; // scalars before gd.step tag
+        let tag_pos = 8 * 9 + 8 + 8; // scalars before gd.step tag
         w.buf[tag_pos] = 77;
         let err = decode_config(&mut PayloadReader::new(&w.buf)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");

@@ -1316,26 +1316,37 @@ impl PartitionStore {
     /// Rebuilds a store from [`Self::encode_snapshot`] bytes: serialized
     /// accounting verbatim, then `part_sizes` recounted from the
     /// assignments and the rebalance heaps/stamps rebuilt from `weights`
-    /// at the restored totals (see [`Self::rebuild_heaps`]).
+    /// at the restored totals (see [`Self::rebuild_heaps`]). The store's
+    /// shape must be the config's `k` and the weights' dimension count;
+    /// both are checked before anything is sized by them.
     pub(crate) fn decode_snapshot(
         r: &mut crate::snapshot::PayloadReader,
+        k_config: usize,
         weights: &VertexWeights,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let corrupt = |why: String| SnapshotError::Corrupt(why);
         let k = r.get_usize("store.k")?;
         let dims = r.get_usize("store.dims")?;
-        if k == 0 || dims == 0 {
-            return Err(corrupt(format!("store shape k = {k}, dims = {dims}")));
-        }
-        let parts = r.get_vec_u32("store.parts")?;
-        if parts.len() != weights.num_vertices() || dims != weights.dims() {
+        if k != k_config || dims != weights.dims() {
             return Err(corrupt(format!(
-                "store covers {} vertices x {dims} dims, weights {} x {}",
-                parts.len(),
-                weights.num_vertices(),
+                "store shape k = {k}, dims = {dims}; config k = {k_config}, weights dims = {}",
                 weights.dims()
             )));
+        }
+        let parts = r.get_vec_u32("store.parts")?;
+        if parts.len() != weights.num_vertices() {
+            return Err(corrupt(format!(
+                "store covers {} vertices, weights {}",
+                parts.len(),
+                weights.num_vertices()
+            )));
+        }
+        // One load per (part, dimension) in the payload bounds `k` before
+        // it sizes the part counts and the heaps.
+        let loads = r.get_vec_f64("store.loads")?;
+        if Some(loads.len()) != k.checked_mul(dims) || loads.iter().any(|l| !l.is_finite()) {
+            return Err(corrupt("per-part loads are malformed".into()));
         }
         let mut part_sizes = vec![0usize; k];
         for &p in &parts {
@@ -1346,10 +1357,6 @@ impl PartitionStore {
                 return Err(corrupt(format!("assignment names part {p} of {k}")));
             }
             part_sizes[p as usize] += 1;
-        }
-        let loads = r.get_vec_f64("store.loads")?;
-        if loads.len() != k * dims || loads.iter().any(|l| !l.is_finite()) {
-            return Err(corrupt("per-part loads are malformed".into()));
         }
         let totals = r.get_vec_f64("store.totals")?;
         if totals.len() != dims || totals.iter().any(|t| !t.is_finite()) {
@@ -1388,8 +1395,8 @@ impl PartitionStore {
         };
         store.rebuild_heaps(weights);
         // The restoring engine publishes view #0 (at the restored id
-        // epoch) once telemetry is rebuilt; until then handles see this
-        // seed. Not counted as a swap — mirrors `Self::new`.
+        // epoch and batch_seq) once it is assembled; until then handles
+        // see this seed. Not counted as a swap — mirrors `Self::new`.
         store.install_view(ViewEpoch::default(), None, false);
         Ok(store)
     }

@@ -171,7 +171,6 @@ fn engine(threads: usize, seed: u64, eps: f64) -> StreamingPartitioner {
         iterations: 30,
         ..GdConfig::with_epsilon(eps)
     };
-    cfg.max_rebalance_moves = 2048;
     cfg.seed = seed;
     StreamingPartitioner::bootstrap(cg.graph, w, cfg).expect("bootstrap")
 }
@@ -268,13 +267,13 @@ proptest! {
             let rt = threaded.ingest(&batch).expect("threaded ingest");
 
             // (a) ε holds in every dimension after every batch.
-            for (label, sp) in [("serial", &serial), ("threads=4", &threaded)] {
+            for (label, sp) in [("serial", &mut serial), ("threads=4", &mut threaded)] {
                 for (j, imb) in per_dim_imbalance(sp).iter().enumerate() {
                     prop_assert!(
                         *imb <= EPS + 1e-9,
                         "{} violated eps in dimension {}: {} (refined {}, rebalance {}, gd {}, full_scans {})",
                         label, j, imb, rs.refined, rs.rebalance_moves, rs.refine_moves,
-                        sp.telemetry().rebalance_full_scans
+                        sp.metrics().counter("stream.refine.full_scans")
                     );
                 }
             }

@@ -27,7 +27,6 @@ fn engine(threads: usize, seed: u64, eps: f64) -> StreamingPartitioner {
         iterations: 30,
         ..GdConfig::with_epsilon(eps)
     };
-    cfg.max_rebalance_moves = 2048;
     cfg.seed = seed;
     StreamingPartitioner::bootstrap(cg.graph, w, cfg).expect("bootstrap")
 }

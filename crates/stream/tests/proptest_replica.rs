@@ -34,7 +34,6 @@ fn engine(threads: usize, seed: u64) -> StreamingPartitioner {
         iterations: 30,
         ..GdConfig::with_epsilon(EPS)
     };
-    cfg.max_rebalance_moves = 2048;
     cfg.seed = seed;
     // A tiny slack forces purging compactions every few churny batches,
     // so the stream crosses id epochs — the hard case for replication

@@ -1,7 +1,7 @@
 //! Property test for the snapshot round-trip guarantee: an engine saved
 //! mid-stream and restored in a "fresh process" must continue ingesting
 //! with **byte-identical** [`BatchReport`]s — remaps, arrival ids,
-//! refinement outcomes and the float telemetry included — to the
+//! refinement outcomes and view stamps included — to the
 //! uninterrupted saver, across mixed add/remove/drift batches, threads 1
 //! and 4, and snapshots taken mid-churn in both pre-purge (tombstones and
 //! free list pending) and post-purge (frequent compactions) regimes.
@@ -33,7 +33,6 @@ fn engine(threads: usize, seed: u64, pre_purge: bool) -> StreamingPartitioner {
         iterations: 30,
         ..GdConfig::with_epsilon(EPS)
     };
-    cfg.max_rebalance_moves = 2048;
     cfg.seed = seed;
     // Pre-purge regime: churn accumulates (tombstones + free list pending
     // at snapshot time). Post-purge regime: a tiny slack forces a purging
@@ -137,10 +136,10 @@ proptest! {
                     let info_a = survivor.save_snapshot(&mut sink).expect("survivor save");
                     let mut bytes = Vec::new();
                     let info_b = interrupted.save_snapshot(&mut bytes).expect("save");
-                    // Identical logical state → identical snapshot shape
-                    // (the payloads differ only in the serialized
-                    // wall-clock telemetry, which is measurement).
+                    // Identical logical state → identical snapshot bytes:
+                    // the payload holds no measurement.
                     prop_assert_eq!(info_a, info_b);
+                    prop_assert_eq!(&sink, &bytes, "snapshot bytes diverged");
                     drop(interrupted);
                     interrupted =
                         StreamingPartitioner::restore(&bytes[..]).expect("restore");
@@ -200,17 +199,6 @@ proptest! {
                 survivor.read_view().as_slice(),
                 interrupted.read_view().as_slice(),
                 "final views diverged"
-            );
-            // Lifetime telemetry matches counter for counter (the last
-            // refinement's wall-clock is measurement, not outcome).
-            let normalized = |t: &mdbgp_stream::StreamTelemetry| {
-                let mut t = t.clone();
-                t.last_refine_secs = 0.0;
-                t
-            };
-            prop_assert_eq!(
-                normalized(survivor.telemetry()),
-                normalized(interrupted.telemetry())
             );
             prop_assert_eq!(survivor.id_epoch(), interrupted.id_epoch());
         }

@@ -27,7 +27,6 @@ fn engine(threads: usize, seed: u64, frequent_purges: bool) -> StreamingPartitio
         iterations: 30,
         ..GdConfig::with_epsilon(EPS)
     };
-    cfg.max_rebalance_moves = 2048;
     cfg.seed = seed;
     // A tiny slack forces a purging compaction nearly every batch, so
     // views cross id epochs often; the loose regime keeps tombstones
@@ -263,7 +262,7 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
             // (arrivals recycle freed ids first) and compaction purges.
             let batch = build_batch(&sp, &mut rng, 10, 25, 10);
             sp.ingest(&batch).expect("ingest under readers");
-            if sp.telemetry().remaps >= 2 {
+            if sp.id_epoch() >= 2 {
                 break;
             }
         }
@@ -279,9 +278,9 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
     });
 
     assert!(
-        sp.telemetry().remaps >= 2,
+        sp.id_epoch() >= 2,
         "stress run must cross at least two purges, got {}",
-        sp.telemetry().remaps
+        sp.id_epoch()
     );
     assert_eq!(
         torn.load(std::sync::atomic::Ordering::Relaxed),

@@ -73,6 +73,9 @@ fn main() {
     //    and churn: some users and friendships leave.
     let mut arrived = bootstrap_n as u32;
     let mut batch_no = 0;
+    // Stream totals, tallied from the reports: the engine's own counters
+    // restart at the warm restart below.
+    let (mut added, mut removed, mut refinements) = (0, 0, 0);
     while (arrived as usize) < total {
         batch_no += 1;
         let end = (arrived + 500).min(total as u32);
@@ -143,6 +146,9 @@ fn main() {
 
         let start = Instant::now();
         let report = sp.ingest(&batch).expect("ingest");
+        added += report.vertices_added;
+        removed += report.vertices_removed;
+        refinements += usize::from(report.refined);
         if let Some(remap) = &report.remap {
             for slot in cur_id.iter_mut().filter(|s| **s != TOMBSTONE) {
                 *slot = remap[*slot as usize];
@@ -197,18 +203,14 @@ fn main() {
 
     // 4. The serving path stays O(1) throughout; look a surviving original
     //    id up through the table.
-    let t = sp.telemetry();
     let survivor = (0..total as u32)
         .rev()
         .find(|&v| cur_id[v as usize] != TOMBSTONE)
         .expect("someone survived");
     println!(
-        "\n{} placed, {} removed, {} refinements ({} id remaps); original vertex {} now lives \
-         on shard {}",
-        t.vertices_placed,
-        t.vertices_removed,
-        t.refinements,
-        t.remaps,
+        "\n{added} arrived, {removed} removed, {refinements} refinements (id epoch {}); \
+         original vertex {} now lives on shard {}",
+        sp.id_epoch(),
         survivor,
         sp.shard_of(cur_id[survivor as usize])
     );
