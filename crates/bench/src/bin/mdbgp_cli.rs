@@ -13,15 +13,20 @@
 use mdbgp_baselines::{
     BlpPartitioner, HashPartitioner, MetisPartitioner, ShpPartitioner, SpinnerPartitioner,
 };
+use mdbgp_bench::churn::{queue_arrivals, queue_removals, verify_arrival_ids, IdTracker};
 use mdbgp_core::{GdConfig, GdPartitioner, KWayGdPartitioner};
 use mdbgp_graph::gen;
 use mdbgp_graph::{
     io as gio, Graph, InducedSubgraph, Partition, Partitioner, VertexWeights, WeightKind,
 };
-use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch};
+use mdbgp_stream::snapshot::{self, SNAPSHOT_HEADER_BYTES};
+use mdbgp_stream::{
+    wire, Leader, LogRecord, MetricsRegistry, SnapshotExpectation, StreamConfig,
+    StreamingPartitioner, UpdateBatch,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
@@ -250,17 +255,21 @@ fn cmd_evaluate(args: &Args) -> Result<(), String> {
 /// live edges), exercising the tombstone/purge path; the replay tracks
 /// the id remaps purging compactions report.
 ///
-/// Warm restart: `--save-snapshot FILE` persists the engine after the
-/// last ingested batch (combine with `--stop-after B` to simulate a
-/// crash mid-stream), and `--load-snapshot FILE` resumes a later
-/// invocation from that state instead of bootstrapping — streaming
-/// continues from wherever the saved run stopped. The replay addresses
-/// vertices by their original input ids, so resume requires a snapshot
-/// whose engine ids still *are* the input ids: id epoch 0 (no purging
-/// compactions — rejected with the named stale-epoch error) and no
-/// removals so far (recycled ids re-number arrivals even before any
-/// purge, and the snapshot does not carry the replay's original→current
-/// map). Churn *after* the resume point is fine.
+/// The engine runs inside a replication [`Leader`] from bootstrap on, so
+/// the run always holds its bootstrap snapshot and the log of every batch
+/// since. `--save-snapshot FILE` writes that pair after the last ingested
+/// batch (combine with `--stop-after B` to simulate a crash mid-stream),
+/// and `--load-snapshot FILE` resumes from it: the bootstrap snapshot is
+/// restored and wrapped in a `Leader` as the saving run's engine was, and
+/// the same script runs from batch 1. While saved records remain, each
+/// scripted batch must equal its record's updates, the leader ingests the
+/// record (its logged refinement decision applies, so no GD runs), and
+/// the record the leader appends must equal the saved one byte for byte.
+/// After the last saved record the stream carries on as usual. Re-running
+/// the script brings back the replay's id map, churn RNG, batch size and
+/// batch number exactly, at any id epoch, so the resumed run's `--output`
+/// equals the uninterrupted run's. Resume with the saving run's flags:
+/// the first batch where script and log disagree is named in the error.
 fn cmd_stream(args: &Args) -> Result<(), String> {
     let graph = load_graph(args.req("input")?, &args.opt("format", "text"))?;
     let n = graph.num_vertices();
@@ -292,73 +301,23 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     if metrics_every > 0 && metrics_out.is_none() {
         return Err("--metrics-every needs --metrics-out FILE".into());
     }
-    let write_metrics = |sp: &mut StreamingPartitioner, path: &str| -> Result<(), String> {
+    let write_metrics = |m: &MetricsRegistry, path: &str| -> Result<(), String> {
         let dump = if path.ends_with(".prom") || path.ends_with(".txt") {
-            sp.metrics().render_text()
+            m.render_text()
         } else {
-            sp.metrics().render_json()
+            m.render_json()
         };
         std::fs::write(path, dump).map_err(|e| format!("write metrics {path}: {e}"))
     };
 
-    let (mut sp, n0, resumed_batches, resumed_tracker) = if let Ok(path) = args.req("load-snapshot")
-    {
-        let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        let mut reader = std::io::BufReader::new(file);
-        // The replay scripts in original input ids, but the engine's id
-        // space may have moved on (recycled slots, post-purge renumbering
-        // at any id epoch): the resume trailer after the engine snapshot
-        // carries the original→current map, so no epoch expectation here
-        // — only shape (matching k, and the replay's two weight
-        // dimensions: unit + degree).
-        let expect = mdbgp_stream::SnapshotExpectation::default()
-            .with_k(k)
-            .with_dims(2);
-        let start = std::time::Instant::now();
-        let mut sp = StreamingPartitioner::restore_expecting(&mut reader, &expect)
-            .map_err(|e| format!("load snapshot {path}: {e}"))?;
-        sp.set_threads(threads);
-        // `read_snapshot` consumed exactly the engine snapshot; what
-        // follows must be the replay's own trailer.
-        let state = mdbgp_bench::resume::read_trailer(&mut reader)
-            .map_err(|e| format!("load snapshot {path}: {e}"))?;
-        let n0 = state.arrived as usize;
-        if n0 > n {
-            return Err(format!(
-                "snapshot covers {n0} streamed vertices but the input graph has only {n} — \
-                 wrong input file for this snapshot?"
-            ));
-        }
-        let tracker = mdbgp_bench::churn::IdTracker::from_map(state.map);
-        // Light cross-validation: every live translation must land inside
-        // the restored engine's id space.
-        let engine_n = sp.graph().num_vertices() as u32;
-        for orig in 0..tracker.len() as u32 {
-            if let Some(cur) = tracker.current(orig) {
-                if cur >= engine_n {
-                    return Err(format!(
-                        "resume trailer maps original vertex {orig} to engine id {cur}, outside \
-                         the restored engine's {engine_n}-vertex id space — trailer and snapshot \
-                         disagree"
-                    ));
-                }
-            }
-        }
-        let batch_no = state.batch_no as usize;
-        println!(
-            "resumed from {path} in {:.2}s: {n0}/{n} vertices already ingested \
-             ({} batches so far, id epoch {}), locality {:.1}%, imbalance {:.2}%",
-            start.elapsed().as_secs_f64(),
-            sp.read_view().epoch().batch_seq,
-            sp.id_epoch(),
-            sp.store().edge_locality() * 100.0,
-            sp.max_imbalance() * 100.0
-        );
-        (sp, n0, batch_no, tracker)
+    let n0 = ((n as f64 * bootstrap_fraction) as usize)
+        .max(k)
+        .min(n.saturating_sub(1));
+    let load = args.req("load-snapshot").ok();
+    let started = std::time::Instant::now();
+    let (mut leader, mut saved) = if let Some(path) = load {
+        load_save_file(path, k, n0, threads)?
     } else {
-        let n0 = ((n as f64 * bootstrap_fraction) as usize)
-            .max(k)
-            .min(n.saturating_sub(1));
         let prefix: Vec<u32> = (0..n0 as u32).collect();
         let boot = InducedSubgraph::extract(&graph, &prefix);
         let weights = VertexWeights::vertex_edge(&boot.graph);
@@ -368,31 +327,23 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             ..GdConfig::with_epsilon(eps)
         };
         cfg.seed = seed;
-
-        let start = std::time::Instant::now();
         let sp = StreamingPartitioner::bootstrap(boot.graph.clone(), weights, cfg)
             .map_err(|e| e.to_string())?;
         println!(
             "bootstrap on {n0}/{n} vertices in {:.2}s: locality {:.1}%, imbalance {:.2}%",
-            start.elapsed().as_secs_f64(),
+            started.elapsed().as_secs_f64(),
             sp.store().edge_locality() * 100.0,
             sp.max_imbalance() * 100.0
         );
-        (sp, n0, 0, mdbgp_bench::churn::IdTracker::identity(n0))
+        (Leader::new(sp).map_err(|e| e.to_string())?, SavedLog::new())
     };
 
     let per_batch = (n - n0).div_ceil(batches.max(1));
     let mut arrived = n0 as u32;
-    let mut batch_no = resumed_batches;
-    // Fresh bootstrap: the identity tracker, trivially. Resume: the
-    // trailer's map.
-    let mut tracker = resumed_tracker;
-    // The churn RNG is reseeded fresh on resume: removal *victims* after
-    // the resume point differ from the uninterrupted run's, which is
-    // fine — victims are sampled from the live graph through the
-    // tracker, so any sequence is a valid churn script. Resume restores
-    // *state*, not the original run's future randomness.
+    let mut batch_no = 0usize;
+    let mut tracker = IdTracker::identity(n0);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    let resume_err = |why: String| format!("load snapshot {}: {why}", load.unwrap_or_default());
     while (arrived as usize) < n {
         if stop_after > 0 && batch_no >= stop_after {
             println!(
@@ -407,19 +358,13 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         // Arrival ids recycle tombstoned slots under churn; the script
         // mirrors the engine's free list so same-batch co-arrival edges
         // resolve, and the report below verifies the predictions.
-        mdbgp_bench::churn::queue_arrivals(
-            &mut batch,
-            &graph,
-            sp.graph(),
-            &mut tracker,
-            arrived,
-            end,
-        );
+        let engine_graph = leader.engine().graph();
+        queue_arrivals(&mut batch, &graph, engine_graph, &mut tracker, arrived, end);
         if churn > 0.0 {
             let removals = ((end - arrived) as f64 * churn) as usize;
-            mdbgp_bench::churn::queue_removals(
+            queue_removals(
                 &mut batch,
-                sp.graph(),
+                engine_graph,
                 &mut tracker,
                 &mut rng,
                 removals,
@@ -428,14 +373,39 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         }
         arrived = end;
         let start = std::time::Instant::now();
-        let report = sp.ingest(&batch).map_err(|e| e.to_string())?;
+        let logged = saved.pop_front();
+        let log_len = leader.log_bytes().len();
+        let report = match &logged {
+            Some((record, _)) if record.batch.updates != batch.updates => {
+                return Err(resume_err(format!(
+                    "batch {batch_no} of this run's script differs from the saved log's — \
+                     resume with the saving run's --input, --k, --batches, --churn, \
+                     --bootstrap-fraction and --seed"
+                )))
+            }
+            Some((record, _)) => leader.ingest(&record.batch),
+            None => leader.ingest(&batch),
+        }
+        .map_err(|e| e.to_string())?;
+        if let Some((_, bytes)) = &logged {
+            if leader.log_bytes()[log_len..] != bytes[..] {
+                return Err(resume_err(format!(
+                    "re-ingesting batch {batch_no} did not reproduce its saved log record"
+                )));
+            }
+        }
         if let Some(remap) = &report.remap {
             tracker.apply_remap(remap);
         }
-        mdbgp_bench::churn::verify_arrival_ids(&tracker, end, &report.arrival_ids)?;
+        verify_arrival_ids(&tracker, end, &report.arrival_ids)?;
         println!(
-            "batch {batch_no}: +{} -{} vertices, +{} -{} edges in {:.1}ms — imbalance \
+            "batch {batch_no}{}: +{} -{} vertices, +{} -{} edges in {:.1}ms — imbalance \
              {:.2}%, locality {:.1}%{}{}",
+            if logged.is_some() {
+                " (re-ingested)"
+            } else {
+                ""
+            },
             report.vertices_added,
             report.vertices_removed,
             report.edges_added,
@@ -460,60 +430,57 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 String::new()
             }
         );
+        if logged.is_some() && saved.is_empty() {
+            let sp = leader.engine();
+            println!(
+                "resumed from {} in {:.2}s: re-ingested {batch_no} logged batches ({arrived}/{n} \
+                 vertices streamed, id epoch {}), locality {:.1}%, imbalance {:.2}%",
+                load.unwrap_or_default(),
+                started.elapsed().as_secs_f64(),
+                sp.id_epoch(),
+                sp.store().edge_locality() * 100.0,
+                sp.max_imbalance() * 100.0
+            );
+        }
         if metrics_every > 0 && batch_no.is_multiple_of(metrics_every) {
             if let Some(path) = &metrics_out {
-                write_metrics(&mut sp, path)?;
+                write_metrics(leader.metrics_mut(), path)?;
                 println!("flushed metrics -> {path} (batch {batch_no})");
             }
         }
     }
+    if !saved.is_empty() {
+        return Err(resume_err(format!(
+            "the saved log holds {} more batches after batch {batch_no}, where this run ended",
+            saved.len()
+        )));
+    }
 
-    // Persist the engine *before* the final output purge below (which
-    // exists only to make the `--output` assignment cover exactly the
-    // live vertices). The snapshot itself may be taken at any id epoch:
-    // the resume trailer appended after it carries the replay's
-    // original→current id map, so a later `--load-snapshot` continues
-    // scripting in original ids regardless of purges. `--purge-before-save
-    // true` forces a purging compaction first — a deterministic way to
-    // exercise (and regression-test) the post-purge resume path.
+    // Save *before* the final output purge below, which is out-of-band:
+    // no log record describes it. The file is the leader's segment, so
+    // every save starts from the bootstrap snapshot.
     if let Ok(path) = args.req("save-snapshot") {
-        if args.num::<bool>("purge-before-save", false)? {
-            if let Some(remap) = sp.purge() {
-                tracker.apply_remap(&remap);
-            }
-            println!(
-                "purged before save: id epoch {}, {} live vertices",
-                sp.id_epoch(),
-                sp.graph().num_vertices()
-            );
-        }
-        let mut file = std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?,
-        );
-        let info = sp
-            .save_snapshot(&mut file)
-            .map_err(|e| format!("save snapshot {path}: {e}"))?;
-        let state = mdbgp_bench::resume::ResumeState {
-            arrived,
-            batch_no: batch_no as u64,
-            map: tracker.as_slice().to_vec(),
-        };
-        mdbgp_bench::resume::write_trailer(&mut file, &state)
+        let (snapshot, log) = (leader.snapshot_bytes(), leader.log_bytes());
+        std::fs::write(path, [snapshot, log].concat())
             .map_err(|e| format!("save snapshot {path}: {e}"))?;
         println!(
-            "wrote snapshot -> {path} ({} payload bytes + resume trailer, id epoch {}, k {}, \
-             {} dims, {arrived} streamed)",
-            info.payload_bytes, info.id_epoch, info.k, info.dims
+            "wrote snapshot -> {path} (bootstrap snapshot of {} bytes + batch log of {} records \
+             in {} bytes; id epoch {} after batch {batch_no}, {arrived} streamed)",
+            snapshot.len(),
+            leader.segment_records(),
+            log.len(),
+            leader.engine().id_epoch()
         );
     }
 
     if let Some(path) = &metrics_out {
-        write_metrics(&mut sp, path)?;
+        write_metrics(leader.metrics_mut(), path)?;
         println!("wrote metrics dump -> {path}");
     }
 
-    // Under churn the final snapshot may still hold tombstoned ids; purge
+    // Under churn the final state may still hold tombstoned ids; purge
     // so the partition written below covers exactly the live vertices.
+    let mut sp = leader.into_engine();
     if let Some(remap) = sp.purge() {
         tracker.apply_remap(&remap);
     }
@@ -521,8 +488,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let m = sp.metrics();
     println!(
         "done: {} arrivals, {} removals, +{} -{} edges, {} compactions ({} purges), \
-         {} refinements (registry counters, counted since this process started or last \
-         restored); final imbalance {:.2}%, locality {:.1}%",
+         {} refinements (registry counters over every batch since the bootstrap state, \
+         re-ingested ones included); final imbalance {:.2}%, locality {:.1}%",
         m.counter("stream.ingest.arrivals"),
         m.counter("stream.ingest.removals"),
         m.counter("stream.ingest.edges_added"),
@@ -563,6 +530,62 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The records of a save file's batch log, each with its bytes, in order.
+type SavedLog = VecDeque<(LogRecord, Vec<u8>)>;
+
+/// Opens a `--save-snapshot` file: restores its bootstrap snapshot, checks
+/// that it is this stream's (k, the two replay dimensions, id epoch 0 and
+/// the `n0`-vertex bootstrap prefix), wraps it in a [`Leader`] as the
+/// saving run wrapped its fresh engine, and reads every record of the
+/// batch log that follows. Any damage is refused by name before a batch
+/// is ingested.
+fn load_save_file(
+    path: &str,
+    k: usize,
+    n0: usize,
+    threads: usize,
+) -> Result<(Leader, SavedLog), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
+    let fail = |e: &dyn std::fmt::Display| format!("load snapshot {path}: {e}");
+    let info = snapshot::read_info(&bytes[..]).map_err(|e| fail(&e))?;
+    let split = SNAPSHOT_HEADER_BYTES + info.payload_bytes;
+    if bytes.len() < split {
+        return Err(fail(&format!(
+            "file truncated inside its snapshot: {} bytes, the snapshot needs {split}",
+            bytes.len()
+        )));
+    }
+    let expect = SnapshotExpectation::default()
+        .with_k(k)
+        .with_dims(2)
+        .with_id_epoch(0);
+    let mut sp =
+        StreamingPartitioner::restore_expecting(&bytes[..split], &expect).map_err(|e| fail(&e))?;
+    let boot_n = sp.graph().num_vertices();
+    if boot_n != n0 {
+        return Err(fail(&format!(
+            "the snapshot holds {boot_n} vertices but this stream bootstraps on {n0}: it is not \
+             this stream's bootstrap state"
+        )));
+    }
+    sp.set_threads(threads);
+    let leader = Leader::new(sp).map_err(|e| fail(&e))?;
+    let mut log = &bytes[split..];
+    wire::read_log_header(&mut log)
+        .and_then(|header| header.check_adoption(k, 2, leader.engine().read_view().epoch()))
+        .map_err(|e| fail(&format!("batch log: {e}")))?;
+    let mut saved = SavedLog::new();
+    loop {
+        let at = bytes.len() - log.len();
+        let record = wire::read_record(&mut log)
+            .map_err(|e| fail(&format!("batch log record {}: {e}", saved.len() + 1)))?;
+        match record {
+            Some(record) => saved.push_back((record, bytes[at..bytes.len() - log.len()].to_vec())),
+            None => return Ok((leader, saved)),
+        }
+    }
+}
+
 const USAGE: &str = "usage: mdbgp_cli <generate|partition|evaluate|stream> [--flag value]...
   generate  --model community|rmat|er|ba --n N --output FILE
             [--format text|metis|binary] [--seed S] [--mean-degree D]
@@ -574,8 +597,11 @@ const USAGE: &str = "usage: mdbgp_cli <generate|partition|evaluate|stream> [--fl
   stream    --input FILE --k K [--eps E] [--batches B] [--threads T]
             [--churn F] [--bootstrap-fraction F] [--seed S]
             [--stop-after B] [--save-snapshot FILE] [--load-snapshot FILE]
-            [--purge-before-save true] [--metrics-out FILE] [--metrics-every N]
-            [--output PARTS] [--format text|metis|binary]";
+            [--metrics-out FILE] [--metrics-every N]
+            [--output PARTS] [--format text|metis|binary]
+            --save-snapshot writes the bootstrap snapshot and the log of every
+            batch so far; --load-snapshot re-runs the same script over that
+            log (pass the saving run's flags) and carries on from its end";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();

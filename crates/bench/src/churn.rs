@@ -60,19 +60,6 @@ impl IdTracker {
         self.map.is_empty()
     }
 
-    /// The raw original→current map ([`TOMBSTONE`] marks removed
-    /// originals) — what the crash-resume trailer ([`crate::resume`])
-    /// persists so a later process can keep scripting in original ids.
-    pub fn as_slice(&self) -> &[VertexId] {
-        &self.map
-    }
-
-    /// Rebuilds a tracker from a map previously exported with
-    /// [`Self::as_slice`].
-    pub fn from_map(map: Vec<VertexId>) -> Self {
-        Self { map }
-    }
-
     /// Rewrites every live translation through a purge's old→new map
     /// (apply once per `BatchReport::remap`).
     pub fn apply_remap(&mut self, remap: &[VertexId]) {

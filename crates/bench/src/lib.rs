@@ -24,7 +24,6 @@ pub mod curves;
 pub mod datasets;
 pub mod perfgate;
 pub mod policies;
-pub mod resume;
 pub mod table;
 
 pub use datasets::Dataset;

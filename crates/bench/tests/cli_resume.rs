@@ -1,20 +1,25 @@
-//! Regression test for post-purge crash-and-resume through `mdbgp_cli
-//! stream`: a churned run killed mid-stream with `--purge-before-save`
-//! leaves a snapshot at id epoch ≥ 1 whose engine ids no longer match
-//! the input file's original ids — the resume trailer's id map is what
-//! makes `--load-snapshot` able to continue the replay anyway, and a file
-//! without the trailer is refused.
+//! Crash-resume through `mdbgp_cli stream`. A save file is the run's
+//! bootstrap snapshot followed by the batch log of every batch so far; a
+//! resumed run restores the snapshot, re-runs its script over the logged
+//! batches (applying their refinement decisions) and carries on. The
+//! resumed stream must be the uninterrupted one, purges and refinement
+//! passes included, and a damaged or foreign save file must be refused by
+//! name before anything is written.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn run(args: &[&str]) -> (bool, String, String) {
+use mdbgp_stream::snapshot::{read_info, SNAPSHOT_HEADER_BYTES};
+use mdbgp_stream::wire::{LOG_HEADER_BYTES, RECORD_FRAME_BYTES};
+use mdbgp_stream::Follower;
+
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mdbgp_cli"))
         .args(args)
         .output()
         .expect("spawn mdbgp_cli");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
@@ -26,6 +31,62 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+fn path(p: &Path) -> &str {
+    p.to_str().unwrap()
+}
+
+/// Writes the n = 600 community graph every test streams.
+fn generate(dir: &Path) -> PathBuf {
+    let graph = dir.join("g.txt");
+    let (code, _, err) = run(&[
+        "generate",
+        "--model",
+        "community",
+        "--n",
+        "600",
+        "--seed",
+        "3",
+        "--output",
+        path(&graph),
+    ]);
+    assert_eq!(code, Some(0), "generate failed: {err}");
+    graph
+}
+
+/// Runs `mdbgp_cli stream` on `graph` with the test stream's flags
+/// (`--churn` and `--seed` as given) followed by `extra`, and returns its
+/// stdout; the run must succeed.
+fn stream(graph: &Path, churn: &str, seed: &str, extra: &[&str]) -> String {
+    let (code, stdout, err) = run(&stream_args(graph, churn, seed, extra));
+    assert_eq!(code, Some(0), "stream {extra:?} failed: {err}\n{stdout}");
+    stdout
+}
+
+fn stream_args<'a>(
+    graph: &'a Path,
+    churn: &'a str,
+    seed: &'a str,
+    extra: &[&'a str],
+) -> Vec<&'a str> {
+    let mut args = vec![
+        "stream",
+        "--input",
+        path(graph),
+        "--k",
+        "4",
+        "--eps",
+        "0.02",
+        "--batches",
+        "6",
+        "--churn",
+        churn,
+        "--seed",
+        seed,
+    ];
+    args.extend_from_slice(extra);
+    args
 }
 
 /// Extracts the number following `needle` in `haystack`.
@@ -42,178 +103,214 @@ fn number_after(haystack: &str, needle: &str) -> u64 {
         .unwrap_or_else(|_| panic!("no number after '{needle}' in:\n{haystack}"))
 }
 
+/// The GD move counts of the refinement passes among `lines`.
+fn gd_moves<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<u64> {
+    lines
+        .filter(|l| l.contains("(refined:"))
+        .map(|l| number_after(l, "rebalance +"))
+        .collect()
+}
+
+fn batch_lines(stdout: &str) -> impl Iterator<Item = &str> {
+    stdout.lines().filter(|l| l.starts_with("batch "))
+}
+
+/// Where a save file's batch log starts: right after its snapshot.
+fn log_start(save: &[u8]) -> usize {
+    SNAPSHOT_HEADER_BYTES + read_info(save).expect("snapshot header").payload_bytes
+}
+
+/// A file in the earlier CLI's layout for the stop point of the save file
+/// `save`: the engine snapshot taken after the last batch, then that
+/// CLI's own resume trailer. The loader refuses it at the snapshot, which
+/// is not a bootstrap state, and never reads what follows, so zero bytes
+/// stand in for the trailer.
+fn earlier_cli_file(save: &[u8]) -> Vec<u8> {
+    let split = log_start(save);
+    let mut follower = Follower::bootstrap(&save[..split]).expect("bootstrap");
+    follower.replay(&save[split..]).expect("replay");
+    let mut file = Vec::new();
+    follower
+        .into_engine()
+        .save_snapshot(&mut file)
+        .expect("save");
+    file.extend_from_slice(&[0; 64]);
+    file
+}
+
+fn done_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|l| l.starts_with("done:"))
+        .unwrap_or_else(|| panic!("no done line in:\n{stdout}"))
+}
+
+/// Stopped after batch 3 and resumed, and stopped again after batch 4 and
+/// resumed again, the stream writes the uninterrupted run's `--output`
+/// byte for byte. The saved prefix holds a refinement pass with GD moves
+/// and a purge, and the continuation refines again.
 #[test]
-fn kill_and_resume_after_forced_purge() {
-    let dir = scratch_dir("purge");
-    let graph = dir.join("g.txt");
-    let snap = dir.join("snap.bin");
-    let parts = dir.join("parts.txt");
+fn stop_and_resume_matches_the_uninterrupted_run() {
+    let dir = scratch_dir("exact");
+    let graph = generate(&dir);
+    let [full, s3, s4, once, twice] =
+        ["full.txt", "s3", "s4", "once.txt", "twice.txt"].map(|f| dir.join(f));
 
-    let (ok, _, err) = run(&[
-        "generate",
-        "--model",
-        "community",
-        "--n",
-        "600",
-        "--seed",
-        "3",
-        "--output",
-        graph.to_str().unwrap(),
-    ]);
-    assert!(ok, "generate failed: {err}");
+    let uninterrupted = stream(&graph, "0.3", "7", &["--output", path(&full)]);
 
-    // Phase 1: stream with churn, "crash" after 3 batches, force a
-    // purging compaction before the save so the snapshot's id space is
-    // post-purge (id epoch ≥ 1) with original ids remapped.
-    let (ok, stdout, err) = run(&[
-        "stream",
-        "--input",
-        graph.to_str().unwrap(),
-        "--k",
-        "4",
-        "--batches",
-        "6",
-        "--churn",
+    let saving = stream(
+        &graph,
         "0.3",
-        "--seed",
         "7",
-        "--stop-after",
-        "3",
-        "--purge-before-save",
-        "true",
-        "--save-snapshot",
-        snap.to_str().unwrap(),
-    ]);
-    assert!(ok, "phase-1 stream failed: {err}\n{stdout}");
-    assert!(
-        stdout.contains("purged before save"),
-        "missing purge line:\n{stdout}"
+        &["--stop-after", "3", "--save-snapshot", path(&s3)],
     );
-    let saved_epoch = number_after(&stdout, "purged before save: id epoch");
+    assert_eq!(batch_lines(&saving).count(), 3, "{saving}");
     assert!(
-        saved_epoch >= 1,
-        "forced purge left id epoch {saved_epoch}, snapshot is not post-purge:\n{stdout}"
+        gd_moves(batch_lines(&saving)).iter().any(|&m| m > 0),
+        "no refinement pass with GD moves before the save:\n{saving}"
+    );
+    assert!(
+        number_after(done_line(&saving), "compactions (") >= 1,
+        "no purge before the save:\n{saving}"
+    );
+    assert!(
+        number_after(&saving, "id epoch") >= 1,
+        "the saved run is still at id epoch 0:\n{saving}"
     );
 
-    // Phase 2: resume from the post-purge snapshot and stream to the
-    // end. Pre-fix this failed before ingesting anything (StaleEpoch /
-    // the removed-vertices rejection).
-    let (ok, stdout, err) = run(&[
-        "stream",
-        "--input",
-        graph.to_str().unwrap(),
-        "--k",
-        "4",
-        "--batches",
-        "6",
-        "--churn",
+    let resumed = stream(
+        &graph,
         "0.3",
-        "--seed",
         "7",
-        "--load-snapshot",
-        snap.to_str().unwrap(),
-        "--output",
-        parts.to_str().unwrap(),
-    ]);
-    assert!(ok, "resume failed: {err}\n{stdout}");
-    assert!(
-        stdout.contains("resumed from"),
-        "missing resume line:\n{stdout}"
+        &["--load-snapshot", path(&s3), "--output", path(&once)],
     );
-    assert!(stdout.contains("done:"), "stream did not finish:\n{stdout}");
+    assert!(resumed.contains("resumed from"), "{resumed}");
+    let expected = std::fs::read(&full).expect("read uninterrupted output");
+    assert_eq!(std::fs::read(&once).expect("read resumed output"), expected);
+    assert_eq!(done_line(&resumed), done_line(&uninterrupted));
+    let (replayed, continued): (Vec<&str>, Vec<&str>) =
+        batch_lines(&resumed).partition(|l| l.contains("(re-ingested)"));
+    assert_eq!((replayed.len(), continued.len()), (3, 3), "{resumed}");
+    assert!(
+        !gd_moves(continued.into_iter()).is_empty(),
+        "the continuation never refined:\n{resumed}"
+    );
 
-    // The assignment covers the surviving original ids: `orig part`
-    // pairs, parts within k, and a sane surviving count (600 minus the
-    // churned-away vertices, which at 30% churn of the streamed suffix
-    // is well under 600 but most of it).
-    let assignment = std::fs::read_to_string(&parts).expect("read parts");
-    let mut survivors = 0usize;
-    for line in assignment.lines() {
-        let mut it = line.split_whitespace();
-        let orig: u32 = it.next().unwrap().parse().expect("orig id");
-        let part: u32 = it.next().unwrap().parse().expect("part id");
-        assert!(orig < 600, "original id {orig} out of range");
-        assert!(part < 4, "part {part} out of range");
-        survivors += 1;
-    }
-    assert!(
-        survivors > 400 && survivors <= 600,
-        "implausible survivor count {survivors}"
+    stream(
+        &graph,
+        "0.3",
+        "7",
+        &[
+            "--load-snapshot",
+            path(&s3),
+            "--stop-after",
+            "4",
+            "--save-snapshot",
+            path(&s4),
+        ],
     );
+    let again = stream(
+        &graph,
+        "0.3",
+        "7",
+        &["--load-snapshot", path(&s4), "--output", path(&twice)],
+    );
+    assert_eq!(number_after(&again, ": re-ingested"), 4, "{again}");
+    assert_eq!(std::fs::read(&twice).expect("read output"), expected);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot file stripped of its resume trailer is refused by name: no
-/// trailer-less file can prove that its engine ids are still the input's
-/// original ids.
+/// Every damaged or foreign save file exits 1 with a named error, prints
+/// no `resumed from` line and writes no `--output` file.
 #[test]
-fn trailer_less_snapshots_are_refused_by_name() {
-    let dir = scratch_dir("legacy");
-    let graph = dir.join("g.txt");
-    let snap = dir.join("snap.bin");
-
-    let (ok, _, err) = run(&[
-        "generate",
-        "--model",
-        "community",
-        "--n",
-        "400",
-        "--seed",
-        "5",
-        "--output",
-        graph.to_str().unwrap(),
-    ]);
-    assert!(ok, "generate failed: {err}");
-
-    // Save a churn-free snapshot, then strip its trailer.
-    let (ok, stdout, err) = run(&[
-        "stream",
-        "--input",
-        graph.to_str().unwrap(),
-        "--k",
-        "4",
-        "--batches",
-        "5",
-        "--seed",
-        "9",
-        "--stop-after",
-        "2",
-        "--save-snapshot",
-        snap.to_str().unwrap(),
-    ]);
-    assert!(ok, "save run failed: {err}\n{stdout}");
-    let bytes = std::fs::read(&snap).expect("read snapshot");
-    let magic = b"MDBGPRPL";
-    let trailer_at = (0..bytes.len().saturating_sub(magic.len()))
-        .rfind(|&i| &bytes[i..i + magic.len()] == magic)
-        .expect("trailer magic in snapshot file");
-    std::fs::write(&snap, &bytes[..trailer_at]).expect("strip trailer");
-
-    // Even a churn-free run at id epoch 0 cannot resume without it.
-    let out = Command::new(env!("CARGO_BIN_EXE_mdbgp_cli"))
-        .args([
-            "stream",
-            "--input",
-            graph.to_str().unwrap(),
-            "--k",
-            "4",
-            "--batches",
-            "5",
-            "--seed",
-            "9",
-            "--load-snapshot",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn mdbgp_cli");
-    let (stdout, err) = (
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
+fn damaged_or_foreign_save_files_are_refused_by_name() {
+    let dir = scratch_dir("refused");
+    let graph = generate(&dir);
+    let good = dir.join("s3");
+    stream(
+        &graph,
+        "0.3",
+        "7",
+        &["--stop-after", "3", "--save-snapshot", path(&good)],
     );
-    assert_eq!(out.status.code(), Some(1), "{err}\n{stdout}");
-    assert!(err.contains("no resume trailer"), "{err}");
-    assert!(!stdout.contains("resumed from"), "{stdout}");
+    let bytes = std::fs::read(&good).expect("read save file");
+    let split = log_start(&bytes);
+    assert!(bytes.len() > split + LOG_HEADER_BYTES + RECORD_FRAME_BYTES);
+
+    let refuse = |case: &str, file: &[u8], churn: &str, seed: &str, named: &str| {
+        let (save, out) = (dir.join(case), dir.join(format!("{case}.out")));
+        std::fs::write(&save, file).expect("write case file");
+        let extra = ["--load-snapshot", path(&save), "--output", path(&out)];
+        let (code, stdout, err) = run(&stream_args(&graph, churn, seed, &extra));
+        assert_eq!(code, Some(1), "{case}: {err}\n{stdout}");
+        assert!(err.contains(named), "{case}: expected '{named}' in: {err}");
+        assert!(!stdout.contains("resumed from"), "{case}: {stdout}");
+        assert!(!out.exists(), "{case}: wrote an --output file");
+    };
+
+    refuse(
+        "inside-snapshot",
+        &bytes[..split / 2],
+        "0.3",
+        "7",
+        "truncated inside its snapshot",
+    );
+    refuse(
+        "inside-record",
+        &bytes[..bytes.len() - 5],
+        "0.3",
+        "7",
+        "batch log record 3: batch log truncated",
+    );
+    let mut flipped = bytes.clone();
+    flipped[split + LOG_HEADER_BYTES + RECORD_FRAME_BYTES + 20] ^= 0x10;
+    refuse(
+        "flipped-payload",
+        &flipped,
+        "0.3",
+        "7",
+        "batch log record 1: batch-log checksum mismatch",
+    );
+    // The saved log's first batch removed other vertices, or fewer.
+    refuse(
+        "other-seed",
+        &bytes,
+        "0.3",
+        "8",
+        "batch 1 of this run's script",
+    );
+    refuse(
+        "other-churn",
+        &bytes,
+        "0.2",
+        "7",
+        "batch 1 of this run's script",
+    );
+
+    refuse(
+        "earlier-cli",
+        &earlier_cli_file(&bytes),
+        "0.3",
+        "7",
+        "snapshot is at id epoch 1 but the caller's ids are at epoch 0",
+    );
+    // Without churn no purge moves the id epoch; the vertex count tells.
+    let churn_free = dir.join("churn-free");
+    stream(
+        &graph,
+        "0",
+        "7",
+        &["--stop-after", "2", "--save-snapshot", path(&churn_free)],
+    );
+    let churn_free = std::fs::read(&churn_free).expect("read save file");
+    refuse(
+        "earlier-cli-churn-free",
+        &earlier_cli_file(&churn_free),
+        "0",
+        "7",
+        "it is not this stream's bootstrap state",
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

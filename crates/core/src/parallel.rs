@@ -25,8 +25,11 @@
 //! separate serial code path. The thread count is plumbed from
 //! configuration ([`crate::GdConfig::threads`],
 //! `mdbgp_stream::StreamConfig::threads`) — there is no global pool;
-//! scoped threads are spawned per call, which measures at ~10µs per spawn
-//! and keeps the crate dependency-free.
+//! scoped threads are spawned per call, which keeps the crate
+//! dependency-free. That costs a scope per call, and the cost depends on
+//! the host: on a 2-vCPU virtual machine a `std::thread::scope` with two
+//! spawns measured 240–300 µs, where dispatching work to an already
+//! parked helper thread took 28–47 µs.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
