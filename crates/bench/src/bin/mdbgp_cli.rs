@@ -30,45 +30,62 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-/// Minimal `--key value` argument map.
+/// Minimal `--key value` argument map over a command's own flags.
 struct Args {
     values: HashMap<String, String>,
+    /// The flags the command reads, space-separated; [`Self::parse`]
+    /// refuses any other.
+    known: &'static str,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses `--key value` pairs, refusing a key outside `known` or one
+    /// given twice, so a misspelt or stale flag fails before any work
+    /// instead of running with the default.
+    fn parse(argv: &[String], known: &'static str) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut i = 0;
         while i < argv.len() {
             let key = argv[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got '{}'", argv[i]))?;
+            if !known.split(' ').any(|flag| flag == key) {
+                return Err(format!("unknown flag --{key}"));
+            }
             let value = argv
                 .get(i + 1)
                 .ok_or_else(|| format!("--{key} needs a value"))?
                 .clone();
-            values.insert(key.to_string(), value);
+            if values.insert(key.to_string(), value).is_some() {
+                return Err(format!("--{key} given twice"));
+            }
             i += 2;
         }
-        Ok(Self { values })
+        Ok(Self { values, known })
+    }
+
+    fn get(&self, key: &str) -> Option<&String> {
+        debug_assert!(
+            self.known.split(' ').any(|flag| flag == key),
+            "--{key} is read but not listed"
+        );
+        self.values.get(key)
     }
 
     fn req(&self, key: &str) -> Result<&str, String> {
-        self.values
-            .get(key)
+        self.get(key)
             .map(String::as_str)
             .ok_or_else(|| format!("missing --{key}"))
     }
 
     fn opt(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
+        self.get(key)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
 
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -316,7 +333,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let load = args.req("load-snapshot").ok();
     let started = std::time::Instant::now();
     let (mut leader, mut saved) = if let Some(path) = load {
-        load_save_file(path, k, n0, threads)?
+        load_save_file(path, k, eps, seed, n0, threads)?
     } else {
         let prefix: Vec<u32> = (0..n0 as u32).collect();
         let boot = InducedSubgraph::extract(&graph, &prefix);
@@ -379,8 +396,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             Some((record, _)) if record.batch.updates != batch.updates => {
                 return Err(resume_err(format!(
                     "batch {batch_no} of this run's script differs from the saved log's — \
-                     resume with the saving run's --input, --k, --batches, --churn, \
-                     --bootstrap-fraction and --seed"
+                     resume with the saving run's --input, --batches, --churn and \
+                     --bootstrap-fraction"
                 )))
             }
             Some((record, _)) => leader.ingest(&record.batch),
@@ -534,14 +551,16 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
 type SavedLog = VecDeque<(LogRecord, Vec<u8>)>;
 
 /// Opens a `--save-snapshot` file: restores its bootstrap snapshot, checks
-/// that it is this stream's (k, the two replay dimensions, id epoch 0 and
-/// the `n0`-vertex bootstrap prefix), wraps it in a [`Leader`] as the
-/// saving run wrapped its fresh engine, and reads every record of the
-/// batch log that follows. Any damage is refused by name before a batch
-/// is ingested.
+/// that it is this stream's (k, the two replay dimensions, id epoch 0, the
+/// `n0`-vertex bootstrap prefix, ε and the seed), wraps it in a [`Leader`]
+/// as the saving run wrapped its fresh engine, and reads every record of
+/// the batch log that follows. Any damage or mismatch is refused by name
+/// before a batch is ingested.
 fn load_save_file(
     path: &str,
     k: usize,
+    eps: f64,
+    seed: u64,
     n0: usize,
     threads: usize,
 ) -> Result<(Leader, SavedLog), String> {
@@ -566,6 +585,21 @@ fn load_save_file(
         return Err(fail(&format!(
             "the snapshot holds {boot_n} vertices but this stream bootstraps on {n0}: it is not \
              this stream's bootstrap state"
+        )));
+    }
+    // The script checks only the flags that shape the batches; these two
+    // steer the engine itself, which the snapshot brings back as saved.
+    let saved = sp.config();
+    if saved.epsilon != eps {
+        return Err(fail(&format!(
+            "the save was made with --eps {}, this run has --eps {eps}",
+            saved.epsilon
+        )));
+    }
+    if saved.seed != seed {
+        return Err(fail(&format!(
+            "the save was made with --seed {}, this run has --seed {seed}",
+            saved.seed
         )));
     }
     sp.set_threads(threads);
@@ -603,19 +637,41 @@ const USAGE: &str = "usage: mdbgp_cli <generate|partition|evaluate|stream> [--fl
             batch so far; --load-snapshot re-runs the same script over that
             log (pass the saving run's flags) and carries on from its end";
 
+/// Every command with the flags it reads, space-separated;
+/// [`Args::parse`] refuses the rest.
+type Command = fn(&Args) -> Result<(), String>;
+const COMMANDS: [(&str, Command, &str); 4] = [
+    (
+        "generate",
+        cmd_generate,
+        "model n seed mean-degree mixing density-spread edge-factor edges attach output format",
+    ),
+    (
+        "partition",
+        cmd_partition,
+        "input format dims k eps seed algo output",
+    ),
+    ("evaluate", cmd_evaluate, "input format dims partition"),
+    (
+        "stream",
+        cmd_stream,
+        "input format k eps seed batches stop-after threads churn bootstrap-fraction \
+         metrics-out metrics-every load-snapshot save-snapshot output",
+    ),
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = Args::parse(rest).and_then(|args| match cmd.as_str() {
-        "generate" => cmd_generate(&args),
-        "partition" => cmd_partition(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "stream" => cmd_stream(&args),
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    });
+    let result = match COMMANDS.iter().find(|(name, _, _)| name == cmd) {
+        Some((name, run, flags)) => Args::parse(rest, flags)
+            .map_err(|e| format!("{name}: {e}"))
+            .and_then(|args| run(&args)),
+        None => Err(format!("unknown command '{cmd}'\n{USAGE}")),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -629,8 +685,12 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn argv(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     fn args(list: &[&str]) -> Args {
-        Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        Args::parse(&argv(list), "k eps seed").unwrap()
     }
 
     #[test]
@@ -640,13 +700,17 @@ mod tests {
         assert_eq!(a.num::<usize>("k", 2).unwrap(), 8);
         assert_eq!(a.num::<f64>("eps", 0.1).unwrap(), 0.05);
         assert_eq!(a.num::<u64>("seed", 7).unwrap(), 7, "default applies");
-        assert!(a.req("missing").is_err());
+        assert!(a.req("seed").is_err());
     }
 
     #[test]
     fn arg_parsing_rejects_malformed() {
-        assert!(Args::parse(&["k".to_string()]).is_err());
-        assert!(Args::parse(&["--k".to_string()]).is_err());
+        let known = "k eps";
+        assert!(Args::parse(&argv(&["k"]), known).is_err());
+        assert!(Args::parse(&argv(&["--k"]), known).is_err());
+        let err = |list: &[&str]| Args::parse(&argv(list), known).err().unwrap();
+        assert_eq!(err(&["--k", "2", "--epss", "0.1"]), "unknown flag --epss");
+        assert_eq!(err(&["--k", "2", "--k", "3"]), "--k given twice");
     }
 
     #[test]

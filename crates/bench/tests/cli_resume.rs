@@ -55,11 +55,14 @@ fn generate(dir: &Path) -> PathBuf {
     graph
 }
 
+/// The test stream's `--eps`.
+const EPS: &str = "0.02";
+
 /// Runs `mdbgp_cli stream` on `graph` with the test stream's flags
 /// (`--churn` and `--seed` as given) followed by `extra`, and returns its
 /// stdout; the run must succeed.
 fn stream(graph: &Path, churn: &str, seed: &str, extra: &[&str]) -> String {
-    let (code, stdout, err) = run(&stream_args(graph, churn, seed, extra));
+    let (code, stdout, err) = run(&stream_args(graph, churn, seed, EPS, extra));
     assert_eq!(code, Some(0), "stream {extra:?} failed: {err}\n{stdout}");
     stdout
 }
@@ -68,6 +71,7 @@ fn stream_args<'a>(
     graph: &'a Path,
     churn: &'a str,
     seed: &'a str,
+    eps: &'a str,
     extra: &[&'a str],
 ) -> Vec<&'a str> {
     let mut args = vec![
@@ -77,7 +81,7 @@ fn stream_args<'a>(
         "--k",
         "4",
         "--eps",
-        "0.02",
+        eps,
         "--batches",
         "6",
         "--churn",
@@ -221,8 +225,9 @@ fn stop_and_resume_matches_the_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every damaged or foreign save file exits 1 with a named error, prints
-/// no `resumed from` line and writes no `--output` file.
+/// Every damaged or foreign save file, and a resume whose `--eps` or
+/// `--seed` differs from the save's, exits 1 with a named error, prints no
+/// `resumed from` line and writes no `--output` file.
 #[test]
 fn damaged_or_foreign_save_files_are_refused_by_name() {
     let dir = scratch_dir("refused");
@@ -238,11 +243,11 @@ fn damaged_or_foreign_save_files_are_refused_by_name() {
     let split = log_start(&bytes);
     assert!(bytes.len() > split + LOG_HEADER_BYTES + RECORD_FRAME_BYTES);
 
-    let refuse = |case: &str, file: &[u8], churn: &str, seed: &str, named: &str| {
+    let refuse = |case: &str, file: &[u8], [churn, seed, eps]: [&str; 3], named: &str| {
         let (save, out) = (dir.join(case), dir.join(format!("{case}.out")));
         std::fs::write(&save, file).expect("write case file");
         let extra = ["--load-snapshot", path(&save), "--output", path(&out)];
-        let (code, stdout, err) = run(&stream_args(&graph, churn, seed, &extra));
+        let (code, stdout, err) = run(&stream_args(&graph, churn, seed, eps, &extra));
         assert_eq!(code, Some(1), "{case}: {err}\n{stdout}");
         assert!(err.contains(named), "{case}: expected '{named}' in: {err}");
         assert!(!stdout.contains("resumed from"), "{case}: {stdout}");
@@ -252,15 +257,13 @@ fn damaged_or_foreign_save_files_are_refused_by_name() {
     refuse(
         "inside-snapshot",
         &bytes[..split / 2],
-        "0.3",
-        "7",
+        ["0.3", "7", EPS],
         "truncated inside its snapshot",
     );
     refuse(
         "inside-record",
         &bytes[..bytes.len() - 5],
-        "0.3",
-        "7",
+        ["0.3", "7", EPS],
         "batch log record 3: batch log truncated",
     );
     let mut flipped = bytes.clone();
@@ -268,31 +271,35 @@ fn damaged_or_foreign_save_files_are_refused_by_name() {
     refuse(
         "flipped-payload",
         &flipped,
-        "0.3",
-        "7",
+        ["0.3", "7", EPS],
         "batch log record 1: batch-log checksum mismatch",
     );
-    // The saved log's first batch removed other vertices, or fewer.
-    refuse(
-        "other-seed",
-        &bytes,
-        "0.3",
-        "8",
-        "batch 1 of this run's script",
-    );
+    // The saved log's first batch removed fewer vertices.
     refuse(
         "other-churn",
         &bytes,
-        "0.2",
-        "7",
+        ["0.2", "7", EPS],
         "batch 1 of this run's script",
+    );
+    // The engine's own settings come back from the snapshot, so they are
+    // compared with the flags before anything runs.
+    refuse(
+        "other-seed",
+        &bytes,
+        ["0.3", "8", EPS],
+        "the save was made with --seed 7, this run has --seed 8",
+    );
+    refuse(
+        "other-eps",
+        &bytes,
+        ["0.3", "7", "0.2"],
+        "the save was made with --eps 0.02, this run has --eps 0.2",
     );
 
     refuse(
         "earlier-cli",
         &earlier_cli_file(&bytes),
-        "0.3",
-        "7",
+        ["0.3", "7", EPS],
         "snapshot is at id epoch 1 but the caller's ids are at epoch 0",
     );
     // Without churn no purge moves the id epoch; the vertex count tells.
@@ -307,9 +314,51 @@ fn damaged_or_foreign_save_files_are_refused_by_name() {
     refuse(
         "earlier-cli-churn-free",
         &earlier_cli_file(&churn_free),
-        "0",
-        "7",
+        ["0", "7", EPS],
         "it is not this stream's bootstrap state",
+    );
+    // Without churn the script does not read the seed at all.
+    refuse(
+        "other-seed-churn-free",
+        &churn_free,
+        ["0", "99", EPS],
+        "the save was made with --seed 7, this run has --seed 99",
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag the command does not read, or one given twice, exits 1 naming
+/// it before any work: no batch line, no save file.
+#[test]
+fn unknown_or_repeated_flags_are_refused_by_name() {
+    let dir = scratch_dir("flags");
+    let graph = generate(&dir);
+    let save = dir.join("s3");
+    for (extra, named) in [
+        (
+            ["--stop-afer", "3", "--save-snapshot", path(&save)],
+            "stream: unknown flag --stop-afer",
+        ),
+        (
+            ["--seed", "8", "--save-snapshot", path(&save)],
+            "stream: --seed given twice",
+        ),
+    ] {
+        let (code, stdout, err) = run(&stream_args(&graph, "0.3", "7", EPS, &extra));
+        assert_eq!(code, Some(1), "{extra:?}: {err}\n{stdout}");
+        assert!(
+            err.contains(named),
+            "{extra:?}: expected '{named}' in: {err}"
+        );
+        assert!(stdout.is_empty(), "{extra:?} did work:\n{stdout}");
+        assert!(!save.exists(), "{extra:?} wrote a save file");
+    }
+    let (code, _, err) = run(&["generate", "--n", "600", "--purge-before-save", "true"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(
+        err.contains("generate: unknown flag --purge-before-save"),
+        "{err}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -69,6 +69,7 @@ use mdbgp_core::{
 };
 use mdbgp_graph::{Graph, Partition, PartitionError, Partitioner, VertexId, VertexWeights};
 use mdbgp_obs::{MetricsRegistry, SpanNode, SpanTree};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Every metric name the engine records — the registry allowlist that
@@ -541,7 +542,7 @@ impl StreamingPartitioner {
     }
 
     /// The metrics registry, with the store-owned mirrors (lookup counts,
-    /// heap pops, live balance gauges) synced to the current moment.
+    /// live balance gauges) synced to the current moment.
     /// `&mut self` precisely because of that sync; use
     /// [`Self::metrics_mut`] to record from outside the engine.
     pub fn metrics(&mut self) -> &MetricsRegistry {
@@ -571,8 +572,9 @@ impl StreamingPartitioner {
         if lookup_us.count() > 0 {
             self.obs.histogram_set("stream.store.lookup_us", &lookup_us);
         }
-        self.obs
-            .counter_set("stream.store.heap_pops", self.store.heap_pop_count());
+        // The rebalance counts its pops into the registry; an engine that
+        // never rebalanced (a follower) still reports the counter, at 0.
+        self.obs.counter_add("stream.store.heap_pops", 0);
         self.obs.counter_set(
             "stream.store.live_vertices",
             self.store.num_assigned() as u64,
@@ -666,19 +668,16 @@ impl StreamingPartitioner {
     /// snapshot format (see [`crate::snapshot`] for the layout): the
     /// dynamic graph (base CSR, delta, tombstones, free list, weights),
     /// the store's accounting (verbatim floats), the configuration, and
-    /// the refinement bookkeeping. The rebalance heaps are *not*
-    /// serialized — they are rebuilt on restore — and to keep the saver
-    /// bitwise in lockstep with any future restorer, this call
-    /// **canonicalizes** the live engine's heaps (re-keys every entry at
-    /// the current totals; `&mut self` for exactly this reason). A
-    /// snapshot may be taken at any batch boundary, including mid-churn
-    /// with tombstoned-but-unpurged vertices pending.
+    /// the refinement bookkeeping. Saving changes no engine state (it only
+    /// counts itself in the metrics registry, hence `&mut self`), so a
+    /// saver and its restorer continue into identical reports. A snapshot
+    /// may be taken at any batch boundary, including mid-churn with
+    /// tombstoned-but-unpurged vertices pending.
     pub fn save_snapshot<W: std::io::Write>(
         &mut self,
         w: &mut W,
     ) -> Result<crate::SnapshotInfo, crate::SnapshotError> {
         use crate::snapshot::{self, PayloadWriter};
-        self.store.rebuild_heaps(self.graph.weights());
         let mut pw = PayloadWriter::new();
         // The id epoch is echoed as the payload's first bytes: the header
         // copy (used for cheap pre-parse expectation checks) is outside
@@ -1047,7 +1046,7 @@ impl StreamingPartitioner {
     /// refinement decision ([`crate::replica`]). Its stages up to the
     /// compaction run as above; then the decision takes the place of the
     /// drift check and the pass: the logged moves apply through the same
-    /// accounting, so no rebalance heap is popped and no GD runs. Every
+    /// accounting, so no rebalance candidate is ranked and no GD runs. Every
     /// move is checked before the first one applies. A decision that does
     /// not fit the post-batch state (a part ≥ k, an unknown or removed
     /// vertex, a move to the vertex's own part) fails with an error naming
@@ -1309,10 +1308,8 @@ impl StreamingPartitioner {
                     // pushes its *final* row, which already folds every
                     // drift of this batch in.
                     if !out.arrival_of.contains_key(v) {
-                        let row: Vec<f64> = (0..dims)
-                            .map(|j| self.graph.weights().weight(j, *v))
-                            .collect();
-                        self.store.apply_weight_change(*v, *dim, old, &row);
+                        let new = self.graph.weights().weight(*dim, *v);
+                        self.store.apply_weight_change(*v, *dim, old, new);
                     }
                 }
             }
@@ -1323,8 +1320,8 @@ impl StreamingPartitioner {
     /// Stage 5 — commits the repaired placements into the store (in
     /// arrival order, which is id-assignment order, so fresh ids append in
     /// sequence) and settles the deferred edge accounting against the
-    /// now-final parts. Serial: each arrival's accounting and
-    /// rebalance-heap pushes land in the store directly.
+    /// now-final parts. Serial: each arrival's accounting lands in the
+    /// store directly.
     fn stage_commit(&mut self, split: &SplitOutcome, parts: &[u32]) {
         let dims = self.graph.weights().dims();
         for (arrival, &part) in split.arrivals.iter().zip(parts) {
@@ -1464,8 +1461,7 @@ impl StreamingPartitioner {
         // The GD acceptance rule enforces only the global ε, so a pair
         // refinement may legally land back inside the trigger band; touch
         // up so steady state always ends below it (a no-op Φ check when
-        // the GD pass behaved — the heaps make the occasional extra move
-        // O(log n)).
+        // the GD pass behaved).
         {
             let _s = spans.span("rebalance"); // merges with the first pass
             self.greedy_rebalance(&mut pass);
@@ -1482,9 +1478,8 @@ impl StreamingPartitioner {
     /// touch-up moves, each marked dirty, exactly as
     /// [`Self::refine_with_spans`] interleaves them. The moves go through
     /// [`Self::move_and_count`], so loads and locality counters end as the
-    /// leader's did; the rebalance heaps only take the moves' pushes.
-    /// Every move is checked ([`Self::check_pass`]) before the first one
-    /// applies.
+    /// leader's did. Every move is checked ([`Self::check_pass`]) before
+    /// the first one applies.
     fn apply_pass(&mut self, pass: &RefinePass) -> Result<(), PartitionError> {
         let started = Instant::now();
         self.check_pass(pass)?;
@@ -1744,19 +1739,20 @@ impl StreamingPartitioner {
     /// make the pass cycle. Φ ≥ 0, so a pass that starts at Φ₀ applies at
     /// most Φ₀ / [`Self::MIN_PHI_DROP`] steps.
     ///
-    /// Candidates come off the [`PartitionStore`] rebalance heaps (the
+    /// Candidates come off call-local [`RebalanceCandidates`] heaps (the
     /// Maas-style prioritized per-block move queues): the overloaded
     /// part's binding dimension names a heap whose top entries are the
-    /// moves with the largest relief, so a move costs
+    /// moves with the largest relief, so a step costs
     /// O(C·k·d + d·log n) with C = [`Self::REBALANCE_CANDIDATES`] instead
-    /// of a full O(n·k·d) rescan. A full rescan survives only as a
-    /// fallback for the rare step where every heavy candidate overshoots
-    /// (counted in `stream.refine.full_scans`). Appends every move to
-    /// `pass`.
+    /// of a full O(n·k·d) rescan, plus one O(n) scan the first time a call
+    /// asks for a heap. A full rescan survives only as a fallback for the
+    /// rare step where every heavy candidate overshoots (counted in
+    /// `stream.refine.full_scans`). Appends every move to `pass`.
     fn greedy_rebalance(&mut self, pass: &mut RefinePass) {
         let target = self.cfg.epsilon * self.cfg.drift_headroom.min(1.0);
         let k = self.cfg.k;
         let dims = self.graph.weights().dims();
+        let mut queues = RebalanceCandidates::new(k, dims);
         let mut last_phi = f64::INFINITY;
         loop {
             // Live totals: released weight is already gone. A drained
@@ -1800,8 +1796,15 @@ impl StreamingPartitioner {
                 .unwrap();
             let dim = self.binding_dimension(src, &avgs);
 
-            // Prioritized move queue: heaviest-in-`dim` members of `src`.
-            let candidates = self.store.top_movable(src, dim, Self::REBALANCE_CANDIDATES);
+            // Prioritized move queue: highest-relief-in-`dim` members of
+            // `src`.
+            let candidates = queues.top(
+                &self.store,
+                self.graph.weights(),
+                src,
+                dim,
+                Self::REBALANCE_CANDIDATES,
+            );
             // Exact membership check — `len == limit` would misread a part
             // of exactly `limit` members as truncated and rescan the same
             // candidate set.
@@ -1823,9 +1826,7 @@ impl StreamingPartitioner {
                 best_move = self.best_single_move(&members, src, target, &avgs, &phis, phi_total);
             }
             if let Some((v, dst, _, _)) = best_move {
-                self.move_and_count(v, dst);
-                pass.push(v, dst);
-                self.dirty.mark(v);
+                self.rebalance_move(&mut queues, pass, v, dst);
                 continue;
             }
 
@@ -1836,7 +1837,7 @@ impl StreamingPartitioner {
             // src pool is heavy in `dim`, each dst pool heavy in that
             // part's binding dimension.
             let (mut best_swap, pools_truncated) =
-                self.best_swap_from_pools(&candidates, src, dim, target, &avgs, &phis);
+                self.best_swap_from_pools(&mut queues, &candidates, src, dim, target, &avgs, &phis);
             if best_swap.is_none() && pools_truncated {
                 // Heap pools missed members that exist; full membership
                 // fallback (rare). When the pools already covered every
@@ -1851,13 +1852,25 @@ impl StreamingPartitioner {
             let Some((v, u, dst, _)) = best_swap else {
                 break; // genuinely stuck — the pass is best-effort
             };
-            self.move_and_count(v, dst);
-            self.move_and_count(u, src);
-            pass.push(v, dst);
-            pass.push(u, src);
-            self.dirty.mark(v);
-            self.dirty.mark(u);
+            self.rebalance_move(&mut queues, pass, v, dst);
+            self.rebalance_move(&mut queues, pass, u, src);
         }
+        self.obs.counter_add("stream.store.heap_pops", queues.pops);
+    }
+
+    /// One rebalance move: applied, pushed into the call's candidate
+    /// heaps of `dst`, appended to `pass` and marked dirty.
+    fn rebalance_move(
+        &mut self,
+        queues: &mut RebalanceCandidates,
+        pass: &mut RefinePass,
+        v: VertexId,
+        dst: u32,
+    ) {
+        self.move_and_count(v, dst);
+        queues.moved(&self.store, self.graph.weights(), v, dst);
+        pass.push(v, dst);
+        self.dirty.mark(v);
     }
 
     /// Heap candidates evaluated per rebalance step before falling back to
@@ -1939,14 +1952,16 @@ impl StreamingPartitioner {
     }
 
     /// Best Φ-decreasing swap with candidate pools popped off the
-    /// rebalance heaps (`src_pool` is the step's already-fetched
+    /// call's rebalance heaps (`src_pool` is the step's already-fetched
     /// heavy-in-`dim` queue of `src`; each dst pool is heavy in that
     /// part's binding dimension), re-ranked by the cross-dimension relief
     /// scores. The second return is whether any pool left members unseen —
     /// only then can the full-membership fallback find anything the pools
     /// could not.
+    #[allow(clippy::too_many_arguments)]
     fn best_swap_from_pools(
-        &mut self,
+        &self,
+        queues: &mut RebalanceCandidates,
         src_pool: &[VertexId],
         src: u32,
         dim: usize,
@@ -1959,9 +1974,13 @@ impl StreamingPartitioner {
         let mut best: Option<(VertexId, VertexId, u32, f64)> = None;
         for dst in (0..k as u32).filter(|&q| q != src) {
             let binding = self.binding_dimension(dst, avgs);
-            let dst_pool = self
-                .store
-                .top_movable(dst, binding, Self::REBALANCE_CANDIDATES);
+            let dst_pool = queues.top(
+                &self.store,
+                self.graph.weights(),
+                dst,
+                binding,
+                Self::REBALANCE_CANDIDATES,
+            );
             truncated |= dst_pool.len() < self.store.part_size(dst);
             self.scan_swap_pairs(
                 src, dst, dim, binding, src_pool, &dst_pool, 16, target, avgs, phis, &mut best,
@@ -2077,6 +2096,132 @@ impl StreamingPartitioner {
         }
         gain
     }
+}
+
+/// The rebalance candidate queues of one
+/// [`StreamingPartitioner::greedy_rebalance`] call: a max-heap per
+/// `(part, dimension)` of the part's members, keyed by
+/// [`PartitionStore::relief_key`] with ties to the larger id. Heap
+/// `(p, j)` is built by one scan of the assignment the first time the call
+/// asks for it, and all of them drop with the call. Rebalance moves change
+/// neither weights nor totals, so keys stay exact for the whole call: a
+/// move into `p` pushes the vertex into `p`'s built heaps, and an entry
+/// whose vertex has left `p` is dropped when popped. [`Self::top`] thus
+/// pops exactly what a heap freshly built from the store as it stands
+/// would, and the engine keeps no rebalance state between calls.
+pub(crate) struct RebalanceCandidates {
+    dims: usize,
+    /// `heaps[p * dims + j]`, `None` until the call first asks for it.
+    heaps: Vec<Option<BinaryHeap<Candidate>>>,
+    /// Entries popped, stale ones included (`stream.store.heap_pops`).
+    pops: u64,
+}
+
+/// One [`RebalanceCandidates`] heap entry: vertex `v` with relief key `key`.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    key: f64,
+    v: VertexId,
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Candidate {}
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key
+            .total_cmp(&other.key)
+            .then_with(|| self.v.cmp(&other.v))
+    }
+}
+
+impl RebalanceCandidates {
+    pub(crate) fn new(k: usize, dims: usize) -> Self {
+        Self {
+            dims,
+            heaps: vec![None; k * dims],
+            pops: 0,
+        }
+    }
+
+    /// The up-to-`limit` members of part `p` with the largest relief key
+    /// in dimension `j` at the current totals, largest first, ties to the
+    /// larger id. Fewer when the part is smaller.
+    pub(crate) fn top(
+        &mut self,
+        store: &PartitionStore,
+        weights: &VertexWeights,
+        p: u32,
+        j: usize,
+        limit: usize,
+    ) -> Vec<VertexId> {
+        let mut row = vec![0.0; self.dims];
+        let heap = self.heaps[p as usize * self.dims + j].get_or_insert_with(|| {
+            (0..store.num_vertices() as VertexId)
+                .filter(|&v| store.shard_of(v) == p)
+                .map(|v| Candidate {
+                    key: relief_key(store, weights, &mut row, j, v),
+                    v,
+                })
+                .collect()
+        });
+        let mut taken: Vec<Candidate> = Vec::with_capacity(limit);
+        while taken.len() < limit {
+            let Some(c) = heap.pop() else {
+                break;
+            };
+            self.pops += 1;
+            // A vertex that left `p` and came back has a second entry.
+            if store.shard_of(c.v) == p && taken.iter().all(|t| t.v != c.v) {
+                taken.push(c);
+            }
+        }
+        heap.extend(&taken);
+        taken.iter().map(|c| c.v).collect()
+    }
+
+    /// Pushes `v`, just moved into part `dst`, into every heap of `dst`
+    /// built so far (a heap built later finds it in its scan).
+    pub(crate) fn moved(
+        &mut self,
+        store: &PartitionStore,
+        weights: &VertexWeights,
+        v: VertexId,
+        dst: u32,
+    ) {
+        let mut row = vec![0.0; self.dims];
+        for j in 0..self.dims {
+            if let Some(heap) = &mut self.heaps[dst as usize * self.dims + j] {
+                heap.push(Candidate {
+                    key: relief_key(store, weights, &mut row, j, v),
+                    v,
+                });
+            }
+        }
+    }
+}
+
+/// [`PartitionStore::relief_key`] of `v` in dimension `j`, with `row` as
+/// scratch for `v`'s weight row.
+fn relief_key(
+    store: &PartitionStore,
+    weights: &VertexWeights,
+    row: &mut [f64],
+    j: usize,
+    v: VertexId,
+) -> f64 {
+    for (i, w) in row.iter_mut().enumerate() {
+        *w = weights.weight(i, v);
+    }
+    store.relief_key(j, row)
 }
 
 /// Builds pair `r` of `round` as its reduced GD problem, from the pass's
@@ -2825,9 +2970,9 @@ mod tests {
         );
     }
 
-    /// What the next refinement pass and the next reports read, besides
-    /// the heaps: assignment, loads (bitwise), locality counters, dirty
-    /// set, seed and schedule.
+    /// What the next refinement pass and the next reports read:
+    /// assignment, loads (bitwise), locality counters, dirty set, seed and
+    /// schedule.
     type RefineState = (
         Vec<u32>,
         Vec<u64>,
@@ -2855,7 +3000,7 @@ mod tests {
 
     /// A follower-side engine that applies each batch's logged pass ends
     /// every batch in the state the engine that ran the pass did, without
-    /// popping a heap or solving a pair.
+    /// ranking a rebalance candidate or solving a pair.
     #[test]
     fn an_applied_pass_leaves_the_state_the_run_pass_left() {
         let (g, w) = community(600, 23);

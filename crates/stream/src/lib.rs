@@ -26,8 +26,9 @@
 //!   [`pipeline`]);
 //! * [`PartitionStore`] — the engine's write side: per-part
 //!   multi-dimensional loads, live imbalance / locality telemetry, and the
-//!   per-`(part, dimension)` **rebalance heaps** that give the greedy
-//!   rebalance its O(log n)-per-move candidate queue ([`store`]);
+//!   **relief key** the greedy rebalance ranks its candidates by, in heaps
+//!   that live for one rebalance call, so the store keeps no rebalance
+//!   state ([`store`]);
 //! * [`ReadView`] / [`ReadHandle`] — the serving layer: an immutable,
 //!   epoch-stamped view of the assignment published atomically at every
 //!   batch boundary, pinned by reader threads with one atomic probe and
@@ -131,15 +132,15 @@
 //! | piece | serialized verbatim | rebuilt on load |
 //! |---|---|---|
 //! | [`DynamicGraph`] | base CSR, delta, edge/vertex tombstones, **free list**, weight rows + live totals | — |
-//! | [`PartitionStore`] | assignments, per-(part, dim) loads, live totals, edge counters | rebalance heaps, stamps, part sizes |
+//! | [`PartitionStore`] | assignments, per-(part, dim) loads, live totals, edge counters | part sizes |
 //! | engine | [`StreamConfig`], dirty set, `batch_seq`, refinement seed/schedule | — |
 //!
 //! Floats are serialized bit-exactly (the live accounting is maintained
-//! incrementally; re-deriving it would diverge from the saver), and
-//! `save_snapshot` canonicalizes the live heaps so saver and restorer
-//! share one candidate-queue state. The header records an **id epoch** —
-//! the number of purging compactions the id space has gone through — so a
-//! restorer holding old ids can refuse a snapshot from a different epoch
+//! incrementally; re-deriving it would diverge from the saver), and saving
+//! changes no engine state, so saver and restorer continue alike. The
+//! header records an **id epoch** — the number of purging compactions the
+//! id space has gone through — so a restorer holding old ids can refuse a
+//! snapshot from a different epoch
 //! ([`StreamingPartitioner::restore_expecting`], [`SnapshotExpectation`]);
 //! truncated, corrupted, version-skewed or shape-mismatched snapshots each
 //! fail with a named [`SnapshotError`] variant and construct nothing.
@@ -197,8 +198,9 @@
 //!    slices.
 //!
 //! Split and commit are serial at every thread count: each update
-//! splices a few sorted adjacency lists or pushes `d` heap entries, and
-//! staging those edits for a parallel flush cost more than it saved.
+//! splices a few sorted adjacency lists or adds a weight row to `d`
+//! loads, and staging those edits for a parallel flush cost more than it
+//! saved.
 //!
 //! The serving path is structurally outside the pool: reader threads hold
 //! [`ReadHandle`]s onto immutable published [`ReadView`]s and answer

@@ -34,7 +34,7 @@
 //! [`BatchReport::refine_pass`]). A follower recomputes validation,
 //! split, placement, repair, commit and compaction, and *applies* the
 //! logged moves through the same accounting ([`StreamingPartitioner::ingest`]).
-//! It never pops a rebalance heap, never runs GD and holds no GD
+//! It never ranks rebalance candidates, never runs GD and holds no GD
 //! workspace, so replay costs the batch's cheap stages plus O(moves).
 //! Refinement stays deterministic on the leader, where threads 1 ≡
 //! threads N and save → restore byte-identity remain contracts. The
@@ -60,14 +60,15 @@
 //! [`crate::wire::LogHeader::check_adoption`], and pass every record of
 //! [`Leader::log_bytes`] to [`Leader::ingest`]. Each record's batch
 //! carries its refinement decision, so re-ingesting applies the logged
-//! moves: no GD runs and no rebalance heap is popped. The recovered leader
-//! appends byte-identical records, and from the end of the log on it
-//! refines on its own into the same reports as the original. That holds
-//! because both started from the heaps the segment's snapshot
-//! canonicalized, and a heap's live entries are keyed when they are
-//! pushed, which both leaders do alike; pops only discard stale entries.
-//! `mdbgp_cli stream --load-snapshot` resumes this way, and its later
-//! saves again start from the same snapshot.
+//! moves: no GD runs and no rebalance candidate is ranked. The recovered
+//! leader appends byte-identical records, and from the end of the log on
+//! it refines on its own into the same reports as the original, because
+//! every refinement decision is a function of engine state alone (the
+//! rebalance ranks its candidates from the store as it stands). For the
+//! same reason a caught-up follower promoted with
+//! `Leader::new(follower.into_engine())` continues its leader exactly.
+//! `mdbgp_cli stream --load-snapshot` resumes by re-ingesting, and its
+//! later saves again start from the same snapshot.
 //!
 //! **All mutation must flow through the leader.** An out-of-band
 //! [`StreamingPartitioner::purge`] or
@@ -470,18 +471,13 @@ impl Follower {
     }
 
     /// Unwraps the engine, e.g. to promote the follower with
-    /// `Leader::new(follower.into_engine())`. The promoted leader is not a
-    /// transparent continuation of the old one: `Leader::new` snapshots
-    /// the engine, and the snapshot re-keys the rebalance heaps at the
-    /// current load totals, where the old leader's entries keep the keys
-    /// they were pushed with. Their later refinement decisions agree only
-    /// if the old leader also snapshotted (rotated) at that batch. On a
-    /// community graph (n = 3000, k = 4, a pass every batch; 15 batches of
-    /// 30 arrivals and about 40 weight spikes on part 0, a promotion, 10
-    /// more batches) the promoted leader's reports diverged from the old
-    /// leader's in 20 of 20 seeds (9 of 20 with about 10 spikes a batch),
-    /// and in 0 of 20 when the old leader rotated first. To recover a
-    /// leader exactly, re-ingest its log instead (see the module docs).
+    /// `Leader::new(follower.into_engine())`. A follower that applied
+    /// every record of its leader's log holds the leader's state, and
+    /// refinement decisions depend on that state alone, so the promoted
+    /// leader continues the old one exactly: it ingests the same batches
+    /// into the same reports, with no rotation needed on the old leader
+    /// (`tests/decisions_from_state.rs`,
+    /// `a_promoted_follower_decides_as_its_leader`).
     pub fn into_engine(self) -> StreamingPartitioner {
         self.engine
     }

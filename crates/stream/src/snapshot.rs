@@ -75,14 +75,10 @@
 //!   seed/schedule state.
 //! * **Not serialized** — the metrics registry, the engine's one counter
 //!   store: a restored engine's counters start from zero.
-//! * **Rebuilt on load** — the per-`(part, dimension)` rebalance heaps and
-//!   their invalidation stamps. Heap entries carry push-*time* keys, so a
-//!   long-lived engine holds mixed-vintage entries; to keep saver and
-//!   restorer bitwise in lockstep, `save_snapshot` **canonicalizes** the
-//!   live engine's heaps (re-keys every entry at the current totals,
-//!   resets the stamps) before writing — both sides then continue from the
-//!   same candidate queues. Derived store state (`part_sizes`, stamps) is
-//!   likewise recomputed.
+//! * **Rebuilt on load** — the store's per-part vertex counts, recounted
+//!   from the assignment. Nothing else is derived: the engine keeps no
+//!   rebalance candidate state between batches, so saving changes nothing
+//!   and saver and restorer continue into the same reports.
 //!
 //! ## Id epochs
 //!

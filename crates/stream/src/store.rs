@@ -29,31 +29,15 @@
 //! aligned with graph ids). The snapshot is plain owned data, which also
 //! makes it the natural serialization unit for a future snapshot/restore.
 //!
-//! ## Rebalance heaps
+//! ## Rebalance candidates
 //!
-//! The store additionally maintains one lazy max-heap per `(part,
-//! dimension)` pair, keyed by the **composite relief score** of the vertex
-//! ([`PartitionStore::relief_key`]): its normalized weight in that
-//! dimension minus the mean normalized weight across the other dimensions.
-//! A move out of the part relieves the binding dimension most — and
-//! disturbs the others least — when that score is large, so the top of
-//! heap `(p, j)` is the best candidate queue for a rebalance step whose
-//! binding dimension is `j` (a plain per-dimension weight key ranks heavy
-//! all-around vertices first, which overshoot in the off-dimensions and
-//! force full-membership rescans). Normalization uses the live totals at
-//! push time; totals drift slowly between pushes, and candidate order is a
-//! heuristic — the rebalance evaluates every candidate against the exact
-//! potential before moving. The greedy rebalance pass pops the top few
-//! candidates of the overloaded part's binding dimension instead of
-//! rescanning every member, making candidate generation O(log n) per move
-//! at serving scale. Entries are invalidated by a per-`(vertex, dimension)`
-//! stamp — every move or weight drift bumps the stamp and pushes a fresh
-//! entry, and stale entries are discarded when popped (with an occasional
-//! compaction when a heap outgrows its live membership 4×, and an
-//! immediate one when releases drain a part to zero live members — a
-//! drained part sees no further pushes, so the ratio trigger alone would
-//! leak its stale entries until process end), so maintenance stays
-//! amortized O(d·log n) per mutation.
+//! The store keeps no rebalance state. [`PartitionStore::relief_key`]
+//! scores a vertex for a rebalance step whose binding dimension is `j`,
+//! at the live totals, and the greedy rebalance
+//! ([`crate::StreamingPartitioner`]) ranks a part's members by that score
+//! in heaps it builds and drops within one call. Candidate order is
+//! therefore a function of the store as it stands: a snapshot, a restore
+//! or a follower's promotion cannot change a later rebalance decision.
 //!
 //! ## Read path: epoch-stamped published views
 //!
@@ -72,45 +56,12 @@
 //! `docs/ARCHITECTURE.md` for the full lifecycle.
 
 use crate::TOMBSTONE;
-use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut, prefix_boundaries};
+use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut};
 use mdbgp_graph::{Partition, VertexId, VertexWeights};
 use mdbgp_obs::{Histogram, SharedHistogram};
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// One candidate in a per-`(part, dimension)` rebalance heap: vertex `v`
-/// had weight `key` in that dimension at stamp `stamp`. Stale entries
-/// (stamp mismatch, or `v` no longer in the part) are skipped on pop.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    key: f64,
-    stamp: u64,
-    v: VertexId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Weights are validated positive finite upstream; total_cmp keeps
-        // the order total regardless. Ties break on vertex id for
-        // determinism.
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| self.v.cmp(&other.v))
-    }
-}
 
 /// A frozen copy of the per-`(part, dimension)` loads and the live
 /// per-dimension totals — what the speculative placement stage scores
@@ -458,13 +409,8 @@ pub struct PartitionStore {
     /// `totals[j]` = live total weight in dimension `j` (assigned vertices
     /// only — released weight leaves immediately).
     totals: Vec<f64>,
-    /// Vertices currently assigned to each part (drives heap compaction).
+    /// Vertices currently assigned to each part.
     part_sizes: Vec<usize>,
-    /// `stamps[v * dims + j]`: version of the live heap entry of `(v, j)`.
-    stamps: Vec<u64>,
-    /// `heaps[p * dims + j]`: max-heap of part `p`'s members keyed by
-    /// weight in dimension `j` (plus stale entries awaiting lazy removal).
-    heaps: Vec<BinaryHeap<HeapEntry>>,
     intra_edges: usize,
     cut_edges: usize,
     /// Publication slot + serving counters, shared with every
@@ -476,12 +422,9 @@ pub struct PartitionStore {
     /// Times [`Self::load_snapshot`] had to rebuild the allocation (the
     /// reuse-on-publish regression hook). Not part of snapshots.
     snapshot_rebuilds: u64,
-    /// Entries popped off the rebalance heaps by [`Self::top_movable`]
-    /// (stale pops included). Not part of snapshots.
-    heap_pops: u64,
-    /// Worker count for the parallel remap scatter and heap rebuild. Not
-    /// part of snapshots; never influences results — parallel passes here
-    /// are pure data movement into disjoint ranges.
+    /// Worker count for the parallel remap scatter. Not part of
+    /// snapshots; never influences results — the parallel pass here is
+    /// pure data movement into disjoint ranges.
     threads: usize,
 }
 
@@ -510,14 +453,11 @@ impl Clone for PartitionStore {
             loads: self.loads.clone(),
             totals: self.totals.clone(),
             part_sizes: self.part_sizes.clone(),
-            stamps: self.stamps.clone(),
-            heaps: self.heaps.clone(),
             intra_edges: self.intra_edges,
             cut_edges: self.cut_edges,
             views,
             snapshot_cache: self.snapshot_cache.clone(),
             snapshot_rebuilds: self.snapshot_rebuilds,
-            heap_pops: self.heap_pops,
             threads: self.threads,
         }
     }
@@ -530,17 +470,13 @@ impl PartitionStore {
         assert_eq!(partition.num_vertices(), weights.num_vertices());
         let k = partition.num_parts();
         let dims = weights.dims();
-        let n = partition.num_vertices();
         let mut store = Self {
             parts: partition.as_slice().to_vec(),
             k,
             dims,
             loads: vec![0.0f64; k * dims],
-            // Totals first: the composite heap keys normalize by them.
             totals: (0..dims).map(|j| weights.total(j)).collect(),
             part_sizes: vec![0usize; k],
-            stamps: vec![0; n * dims],
-            heaps: vec![BinaryHeap::new(); k * dims],
             intra_edges: 0,
             cut_edges: 0,
             views: ViewShared::new(Arc::new(ReadView {
@@ -559,24 +495,12 @@ impl PartitionStore {
             })),
             snapshot_cache: None,
             snapshot_rebuilds: 0,
-            heap_pops: 0,
             threads: 1,
         };
-        let mut row = vec![0.0f64; dims];
-        for v in 0..n {
-            let p = partition.part_of(v as VertexId) as usize;
-            store.part_sizes[p] += 1;
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = weights.weight(j, v as VertexId);
-                store.loads[p * dims + j] += *slot;
-            }
+        for (v, &p) in partition.as_slice().iter().enumerate() {
+            store.part_sizes[p as usize] += 1;
             for j in 0..dims {
-                let key = store.relief_key(j, &row);
-                store.heaps[p * dims + j].push(HeapEntry {
-                    key,
-                    stamp: 0,
-                    v: v as VertexId,
-                });
+                store.loads[p as usize * dims + j] += weights.weight(j, v as VertexId);
             }
         }
         // Seed the publication slot with the bootstrap state so handles
@@ -586,15 +510,17 @@ impl PartitionStore {
         store
     }
 
-    /// The composite relief score the rebalance heaps are keyed by: the
-    /// vertex's weight in dimension `j` normalized by the live total of
-    /// `j`, minus the mean normalized weight across the other dimensions.
-    /// Moving a high-key vertex out of a part sheds a lot of the binding
-    /// dimension `j` while disturbing the off-dimensions little — exactly
-    /// the candidates a multi-constraint rebalance step wants first. With
-    /// one dimension there is nothing to trade off and the key is the
-    /// plain weight. Uses the *current* totals (push-time totals for heap
-    /// entries); a drained dimension contributes 0.
+    /// The composite relief score the greedy rebalance ranks candidates
+    /// by: the vertex's weight in dimension `j` normalized by the live
+    /// total of `j`, minus the mean normalized weight across the other
+    /// dimensions. Moving a high-key vertex out of a part sheds a lot of
+    /// the binding dimension `j` while disturbing the off-dimensions
+    /// little — exactly the candidates a multi-constraint rebalance step
+    /// wants first (a plain per-dimension weight key ranks heavy
+    /// all-around vertices first, which overshoot in the off-dimensions).
+    /// With one dimension there is nothing to trade off and the key is
+    /// the plain weight. Uses the current totals; a drained dimension
+    /// contributes 0.
     pub fn relief_key(&self, j: usize, row: &[f64]) -> f64 {
         if self.dims == 1 {
             return row[0];
@@ -611,9 +537,9 @@ impl PartitionStore {
         norm(j) - off / (self.dims - 1) as f64
     }
 
-    /// Sets the worker count for the parallel remap scatter and heap
-    /// rebuild. Results are identical for every count — only wall-clock
-    /// changes. Commits, moves and releases are always serial.
+    /// Sets the worker count for the parallel remap scatter. Results are
+    /// identical for every count — only wall-clock changes. Commits, moves
+    /// and releases are always serial.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -679,12 +605,6 @@ impl PartitionStore {
     /// histogram (microseconds), for mirroring into a metrics registry.
     pub fn lookup_latency(&self) -> Histogram {
         self.views.lookup_us.snapshot()
-    }
-
-    /// Heap entries popped by [`Self::top_movable`] since construction.
-    #[inline]
-    pub fn heap_pop_count(&self) -> u64 {
-        self.heap_pops
     }
 
     /// Raw assignment slice ([`TOMBSTONE`] entries are released vertices).
@@ -819,24 +739,16 @@ impl PartitionStore {
         }
     }
 
-    /// Appends a newly placed vertex. Its heap entries take the same
-    /// stale-backlog check as every other push, so arrivals into a part
-    /// that releases have thinned out keep its heaps bounded.
+    /// Appends a newly placed vertex.
     pub fn push_assignment(&mut self, part: u32, weight_row: &[f64]) {
         debug_assert!((part as usize) < self.k);
         debug_assert_eq!(weight_row.len(), self.dims);
         self.invalidate_snapshot();
-        let v = self.parts.len() as VertexId;
         self.parts.push(part);
         self.part_sizes[part as usize] += 1;
         for (j, &w) in weight_row.iter().enumerate() {
             self.loads[part as usize * self.dims + j] += w;
             self.totals[j] += w;
-            self.stamps.push(0);
-        }
-        for j in 0..self.dims {
-            let key = self.relief_key(j, weight_row);
-            self.push_entry(part, j, HeapEntry { key, stamp: 0, v });
         }
     }
 
@@ -848,9 +760,6 @@ impl PartitionStore {
     /// vertex.
     pub fn push_tombstone(&mut self) {
         self.parts.push(TOMBSTONE);
-        for _ in 0..self.dims {
-            self.stamps.push(0);
-        }
     }
 
     /// Re-activates the slot of a recycled vertex id: the commit stage's
@@ -874,20 +783,11 @@ impl PartitionStore {
             self.loads[part as usize * self.dims + j] += w;
             self.totals[j] += w;
         }
-        for j in 0..self.dims {
-            let stamp = self.bump_stamp(v, j);
-            let entry = HeapEntry {
-                key: self.relief_key(j, weight_row),
-                stamp,
-                v,
-            };
-            self.push_entry(part, j, entry);
-        }
     }
 
     /// Releases a removed vertex: its weight leaves the part loads and the
-    /// live totals, its heap entries are invalidated, and its slot maps to
-    /// [`TOMBSTONE`] until a purge-time [`Self::apply_remap`] drops it.
+    /// live totals, and its slot maps to [`TOMBSTONE`] until a purge-time
+    /// [`Self::apply_remap`] drops it.
     ///
     /// # Panics
     /// Panics (in debug builds) if `v` was already released.
@@ -900,10 +800,8 @@ impl PartitionStore {
         for (j, &w) in weight_row.iter().enumerate() {
             self.loads[p * self.dims + j] -= w;
             self.totals[j] -= w;
-            self.bump_stamp(v, j);
         }
         self.parts[v as usize] = TOMBSTONE;
-        self.compact_if_drained(p as u32);
     }
 
     /// Moves `v` to `part`, shifting its weight row between loads.
@@ -921,130 +819,16 @@ impl PartitionStore {
             self.loads[old * self.dims + j] -= w;
             self.loads[part as usize * self.dims + j] += w;
         }
-        for j in 0..self.dims {
-            let stamp = self.bump_stamp(v, j);
-            let entry = HeapEntry {
-                key: self.relief_key(j, weight_row),
-                stamp,
-                v,
-            };
-            self.push_entry(part, j, entry);
-        }
         self.parts[v as usize] = part;
-        self.compact_if_drained(old as u32);
     }
 
-    /// Accounts a weight drift of `v` in dimension `j`: `new_row` is the
-    /// full weight row *after* the change, `old` the previous value of
-    /// dimension `j`. The whole row is needed because the composite heap
-    /// keys ([`Self::relief_key`]) mix every dimension — a drift in one
-    /// dimension re-ranks the vertex in all of them.
-    pub fn apply_weight_change(&mut self, v: VertexId, j: usize, old: f64, new_row: &[f64]) {
-        debug_assert_eq!(new_row.len(), self.dims);
+    /// Accounts a weight drift of `v` in dimension `j` from `old` to
+    /// `new`.
+    pub fn apply_weight_change(&mut self, v: VertexId, j: usize, old: f64, new: f64) {
         let p = self.parts[v as usize];
         self.invalidate_snapshot();
-        self.loads[p as usize * self.dims + j] += new_row[j] - old;
-        self.totals[j] += new_row[j] - old;
-        for i in 0..self.dims {
-            let stamp = self.bump_stamp(v, i);
-            let entry = HeapEntry {
-                key: self.relief_key(i, new_row),
-                stamp,
-                v,
-            };
-            self.push_entry(p, i, entry);
-        }
-    }
-
-    /// Invalidates the live heap entry of `(v, j)` and returns the new
-    /// stamp for its replacement.
-    fn bump_stamp(&mut self, v: VertexId, j: usize) -> u64 {
-        let slot = &mut self.stamps[v as usize * self.dims + j];
-        *slot += 1;
-        *slot
-    }
-
-    /// Pushes a fresh entry, compacting the heap first when its stale
-    /// backlog has outgrown the live membership 4×. The check must live on
-    /// the *push* side: queries only ever touch the currently-binding
-    /// `(part, dim)` slots, so a long stream whose drift never crosses the
-    /// trigger would otherwise leak stale entries in every other heap
-    /// linearly with the update count. Compaction removes ≥ 3/4 of the
-    /// entries it scans, each of which paid O(1) at its own push —
-    /// amortized constant.
-    fn push_entry(&mut self, p: u32, j: usize, entry: HeapEntry) {
-        let slot = p as usize * self.dims + j;
-        if self.heaps[slot].len() >= 4 * self.part_sizes[p as usize] + 64 {
-            self.compact_heap(p, j);
-        }
-        self.heaps[slot].push(entry);
-    }
-
-    /// Drops every heap of a part that just lost its last live member. A
-    /// drained part receives neither pushes nor queries, so the ratio
-    /// triggers in [`Self::push_entry`] / [`Self::top_movable`] never run
-    /// for it and its stale backlog would leak until process end.
-    fn compact_if_drained(&mut self, p: u32) {
-        if self.part_sizes[p as usize] == 0 {
-            for j in 0..self.dims {
-                if !self.heaps[p as usize * self.dims + j].is_empty() {
-                    self.compact_heap(p, j);
-                }
-            }
-        }
-    }
-
-    /// The up-to-`limit` heaviest vertices of part `p` in dimension `j` —
-    /// the rebalance candidate queue, heaviest first. Pops lazily: stale
-    /// entries are discarded, live ones are pushed back, so the amortized
-    /// cost is O(limit · log n) plus the stale backlog (bounded by the 4×
-    /// compaction rule). Returns fewer than `limit` when the part is small.
-    pub fn top_movable(&mut self, p: u32, j: usize, limit: usize) -> Vec<VertexId> {
-        let slot = p as usize * self.dims + j;
-        let live_members = self.part_sizes[p as usize];
-        if self.heaps[slot].len() > 4 * live_members + 64
-            || (live_members == 0 && !self.heaps[slot].is_empty())
-        {
-            self.compact_heap(p, j);
-        }
-        let mut live = Vec::with_capacity(limit.min(self.part_sizes[p as usize]));
-        let mut out = Vec::with_capacity(limit);
-        while out.len() < limit {
-            let Some(entry) = self.heaps[slot].pop() else {
-                break;
-            };
-            self.heap_pops += 1;
-            if self.parts[entry.v as usize] == p
-                && self.stamps[entry.v as usize * self.dims + j] == entry.stamp
-            {
-                out.push(entry.v);
-                live.push(entry);
-            }
-        }
-        for entry in live {
-            self.heaps[slot].push(entry);
-        }
-        out
-    }
-
-    /// Raw entry count of heap `(p, j)`, stale entries included (tests the
-    /// push-side compaction bound).
-    #[cfg(test)]
-    fn heap_len(&self, p: u32, j: usize) -> usize {
-        self.heaps[p as usize * self.dims + j].len()
-    }
-
-    /// Drops every stale entry of heap `(p, j)` in one O(len) pass.
-    fn compact_heap(&mut self, p: u32, j: usize) {
-        let slot = p as usize * self.dims + j;
-        let heap = std::mem::take(&mut self.heaps[slot]);
-        self.heaps[slot] = heap
-            .into_iter()
-            .filter(|e| {
-                self.parts[e.v as usize] == p
-                    && self.stamps[e.v as usize * self.dims + j] == e.stamp
-            })
-            .collect();
+        self.loads[p as usize * self.dims + j] += new - old;
+        self.totals[j] += new - old;
     }
 
     /// Accounts a new edge for the locality counters. Callers must report
@@ -1176,7 +960,7 @@ impl PartitionStore {
     /// Applies a purge-time id remap (`old_to_new[old]` = new id, or
     /// [`TOMBSTONE`] for a dropped vertex — the map returned by
     /// [`crate::DynamicGraph::compact`]): compresses the assignment vector
-    /// and rebuilds loads, totals and heaps from the post-purge `weights`.
+    /// and rebuilds loads and totals from the post-purge `weights`.
     /// Every released slot must be dropped by the map and vice versa; the
     /// edge counters are unaffected (they count edges, not ids).
     pub fn apply_remap(&mut self, old_to_new: &[u32], weights: &VertexWeights) {
@@ -1216,19 +1000,15 @@ impl PartitionStore {
         self.rebuild_loads(weights);
     }
 
-    /// Recomputes loads, totals — and the rebalance heaps — from scratch
-    /// (float-drift hygiene after long runs; also the second phase of
-    /// [`Self::apply_remap`]). Released-but-unpurged slots contribute
-    /// nothing.
+    /// Recomputes loads and totals from scratch (float-drift hygiene
+    /// after long runs; also the second phase of [`Self::apply_remap`]).
+    /// Released-but-unpurged slots contribute nothing.
     pub fn rebuild_loads(&mut self, weights: &VertexWeights) {
         assert_eq!(weights.num_vertices(), self.parts.len());
         self.invalidate_snapshot();
         self.loads.iter_mut().for_each(|l| *l = 0.0);
         self.totals.iter_mut().for_each(|t| *t = 0.0);
         self.part_sizes.iter_mut().for_each(|s| *s = 0);
-        // The composite heap keys normalize by the live totals, so every
-        // total must be final before `rebuild_heaps` pushes the first
-        // entry.
         for (v, &p) in self.parts.iter().enumerate() {
             if p == TOMBSTONE {
                 continue;
@@ -1240,69 +1020,13 @@ impl PartitionStore {
                 self.totals[j] += w;
             }
         }
-        self.rebuild_heaps(weights);
-    }
-
-    /// Drops every heap entry and stamp and re-pushes one entry per
-    /// assigned `(vertex, dimension)`, keyed at the **current** totals.
-    /// This canonicalizes the candidate queues: a long-lived store holds
-    /// mixed-vintage push-time keys, and two stores that agree on
-    /// parts/loads/totals but diverge in entry vintage can pop different
-    /// candidate orders. [`crate::StreamingPartitioner::save_snapshot`]
-    /// calls this on the *live* store before serializing so that saver and
-    /// restorer (whose heaps are rebuilt the same way) continue from
-    /// identical state. O(n·d·log n).
-    pub(crate) fn rebuild_heaps(&mut self, weights: &VertexWeights) {
-        debug_assert_eq!(weights.num_vertices(), self.parts.len());
-        self.stamps.iter_mut().for_each(|s| *s = 0);
-        self.stamps.resize(self.parts.len() * self.dims, 0);
-        // Serial bucket pass: one entry list per (part, dimension) slot in
-        // ascending vertex order, keyed against the final totals (the
-        // composite keys read `self.totals`, so key computation cannot
-        // move off this thread anyway).
-        let mut buckets: Vec<Vec<HeapEntry>> = vec![Vec::new(); self.k * self.dims];
-        let mut row = vec![0.0f64; self.dims];
-        for (v, &p) in self.parts.iter().enumerate() {
-            if p == TOMBSTONE {
-                continue;
-            }
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = weights.weight(j, v as VertexId);
-            }
-            for j in 0..self.dims {
-                let key = self.relief_key(j, &row);
-                buckets[p as usize * self.dims + j].push(HeapEntry {
-                    key,
-                    stamp: 0,
-                    v: v as VertexId,
-                });
-            }
-        }
-        // Parallel per-slot heap builds over disjoint slot ranges,
-        // balanced by entry count. Each slot replays its bucket in the
-        // exact order the serial loop would have pushed, so the heap
-        // layout is bitwise identical for every thread count.
-        let mut prefix = Vec::with_capacity(buckets.len() + 1);
-        prefix.push(0usize);
-        for b in &buckets {
-            prefix.push(prefix.last().unwrap() + b.len() + 1);
-        }
-        let bounds = prefix_boundaries(&prefix, self.threads);
-        for_each_chunk_mut(&mut self.heaps, &bounds, |range, chunk| {
-            for (heap, bucket) in chunk.iter_mut().zip(&buckets[range]) {
-                heap.clear();
-                for &e in bucket {
-                    heap.push(e);
-                }
-            }
-        });
     }
 
     /// Serializes the accounting state — assignments, loads, live totals
     /// and edge counters, all **verbatim floats** (they are maintained
     /// incrementally; re-deriving them from the weights would diverge
-    /// bitwise from the live store). Heaps, stamps and `part_sizes` are
-    /// derived state and are rebuilt by [`Self::decode_snapshot`].
+    /// bitwise from the live store). `part_sizes` is derived state and is
+    /// recounted by [`Self::decode_snapshot`].
     pub(crate) fn encode_snapshot(&self, w: &mut crate::snapshot::PayloadWriter) {
         w.put_usize(self.k);
         w.put_usize(self.dims);
@@ -1315,10 +1039,9 @@ impl PartitionStore {
 
     /// Rebuilds a store from [`Self::encode_snapshot`] bytes: serialized
     /// accounting verbatim, then `part_sizes` recounted from the
-    /// assignments and the rebalance heaps/stamps rebuilt from `weights`
-    /// at the restored totals (see [`Self::rebuild_heaps`]). The store's
-    /// shape must be the config's `k` and the weights' dimension count;
-    /// both are checked before anything is sized by them.
+    /// assignments. The store's shape must be the config's `k` and the
+    /// weights' dimension count, and it must cover the weights' vertices;
+    /// all are checked before anything is sized by them.
     pub(crate) fn decode_snapshot(
         r: &mut crate::snapshot::PayloadReader,
         k_config: usize,
@@ -1343,7 +1066,7 @@ impl PartitionStore {
             )));
         }
         // One load per (part, dimension) in the payload bounds `k` before
-        // it sizes the part counts and the heaps.
+        // it sizes the part counts.
         let loads = r.get_vec_f64("store.loads")?;
         if Some(loads.len()) != k.checked_mul(dims) || loads.iter().any(|l| !l.is_finite()) {
             return Err(corrupt("per-part loads are malformed".into()));
@@ -1362,7 +1085,6 @@ impl PartitionStore {
         if totals.len() != dims || totals.iter().any(|t| !t.is_finite()) {
             return Err(corrupt("live totals are malformed".into()));
         }
-        let n = parts.len();
         let mut store = Self {
             parts,
             k,
@@ -1370,8 +1092,6 @@ impl PartitionStore {
             loads,
             totals,
             part_sizes,
-            stamps: vec![0; n * dims],
-            heaps: vec![BinaryHeap::new(); k * dims],
             intra_edges: r.get_usize("store.intra_edges")?,
             cut_edges: r.get_usize("store.cut_edges")?,
             views: ViewShared::new(Arc::new(ReadView {
@@ -1390,10 +1110,8 @@ impl PartitionStore {
             })),
             snapshot_cache: None,
             snapshot_rebuilds: 0,
-            heap_pops: 0,
             threads: 1,
         };
-        store.rebuild_heaps(weights);
         // The restoring engine publishes view #0 (at the restored id
         // epoch and batch_seq) once it is assembled; until then handles
         // see this seed. Not counted as a swap — mirrors `Self::new`.
@@ -1405,6 +1123,7 @@ impl PartitionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RebalanceCandidates;
     use mdbgp_graph::builder::graph_from_edges;
 
     fn store() -> (PartitionStore, VertexWeights) {
@@ -1456,7 +1175,7 @@ mod tests {
         assert_eq!(s.total(0), 3.0, "released weight leaves the live total");
         assert_eq!(s.total(1), 6.0 - row[1]);
         // The released vertex never surfaces as a rebalance candidate.
-        assert!(!s.top_movable(0, 0, 10).contains(&1));
+        assert_eq!(top(&s, &w, 0, 0, 10), vec![0]);
     }
 
     #[test]
@@ -1512,8 +1231,7 @@ mod tests {
         let (mut s, mut w) = store();
         let old = w.weight(1, 0);
         w.set_weight(1, 0, old + 4.0);
-        let row: Vec<f64> = (0..w.dims()).map(|j| w.weight(j, 0)).collect();
-        s.apply_weight_change(0, 1, old, &row);
+        s.apply_weight_change(0, 1, old, old + 4.0);
         assert_eq!(s.load(0, 1), 3.0 + 4.0);
         assert_eq!(s.total(1), 6.0 + 4.0);
     }
@@ -1535,7 +1253,7 @@ mod tests {
 
     #[test]
     fn tombstone_and_slot_reassignment_keep_alignment() {
-        let (mut s, w) = store();
+        let (mut s, mut w) = store();
         // An arrival removed inside its own batch: the slot exists, reads
         // TOMBSTONE, and counts nowhere.
         s.push_tombstone();
@@ -1548,6 +1266,7 @@ mod tests {
         let row: Vec<f64> = (0..w.dims()).map(|j| w.weight(j, 1)).collect();
         s.release_vertex(1, &row);
         assert_eq!(s.shard_of(1), TOMBSTONE);
+        w.set_weight(1, 1, 5.0);
         s.assign_slot(1, 1, &[1.0, 5.0]);
         assert_eq!(s.shard_of(1), 1);
         assert_eq!(s.part_size(1), 3);
@@ -1555,7 +1274,7 @@ mod tests {
         assert_eq!(s.total(0), 4.0);
         // The recycled vertex surfaces as a rebalance candidate again (its
         // degree-dimension weight 5 tops part 1).
-        assert_eq!(s.top_movable(1, 1, 1), vec![1]);
+        assert_eq!(top(&s, &w, 1, 1, 1), vec![1]);
     }
 
     #[test]
@@ -1589,133 +1308,68 @@ mod tests {
         assert_eq!(s.total(0), 3.0);
         let p = s.to_partition();
         assert_eq!(p.num_vertices(), 3);
-        // Heaps follow: part 1's heaviest in the degree dimension is old
-        // vertex 2 (degree 2) at its new id 1.
-        assert_eq!(s.top_movable(1, 1, 1), vec![1]);
+        // Candidates follow: part 1's heaviest in the degree dimension is
+        // old vertex 2 (degree 2) at its new id 1.
+        assert_eq!(top(&s, &live_w, 1, 1, 1), vec![1]);
+    }
+
+    /// A fresh rebalance call's top `limit` candidates of part `p` in
+    /// dimension `j`.
+    fn top(s: &PartitionStore, w: &VertexWeights, p: u32, j: usize, limit: usize) -> Vec<u32> {
+        RebalanceCandidates::new(s.num_parts(), w.dims()).top(s, w, p, j, limit)
     }
 
     #[test]
-    fn heaps_stay_bounded_without_queries() {
-        // A serving-scale stream may drift for hours without the rebalance
-        // ever querying most (part, dim) slots; the push-side compaction
-        // must keep every heap O(part size) regardless.
-        let w = VertexWeights::unit(16);
-        let p = Partition::new((0..16).map(|v| (v % 2) as u32).collect(), 2);
-        let mut s = PartitionStore::new(&p, &w);
-        let mut w = w;
-        for round in 0..5_000 {
-            let v = (round % 16) as u32;
-            let old = w.weight(0, v);
-            let new = 1.0 + (round % 9) as f64;
-            w.set_weight(0, v, new);
-            s.apply_weight_change(v, 0, old, &[new]);
-        }
-        for part in 0..2u32 {
-            assert!(
-                s.heap_len(part, 0) < 4 * s.part_size(part) + 64 + 1,
-                "heap leaked: {} entries for {} members",
-                s.heap_len(part, 0),
-                s.part_size(part)
-            );
-        }
-        // And the live view is still correct.
-        let top = s.top_movable(0, 0, 1);
-        let brute = brute_force_top(&s, &w, 0, 0);
-        assert_eq!(w.weight(0, top[0]), w.weight(0, brute[0]));
-
-        // Draining a part to zero live members must compact its heaps
-        // immediately: a drained part sees no pushes and no queries, so
-        // the ratio trigger alone would leak its stale entries forever.
-        for v in (0..16u32).filter(|v| v % 2 == 1) {
-            let row = [w.weight(0, v)];
-            s.release_vertex(v, &row);
-        }
-        assert_eq!(s.part_size(1), 0);
-        assert_eq!(
-            s.heap_len(1, 0),
-            0,
-            "drained part kept {} stale heap entries",
-            s.heap_len(1, 0)
-        );
-        assert!(s.top_movable(1, 0, 5).is_empty());
-    }
-
-    #[test]
-    fn fresh_arrivals_keep_the_heap_bound() {
-        // Releases never compact a part that keeps a live member, so its
-        // heaps carry the released entries as stale backlog; the pushes of
-        // fresh arrivals into that part must apply the same 4x bound as
-        // every other push.
-        let n = 200;
-        let w = VertexWeights::from_vectors(vec![vec![1.0; n], vec![2.0; n]]);
-        let mut s = PartitionStore::new(&Partition::new(vec![0; n], 2), &w);
-        for v in 1..n as VertexId {
-            s.release_vertex(v, &[1.0, 2.0]);
-        }
-        assert_eq!(s.part_size(0), 1);
-        for _ in 0..8 {
-            s.push_assignment(0, &[1.0, 2.0]);
-            for j in 0..2 {
-                assert!(
-                    s.heap_len(0, j) <= 4 * s.part_size(0) + 64,
-                    "heap (0, {j}) holds {} entries for {} members",
-                    s.heap_len(0, j),
-                    s.part_size(0)
-                );
-            }
-        }
-        assert_eq!(s.top_movable(0, 0, 16).len(), 9, "every live member ranks");
-    }
-
-    #[test]
-    fn draining_via_moves_also_compacts() {
-        let w = VertexWeights::unit(4);
-        let p = Partition::new(vec![0, 0, 1, 1], 2);
-        let mut s = PartitionStore::new(&p, &w);
-        s.move_vertex(2, 0, &[1.0]);
-        s.move_vertex(3, 0, &[1.0]);
-        assert_eq!(s.part_size(1), 0);
-        assert_eq!(s.heap_len(1, 0), 0, "move-drained part must compact");
-    }
-
-    #[test]
-    fn top_movable_returns_heaviest_first() {
+    fn rebalance_candidates_pop_highest_relief_first() {
+        // Relief in dimension 0 is w0 / 10 − w1 / 36, so part 0 ranks
+        // 1, 2, 0.
         let w = VertexWeights::from_vectors(vec![vec![1.0, 4.0, 2.0, 3.0], vec![9.0; 4]]);
         let p = Partition::new(vec![0, 0, 0, 1], 2);
         let mut s = PartitionStore::new(&p, &w);
-        assert_eq!(s.top_movable(0, 0, 2), vec![1, 2]);
+        let mut queues = RebalanceCandidates::new(2, 2);
+        assert_eq!(queues.top(&s, &w, 0, 0, 2), vec![1, 2]);
         assert_eq!(
-            s.top_movable(0, 0, 10),
+            queues.top(&s, &w, 0, 0, 10),
             vec![1, 2, 0],
             "limit caps at membership"
         );
-        assert_eq!(s.top_movable(1, 0, 10), vec![3]);
-        // Repeat pops see the same live entries (pushed back).
-        assert_eq!(s.top_movable(0, 0, 1), vec![1]);
+        assert_eq!(queues.top(&s, &w, 1, 0, 10), vec![3]);
+        // Repeat pops see the same entries (pushed back).
+        assert_eq!(queues.top(&s, &w, 0, 0, 1), vec![1]);
+        // Within a call, a leaver is dropped and an arrival joins the
+        // built heap; a vertex that leaves and comes back ranks once.
+        s.move_vertex(1, 1, &[4.0, 9.0]);
+        queues.moved(&s, &w, 1, 1);
+        s.move_vertex(3, 0, &[3.0, 9.0]);
+        queues.moved(&s, &w, 3, 0);
+        assert_eq!(queues.top(&s, &w, 0, 0, 10), vec![3, 2, 0]);
+        assert_eq!(queues.top(&s, &w, 1, 0, 10), vec![1]);
+        s.move_vertex(1, 0, &[4.0, 9.0]);
+        queues.moved(&s, &w, 1, 0);
+        assert_eq!(queues.top(&s, &w, 0, 0, 10), vec![1, 3, 2, 0]);
+        assert!(queues.top(&s, &w, 1, 0, 10).is_empty());
     }
 
-    /// Oracle: heaviest-first members of `p` in dimension `j` by rescoring
-    /// every vertex.
+    /// Oracle: the members of `p` by relief key in dimension `j` at the
+    /// current totals, ties to the larger id, by rescoring every vertex.
     fn brute_force_top(s: &PartitionStore, w: &VertexWeights, p: u32, j: usize) -> Vec<u32> {
+        let key = |v: u32| {
+            let row: Vec<f64> = (0..w.dims()).map(|i| w.weight(i, v)).collect();
+            s.relief_key(j, &row)
+        };
         let mut members: Vec<u32> = (0..s.num_vertices() as u32)
             .filter(|&v| s.shard_of(v) == p)
             .collect();
-        members.sort_by(|&a, &b| {
-            w.weight(j, b)
-                .total_cmp(&w.weight(j, a))
-                .then_with(|| b.cmp(&a))
-        });
+        members.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then_with(|| b.cmp(&a)));
         members
     }
 
     #[test]
-    fn rebalance_heap_matches_shadow_keys_after_random_drift() {
-        // Stamp-invalidated heaps must agree with a shadow rescore no
-        // matter how moves / drifts / arrivals / releases interleave. The
-        // composite keys normalize by the live totals *at push time*, so
-        // the oracle records the key alongside every operation (calling
-        // the same `relief_key` right after the store op) instead of
-        // recomputing from current weights.
+    fn rebalance_candidates_match_a_brute_force_ranking_after_churn_and_a_purge() {
+        // Drifts, arrivals and releases move the totals between rebalance
+        // calls; a call's heaps must rank every part as a rescore at the
+        // current totals does, also after moves inside the call and after
+        // a purge renumbers the ids.
         let mut rng_state = 0x9E37u64;
         let mut rng = move || {
             rng_state = rng_state
@@ -1723,119 +1377,81 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (rng_state >> 33) as usize
         };
-        let n0 = 40;
-        let dims = 2;
-        let k = 3;
+        let (n0, dims, k) = (40, 2, 3);
         let mut w = VertexWeights::from_vectors(vec![
             (0..n0).map(|v| 1.0 + (v % 7) as f64).collect(),
             (0..n0).map(|v| 1.0 + (v % 5) as f64).collect(),
         ]);
         let labels: Vec<u32> = (0..n0).map(|v| (v % k) as u32).collect();
         let mut s = PartitionStore::new(&Partition::new(labels, k), &w);
-        let mut released = vec![false; n0];
-        // Shadow of the live heap entry keys: `keys[v][j]` is the key the
-        // store pushed last for `(v, j)` — recorded via the same
-        // `relief_key` immediately after each operation.
-        let rescore = |s: &PartitionStore, w: &VertexWeights, v: u32| -> Vec<f64> {
-            let row: Vec<f64> = (0..dims).map(|j| w.weight(j, v)).collect();
-            (0..dims).map(|j| s.relief_key(j, &row)).collect()
-        };
-        let mut keys: Vec<Vec<f64>> = (0..n0 as u32).map(|v| rescore(&s, &w, v)).collect();
-        // Expected `top_movable(p, j, ..)`: live members of `p` by shadow
-        // key descending, ties to the larger id (the heap tie-break).
-        let expected_top = |s: &PartitionStore, keys: &[Vec<f64>], p: u32, j: usize| -> Vec<u32> {
-            let mut members: Vec<u32> = (0..s.num_vertices() as u32)
-                .filter(|&v| s.shard_of(v) == p)
-                .collect();
-            members.sort_by(|&a, &b| {
-                keys[b as usize][j]
-                    .total_cmp(&keys[a as usize][j])
-                    .then_with(|| b.cmp(&a))
-            });
-            members
-        };
-        for step in 0..400 {
-            match rng() % 4 {
-                0 => {
-                    // Weight drift.
-                    let v = (rng() % s.num_vertices()) as u32;
-                    if released[v as usize] {
-                        continue;
+        let row =
+            |w: &VertexWeights, v: u32| -> Vec<f64> { (0..dims).map(|j| w.weight(j, v)).collect() };
+        let check =
+            |s: &PartitionStore, w: &VertexWeights, queues: &mut RebalanceCandidates, at: &str| {
+                for p in 0..k as u32 {
+                    for j in 0..dims {
+                        let expect = brute_force_top(s, w, p, j);
+                        let got = queues.top(s, w, p, j, expect.len() + 3);
+                        assert_eq!(got, expect, "{at}: part {p} dim {j}");
                     }
+                }
+            };
+        for step in 0..400 {
+            let v = (rng() % s.num_vertices()) as u32;
+            let live = s.shard_of(v) != TOMBSTONE;
+            match rng() % 3 {
+                0 if live => {
                     let j = rng() % dims;
                     let old = w.weight(j, v);
                     let new = 0.5 + (rng() % 100) as f64 / 10.0;
                     w.set_weight(j, v, new);
-                    let row: Vec<f64> = (0..dims).map(|i| w.weight(i, v)).collect();
-                    s.apply_weight_change(v, j, old, &row);
-                    keys[v as usize] = rescore(&s, &w, v);
+                    s.apply_weight_change(v, j, old, new);
                 }
                 1 => {
-                    // Move between parts.
-                    let v = (rng() % s.num_vertices()) as u32;
-                    if released[v as usize] {
-                        continue;
-                    }
-                    let dst = (rng() % k) as u32;
-                    let moved = s.shard_of(v) != dst;
-                    let row: Vec<f64> = (0..dims).map(|j| w.weight(j, v)).collect();
-                    s.move_vertex(v, dst, &row);
-                    if moved {
-                        // A same-part move is a no-op: no re-push, so the
-                        // live entry keeps its older push-time key.
-                        keys[v as usize] = rescore(&s, &w, v);
-                    }
+                    let r = vec![1.0 + (rng() % 40) as f64 / 7.0, 1.0 + (rng() % 9) as f64];
+                    w.push_vertex(&r);
+                    s.push_assignment((rng() % k) as u32, &r);
                 }
-                2 => {
-                    // Arrival.
-                    let row = vec![1.0 + (rng() % 40) as f64 / 7.0, 1.0 + (rng() % 9) as f64];
-                    w.push_vertex(&row);
-                    released.push(false);
-                    s.push_assignment((rng() % k) as u32, &row);
-                    keys.push(rescore(&s, &w, (s.num_vertices() - 1) as u32));
-                }
-                _ => {
-                    // Release (keep a healthy majority assigned).
-                    let v = (rng() % s.num_vertices()) as u32;
-                    if released[v as usize] || s.num_assigned() < 20 {
-                        continue;
-                    }
-                    let row: Vec<f64> = (0..dims).map(|j| w.weight(j, v)).collect();
-                    s.release_vertex(v, &row);
-                    released[v as usize] = true;
-                }
+                2 if live && s.num_assigned() > 20 => s.release_vertex(v, &row(&w, v)),
+                _ => {}
             }
             if step % 10 == 0 {
-                for p in 0..k as u32 {
-                    for j in 0..dims {
-                        let expect = expected_top(&s, &keys, p, j);
-                        let got = s.top_movable(p, j, expect.len() + 3);
-                        // Keys must match position-wise (ids may differ
-                        // only on exactly-equal keys; the tie-break makes
-                        // even that deterministic, so compare keys).
-                        assert_eq!(got.len(), expect.len(), "step {step} part {p} dim {j}");
-                        for (a, b) in got.iter().zip(&expect) {
-                            assert_eq!(
-                                keys[*a as usize][j], keys[*b as usize][j],
-                                "step {step} part {p} dim {j}: heap {got:?} vs shadow {expect:?}"
-                            );
-                        }
+                let mut queues = RebalanceCandidates::new(k, dims);
+                check(&s, &w, &mut queues, &format!("step {step}"));
+                // Moves inside the call, some of them straight back.
+                for _ in 0..6 {
+                    let v = (rng() % s.num_vertices()) as u32;
+                    let src = s.shard_of(v);
+                    if src == TOMBSTONE {
+                        continue;
+                    }
+                    let dst = (src + 1 + (rng() % (k - 1)) as u32) % k as u32;
+                    s.move_vertex(v, dst, &row(&w, v));
+                    queues.moved(&s, &w, v, dst);
+                    if rng() % 2 == 0 {
+                        s.move_vertex(v, src, &row(&w, v));
+                        queues.moved(&s, &w, v, src);
                     }
                 }
+                check(&s, &w, &mut queues, &format!("step {step}, after moves"));
             }
         }
-        // A full rebuild re-keys every entry at the *current* totals; the
-        // shadow oracle does the same and must still agree exactly.
-        s.rebuild_loads(&w);
-        for v in 0..s.num_vertices() as u32 {
-            if s.shard_of(v) != TOMBSTONE {
-                keys[v as usize] = rescore(&s, &w, v);
-            }
+        let live: Vec<u32> = (0..s.num_vertices() as u32)
+            .filter(|&v| s.shard_of(v) != TOMBSTONE)
+            .collect();
+        assert!(live.len() < s.num_vertices(), "the stream released nothing");
+        let mut remap = vec![TOMBSTONE; s.num_vertices()];
+        for (new, &old) in live.iter().enumerate() {
+            remap[old as usize] = new as u32;
         }
-        for p in 0..k as u32 {
-            let expect: Vec<u32> = expected_top(&s, &keys, p, 0).into_iter().take(5).collect();
-            assert_eq!(s.top_movable(p, 0, 5), expect, "post-rebuild part {p}");
-        }
+        let w = w.restrict(&live);
+        s.apply_remap(&remap, &w);
+        check(
+            &s,
+            &w,
+            &mut RebalanceCandidates::new(k, dims),
+            "after the purge",
+        );
     }
 
     #[test]

@@ -175,10 +175,9 @@ fn run_scenario(
     assert!(gd.is_empty(), "the follower recorded GD counters {gd:?}");
     assert_eq!(fm.counter("stream.store.heap_pops"), 0);
 
-    // Promotion: its snapshot rebuilds the heaps the follower never
-    // popped, as the leader's rotation does for the leader. From there
-    // the two leaders refine on their own and must agree on everything.
-    leader.rotate().expect("rotate");
+    // Promotion: the follower holds the leader's state, and rebalance
+    // candidates are ranked from that state alone, so from here the two
+    // leaders refine on their own and must agree on everything.
     let mut promoted = Leader::new(follower.into_engine()).expect("promote");
     for _ in 0..3 {
         let batch = build_batch(leader.engine(), &mut rng, arrivals, removals, drifts);

@@ -6,13 +6,11 @@
 //! and 4, and snapshots taken mid-churn in both pre-purge (tombstones and
 //! free list pending) and post-purge (frequent compactions) regimes.
 //!
-//! The comparison baseline is the engine that *saved*: `save_snapshot`
-//! canonicalizes the live rebalance heaps (re-keying every entry at the
-//! current totals) so that the saver-that-survived and the
-//! restored-from-bytes engine continue from one candidate-queue state —
-//! exactly the production kill-and-resume scenario, where the alternative
-//! to the restored replica is the original process having kept running
-//! after its save.
+//! The comparison baseline is the engine that *saved*: saving changes no
+//! engine state, so the saver-that-survived and the restored-from-bytes
+//! engine continue from one state — exactly the production
+//! kill-and-resume scenario, where the alternative to the restored
+//! replica is the original process having kept running after its save.
 
 use mdbgp_core::GdConfig;
 use mdbgp_graph::{gen, VertexWeights};

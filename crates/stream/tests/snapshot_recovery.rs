@@ -270,13 +270,13 @@ fn restored_state_matches_the_saver_and_a_rebuild_oracle() {
     assert_eq!(sp.graph().free_ids(), restored.graph().free_ids());
 
     // Rebuild oracle (the PR 3 edge-stats oracle pattern, extended):
-    // recomputing loads, totals, heaps and edge counters from scratch
-    // must agree with the restored state — exactly on the counters and
-    // candidate queues, within float tolerance on the re-summed totals.
+    // recomputing loads, totals and edge counters from scratch must agree
+    // with the restored state — exactly on the counters, within float
+    // tolerance on the re-summed totals.
     let weights = restored.graph().weights();
     let mut rebuilt = restored.store().clone();
     rebuilt.rebuild_loads(weights);
-    let mut live = restored.store().clone();
+    let live = restored.store();
     for j in 0..dims {
         assert!(
             (live.total(j) - rebuilt.total(j)).abs() < 1e-9,
@@ -289,18 +289,6 @@ fn restored_state_matches_the_saver_and_a_rebuild_oracle() {
     assert_eq!(live.num_assigned(), rebuilt.num_assigned());
     for p in 0..live.num_parts() as u32 {
         assert_eq!(live.part_size(p), rebuilt.part_size(p), "part {p} size");
-        for j in 0..dims {
-            // Heap candidate queues: rebuilt-on-restore must pop the same
-            // vertices in the same order as a wholesale rebuild (the
-            // weights here are small integers, so the totals — and hence
-            // the composite relief keys — are float-exact either way).
-            let limit = live.part_size(p);
-            assert_eq!(
-                live.top_movable(p, j, limit),
-                rebuilt.top_movable(p, j, limit),
-                "candidate queue ({p}, {j}) diverged from the rebuild oracle"
-            );
-        }
     }
     // Edge counters vs. a recount of the live edge set.
     let mut edge_oracle = restored.store().clone();
