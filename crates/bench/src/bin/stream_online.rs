@@ -74,7 +74,7 @@ use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, Graph, InducedSubgraph, Partitioner, VertexWeights};
 use mdbgp_stream::{
     BatchReport, Follower, HistogramSummary, Leader, MetricsRegistry, ReadHandle, StageTimings,
-    StreamConfig, StreamingPartitioner, UpdateBatch, ViewEpoch,
+    StreamConfig, StreamingPartitioner, UpdateBatch, ViewEpoch, METRIC_ALLOWLIST,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -841,7 +841,10 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
                 files.push((format!("{prefix}.{who}.json"), m.render_json()));
             }
             if let Some(prefix) = &args.metrics_det_out {
-                files.push((format!("{prefix}.{who}.json"), m.deterministic_json()));
+                files.push((
+                    format!("{prefix}.{who}.json"),
+                    m.deterministic_json(METRIC_ALLOWLIST),
+                ));
             }
         }
         if let Some(prefix) = &args.stamps_out {
@@ -870,7 +873,7 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
             files.push((path.clone(), dump));
         }
         if let Some(path) = &args.metrics_det_out {
-            files.push((path.clone(), m.deterministic_json()));
+            files.push((path.clone(), m.deterministic_json(METRIC_ALLOWLIST)));
         }
     }
     let mut failures = Vec::new();

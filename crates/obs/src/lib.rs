@@ -19,13 +19,15 @@
 //! `stream.place.conflicts` or `core.gd.refine_iterations`. Span-derived
 //! latency histograms are auto-named `span.<dotted.path>_us`.
 //!
-//! # Determinism convention
+//! # Determinism
 //!
-//! A metric whose name ends in `_us`, `_ms`, or `_secs` is **time-valued**
-//! and excluded from the [`MetricsRegistry::deterministic_json`] view;
-//! everything else must be identical across thread counts on the same input
-//! (the stream crate property-tests this). The convention is self-maintaining:
-//! naming a metric correctly *is* classifying it.
+//! A metric allowlist pairs every metric name with whether its value is
+//! **deterministic**: a function of the input alone, identical across
+//! thread counts and reruns. Wall-clock series and counts of concurrent
+//! reader traffic are not. [`MetricsRegistry::deterministic_json`] renders
+//! exactly the names the allowlist marks deterministic, and
+//! [`validate_dump`] checks dump names against the same list (the stream
+//! crate property-tests both).
 //!
 //! # Histogram bucket layout
 //!
@@ -46,13 +48,6 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Ring-buffer capacity of the event journal.
 pub const JOURNAL_CAPACITY: usize = 256;
-
-/// Returns true when `name` is time-valued by the naming convention
-/// (`_us` / `_ms` / `_secs` suffix) and therefore excluded from the
-/// deterministic view.
-pub fn is_time_valued(name: &str) -> bool {
-    name.ends_with("_us") || name.ends_with("_ms") || name.ends_with("_secs")
-}
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -396,8 +391,8 @@ macro_rules! span {
 // ---------------------------------------------------------------------------
 
 /// One structured journal event. `fields` are small numeric payloads
-/// (`("conflicts", 3.0)`); time-valued fields follow the same `_secs`/`_ms`
-/// naming convention as metrics.
+/// (`("conflicts", 3.0)`); a time-valued field names its unit (`_secs`,
+/// `_ms`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalEvent {
     pub seq: u64,
@@ -606,13 +601,16 @@ impl MetricsRegistry {
         self.render_json_filtered(|_| true)
     }
 
-    /// JSON dump restricted to the deterministic subset: counters, gauges,
-    /// and histograms whose names are not time-valued (see
-    /// [`is_time_valued`]); spans and the journal are excluded entirely.
-    pub fn deterministic_json(&self) -> String {
+    /// JSON dump restricted to the deterministic subset: the counters,
+    /// gauges and histograms that `allowlist` marks deterministic
+    /// (`(name, true)`); every other name, the spans and the journal are
+    /// excluded.
+    pub fn deterministic_json(&self, allowlist: &[(&str, bool)]) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        self.render_metric_sections(&mut out, |name| !is_time_valued(name));
+        self.render_metric_sections(&mut out, |name| {
+            allowlist.iter().any(|&(n, det)| det && n == name)
+        });
         // Trim the trailing comma of the last section.
         trim_trailing_comma(&mut out);
         out.push_str("}\n");
@@ -814,13 +812,15 @@ pub struct DumpStats {
 /// 3. for every span path, the summed time of its direct children does not
 ///    exceed the parent's total (small tolerance for float accumulation) —
 ///    in particular the per-stage tree sums to ≤ the batch wall-clock;
-/// 4. every metric name is either in `allowlist` or a `span.*` derived
-///    histogram whose dotted path appears in the spans section — so a typo'd
-///    metric name fails CI instead of silently forking a new time series.
+/// 4. every metric name is either in `allowlist` (names paired with their
+///    determinism, as [`MetricsRegistry::deterministic_json`] takes them) or
+///    a `span.*` derived histogram whose dotted path appears in the spans
+///    section — so a typo'd metric name fails CI instead of silently forking
+///    a new time series.
 ///
 /// The validator is a line scanner over the registry's one-entry-per-line
 /// rendering, not a general JSON parser.
-pub fn validate_dump(json: &str, allowlist: &[&str]) -> Result<DumpStats, String> {
+pub fn validate_dump(json: &str, allowlist: &[(&str, bool)]) -> Result<DumpStats, String> {
     let mut stats = DumpStats::default();
     let mut section = String::new();
     let mut seen_sections: Vec<String> = Vec::new();
@@ -918,7 +918,7 @@ pub fn validate_dump(json: &str, allowlist: &[&str]) -> Result<DumpStats, String
     // Allowlist: metric names must be known, or span-derived histograms whose
     // path is present in the spans section.
     for name in &metric_names {
-        if allowlist.contains(&name.as_str()) {
+        if allowlist.iter().any(|&(n, _)| n == name) {
             continue;
         }
         if let Some(stem) = name
@@ -1055,21 +1055,30 @@ mod tests {
 
     #[test]
     fn deterministic_filter_excludes_time_valued_names() {
-        assert!(is_time_valued("span.ingest.place_us"));
-        assert!(is_time_valued("stream.refine_ms"));
-        assert!(is_time_valued("stream.refine_secs"));
-        assert!(!is_time_valued("stream.ingest.batches"));
-
+        let allow = [
+            ("stream.balance.max_imbalance", true),
+            ("stream.compact.parallel_ms", false),
+            ("stream.ingest.batches", true),
+            ("stream.store.lookups", false),
+        ];
         let mut r = MetricsRegistry::new();
         r.counter_add("stream.ingest.batches", 3);
+        r.counter_add("stream.store.lookups", 17);
+        r.gauge_set("stream.compact.parallel_ms", 2.5);
         r.observe("span.ingest_us", 1234);
         r.gauge_set("stream.balance.max_imbalance", 0.05);
-        let det = r.deterministic_json();
+        let det = r.deterministic_json(&allow);
         assert!(det.contains("stream.ingest.batches"));
         assert!(det.contains("stream.balance.max_imbalance"));
+        // Marked non-deterministic: a wall-clock and a traffic count.
+        assert!(!det.contains("stream.compact.parallel_ms"));
+        assert!(!det.contains("stream.store.lookups"));
+        // Not on the allowlist at all: a span-derived latency histogram.
         assert!(!det.contains("span.ingest_us"));
         assert!(!det.contains("\"spans\""));
         assert!(!det.contains("\"journal\""));
+        // The full dump keeps every name.
+        assert!(r.render_json().contains("stream.store.lookups"));
     }
 
     #[test]
@@ -1090,14 +1099,14 @@ mod tests {
 
         let json = r.render_json();
         let allow = [
-            "stream.ingest.batches",
-            "stream.balance.max_imbalance",
-            "core.gd.refine_iterations",
+            ("stream.ingest.batches", true),
+            ("stream.balance.max_imbalance", true),
+            ("core.gd.refine_iterations", true),
         ];
         let stats = validate_dump(&json, &allow).expect("dump validates");
         assert_eq!(stats.counters, 1);
         assert_eq!(stats.gauges, 1);
-        // refine_iterations + span.ingest_us + span.ingest.place_us
+        // core.gd.refine_iterations + span.ingest_us + span.ingest.place_us
         assert_eq!(stats.histograms, 3);
         assert_eq!(stats.spans, 2);
         assert_eq!(stats.journal_events, 2);
@@ -1107,7 +1116,7 @@ mod tests {
     fn validate_dump_rejects_unknown_metric_typos() {
         let mut r = MetricsRegistry::new();
         r.counter_add("stream.ingset.batches", 1); // typo
-        let err = validate_dump(&r.render_json(), &["stream.ingest.batches"]).unwrap_err();
+        let err = validate_dump(&r.render_json(), &[("stream.ingest.batches", true)]).unwrap_err();
         assert!(err.contains("ingset"), "unexpected error: {err}");
     }
 

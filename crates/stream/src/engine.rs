@@ -14,9 +14,9 @@
 //!    (`pipeline::SplitOutcome`); the stage is serial and mutates the
 //!    graph directly;
 //! 3. **places speculatively**: fixed-size chunks of arrivals are scored
-//!    concurrently on the worker pool against a frozen load snapshot, each
-//!    chunk holding its own capacity reservations
-//!    (`pipeline::speculative_place`);
+//!    concurrently on the worker pool against the store's loads, which
+//!    nothing writes until commit, each chunk holding its own capacity
+//!    reservations (`pipeline::speculative_place`);
 //! 4. **repairs conflicts**: oversubscribed `(part, dimension)` slots are
 //!    detected after merging the chunk reservations, and the losers are
 //!    re-placed in stable arrival order (`pipeline::conflict_repair`) —
@@ -72,60 +72,73 @@ use mdbgp_obs::{MetricsRegistry, SpanNode, SpanTree};
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Every metric name the engine records — the registry allowlist that
+/// Every metric name the engine records, each with whether its value is
+/// deterministic — a function of the batches alone, identical across
+/// thread counts and reruns. It is the registry allowlist that
 /// [`mdbgp_obs::validate_dump`] checks dumps against, so a typo'd name
-/// fails CI instead of silently forking a new time series. Span-derived
-/// `span.<path>_us` histograms are validated structurally (against the
-/// dump's own span section) and are not listed here. Keep sorted.
-pub const METRIC_ALLOWLIST: &[&str] = &[
-    "core.gd.frontier_mean",
-    "core.gd.grad_delta_iters",
-    "core.gd.grad_full_recomputes",
-    "core.gd.grad_norm_decay_pct",
-    "core.gd.last_grad_norm_first",
-    "core.gd.last_grad_norm_last",
-    "core.gd.pairs_applied",
-    "core.gd.pairs_degenerate",
-    "core.gd.pairs_rejected_balance",
-    "core.gd.pairs_rejected_cut",
-    "core.gd.pairs_unreachable",
-    "core.gd.refine_iterations",
-    "core.gd.solve_vertices",
-    "stream.balance.edge_locality",
-    "stream.balance.max_imbalance",
-    "stream.compact.merges",
-    "stream.compact.parallel_ms",
-    "stream.compact.purges",
-    "stream.ingest.arrivals",
-    "stream.ingest.batches",
-    "stream.ingest.edges_added",
-    "stream.ingest.edges_removed",
-    "stream.ingest.removals",
-    "stream.ingest.weight_updates",
-    "stream.log.bytes",
-    "stream.log.records",
-    "stream.log.rotations",
-    "stream.place.conflicts",
-    "stream.place.repair_passes",
-    "stream.refine.active_edges",
-    "stream.refine.active_vertices",
-    "stream.refine.drift_triggers",
-    "stream.refine.full_scans",
-    "stream.refine.gd_moves",
-    "stream.refine.passes",
-    "stream.refine.rebalance_moves",
-    "stream.refine.schedule_triggers",
-    "stream.repair.spec_rounds",
-    "stream.replica.batches_replayed",
-    "stream.snapshot.restores",
-    "stream.snapshot.saves",
-    "stream.store.heap_pops",
-    "stream.store.live_vertices",
-    "stream.store.lookup_us",
-    "stream.store.lookups",
-    "stream.store.stale_epoch_reads",
-    "stream.store.view_swaps",
+/// fails CI instead of silently forking a new time series, and
+/// [`mdbgp_obs::MetricsRegistry::deterministic_json`] keeps exactly the
+/// names marked `true`. Wall-clocks are not deterministic, and neither
+/// is `stream.store.lookups`, which counts whatever concurrent readers
+/// got in. Span-derived `span.<path>_us` histograms are validated
+/// structurally (against the dump's own span section) and are not
+/// listed here. Keep sorted.
+pub const METRIC_ALLOWLIST: &[(&str, bool)] = &[
+    ("core.gd.frontier_mean", true),
+    ("core.gd.grad_delta_iters", true),
+    ("core.gd.grad_full_recomputes", true),
+    ("core.gd.grad_norm_decay_pct", true),
+    ("core.gd.last_grad_norm_first", true),
+    ("core.gd.last_grad_norm_last", true),
+    ("core.gd.pairs_applied", true),
+    ("core.gd.pairs_degenerate", true),
+    ("core.gd.pairs_rejected_balance", true),
+    ("core.gd.pairs_rejected_cut", true),
+    ("core.gd.pairs_unreachable", true),
+    ("core.gd.refine_iterations", true),
+    ("core.gd.solve_vertices", true),
+    ("stream.balance.edge_locality", true),
+    ("stream.balance.max_imbalance", true),
+    ("stream.compact.merges", true),
+    ("stream.compact.parallel_ms", false),
+    ("stream.compact.purges", true),
+    ("stream.ingest.arrivals", true),
+    ("stream.ingest.batches", true),
+    ("stream.ingest.edges_added", true),
+    ("stream.ingest.edges_removed", true),
+    ("stream.ingest.removals", true),
+    ("stream.ingest.weight_updates", true),
+    ("stream.log.bytes", true),
+    ("stream.log.records", true),
+    ("stream.log.rotations", true),
+    ("stream.place.conflicts", true),
+    ("stream.place.repair_passes", true),
+    ("stream.refine.active_edges", true),
+    ("stream.refine.active_vertices", true),
+    ("stream.refine.drift_triggers", true),
+    ("stream.refine.full_scans", true),
+    ("stream.refine.gd_moves", true),
+    ("stream.refine.passes", true),
+    ("stream.refine.rebalance_moves", true),
+    ("stream.refine.schedule_triggers", true),
+    ("stream.repair.spec_rounds", true),
+    ("stream.replica.batches_replayed", true),
+    ("stream.snapshot.restores", true),
+    ("stream.snapshot.saves", true),
+    ("stream.store.heap_pops", true),
+    ("stream.store.live_vertices", true),
+    ("stream.store.lookup_us", false),
+    ("stream.store.lookups", false),
+    ("stream.store.stale_epoch_reads", true),
+    ("stream.store.view_swaps", true),
 ];
+
+/// GD iterations per warm-started pair refinement — the paper uses 100
+/// for a cold solve; a warm start needs far fewer.
+const REFINE_ITERATIONS: usize = 15;
+
+/// Maximum part pairs re-bisected per refinement pass.
+const MAX_REFINE_PAIRS: usize = 4;
 
 /// Configuration of the streaming subsystem.
 #[derive(Clone, Debug)]
@@ -137,11 +150,6 @@ pub struct StreamConfig {
     /// GD configuration template (bootstrap and refinement inherit
     /// everything except `epsilon` and, for refinement, `iterations`).
     pub gd: GdConfig,
-    /// GD iterations per warm-started pair refinement — the paper uses 100
-    /// for a cold solve; a warm start needs far fewer.
-    pub refine_iterations: usize,
-    /// Maximum part pairs re-bisected per refinement pass.
-    pub max_refine_pairs: usize,
     /// Compact the delta once it exceeds this fraction of base edges.
     pub compact_slack: f64,
     /// Refine every this many batches even without drift (0 = drift-only).
@@ -168,8 +176,6 @@ impl StreamConfig {
             k,
             epsilon,
             gd: GdConfig::with_epsilon(epsilon),
-            refine_iterations: 15,
-            max_refine_pairs: 4,
             compact_slack: 0.15,
             refine_every: 0,
             drift_headroom: 0.9,
@@ -196,11 +202,6 @@ impl StreamConfig {
                 "epsilon must be in (0, 1), got {}",
                 self.epsilon
             )));
-        }
-        if self.refine_iterations == 0 {
-            return Err(PartitionError::Config(
-                "refine_iterations must be positive".into(),
-            ));
         }
         Ok(())
     }
@@ -317,16 +318,12 @@ pub struct StreamingPartitioner {
     /// Vertices touched since the last refinement — the refinement active
     /// set grows a 1-hop halo around these.
     dirty: DirtySet,
-    /// Composed old→new id map of every purging compaction since the last
-    /// [`Self::take_remap`] (drained into [`BatchReport::remap`] by
-    /// `ingest`).
+    /// Composed old→new id map of every purging compaction since the
+    /// previous published view. [`Self::publish_view`] drains it into the
+    /// next view, and `ingest` and `purge` report the map it drained
+    /// ([`BatchReport::remap`]). `None` at every batch boundary, so
+    /// snapshots do not carry it.
     pending_remap: Option<Vec<VertexId>>,
-    /// Like `pending_remap`, but drained at every **view publication**
-    /// instead of every report: the old→new map composed since the
-    /// previous published view, carried by the next one so readers can
-    /// translate pinned ids across the purge. The two drains happen at
-    /// different times, hence two composition chains over the same maps.
-    view_remap: Option<Vec<VertexId>>,
     /// Batches ingested over the engine's lifetime: the `batch_seq` of
     /// every published view. Snapshots carry it.
     batches: u64,
@@ -489,7 +486,6 @@ impl StreamingPartitioner {
             store,
             dirty: DirtySet::from_mask(vec![false; n]),
             pending_remap: None,
-            view_remap: None,
             batches: 0,
             batches_since_refine: 0,
             refine_seed,
@@ -519,7 +515,6 @@ impl StreamingPartitioner {
             store,
             dirty: DirtySet::default(),
             pending_remap: None,
-            view_remap: None,
             batches: 0,
             batches_since_refine: 0,
             refine_seed,
@@ -616,13 +611,6 @@ impl StreamingPartitioner {
         self.store.max_imbalance()
     }
 
-    /// Drains the composed old→new id map of any purging compaction since
-    /// the last drain (`ingest` does this automatically into
-    /// [`BatchReport::remap`]).
-    pub fn take_remap(&mut self) -> Option<Vec<VertexId>> {
-        self.pending_remap.take()
-    }
-
     /// Forces a compaction that purges tombstoned vertices, returning the
     /// old→new id map if ids changed. After this, [`Self::partition`] is
     /// safe to call again.
@@ -630,9 +618,8 @@ impl StreamingPartitioner {
         self.compact_graph();
         // The purge renumbered the id space out-of-band of any batch:
         // publish immediately so readers never pin a pre-purge assignment
-        // longer than necessary (the view carries the composed remap).
-        self.publish_view();
-        self.take_remap()
+        // longer than necessary (the view carries the same map).
+        self.publish_view()
     }
 
     /// The engine's **id epoch**: how many purging compactions have
@@ -693,10 +680,6 @@ impl StreamingPartitioner {
         self.store.encode_snapshot(&mut pw);
         pw.put_section(snapshot::SEC_ENGINE);
         pw.put_vec_bool(&self.dirty.mask);
-        pw.put_bool(self.pending_remap.is_some());
-        if let Some(map) = &self.pending_remap {
-            pw.put_vec_u32(map);
-        }
         pw.put_u64(self.batches);
         pw.put_usize(self.batches_since_refine);
         pw.put_u64(self.refine_seed);
@@ -766,11 +749,6 @@ impl StreamingPartitioner {
         store.set_threads(cfg.threads);
         pr.expect_section(snapshot::SEC_ENGINE)?;
         let dirty = DirtySet::from_mask(pr.get_vec_bool("engine.dirty")?);
-        let pending_remap = if pr.get_bool("engine.pending_remap flag")? {
-            Some(pr.get_vec_u32("engine.pending_remap")?)
-        } else {
-            None
-        };
         let batches = pr.get_u64("engine.batch_seq")?;
         let batches_since_refine = pr.get_usize("engine.batches_since_refine")?;
         let refine_seed = pr.get_u64("engine.refine_seed")?;
@@ -827,12 +805,7 @@ impl StreamingPartitioner {
             graph,
             store,
             dirty,
-            pending_remap,
-            // A restored engine publishes a fresh view #0 below; whatever
-            // remap the *saving* engine had pending belongs to report
-            // consumers (`pending_remap`), not to view readers — their
-            // handles died with the saving process.
-            view_remap: None,
+            pending_remap: None,
             batches,
             batches_since_refine,
             refine_seed,
@@ -851,24 +824,25 @@ impl StreamingPartitioner {
 
     /// Publishes the current store state as an immutable [`crate::ReadView`]
     /// stamped with the engine's id epoch and batch count, carrying the
-    /// purge remap composed since the previous published view. Called at
-    /// every batch boundary (end of `ingest`, after `refine_now`, after
-    /// `purge`) and once on restore.
-    fn publish_view(&mut self) {
+    /// purge remap composed since the previous published view, and returns
+    /// that remap. Called at every batch boundary (end of `ingest`, after
+    /// `refine_now`, after `purge`) and once on restore.
+    fn publish_view(&mut self) -> Option<Vec<VertexId>> {
         let epoch = crate::ViewEpoch {
             id_epoch: self.id_epoch,
             batch_seq: self.batches,
         };
-        let remap = self.view_remap.take();
-        self.store.publish_view(epoch, remap);
+        let remap = self.pending_remap.take();
+        self.store.publish_view(epoch, remap.clone());
+        remap
     }
 
     /// Compacts the dynamic graph and, when the compaction purged
     /// tombstoned vertices, applies the id remap to every structure the
     /// engine owns (store, dirty set) and composes it into
-    /// [`Self::pending_remap`] for the caller. Runs only when ingest finds
-    /// the churn outgrew [`StreamConfig::compact_slack`] and on an
-    /// explicit [`Self::purge`] — never inside a refinement pass.
+    /// [`Self::pending_remap`] for the next published view. Runs only when
+    /// ingest finds the churn outgrew [`StreamConfig::compact_slack`] and
+    /// on an explicit [`Self::purge`] — never inside a refinement pass.
     fn compact_graph(&mut self) {
         // Count every compaction that actually merges (the slack trigger
         // and `purge` both land here), so `stream.compact.purges` stays a
@@ -907,26 +881,20 @@ impl StreamingPartitioner {
             "compact.purge",
             &[("live", n_new as f64), ("epoch", self.id_epoch as f64)],
         );
-        // Compose old→mid→new when several purges happened since a drain.
-        let compose = |prev: Option<Vec<VertexId>>| -> Vec<VertexId> {
-            match prev {
-                None => map.clone(),
-                Some(prev) => prev
-                    .iter()
-                    .map(|&mid| {
-                        if mid == TOMBSTONE {
-                            TOMBSTONE
-                        } else {
-                            map[mid as usize]
-                        }
-                    })
-                    .collect(),
-            }
-        };
-        // Two independent chains over the same maps: reports drain at
-        // `take_remap`, views at `publish_view` — different boundaries.
-        self.pending_remap = Some(compose(self.pending_remap.take()));
-        self.view_remap = Some(compose(self.view_remap.take()));
+        // Compose old→mid→new when several purges happened since a publish.
+        self.pending_remap = Some(match self.pending_remap.take() {
+            None => map,
+            Some(prev) => prev
+                .iter()
+                .map(|&mid| {
+                    if mid == TOMBSTONE {
+                        TOMBSTONE
+                    } else {
+                        map[mid as usize]
+                    }
+                })
+                .collect(),
+        });
     }
 
     /// Stage 1 — validates a whole batch against the current state without
@@ -1066,17 +1034,14 @@ impl StreamingPartitioner {
             self.stage_split(batch)
         };
 
-        let (mut parts, reservations, snapshot, caps) = {
+        // Placement and repair read the store; nothing writes it until
+        // commit.
+        let (mut parts, reservations, caps) = {
             let _s = spans.span("place");
-            // Fetched through the store's cache: on a pure-topology batch
-            // this is the allocation the last published view already
-            // shares, not a rebuild.
-            let snapshot = self.store.load_snapshot();
             speculative_place(
                 &self.graph,
                 &self.store,
                 &split,
-                snapshot,
                 self.cfg.epsilon,
                 self.cfg.threads,
             )
@@ -1089,7 +1054,6 @@ impl StreamingPartitioner {
                 &self.store,
                 &split,
                 reservations,
-                &snapshot,
                 &caps,
                 &mut parts,
                 self.cfg.epsilon,
@@ -1154,15 +1118,9 @@ impl StreamingPartitioner {
             }
         };
 
-        // Commit + refine are done: publish this batch's view. Readers
-        // re-pinning from here on see the post-batch assignment (stamped
-        // with this batch's sequence number) atomically — never the
-        // intermediate states the stages above moved through.
-        self.publish_view();
-
         // Arrival ids, expressed in the final id space of this report: a
-        // purge during this ingest (compaction or refinement) renumbered
-        // them along with everything else.
+        // purge during this ingest renumbered them along with everything
+        // else.
         let arrival_ids: Vec<VertexId> = split
             .arrivals
             .iter()
@@ -1172,6 +1130,12 @@ impl StreamingPartitioner {
                 (None, false) => a.id,
             })
             .collect();
+
+        // Commit + refine are done: publish this batch's view. Readers
+        // re-pinning from here on see the post-batch assignment (stamped
+        // with this batch's sequence number) atomically — never the
+        // intermediate states the stages above moved through.
+        let remap = self.publish_view();
 
         drop(root);
         let spans_root = spans.snapshot().into_iter().next().unwrap_or_default();
@@ -1193,7 +1157,7 @@ impl StreamingPartitioner {
             repair_spec_rounds,
             max_imbalance: self.max_imbalance(),
             edge_locality: self.store.edge_locality(),
-            remap: self.pending_remap.take(),
+            remap,
             arrival_ids,
             spans: spans_root,
         })
@@ -1371,7 +1335,8 @@ impl StreamingPartitioner {
             self.obs.absorb_spans(&root);
         }
         // A direct refinement is a batch boundary of its own: readers get
-        // the refined assignment atomically.
+        // the refined assignment atomically. The pass never purges, so
+        // there is no remap to report.
         self.publish_view();
         result.map(|pass| (pass.rebalance_moves(), pass.gd_moves()))
     }
@@ -1432,7 +1397,7 @@ impl StreamingPartitioner {
             let pairs = {
                 let _s = spans.span("gather");
                 self.gather_active();
-                self.adjacency.rank_pairs(self.cfg.max_refine_pairs)
+                self.adjacency.rank_pairs(MAX_REFINE_PAIRS)
             };
             self.obs.counter_add(
                 "stream.refine.active_vertices",
@@ -1614,7 +1579,7 @@ impl StreamingPartitioner {
     ) -> Result<(), PartitionError> {
         let mut gd_cfg = self.cfg.gd.clone();
         gd_cfg.epsilon = self.cfg.epsilon;
-        gd_cfg.iterations = self.cfg.refine_iterations;
+        gd_cfg.iterations = REFINE_ITERATIONS;
         gd_cfg.track_history = false;
         for round in GdPartitioner::plan_disjoint_rounds(pairs) {
             // Threads left idle by a small round (common when one hot
@@ -2477,7 +2442,7 @@ mod tests {
         let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(2, 0.1)).unwrap();
         let before_n = sp.graph().num_vertices();
         let before_m = sp.graph().num_edges();
-        let before_metrics = sp.metrics().deterministic_json();
+        let before_metrics = sp.metrics().deterministic_json(METRIC_ALLOWLIST);
         let before_view = sp.read_view().epoch();
         let mut batch = UpdateBatch::new();
         batch.add_vertex(vec![1.0, 2.0], vec![0, 1]);
@@ -2490,7 +2455,7 @@ mod tests {
         );
         assert_eq!(sp.graph().num_edges(), before_m);
         assert_eq!(
-            sp.metrics().deterministic_json(),
+            sp.metrics().deterministic_json(METRIC_ALLOWLIST),
             before_metrics,
             "counters advanced on failed batch"
         );
@@ -3265,7 +3230,7 @@ mod tests {
         );
         assert_eq!(overlay, &csr);
 
-        let pairs = overlay.rank_pairs(sp.cfg.max_refine_pairs);
+        let pairs = overlay.rank_pairs(MAX_REFINE_PAIRS);
         assert!(!pairs.is_empty());
         let shard = |a: VertexId| sp.store.shard_of(a);
         let weights = sp.graph().weights();
@@ -3341,7 +3306,7 @@ mod tests {
     }
 
     #[test]
-    fn views_publish_per_batch_and_edge_batches_reuse_the_snapshot() {
+    fn views_publish_per_batch() {
         let (g, w) = community(400, 30);
         let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(2, 0.05)).unwrap();
         // Bootstrap seeds an uncounted view at (0, 0).
@@ -3369,23 +3334,11 @@ mod tests {
         assert_eq!(h.lookup(arrival), Some(sp.shard_of(arrival)));
         assert!(v1.verify_checksum());
 
-        // Regression (the per-batch reallocation bug): a batch that only
-        // touches topology — loads unchanged — must publish without
-        // rebuilding the LoadSnapshot allocation.
-        let rebuilds = sp.store().snapshot_rebuild_count();
+        // An edge-only batch publishes the next view too.
         let mut edges = UpdateBatch::new();
         edges.add_edge(2, 3).add_edge(5, 9);
         sp.ingest(&edges).unwrap();
-        assert_eq!(
-            sp.store().snapshot_rebuild_count(),
-            rebuilds,
-            "edge-only batch rebuilt the load snapshot"
-        );
-        h.refresh();
-        assert!(
-            h.view().load_snapshot().shares_storage(v1.load_snapshot()),
-            "consecutive views over unchanged loads must share one allocation"
-        );
+        assert!(h.refresh());
         assert_eq!(h.view().epoch().batch_seq, 2);
     }
 

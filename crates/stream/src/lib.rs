@@ -83,9 +83,10 @@
 //!    space stays bounded between purges, and callers read the assigned
 //!    ids from [`BatchReport::arrival_ids`] instead of predicting them.
 //! 3. **speculative placement** — arrivals are placed in fixed-size chunks,
-//!    concurrently on [`StreamConfig::threads`] workers, against a *frozen*
-//!    snapshot of the per-(part, dimension) loads; each chunk reserves
-//!    capacity locally and sees the affinity of its own earlier arrivals.
+//!    concurrently on [`StreamConfig::threads`] workers, against the
+//!    store's per-(part, dimension) loads, which nothing writes until
+//!    commit; each chunk reserves capacity locally and sees the affinity
+//!    of its own earlier arrivals.
 //!    Chunk boundaries never depend on the thread count, so the decisions
 //!    don't either.
 //! 4. **conflict repair** — chunk reservations merge; any (part, dimension)
@@ -187,7 +188,7 @@
 //!    concurrently from state no other pair of the round writes, and the
 //!    accepted moves are applied at the round barrier in round order;
 //! 3. **speculative placement** — fixed-size chunks of a batch's arrivals
-//!    are placed concurrently against a frozen load snapshot with
+//!    are placed concurrently against the store's loads with
 //!    chunk-local capacity reservations (see *Batch lifecycle*); within a
 //!    single-chunk batch the per-part scoring sweep folds over disjoint
 //!    part ranges instead (only engaged for large `k`, where it amortizes
@@ -240,11 +241,13 @@
 //!   [`mdbgp_obs::JOURNAL_CAPACITY`] entries with monotonic sequence
 //!   numbers; once full the oldest events drop and the dump reports how
 //!   many.
-//! * **Determinism** — metrics whose names do *not* end in
-//!   `_us`/`_ms`/`_secs` are data-valued and identical for `threads = 1`
-//!   vs `threads = N` on the same stream
-//!   ([`mdbgp_obs::MetricsRegistry::deterministic_json`] renders exactly
-//!   that subset; property-tested in `proptest_metrics`).
+//! * **Determinism** — [`engine::METRIC_ALLOWLIST`] marks each name
+//!   deterministic or not. The deterministic ones are data-valued and
+//!   identical for `threads = 1` vs `threads = N` and across reruns on the
+//!   same stream ([`mdbgp_obs::MetricsRegistry::deterministic_json`]
+//!   renders exactly that subset; property-tested in `proptest_metrics`).
+//!   Wall-clocks are not, and neither is `stream.store.lookups`, which
+//!   counts whatever concurrent reader threads got in.
 //! * **Cost** — recording is a few map updates per batch (never per
 //!   vertex on a hot loop; the store's lookup counter rides the serving
 //!   wrapper only). The registry is **not** serialized into snapshots:
@@ -338,5 +341,5 @@ pub use pipeline::{StageTimings, SPECULATIVE_CHUNK};
 pub use placement::{LdgPlacer, LoadView, ReservationLedger, ReservedView};
 pub use replica::{Follower, Leader, ReplicaError};
 pub use snapshot::{SnapshotError, SnapshotExpectation, SnapshotInfo};
-pub use store::{LoadSnapshot, PartitionStore, ReadHandle, ReadView, ViewEpoch};
+pub use store::{PartitionStore, ReadHandle, ReadView, ViewEpoch};
 pub use wire::{LogHeader, LogRecord, WireError};

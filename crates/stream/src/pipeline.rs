@@ -14,11 +14,12 @@
 //!    `DeferredEffect` ledger (effects between already-assigned vertices
 //!    apply immediately, as before);
 //! 3. **speculative placement** (`speculative_place`) — arrivals are
-//!    scored in fixed-size chunks against a frozen [`LoadSnapshot`], each
-//!    chunk holding its own capacity [`ReservationLedger`]; chunks run
-//!    concurrently on the worker pool, and because the chunk boundaries
-//!    depend only on the batch (never the thread count), the speculative
-//!    decisions are identical at any thread count;
+//!    scored in fixed-size chunks against the [`PartitionStore`]'s loads,
+//!    which nothing writes until commit, each chunk holding its own
+//!    capacity [`ReservationLedger`]; chunks run concurrently on the
+//!    worker pool, and because the chunk boundaries depend only on the
+//!    batch (never the thread count), the speculative decisions are
+//!    identical at any thread count;
 //! 4. **conflict repair** (`conflict_repair`) — chunk-local reservations
 //!    are merged, oversubscribed `(part, dimension)` slots are detected,
 //!    and the losers (stable order: later arrival index evicts first,
@@ -41,13 +42,13 @@
 //! speculate-then-repair design for parallel streaming placement (LDG-style
 //! greedy placement parallelizes well when capacity conflicts are repaired
 //! after the fact); determinism is **by construction**, not by locking:
-//! every input to every decision — the snapshot, the chunk boundaries, the
+//! every input to every decision — the store, the chunk boundaries, the
 //! merged reservations, the eviction order — is a pure function of the
 //! engine state and the batch.
 
 use crate::dynamic::DynamicGraph;
 use crate::placement::{LdgPlacer, ReservationLedger, ReservedView};
-use crate::store::{LoadSnapshot, PartitionStore};
+use crate::store::PartitionStore;
 use crate::TOMBSTONE;
 use mdbgp_core::parallel;
 use mdbgp_graph::VertexId;
@@ -200,26 +201,23 @@ fn count_neighbors(
 }
 
 /// Stage 3 — speculative parallel placement. Chunks of arrivals are placed
-/// concurrently against the frozen `snapshot` (pre-fetched by the engine —
-/// under the snapshot cache it is typically the exact allocation the last
-/// published [`crate::ReadView`] carries); each chunk reserves capacity
+/// concurrently against the store's loads; each chunk reserves capacity
 /// locally and sees the speculative parts of its *own* earlier arrivals
 /// (chunk-local affinity), never another chunk's. Returns the chosen part
 /// per arrival ([`TOMBSTONE`] for one removed in its own batch), the
 /// merged reservations of every chunk (the repair stage's starting global
-/// view), the snapshot, and the batch-wide per-dimension capacities
-/// `(1 + ε) · (frozen total + arriving weight) / k` that stages 3–4 share.
+/// view), and the batch-wide per-dimension capacities
+/// `(1 + ε) · (live total + arriving weight) / k` that stages 3–4 share.
 pub(crate) fn speculative_place(
     graph: &DynamicGraph,
     store: &PartitionStore,
     split: &SplitOutcome,
-    snapshot: LoadSnapshot,
     epsilon: f64,
     threads: usize,
-) -> (Vec<u32>, ReservationLedger, LoadSnapshot, Vec<f64>) {
+) -> (Vec<u32>, ReservationLedger, Vec<f64>) {
     let k = store.num_parts();
     let dims = graph.weights().dims();
-    let mut caps: Vec<f64> = (0..dims).map(|j| snapshot.total(j)).collect();
+    let mut caps: Vec<f64> = (0..dims).map(|j| store.total(j)).collect();
     for a in split.arrivals.iter().filter(|a| !a.dead) {
         for (j, &w) in a.row.iter().enumerate() {
             caps[j] += w;
@@ -252,7 +250,7 @@ pub(crate) fn speculative_place(
                 }
             });
             let view = ReservedView {
-                snapshot: &snapshot,
+                store,
                 ledger: &ledger,
             };
             let part = placer.place_with(k, &view, &caps, &counts, &arrival.row);
@@ -267,7 +265,7 @@ pub(crate) fn speculative_place(
         parts.extend(local);
         merged.merge(&ledger);
     }
-    (parts, merged, snapshot, caps)
+    (parts, merged, caps)
 }
 
 /// Stage 4 — deterministic conflict repair. Merges every chunk's
@@ -302,14 +300,13 @@ pub(crate) fn conflict_repair(
     store: &PartitionStore,
     split: &SplitOutcome,
     mut ledger: ReservationLedger,
-    snapshot: &LoadSnapshot,
     caps: &[f64],
     parts: &mut [u32],
     epsilon: f64,
     threads: usize,
 ) -> (usize, usize, usize) {
     let k = store.num_parts();
-    let dims = snapshot.dims();
+    let dims = graph.weights().dims();
     // Tolerance: strictly looser than the placement feasibility check
     // (`fullness <= 1`), so a placement the scorer accepted is never
     // re-detected as a conflict and the loop cannot flip-flop.
@@ -330,7 +327,7 @@ pub(crate) fn conflict_repair(
         let mut evicted: Vec<usize> = Vec::new();
         let mut kept = vec![0.0f64; dims];
         for p in 0..k as u32 {
-            let over = (0..dims).any(|j| !fits(snapshot.load(p, j) + ledger.reserved(p, j), j));
+            let over = (0..dims).any(|j| !fits(store.load(p, j) + ledger.reserved(p, j), j));
             if !over {
                 continue;
             }
@@ -345,7 +342,7 @@ pub(crate) fn conflict_repair(
                     }
                     continue;
                 }
-                let ok = (0..dims).all(|j| fits(snapshot.load(p, j) + kept[j] + row[j], j));
+                let ok = (0..dims).all(|j| fits(store.load(p, j) + kept[j] + row[j], j));
                 if ok {
                     for (j, &w) in row.iter().enumerate() {
                         kept[j] += w;
@@ -397,7 +394,7 @@ pub(crate) fn conflict_repair(
                         }
                     });
                     let view = ReservedView {
-                        snapshot,
+                        store,
                         ledger: &chunk_ledger,
                     };
                     let part = chunk_placer.place_with(k, &view, caps, &counts, &arrival.row);
@@ -426,7 +423,7 @@ pub(crate) fn conflict_repair(
                 Some(parts[ai]).filter(|&p| p != TOMBSTONE)
             });
             let view = ReservedView {
-                snapshot,
+                store,
                 ledger: &ledger,
             };
             let part = placer.place_with(k, &view, caps, &counts, &arrival.row);

@@ -22,15 +22,16 @@
 //! ## Speculative placement
 //!
 //! The staged ingest pipeline places a whole batch of arrivals at once:
-//! fixed-size chunks of arrivals are scored concurrently against a frozen
-//! [`LoadSnapshot`] plus a chunk-local [`ReservationLedger`]
-//! ([`LdgPlacer::place_with`] over a [`LoadView`]), so no worker ever
-//! observes another worker's in-flight decisions — placements are a pure
-//! function of the snapshot and the (thread-count-independent) chunk
-//! boundaries. Cross-chunk capacity conflicts are detected and repaired
-//! afterwards by the engine's deterministic repair stage.
+//! fixed-size chunks of arrivals are scored concurrently against the
+//! [`PartitionStore`]'s loads plus a chunk-local [`ReservationLedger`]
+//! ([`LdgPlacer::place_with`] over a [`ReservedView`]). Nothing writes the
+//! store until commit, and no worker observes another worker's in-flight
+//! decisions, so placements are a pure function of the store and the
+//! (thread-count-independent) chunk boundaries. Cross-chunk capacity
+//! conflicts are detected and repaired afterwards by the engine's
+//! deterministic repair stage.
 
-use crate::store::{LoadSnapshot, PartitionStore};
+use crate::store::PartitionStore;
 use mdbgp_core::parallel;
 
 /// Part count below which the scoring sweep stays serial — a scoped spawn
@@ -43,9 +44,9 @@ const MIN_PARALLEL_PARTS: usize = 256;
 type RangeScan = (Option<(u32, f64, f64)>, (u32, f64));
 
 /// Read-only per-`(part, dimension)` loads a placement decision scores
-/// against. The serving path scores the live [`PartitionStore`]; the
-/// speculative pipeline scores a frozen [`LoadSnapshot`] plus pending
-/// [`ReservationLedger`] reservations.
+/// against. The serving path scores the [`PartitionStore`] alone; the
+/// speculative pipeline scores it plus pending [`ReservationLedger`]
+/// reservations.
 pub trait LoadView {
     /// Load of part `p` in dimension `j` as this view sees it.
     fn load(&self, p: u32, j: usize) -> f64;
@@ -59,8 +60,8 @@ impl LoadView for PartitionStore {
 }
 
 /// Weight a placement stage has promised to parts but not yet committed:
-/// a dense per-`(part, dimension)` accumulator layered over a frozen
-/// [`LoadSnapshot`]. Chunk workers keep one each (disjoint, no
+/// a dense per-`(part, dimension)` accumulator layered over the
+/// [`PartitionStore`]'s loads. Chunk workers keep one each (disjoint, no
 /// synchronization); the repair stage keeps a global one.
 #[derive(Clone, Debug)]
 pub struct ReservationLedger {
@@ -109,17 +110,17 @@ impl ReservationLedger {
     }
 }
 
-/// [`LoadSnapshot`] + [`ReservationLedger`]: what a speculative placement
+/// [`PartitionStore`] + [`ReservationLedger`]: what a speculative placement
 /// decision actually scores against.
 pub struct ReservedView<'a> {
-    pub snapshot: &'a LoadSnapshot,
+    pub store: &'a PartitionStore,
     pub ledger: &'a ReservationLedger,
 }
 
 impl LoadView for ReservedView<'_> {
     #[inline]
     fn load(&self, p: u32, j: usize) -> f64 {
-        self.snapshot.load(p, j) + self.ledger.reserved(p, j)
+        self.store.load(p, j) + self.ledger.reserved(p, j)
     }
 }
 
@@ -172,8 +173,8 @@ impl LdgPlacer {
     /// The chunked scoring core: chooses a part against an arbitrary
     /// [`LoadView`] and precomputed per-dimension capacities. The serving
     /// path calls it through [`Self::place`]; the speculative placement
-    /// and conflict-repair stages call it directly with a frozen snapshot
-    /// plus reservations and batch-wide capacities, so every stage ranks
+    /// and conflict-repair stages call it directly with the store plus
+    /// reservations and batch-wide capacities, so every stage ranks
     /// candidates with the identical (score, fullness, lowest part id)
     /// order.
     pub fn place_with(
@@ -339,15 +340,14 @@ mod tests {
     #[test]
     fn reservations_count_against_capacity() {
         // Speculative scoring: a chunk's own reservations must eat into
-        // the frozen snapshot's headroom exactly like committed load.
-        let mut store = unit_store();
-        let snapshot = store.load_snapshot();
+        // the store's headroom exactly like committed load.
+        let store = unit_store();
         let mut ledger = ReservationLedger::new(2, 1);
         let placer = LdgPlacer::new(0.05);
         // Batch of two unit arrivals: caps = 1.05 · (4 + 2) / 2 = 3.15.
         let caps = [1.05 * 6.0 / 2.0];
         let view = ReservedView {
-            snapshot: &snapshot,
+            store: &store,
             ledger: &ledger,
         };
         assert_eq!(
@@ -357,7 +357,7 @@ mod tests {
         );
         ledger.reserve(0, &[1.0]);
         let view = ReservedView {
-            snapshot: &snapshot,
+            store: &store,
             ledger: &ledger,
         };
         assert_eq!(
@@ -373,7 +373,7 @@ mod tests {
         ledger.merge(&other);
         assert_eq!(ledger.reserved(0, 0), 1.0);
         let view = ReservedView {
-            snapshot: &snapshot,
+            store: &store,
             ledger: &ledger,
         };
         assert_eq!(placer.place_with(2, &view, &caps, &[5, 0], &[1.0]), 1);

@@ -22,7 +22,7 @@
 //! | offset | size | field                                                |
 //! |--------|------|------------------------------------------------------|
 //! | 0      | 8    | magic `b"MDBGPSNP"`                                  |
-//! | 8      | 4    | format version (`u32`, currently 3)                  |
+//! | 8      | 4    | format version (`u32`, currently 4)                  |
 //! | 12     | 8    | id epoch (`u64`, see below)                          |
 //! | 20     | 4    | part count `k` (`u32`)                               |
 //! | 24     | 4    | weight dimensions `d` (`u32`)                        |
@@ -45,18 +45,17 @@
 //!
 //! | tag    | section | contents, in order                                 |
 //! |--------|---------|----------------------------------------------------|
-//! | `0x01` | CONFIG  | `k`, ε, `refine_iterations`, `max_refine_pairs`,   |
-//! |        |         | `compact_slack`, `refine_every`, `drift_headroom`, |
-//! |        |         | `seed`, `threads`, then the [`GdConfig`]           |
+//! | `0x01` | CONFIG  | `k`, ε, `compact_slack`, `refine_every`,           |
+//! |        |         | `drift_headroom`, `seed`, `threads`, then the      |
+//! |        |         | [`GdConfig`]                                       |
 //! | `0x02` | GRAPH   | base CSR offsets and targets, delta adjacency,     |
 //! |        |         | delta edge count, edge tombstones, removed base    |
 //! |        |         | edge count, vertex tombstones, free list, weight   |
 //! |        |         | dimension count, one column per dimension, totals  |
 //! | `0x03` | STORE   | `k`, `d`, assignments, loads, live totals, intra   |
 //! |        |         | and cut edge counts                                |
-//! | `0x04` | ENGINE  | dirty mask, pending remap (flag + map), `batch_seq`|
-//! |        |         | (`u64`), batches since the last refinement,        |
-//! |        |         | refinement seed                                    |
+//! | `0x04` | ENGINE  | dirty mask, `batch_seq` (`u64`), batches since the |
+//! |        |         | last refinement, refinement seed                   |
 //! | `0xFE` | END     | —                                                  |
 //!
 //! Every count in the payload is bounded before it sizes an allocation:
@@ -121,12 +120,13 @@ use crate::engine::StreamConfig;
 /// First 8 bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MDBGPSNP";
 
-/// Current snapshot format version. Version 3 keeps one engine counter,
+/// Current snapshot format version. Version 4 keeps one engine counter,
 /// `batch_seq` (the others live in the metrics registry, which snapshots
-/// do not carry), and no rebalance move cap in the config. Every older
-/// version is rejected with [`SnapshotError::UnsupportedVersion`] —
-/// re-save from a live engine.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// do not carry), no purge remap (none is pending at a batch boundary),
+/// and no refinement iteration or pair budgets in the config (they are
+/// constants of the engine). Every older version is rejected with
+/// [`SnapshotError::UnsupportedVersion`] — re-save from a live engine.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Fixed header size in bytes (magic + version + epoch + k + dims +
 /// payload length + checksum).
@@ -378,7 +378,11 @@ fn header_checksum(header: &[u8; SNAPSHOT_HEADER_BYTES]) -> u64 {
     u64::from_le_bytes(header[36..44].try_into().unwrap())
 }
 
-fn read_exact_or_truncated<R: Read>(
+/// Fills `buf` from `r`; a stream that ends first is
+/// [`SnapshotError::Truncated`] and an I/O failure is
+/// [`SnapshotError::Io`], both naming `context`. The batch log reads its
+/// header through this too ([`crate::wire`]).
+pub(crate) fn read_exact_or_truncated<R: Read>(
     r: &mut R,
     buf: &mut [u8],
     context: &'static str,
@@ -682,8 +686,6 @@ impl<'a> PayloadReader<'a> {
 pub(crate) fn encode_config(w: &mut PayloadWriter, cfg: &StreamConfig) {
     w.put_usize(cfg.k);
     w.put_f64(cfg.epsilon);
-    w.put_usize(cfg.refine_iterations);
-    w.put_usize(cfg.max_refine_pairs);
     w.put_f64(cfg.compact_slack);
     w.put_usize(cfg.refine_every);
     w.put_f64(cfg.drift_headroom);
@@ -696,8 +698,6 @@ pub(crate) fn decode_config(r: &mut PayloadReader) -> Result<StreamConfig, Snaps
     Ok(StreamConfig {
         k: r.get_usize("config.k")?,
         epsilon: r.get_f64("config.epsilon")?,
-        refine_iterations: r.get_usize("config.refine_iterations")?,
-        max_refine_pairs: r.get_usize("config.max_refine_pairs")?,
         compact_slack: r.get_f64("config.compact_slack")?,
         refine_every: r.get_usize("config.refine_every")?,
         drift_headroom: r.get_f64("config.drift_headroom")?,
@@ -866,16 +866,15 @@ mod tests {
             read_snapshot(&broken[..]).unwrap_err(),
             SnapshotError::UnsupportedVersion { found: 99, .. }
         ));
-        // No decoder for the previous version is kept.
-        let mut broken = bytes.clone();
-        broken[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(&broken[..]).unwrap_err(),
-            SnapshotError::UnsupportedVersion {
-                found: 2,
-                supported: 3
-            }
-        ));
+        // No decoder for an earlier version is kept.
+        for old in [2u32, 3] {
+            let mut broken = bytes.clone();
+            broken[8..12].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                read_snapshot(&broken[..]).unwrap_err(),
+                SnapshotError::UnsupportedVersion { found, supported: 4 } if found == old
+            ));
+        }
 
         // Truncated header and truncated payload.
         assert!(matches!(
@@ -1003,12 +1002,11 @@ mod tests {
         // An unknown enum tag is Corrupt, not a panic.
         let mut w = PayloadWriter::new();
         encode_config(&mut w, &cfg);
-        // step tag sits after k(8) + epsilon(8) + 4 usizes/f64s... locate
-        // it by re-encoding with a poisoned byte: the tag is the first u8
-        // in the stream, so scan for it structurally instead.
+        // The step tag is the first u8 in the stream: it follows the seven
+        // config scalars, gd.epsilon and gd.iterations, 8 bytes each.
         let mut r = PayloadReader::new(&w.buf);
         let _ = decode_config(&mut r).unwrap();
-        let tag_pos = 8 * 9 + 8 + 8; // scalars before gd.step tag
+        let tag_pos = 8 * 7 + 8 + 8; // scalars before gd.step tag
         w.buf[tag_pos] = 77;
         let err = decode_config(&mut PayloadReader::new(&w.buf)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");

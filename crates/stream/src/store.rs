@@ -15,19 +15,19 @@
 //! imbalance/headroom telemetry and the placement capacities never count
 //! weight that already left the system.
 //!
-//! ## Batch ingestion: snapshot → reserve → commit
+//! ## Batch ingestion: reserve → commit
 //!
-//! The staged ingest pipeline ([`crate::StreamingPartitioner`]) never
-//! places arrivals against live, mutating loads. It takes a frozen
-//! [`LoadSnapshot`] ([`PartitionStore::load_snapshot`]), scores
-//! speculative placements against `snapshot + reservations` on worker
-//! threads, repairs capacity conflicts, and only then commits the final
-//! assignments — [`PartitionStore::push_assignment`] for a fresh id,
+//! The staged ingest pipeline ([`crate::StreamingPartitioner`]) places a
+//! batch's arrivals against the store's loads as they stood after the
+//! split stage: nothing writes the store between split and commit, so
+//! placement workers score `&PartitionStore` plus their own reservations
+//! ([`crate::ReservedView`]) concurrently, conflicts are repaired, and
+//! only then the final assignments commit —
+//! [`PartitionStore::push_assignment`] for a fresh id,
 //! [`PartitionStore::assign_slot`] for a recycled one, and
 //! [`PartitionStore::push_tombstone`] for an arrival that was removed
 //! again inside its own batch (the slot must still exist so store ids stay
-//! aligned with graph ids). The snapshot is plain owned data, which also
-//! makes it the natural serialization unit for a future snapshot/restore.
+//! aligned with graph ids).
 //!
 //! ## Rebalance candidates
 //!
@@ -43,9 +43,9 @@
 //!
 //! Everything above is the **write side** — engine-private mutable state.
 //! Concurrent serving never touches it. At every batch boundary the engine
-//! publishes an immutable [`ReadView`] — the frozen assignment vector, the
-//! [`LoadSnapshot`] and the purge remap composed since the previous view —
-//! stamped with a [`ViewEpoch`] `(id_epoch, batch_seq)`. [`ReadHandle`]s
+//! publishes an immutable [`ReadView`] — the frozen assignment vector and
+//! the purge remap composed since the previous view — stamped with a
+//! [`ViewEpoch`] `(id_epoch, batch_seq)`. [`ReadHandle`]s
 //! (from [`PartitionStore::reader`]) pin the latest view with one relaxed
 //! atomic probe and serve lock-free lookups from the pinned allocation, so
 //! a reader fleet runs at full speed while the engine commits and refines.
@@ -62,64 +62,6 @@ use mdbgp_obs::{Histogram, SharedHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// A frozen copy of the per-`(part, dimension)` loads and the live
-/// per-dimension totals — what the speculative placement stage scores
-/// against while the real store stays untouched until commit, and the
-/// accounting half of every published [`ReadView`].
-///
-/// `Arc`-backed: cloning shares one immutable allocation, so handing the
-/// snapshot to placement workers (or embedding it in a view) is O(1). The
-/// store caches the allocation and only rebuilds it after a load/total
-/// mutation — consecutive pure-topology batches reuse the exact snapshot
-/// the last view published ([`PartitionStore::snapshot_rebuild_count`]
-/// regression-tests this).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LoadSnapshot {
-    inner: Arc<SnapshotInner>,
-}
-
-#[derive(Debug, PartialEq)]
-struct SnapshotInner {
-    k: usize,
-    dims: usize,
-    loads: Vec<f64>,
-    totals: Vec<f64>,
-}
-
-impl LoadSnapshot {
-    /// Number of parts.
-    #[inline]
-    pub fn num_parts(&self) -> usize {
-        self.inner.k
-    }
-
-    /// Number of weight dimensions.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.inner.dims
-    }
-
-    /// Frozen load of part `p` in dimension `j`.
-    #[inline]
-    pub fn load(&self, p: u32, j: usize) -> f64 {
-        self.inner.loads[p as usize * self.inner.dims + j]
-    }
-
-    /// Frozen live total of dimension `j`.
-    #[inline]
-    pub fn total(&self, j: usize) -> f64 {
-        self.inner.totals[j]
-    }
-
-    /// True when both snapshots share one underlying allocation — i.e. no
-    /// rebuild happened between taking them (the hook the reuse-on-publish
-    /// regression test asserts on).
-    #[inline]
-    pub fn shares_storage(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Published read views
@@ -139,8 +81,8 @@ pub struct ViewEpoch {
 }
 
 /// One immutable published state of the partition: the vertex→part
-/// assignment, the frozen [`LoadSnapshot`], and — when a purge happened
-/// since the previous view — the composed old→new id remap. Readers get
+/// assignment and — when a purge happened since the previous view — the
+/// composed old→new id remap. Readers get
 /// views through a [`ReadHandle`]; the engine publishes one per batch at
 /// the end of commit/refine.
 ///
@@ -153,7 +95,6 @@ pub struct ReadView {
     epoch: ViewEpoch,
     /// Assignment at publication; [`TOMBSTONE`] marks a released slot.
     parts: Vec<u32>,
-    snapshot: LoadSnapshot,
     /// Old→new id map from the *previous published view's* id space into
     /// this one — present iff a purge happened between the two views, and
     /// composed across purges if several did. [`TOMBSTONE`] = dropped.
@@ -167,12 +108,6 @@ impl ReadView {
     #[inline]
     pub fn epoch(&self) -> ViewEpoch {
         self.epoch
-    }
-
-    /// Number of parts.
-    #[inline]
-    pub fn num_parts(&self) -> usize {
-        self.snapshot.num_parts()
     }
 
     /// Size of the view's vertex-id space (tombstoned slots included).
@@ -204,12 +139,6 @@ impl ReadView {
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
         &self.parts
-    }
-
-    /// The frozen load/total accounting published with the view.
-    #[inline]
-    pub fn load_snapshot(&self) -> &LoadSnapshot {
-        &self.snapshot
     }
 
     /// Old→new remap from the previous published view's id space, present
@@ -416,12 +345,6 @@ pub struct PartitionStore {
     /// Publication slot + serving counters, shared with every
     /// [`ReadHandle`] this store handed out. Not part of snapshots.
     views: Arc<ViewShared>,
-    /// Cached [`LoadSnapshot`] allocation; `None` after any load/total
-    /// mutation, refilled (and counted) by [`Self::load_snapshot`].
-    snapshot_cache: Option<LoadSnapshot>,
-    /// Times [`Self::load_snapshot`] had to rebuild the allocation (the
-    /// reuse-on-publish regression hook). Not part of snapshots.
-    snapshot_rebuilds: u64,
     /// Worker count for the parallel remap scatter. Not part of
     /// snapshots; never influences results — the parallel pass here is
     /// pure data movement into disjoint ranges.
@@ -456,8 +379,6 @@ impl Clone for PartitionStore {
             intra_edges: self.intra_edges,
             cut_edges: self.cut_edges,
             views,
-            snapshot_cache: self.snapshot_cache.clone(),
-            snapshot_rebuilds: self.snapshot_rebuilds,
             threads: self.threads,
         }
     }
@@ -482,19 +403,9 @@ impl PartitionStore {
             views: ViewShared::new(Arc::new(ReadView {
                 epoch: ViewEpoch::default(),
                 parts: Vec::new(),
-                snapshot: LoadSnapshot {
-                    inner: Arc::new(SnapshotInner {
-                        k,
-                        dims,
-                        loads: Vec::new(),
-                        totals: Vec::new(),
-                    }),
-                },
                 remap: None,
                 checksum: view_checksum(ViewEpoch::default(), &[]),
             })),
-            snapshot_cache: None,
-            snapshot_rebuilds: 0,
             threads: 1,
         };
         for (v, &p) in partition.as_slice().iter().enumerate() {
@@ -634,49 +545,7 @@ impl PartitionStore {
         self.part_sizes[p as usize]
     }
 
-    /// A frozen view of the loads and live totals for the speculative
-    /// placement stage: decisions are scored against `snapshot +
-    /// reservations` while the store itself stays unmutated until the
-    /// commit stage.
-    ///
-    /// O(1) when the accounting hasn't changed since the last call — the
-    /// `Arc`-backed allocation is cached and shared (typically with the
-    /// last published [`ReadView`], making this a cheap clone-on-publish);
-    /// any load/total mutation invalidates the cache and the next call
-    /// rebuilds ([`Self::snapshot_rebuild_count`]).
-    pub fn load_snapshot(&mut self) -> LoadSnapshot {
-        if let Some(snap) = &self.snapshot_cache {
-            return snap.clone();
-        }
-        self.snapshot_rebuilds += 1;
-        let snap = LoadSnapshot {
-            inner: Arc::new(SnapshotInner {
-                k: self.k,
-                dims: self.dims,
-                loads: self.loads.clone(),
-                totals: self.totals.clone(),
-            }),
-        };
-        self.snapshot_cache = Some(snap.clone());
-        snap
-    }
-
-    /// Times [`Self::load_snapshot`] rebuilt its allocation instead of
-    /// reusing the cached one.
-    #[inline]
-    pub fn snapshot_rebuild_count(&self) -> u64 {
-        self.snapshot_rebuilds
-    }
-
-    /// Drops the cached [`LoadSnapshot`]; called by every load/total
-    /// mutation so a stale allocation can never be served.
-    #[inline]
-    fn invalidate_snapshot(&mut self) {
-        self.snapshot_cache = None;
-    }
-
-    /// Publishes the current assignment + accounting as an immutable
-    /// [`ReadView`] stamped `(id_epoch, batch_seq)`, swapping it into the
+    /// Publishes the current assignment as an immutable [`ReadView`] stamped `(id_epoch, batch_seq)`, swapping it into the
     /// slot every [`ReadHandle`] probes. `remap` is the old→new id map
     /// composed since the previous publish (present iff a purge happened);
     /// readers only ever observe remaps through this swap. Returns the
@@ -695,13 +564,11 @@ impl PartitionStore {
         remap: Option<Vec<u32>>,
         count_swap: bool,
     ) -> Arc<ReadView> {
-        let snapshot = self.load_snapshot();
         let parts = self.parts.clone();
         let checksum = view_checksum(epoch, &parts);
         let view = Arc::new(ReadView {
             epoch,
             parts,
-            snapshot,
             remap: remap.map(Arc::new),
             checksum,
         });
@@ -743,7 +610,6 @@ impl PartitionStore {
     pub fn push_assignment(&mut self, part: u32, weight_row: &[f64]) {
         debug_assert!((part as usize) < self.k);
         debug_assert_eq!(weight_row.len(), self.dims);
-        self.invalidate_snapshot();
         self.parts.push(part);
         self.part_sizes[part as usize] += 1;
         for (j, &w) in weight_row.iter().enumerate() {
@@ -776,7 +642,6 @@ impl PartitionStore {
             self.parts[v as usize], TOMBSTONE,
             "assign_slot target {v} is still assigned"
         );
-        self.invalidate_snapshot();
         self.parts[v as usize] = part;
         self.part_sizes[part as usize] += 1;
         for (j, &w) in weight_row.iter().enumerate() {
@@ -795,7 +660,6 @@ impl PartitionStore {
         debug_assert_eq!(weight_row.len(), self.dims);
         let p = self.parts[v as usize] as usize;
         debug_assert!(p != TOMBSTONE as usize, "vertex {v} already released");
-        self.invalidate_snapshot();
         self.part_sizes[p] -= 1;
         for (j, &w) in weight_row.iter().enumerate() {
             self.loads[p * self.dims + j] -= w;
@@ -812,7 +676,6 @@ impl PartitionStore {
         if old == part as usize {
             return;
         }
-        self.invalidate_snapshot();
         self.part_sizes[old] -= 1;
         self.part_sizes[part as usize] += 1;
         for (j, &w) in weight_row.iter().enumerate() {
@@ -826,7 +689,6 @@ impl PartitionStore {
     /// `new`.
     pub fn apply_weight_change(&mut self, v: VertexId, j: usize, old: f64, new: f64) {
         let p = self.parts[v as usize];
-        self.invalidate_snapshot();
         self.loads[p as usize * self.dims + j] += new - old;
         self.totals[j] += new - old;
     }
@@ -1005,7 +867,6 @@ impl PartitionStore {
     /// Released-but-unpurged slots contribute nothing.
     pub fn rebuild_loads(&mut self, weights: &VertexWeights) {
         assert_eq!(weights.num_vertices(), self.parts.len());
-        self.invalidate_snapshot();
         self.loads.iter_mut().for_each(|l| *l = 0.0);
         self.totals.iter_mut().for_each(|t| *t = 0.0);
         self.part_sizes.iter_mut().for_each(|s| *s = 0);
@@ -1097,19 +958,9 @@ impl PartitionStore {
             views: ViewShared::new(Arc::new(ReadView {
                 epoch: ViewEpoch::default(),
                 parts: Vec::new(),
-                snapshot: LoadSnapshot {
-                    inner: Arc::new(SnapshotInner {
-                        k,
-                        dims,
-                        loads: Vec::new(),
-                        totals: Vec::new(),
-                    }),
-                },
                 remap: None,
                 checksum: view_checksum(ViewEpoch::default(), &[]),
             })),
-            snapshot_cache: None,
-            snapshot_rebuilds: 0,
             threads: 1,
         };
         // The restoring engine publishes view #0 (at the restored id
@@ -1234,21 +1085,6 @@ mod tests {
         s.apply_weight_change(0, 1, old, old + 4.0);
         assert_eq!(s.load(0, 1), 3.0 + 4.0);
         assert_eq!(s.total(1), 6.0 + 4.0);
-    }
-
-    #[test]
-    fn load_snapshot_freezes_the_accounting() {
-        let (mut s, _) = store();
-        let snap = s.load_snapshot();
-        assert_eq!(snap.num_parts(), 2);
-        assert_eq!(snap.dims(), 2);
-        assert_eq!(snap.load(0, 0), s.load(0, 0));
-        assert_eq!(snap.total(1), s.total(1));
-        // Mutating the store afterwards leaves the snapshot untouched.
-        s.push_assignment(0, &[1.0, 1.0]);
-        assert_eq!(snap.load(0, 0), 2.0);
-        assert_eq!(snap.total(0), 4.0);
-        assert_eq!(s.total(0), 5.0);
     }
 
     #[test]
@@ -1455,30 +1291,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cache_reuses_until_a_load_mutation() {
-        let (mut s, _) = store();
-        let first = s.load_snapshot();
-        let again = s.load_snapshot();
-        assert!(
-            first.shares_storage(&again),
-            "no mutation between calls: same allocation expected"
-        );
-        let baseline = s.snapshot_rebuild_count();
-        // Pure-topology mutations (edge counters) leave loads untouched —
-        // the cache must survive them.
-        s.on_edge_added(0, 2);
-        s.on_edge_removed(0, 2);
-        assert!(s.load_snapshot().shares_storage(&first));
-        assert_eq!(s.snapshot_rebuild_count(), baseline);
-        // A load mutation invalidates; the next call rebuilds once.
-        s.push_assignment(0, &[1.0, 1.0]);
-        let fresh = s.load_snapshot();
-        assert!(!fresh.shares_storage(&first), "stale snapshot served");
-        assert_eq!(fresh.total(0), 5.0);
-        assert_eq!(s.snapshot_rebuild_count(), baseline + 1);
-    }
-
-    #[test]
     fn published_view_serves_the_frozen_assignment() {
         let (mut s, _) = store();
         // The constructor seeds an uncounted bootstrap view.
@@ -1496,9 +1308,6 @@ mod tests {
         assert_eq!(s.view_swap_count(), 1);
         assert_eq!(view.epoch(), epoch);
         assert!(view.remap().is_none());
-        // The view shares the snapshot allocation with the store's cache
-        // (clone-on-publish, not rebuild).
-        assert!(view.load_snapshot().shares_storage(&s.load_snapshot()));
         // Mutating the store does not leak into the published view.
         s.move_vertex(0, 1, &[1.0, 1.0]);
         assert_eq!(view.shard_of(0), 0);

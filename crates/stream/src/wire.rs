@@ -80,7 +80,9 @@
 use std::io::{Read, Write};
 
 use crate::delta::{RefinePass, StreamUpdate, UpdateBatch};
-use crate::snapshot::{fnv1a, PayloadReader, PayloadWriter, SnapshotError};
+use crate::snapshot::{
+    fnv1a, read_exact_or_truncated, PayloadReader, PayloadWriter, SnapshotError,
+};
 use crate::ViewEpoch;
 
 /// First 8 bytes of every batch log.
@@ -572,29 +574,6 @@ fn decode_decision(r: &mut PayloadReader) -> Result<Option<Option<RefinePass>>, 
         return Ok(Some(Some(pass)));
     };
     Err(WireError::Corrupt(why))
-}
-
-fn read_exact_or_truncated<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), WireError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    context,
-                    needed: buf.len(),
-                    available: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::io(context, e)),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

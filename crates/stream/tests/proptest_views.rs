@@ -2,8 +2,9 @@
 //! interleaving of reader pins and batch publishes under mixed churn,
 //! every view a reader observes is **exactly** the post-batch state of
 //! some prefix of the batch sequence — never a torn or intermediate
-//! state — with remaps consistent with the view's epoch, and the
-//! published view sequence is identical at threads 1 and 4. A
+//! state — with remaps consistent with the view's epoch and equal to the
+//! batch report's, and the published view sequence is identical at
+//! threads 1 and 4. A
 //! multi-threaded stress test hammers lookups from spinning readers
 //! across ≥ 2 purges while the engine ingests, asserting zero
 //! checksum failures and zero stale-epoch reads.
@@ -136,7 +137,7 @@ proptest! {
             let ba = build_batch(&serial, &mut rng_a, arrivals, removals, drifts);
             let bb = build_batch(&threaded, &mut rng_b, arrivals, removals, drifts);
             prop_assert_eq!(&ba, &bb, "script diverged");
-            serial.ingest(&ba).expect("serial ingest");
+            let report = serial.ingest(&ba).expect("serial ingest");
             threaded.ingest(&bb).expect("threaded ingest");
             expected.push((serial.id_epoch(), serial.store().as_slice().to_vec()));
 
@@ -146,6 +147,14 @@ proptest! {
             prop_assert_eq!(vs.epoch(), vt.epoch(), "view epochs diverged");
             prop_assert_eq!(vs.as_slice(), vt.as_slice(), "view states diverged");
             prop_assert_eq!(vs.remap(), vt.remap(), "view remaps diverged");
+            // One remap chain: the report carries the map the batch's
+            // view published, purge or not.
+            prop_assert_eq!(
+                report.remap.as_deref(),
+                vs.remap(),
+                "report and view remaps differ at batch {}",
+                batch_no
+            );
 
             // Diligent reader: every publish observed, ids translated
             // through exactly the remap the view carries.
