@@ -714,7 +714,9 @@ impl DynamicGraph {
         }
         let base_n = offsets.len() - 1;
         for v in 0..base_n {
-            if offsets[v] > offsets[v + 1] {
+            // An offset past the targets must fall again before the last
+            // one, which frames them: that is a monotonicity break too.
+            if offsets[v] > offsets[v + 1] || offsets[v + 1] > targets.len() {
                 return Err(corrupt(format!("base CSR offsets not monotone at {v}")));
             }
             let adj = &targets[offsets[v]..offsets[v + 1]];

@@ -659,13 +659,31 @@ impl StreamingPartitioner {
     /// counts itself in the metrics registry, hence `&mut self`), so a
     /// saver and its restorer continue into identical reports. A snapshot
     /// may be taken at any batch boundary, including mid-churn with
-    /// tombstoned-but-unpurged vertices pending.
+    /// tombstoned-but-unpurged vertices pending. The snapshot is encoded
+    /// in memory first, then written.
     pub fn save_snapshot<W: std::io::Write>(
         &mut self,
         w: &mut W,
     ) -> Result<crate::SnapshotInfo, crate::SnapshotError> {
+        use crate::snapshot::{SnapshotError, SNAPSHOT_HEADER_BYTES};
+        let mut framed = Vec::new();
+        let info = self.encode_snapshot(&mut framed);
+        let (header, payload) = framed.split_at(SNAPSHOT_HEADER_BYTES);
+        w.write_all(header)
+            .map_err(|e| SnapshotError::io("header", e))?;
+        w.write_all(payload)
+            .and_then(|()| w.flush())
+            .map_err(|e| SnapshotError::io("payload", e))?;
+        Ok(info)
+    }
+
+    /// Encodes the snapshot [`Self::save_snapshot`] writes into `buf`,
+    /// replacing its contents and keeping its allocation: a leader
+    /// re-encodes each rotation's snapshot into the buffer that held the
+    /// last one. Encoding into memory cannot fail.
+    pub(crate) fn encode_snapshot(&mut self, buf: &mut Vec<u8>) -> crate::SnapshotInfo {
         use crate::snapshot::{self, PayloadWriter};
-        let mut pw = PayloadWriter::new();
+        let mut pw = PayloadWriter::for_snapshot(std::mem::take(buf));
         // The id epoch is echoed as the payload's first bytes: the header
         // copy (used for cheap pre-parse expectation checks) is outside
         // the checksum, so restore cross-validates it against this
@@ -684,13 +702,9 @@ impl StreamingPartitioner {
         pw.put_usize(self.batches_since_refine);
         pw.put_u64(self.refine_seed);
         pw.put_section(snapshot::SEC_END);
-        let info = snapshot::write_snapshot(
-            w,
-            self.id_epoch,
-            self.cfg.k,
-            self.graph.weights().dims(),
-            &pw.buf,
-        )?;
+        *buf = pw.buf;
+        let info =
+            snapshot::seal_snapshot(buf, self.id_epoch, self.cfg.k, self.graph.weights().dims());
         self.obs.counter_add("stream.snapshot.saves", 1);
         self.obs.journal_event(
             "snapshot.save",
@@ -699,7 +713,7 @@ impl StreamingPartitioner {
                 ("payload_bytes", info.payload_bytes as f64),
             ],
         );
-        Ok(info)
+        info
     }
 
     /// Rebuilds an engine from a [`Self::save_snapshot`] stream with no
@@ -3294,9 +3308,9 @@ mod tests {
             for &at in &inflated {
                 forged[at..at + 8].copy_from_slice(&huge.to_le_bytes());
             }
-            let mut resealed = Vec::new();
-            snapshot::write_snapshot(&mut resealed, info.id_epoch, info.k, info.dims, &forged)
-                .unwrap();
+            let mut resealed = vec![0; snapshot::SNAPSHOT_HEADER_BYTES];
+            resealed.extend_from_slice(&forged);
+            snapshot::seal_snapshot(&mut resealed, info.id_epoch, info.k, info.dims);
             match StreamingPartitioner::restore(&resealed[..]) {
                 Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_)) => {}
                 Err(other) => panic!("count at {inflated:?}: unexpected error {other}"),

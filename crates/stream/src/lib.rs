@@ -325,6 +325,9 @@ pub mod snapshot;
 pub mod store;
 pub mod wire;
 
+#[cfg(test)]
+mod decoder_fuzz;
+
 /// Sentinel id for a vertex that no longer exists: the shard reported by
 /// [`PartitionStore::shard_of`] for a released vertex, and the slot value
 /// in the old→new id map returned by [`DynamicGraph::compact`] for a

@@ -208,7 +208,9 @@ impl Leader {
     /// Wraps an engine, takes its bootstrap snapshot, and opens the
     /// first log segment based at the engine's current published stamp.
     pub fn new(mut engine: StreamingPartitioner) -> Result<Self, ReplicaError> {
-        let (snapshot, log) = Self::fresh_segment(&mut engine, 0)?;
+        let log = Self::fresh_log(&engine, 0)?;
+        let mut snapshot = Vec::new();
+        engine.encode_snapshot(&mut snapshot);
         Ok(Leader {
             engine,
             snapshot,
@@ -218,18 +220,15 @@ impl Leader {
         })
     }
 
-    fn fresh_segment(
-        engine: &mut StreamingPartitioner,
-        segment: u64,
-    ) -> Result<(Vec<u8>, Vec<u8>), ReplicaError> {
-        let mut snapshot = Vec::new();
-        engine.save_snapshot(&mut snapshot)?;
+    /// A log segment holding its header alone, based at the engine's
+    /// current published stamp.
+    fn fresh_log(engine: &StreamingPartitioner, segment: u64) -> Result<Vec<u8>, ReplicaError> {
         let base = engine.read_view().epoch();
         let k = engine.config().k;
         let dims = engine.graph().weights().dims();
         let mut log = Vec::new();
         write_log_header(&mut log, k, dims, segment, base)?;
-        Ok((snapshot, log))
+        Ok(log)
     }
 
     /// Ingests a batch through the wrapped engine and appends one log
@@ -260,11 +259,13 @@ impl Leader {
     /// bootstrap from the new pair; followers already tailing the old
     /// segment are complete as of the rotation point and can re-adopt
     /// the new segment seamlessly (its base is exactly their stamp).
+    /// All-or-nothing: the new log header is written first, and the
+    /// snapshot is then re-encoded in place into the old one's buffer,
+    /// which cannot fail.
     pub fn rotate(&mut self) -> Result<(), ReplicaError> {
+        self.log = Self::fresh_log(&self.engine, self.rotations + 1)?;
+        self.engine.encode_snapshot(&mut self.snapshot);
         self.rotations += 1;
-        let (snapshot, log) = Self::fresh_segment(&mut self.engine, self.rotations)?;
-        self.snapshot = snapshot;
-        self.log = log;
         self.segment_records = 0;
         self.engine
             .metrics_mut()
@@ -658,6 +659,29 @@ mod tests {
         fresh.replay(leader.log_bytes()).unwrap();
         assert_eq!(fresh.view().epoch(), follower.view().epoch());
         assert_eq!(fresh.view().checksum(), follower.view().checksum());
+    }
+
+    /// A rotation re-encodes the snapshot into the leader's own buffer:
+    /// the bytes are exactly what `save_snapshot` writes for the same
+    /// engine, and a second rotation with no batch in between re-encodes
+    /// the same bytes.
+    #[test]
+    fn rotation_re_encodes_the_saved_snapshot_in_place() {
+        let mut leader = Leader::new(leader_engine(300, 5)).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        leader.ingest(&churny_batch(&mut rng, 300)).unwrap();
+        let before = leader.snapshot_bytes().to_vec();
+        leader.rotate().unwrap();
+        let rotated = leader.snapshot_bytes().to_vec();
+        assert_ne!(rotated, before, "the batch must show in the snapshot");
+        let mut saved = Vec::new();
+        leader.engine.save_snapshot(&mut saved).unwrap();
+        assert_eq!(rotated, saved);
+        let buffer = leader.snapshot.as_ptr();
+        leader.rotate().unwrap();
+        assert_eq!(leader.snapshot_bytes(), &saved[..]);
+        assert_eq!(leader.snapshot.as_ptr(), buffer, "the buffer was replaced");
+        assert_eq!(leader.rotations(), 2);
     }
 
     #[test]

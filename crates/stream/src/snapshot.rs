@@ -22,12 +22,12 @@
 //! | offset | size | field                                                |
 //! |--------|------|------------------------------------------------------|
 //! | 0      | 8    | magic `b"MDBGPSNP"`                                  |
-//! | 8      | 4    | format version (`u32`, currently 4)                  |
+//! | 8      | 4    | format version (`u32`, currently 5)                  |
 //! | 12     | 8    | id epoch (`u64`, see below)                          |
 //! | 20     | 4    | part count `k` (`u32`)                               |
 //! | 24     | 4    | weight dimensions `d` (`u32`)                        |
 //! | 28     | 8    | payload length in bytes (`u64`)                      |
-//! | 36     | 8    | FNV-1a 64 checksum of the payload (`u64`)            |
+//! | 36     | 8    | `checksum` of the payload (`u64`, see below)         |
 //! | 44     | 8    | payload: id-epoch echo (`u64`, checksummed)          |
 //! | 52     | …    | payload: CONFIG, GRAPH, STORE, ENGINE sections + END |
 //!
@@ -108,25 +108,30 @@
 //! `restore` is all-or-nothing: every rejection — bad magic, unsupported
 //! version, truncation, checksum mismatch, expectation mismatch, or an
 //! internally inconsistent payload — returns the specific named
-//! [`SnapshotError`] variant with nothing constructed. The checksum is an
-//! *integrity* check (bit rot, torn writes), not an authenticity one;
-//! feed snapshots from trusted storage.
+//! [`SnapshotError`] variant with nothing constructed. The checksum reads
+//! the payload as little-endian `u64` words in four interleaved lanes
+//! (`Checksum`, shared with the batch log and the published views), so
+//! every single-byte flip changes it. It is an *integrity* check (bit
+//! rot, torn writes), not an authenticity one; feed snapshots from
+//! trusted storage.
 
 use mdbgp_core::{GdConfig, NoiseSchedule, ProjectionMethod, StepSchedule};
-use std::io::{Read, Write};
+use std::io::Read;
 
 use crate::engine::StreamConfig;
 
 /// First 8 bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MDBGPSNP";
 
-/// Current snapshot format version. Version 4 keeps one engine counter,
-/// `batch_seq` (the others live in the metrics registry, which snapshots
-/// do not carry), no purge remap (none is pending at a batch boundary),
-/// and no refinement iteration or pair budgets in the config (they are
-/// constants of the engine). Every older version is rejected with
-/// [`SnapshotError::UnsupportedVersion`] — re-save from a live engine.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Current snapshot format version. Version 5 checksums the payload with
+/// the word-wise `Checksum`; its payload is version 4's: one engine
+/// counter, `batch_seq` (the others live in the metrics registry, which
+/// snapshots do not carry), no purge remap (none is pending at a batch
+/// boundary), and no refinement iteration or pair budgets in the config
+/// (they are constants of the engine). Every older version is rejected
+/// with [`SnapshotError::UnsupportedVersion`] — re-save from a live
+/// engine.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Fixed header size in bytes (magic + version + epoch + k + dims +
 /// payload length + checksum).
@@ -330,15 +335,81 @@ impl SnapshotExpectation {
     }
 }
 
-/// FNV-1a 64-bit — tiny, dependency-free, and plenty for the integrity
-/// check this format needs (any accidental byte flip changes the hash).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The state of the one checksum this crate uses: snapshot payloads, the
+/// batch log's header and records ([`crate::wire`]) and published views
+/// ([`crate::ReadView::checksum`]). Words are little-endian `u64`s; word
+/// `i` of the stream goes to lane `i % 4`, so the four lanes' multiplies
+/// overlap. Every step is a bijection in the state and in the word, so a
+/// change confined to one word — every single-byte flip among them — always
+/// changes the result. An *integrity* check (bit rot, torn writes), not an
+/// authenticity one.
+pub(crate) struct Checksum {
+    lanes: [u64; 4],
+}
+
+impl Checksum {
+    const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
+    const SEEDS: [u64; 4] = [
+        0x243F_6A88_85A3_08D3,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+
+    #[inline(always)]
+    fn step(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(Self::ODD).rotate_left(29)
     }
-    hash
+
+    pub(crate) fn new() -> Self {
+        Checksum { lanes: Self::SEEDS }
+    }
+
+    /// Feeds four consecutive words of the stream.
+    #[inline(always)]
+    pub(crate) fn block(&mut self, words: [u64; 4]) {
+        for (h, w) in self.lanes.iter_mut().zip(words) {
+            *h = Self::step(*h, w);
+        }
+    }
+
+    /// Folds the byte length the stream stands for and the four lanes by
+    /// the same step, then avalanches (the bijective finalizer of
+    /// MurmurHash3).
+    pub(crate) fn finish(self, byte_len: u64) -> u64 {
+        let mut h = Self::step(Self::SEEDS[0], byte_len);
+        for lane in self.lanes {
+            h = Self::step(h, lane);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+}
+
+/// [`Checksum`] of a byte string, its tail zero-padded to a whole block.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    fn words(block: &[u8]) -> [u64; 4] {
+        std::array::from_fn(|i| {
+            // Invariant: `block` is one 32-byte chunk, so every 8-byte
+            // subslice exists.
+            u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap())
+        })
+    }
+    let mut c = Checksum::new();
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        c.block(words(block));
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        c.block(words(&padded));
+    }
+    c.finish(bytes.len() as u64)
 }
 
 /// Reads only the header: identity, version, epoch, shape — without
@@ -405,35 +476,38 @@ pub(crate) fn read_exact_or_truncated<R: Read>(
     Ok(())
 }
 
-/// Frames and writes one snapshot: header (with the payload's checksum)
-/// followed by the payload.
-pub(crate) fn write_snapshot<W: Write>(
-    w: &mut W,
+/// Fills in the header of a snapshot framed in place: `framed` is
+/// [`SNAPSHOT_HEADER_BYTES`] of room ([`PayloadWriter::for_snapshot`])
+/// followed by the payload. The save path encodes into one buffer and
+/// seals it last, so a snapshot is never copied between buffers.
+pub(crate) fn seal_snapshot(
+    framed: &mut [u8],
     id_epoch: u64,
     k: usize,
     dims: usize,
-    payload: &[u8],
-) -> Result<SnapshotInfo, SnapshotError> {
-    let info = SnapshotInfo {
+) -> SnapshotInfo {
+    let (header, payload) = framed.split_at_mut(SNAPSHOT_HEADER_BYTES);
+    let fields: [&[u8]; 7] = [
+        &SNAPSHOT_MAGIC,
+        &SNAPSHOT_VERSION.to_le_bytes(),
+        &id_epoch.to_le_bytes(),
+        &(k as u32).to_le_bytes(),
+        &(dims as u32).to_le_bytes(),
+        &(payload.len() as u64).to_le_bytes(),
+        &checksum(payload).to_le_bytes(),
+    ];
+    let mut at = 0;
+    for field in fields {
+        header[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    SnapshotInfo {
         format_version: SNAPSHOT_VERSION,
         id_epoch,
         k,
         dims,
         payload_bytes: payload.len(),
-    };
-    let hdr = |e| SnapshotError::io("header", e);
-    w.write_all(&SNAPSHOT_MAGIC).map_err(hdr)?;
-    w.write_all(&SNAPSHOT_VERSION.to_le_bytes()).map_err(hdr)?;
-    w.write_all(&id_epoch.to_le_bytes()).map_err(hdr)?;
-    w.write_all(&(k as u32).to_le_bytes()).map_err(hdr)?;
-    w.write_all(&(dims as u32).to_le_bytes()).map_err(hdr)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())
-        .map_err(hdr)?;
-    w.write_all(&fnv1a(payload).to_le_bytes()).map_err(hdr)?;
-    w.write_all(payload)
-        .map_err(|e| SnapshotError::io("payload", e))?;
-    w.flush().map_err(|e| SnapshotError::io("payload", e))?;
-    Ok(info)
+    }
 }
 
 /// Reads and integrity-checks one snapshot: header parse, exact-length
@@ -464,7 +538,7 @@ pub(crate) fn read_snapshot<R: Read>(mut r: R) -> Result<(SnapshotInfo, Vec<u8>)
             available: payload.len(),
         });
     }
-    let computed = fnv1a(&payload);
+    let computed = checksum(&payload);
     if computed != stored {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
@@ -496,6 +570,15 @@ impl PayloadWriter {
         Self::default()
     }
 
+    /// A writer that frames a snapshot in `buf`, keeping its allocation:
+    /// the old contents go, and the header's room comes first, filled by
+    /// [`seal_snapshot`] once the payload is in.
+    pub(crate) fn for_snapshot(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.resize(SNAPSHOT_HEADER_BYTES, 0);
+        PayloadWriter { buf }
+    }
+
     pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -524,32 +607,31 @@ impl PayloadWriter {
         self.put_u8(tag);
     }
 
-    pub(crate) fn put_vec_u32(&mut self, v: &[u32]) {
+    /// A length prefix, then every item as `N` bytes: the buffer grows
+    /// once for the whole slice.
+    fn put_slice<T: Copy, const N: usize>(&mut self, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
         self.put_usize(v.len());
-        for &x in v {
-            self.put_u32(x);
+        let start = self.buf.len();
+        self.buf.resize(start + N * v.len(), 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(N).zip(v) {
+            dst.copy_from_slice(&bytes(x));
         }
+    }
+
+    pub(crate) fn put_vec_u32(&mut self, v: &[u32]) {
+        self.put_slice(v, u32::to_le_bytes);
     }
 
     pub(crate) fn put_vec_usize(&mut self, v: &[usize]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_usize(x);
-        }
+        self.put_slice(v, |x| (x as u64).to_le_bytes());
     }
 
     pub(crate) fn put_vec_f64(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
+        self.put_slice(v, |x| x.to_bits().to_le_bytes());
     }
 
     pub(crate) fn put_vec_bool(&mut self, v: &[bool]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_bool(x);
-        }
+        self.put_slice(v, |x| [x as u8]);
     }
 }
 
@@ -621,11 +703,22 @@ impl<'a> PayloadReader<'a> {
         if len > available {
             return Err(SnapshotError::Truncated {
                 context,
-                needed: len * item_bytes,
+                needed: len.saturating_mul(item_bytes),
                 available: self.buf.len() - self.pos,
             });
         }
         Ok(len)
+    }
+
+    /// A length-prefixed sequence of `N`-byte items, taken from the
+    /// payload in one piece.
+    fn get_items<const N: usize>(
+        &mut self,
+        context: &'static str,
+    ) -> Result<std::slice::ChunksExact<'a, u8>, SnapshotError> {
+        let len = self.get_len(N, context)?;
+        // `get_len` bounded `len` by the bytes left, so `N * len` fits.
+        Ok(self.take(N * len, context)?.chunks_exact(N))
     }
 
     pub(crate) fn get_f64(&mut self, context: &'static str) -> Result<f64, SnapshotError> {
@@ -652,22 +745,36 @@ impl<'a> PayloadReader<'a> {
         Ok(())
     }
 
+    // Invariant for the `try_into().unwrap()`s below: `chunks_exact(N)`
+    // yields exactly `N` bytes per item, so the array conversions cannot
+    // fail.
+
     pub(crate) fn get_vec_u32(&mut self, context: &'static str) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.get_len(4, context)?;
-        (0..len).map(|_| self.get_u32(context)).collect()
+        let items = self.get_items::<4>(context)?;
+        Ok(items
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
 
     pub(crate) fn get_vec_usize(
         &mut self,
         context: &'static str,
     ) -> Result<Vec<usize>, SnapshotError> {
-        let len = self.get_len(8, context)?;
-        (0..len).map(|_| self.get_usize(context)).collect()
+        let items = self.get_items::<8>(context)?;
+        let words = items.map(|b| u64::from_le_bytes(b.try_into().unwrap()));
+        if let Some(v) = words.clone().find(|&v| usize::try_from(v).is_err()) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{context}: length {v} overflows usize"
+            )));
+        }
+        Ok(words.map(|v| v as usize).collect())
     }
 
     pub(crate) fn get_vec_f64(&mut self, context: &'static str) -> Result<Vec<f64>, SnapshotError> {
-        let len = self.get_len(8, context)?;
-        (0..len).map(|_| self.get_f64(context)).collect()
+        let items = self.get_items::<8>(context)?;
+        Ok(items
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
 
     pub(crate) fn get_vec_bool(
@@ -675,7 +782,13 @@ impl<'a> PayloadReader<'a> {
         context: &'static str,
     ) -> Result<Vec<bool>, SnapshotError> {
         let len = self.get_len(1, context)?;
-        (0..len).map(|_| self.get_bool(context)).collect()
+        let bytes = self.take(len, context)?;
+        if let Some(&other) = bytes.iter().find(|&&b| b > 1) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{context}: boolean byte is {other}"
+            )));
+        }
+        Ok(bytes.iter().map(|&b| b == 1).collect())
     }
 }
 
@@ -833,11 +946,71 @@ mod tests {
         assert!(matches!(err, SnapshotError::Truncated { .. }), "{err}");
     }
 
+    /// A count whose byte size overflows `usize` is a truncation like any
+    /// other, for every sequence decoder; a boolean byte other than 0 or 1
+    /// is corrupt and named.
+    #[test]
+    fn huge_counts_and_bad_booleans_fail_by_name() {
+        type Decode = fn(&mut PayloadReader<'_>) -> Result<(), SnapshotError>;
+        let decoders: [(&str, Decode); 4] = [
+            ("u32", |r| r.get_vec_u32("v").map(drop)),
+            ("usize", |r| r.get_vec_usize("v").map(drop)),
+            ("f64", |r| r.get_vec_f64("v").map(drop)),
+            ("bool", |r| r.get_vec_bool("v").map(drop)),
+        ];
+        for count in [1u64 << 63, u64::MAX] {
+            for (name, decode) in decoders {
+                let mut w = PayloadWriter::new();
+                w.put_u64(count);
+                w.put_u64(7);
+                let err = decode(&mut PayloadReader::new(&w.buf)).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        SnapshotError::Truncated {
+                            context: "v",
+                            available: 8,
+                            ..
+                        }
+                    ),
+                    "{name} count {count}: {err}"
+                );
+            }
+        }
+        let mut w = PayloadWriter::new();
+        w.put_vec_bool(&[true, false]);
+        w.buf[9] = 2;
+        let err = PayloadReader::new(&w.buf).get_vec_bool("mask").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "snapshot payload is corrupt: mask: boolean byte is 2"
+        );
+    }
+
+    /// Every single-bit flip in a buffer of 0 to 96 bytes changes the
+    /// checksum, and zero buffers of different lengths hash differently.
+    #[test]
+    fn checksum_sees_every_bit_flip_and_every_length() {
+        let mut zeros = std::collections::HashSet::new();
+        for len in 0..=96usize {
+            assert!(zeros.insert(checksum(&vec![0u8; len])), "zeros of {len}");
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let clean = checksum(&bytes);
+            for bit in 0..8 * len {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), clean, "length {len}, bit {bit}");
+            }
+        }
+    }
+
     #[test]
     fn header_round_trips_and_detects_corruption() {
         let payload = b"hello snapshot payload".to_vec();
-        let mut bytes = Vec::new();
-        let info = write_snapshot(&mut bytes, 3, 8, 2, &payload).unwrap();
+        let mut pw = PayloadWriter::for_snapshot(b"stale contents".to_vec());
+        pw.buf.extend_from_slice(&payload);
+        let mut bytes = pw.buf;
+        let info = seal_snapshot(&mut bytes, 3, 8, 2);
         assert_eq!(info.id_epoch, 3);
         assert_eq!(info.k, 8);
         assert_eq!(info.dims, 2);
@@ -867,12 +1040,12 @@ mod tests {
             SnapshotError::UnsupportedVersion { found: 99, .. }
         ));
         // No decoder for an earlier version is kept.
-        for old in [2u32, 3] {
+        for old in [2u32, 3, 4] {
             let mut broken = bytes.clone();
             broken[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(
                 read_snapshot(&broken[..]).unwrap_err(),
-                SnapshotError::UnsupportedVersion { found, supported: 4 } if found == old
+                SnapshotError::UnsupportedVersion { found, supported: 5 } if found == old
             ));
         }
 

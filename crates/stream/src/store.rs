@@ -55,6 +55,7 @@
 //! previous epoch. See the "Read path & epoch publication" section of
 //! `docs/ARCHITECTURE.md` for the full lifecycle.
 
+use crate::snapshot::Checksum;
 use crate::TOMBSTONE;
 use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut};
 use mdbgp_graph::{Partition, VertexId, VertexWeights};
@@ -99,7 +100,7 @@ pub struct ReadView {
     /// this one — present iff a purge happened between the two views, and
     /// composed across purges if several did. [`TOMBSTONE`] = dropped.
     remap: Option<Arc<Vec<u32>>>,
-    /// FNV-1a over the epoch and the assignment vector, fixed at publish.
+    /// Checksum of the epoch and the assignment vector, fixed at publish.
     checksum: u64,
 }
 
@@ -155,35 +156,38 @@ impl ReadView {
         view_checksum(self.epoch, &self.parts) == self.checksum
     }
 
-    /// The publish-time FNV-1a checksum over the epoch stamp and the
-    /// assignment vector. Two engines that published bitwise-identical
-    /// assignments at the same [`ViewEpoch`] report the same value — the
-    /// comparison a replication follower makes against the leader's
-    /// per-batch stamp stream to detect divergence.
+    /// The publish-time checksum over the epoch stamp and the assignment
+    /// vector (the word-wise checksum snapshots and the batch log use).
+    /// Two engines that published bitwise-identical assignments at the
+    /// same [`ViewEpoch`] report the same value — the comparison a
+    /// replication follower makes against the leader's per-batch stamp
+    /// stream to detect divergence.
     #[inline]
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
 }
 
-/// FNV-1a over the epoch stamp and the assignment vector.
+/// [`Checksum`] of the epoch stamp, the length and the assignment, the
+/// parts packed two per word (the last word's missing half is zero).
+/// Allocates nothing.
 fn view_checksum(epoch: ViewEpoch, parts: &[u32]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(epoch.id_epoch);
-    mix(epoch.batch_seq);
-    mix(parts.len() as u64);
-    for &p in parts {
-        mix(p as u64);
+    fn words(eight: &[u32]) -> [u64; 4] {
+        std::array::from_fn(|i| eight[2 * i] as u64 | (eight[2 * i + 1] as u64) << 32)
     }
-    h
+    let mut c = Checksum::new();
+    c.block([epoch.id_epoch, epoch.batch_seq, parts.len() as u64, 0]);
+    let mut chunks = parts.chunks_exact(8);
+    for eight in &mut chunks {
+        c.block(words(eight));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u32; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        c.block(words(&padded));
+    }
+    c.finish(32 + 4 * parts.len() as u64)
 }
 
 /// The publication slot shared between the write side and every
@@ -1316,6 +1320,46 @@ mod tests {
         assert!(view.verify_checksum());
         // get() is forgiving about dead / out-of-range ids.
         assert_eq!(view.get(17), None);
+    }
+
+    /// Changing any one vertex's part changes the view checksum, for every
+    /// assignment length around the packing's block edges, and a view
+    /// whose assignment differs from its checksum in one slot fails
+    /// `verify_checksum`.
+    #[test]
+    fn view_checksum_sees_every_slot() {
+        let epoch = ViewEpoch {
+            id_epoch: 2,
+            batch_seq: 9,
+        };
+        for n in 0..=20usize {
+            let parts: Vec<u32> = (0..n as u32).map(|v| v % 3).collect();
+            let clean = view_checksum(epoch, &parts);
+            let next = ViewEpoch {
+                batch_seq: 10,
+                ..epoch
+            };
+            assert_ne!(view_checksum(next, &parts), clean, "n = {n}: stamp");
+            for v in 0..n {
+                for other in [parts[v] + 1, TOMBSTONE] {
+                    let mut changed = parts.clone();
+                    changed[v] = other;
+                    assert_ne!(view_checksum(epoch, &changed), clean, "n = {n}, v = {v}");
+                    let torn = ReadView {
+                        epoch,
+                        parts: changed,
+                        remap: None,
+                        checksum: clean,
+                    };
+                    assert!(!torn.verify_checksum(), "n = {n}, v = {v}");
+                }
+            }
+        }
+        // A trailing part 0 is not the missing half of a packed word.
+        assert_ne!(
+            view_checksum(epoch, &[1, 2, 0]),
+            view_checksum(epoch, &[1, 2])
+        );
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //! | offset | size | field                                           |
 //! |--------|------|-------------------------------------------------|
 //! | 0      | 8    | magic `b"MDBGPLOG"`                             |
-//! | 8      | 4    | format version (`u32`, currently 2)             |
+//! | 8      | 4    | format version (`u32`, currently 3)             |
 //! | 12     | 4    | part count `k` (`u32`)                          |
 //! | 16     | 4    | weight dimensions `d` (`u32`)                   |
 //! | 20     | 8    | segment number (`u64`, 0 at birth, +1 per rotation) |
 //! | 28     | 8    | base id epoch (`u64`)                           |
 //! | 36     | 8    | base batch seq (`u64`)                          |
-//! | 44     | 8    | FNV-1a 64 checksum of header bytes 8..44        |
+//! | 44     | 8    | checksum of header bytes 8..44                  |
 //!
 //! The **base** stamp is the [`ViewEpoch`] of the snapshot this log
 //! continues from: record 1 applies on top of exactly that state. A
@@ -45,7 +45,7 @@
 //! | size | field                                     |
 //! |------|-------------------------------------------|
 //! | 4    | payload length in bytes (`u32`)           |
-//! | 8    | FNV-1a 64 checksum of the payload (`u64`) |
+//! | 8    | checksum of the payload (`u64`)           |
 //! | …    | payload                                   |
 //!
 //! and the payload holds the post-batch stamp (`id_epoch`, `batch_seq`,
@@ -73,24 +73,26 @@
 //! unsupported version, truncation, checksum mismatch, an unknown update
 //! or decision tag, a decision whose columns or start indices disagree —
 //! returns the specific named [`WireError`] variant with no partial
-//! record surfaced. Like the snapshot checksum, FNV-1a here is an
-//! *integrity* check (bit rot, torn appends), not authenticity; feed logs
-//! from trusted storage.
+//! record surfaced. The header and record checksums are the snapshot's
+//! word-wise checksum (`crate::snapshot::checksum`): an *integrity* check
+//! (bit rot, torn appends), not authenticity; feed logs from trusted
+//! storage.
 
 use std::io::{Read, Write};
 
 use crate::delta::{RefinePass, StreamUpdate, UpdateBatch};
 use crate::snapshot::{
-    fnv1a, read_exact_or_truncated, PayloadReader, PayloadWriter, SnapshotError,
+    checksum, read_exact_or_truncated, PayloadReader, PayloadWriter, SnapshotError,
 };
 use crate::ViewEpoch;
 
 /// First 8 bytes of every batch log.
 pub const LOG_MAGIC: [u8; 8] = *b"MDBGPLOG";
 
-/// Current log format version (2: records carry the refinement
-/// decision).
-pub const LOG_VERSION: u32 = 2;
+/// Current log format version (3: the header and record checksums are
+/// the word-wise checksum snapshots use; since version 2, records carry
+/// the refinement decision).
+pub const LOG_VERSION: u32 = 3;
 
 /// Fixed log header size in bytes (magic + version + k + dims + segment
 /// + base epoch + base seq + checksum).
@@ -317,7 +319,7 @@ pub fn write_log_header<W: Write>(
     let hdr = |e| WireError::io("log header", e);
     w.write_all(&LOG_MAGIC).map_err(hdr)?;
     w.write_all(&body).map_err(hdr)?;
-    w.write_all(&fnv1a(&body).to_le_bytes()).map_err(hdr)?;
+    w.write_all(&checksum(&body).to_le_bytes()).map_err(hdr)?;
     w.flush().map_err(hdr)?;
     Ok(())
 }
@@ -338,7 +340,7 @@ pub fn read_log_header<R: Read>(r: &mut R) -> Result<LogHeader, WireError> {
             .try_into()
             .expect("8-byte slice of 52"),
     );
-    let computed = fnv1a(body);
+    let computed = checksum(body);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -376,7 +378,8 @@ pub fn write_record<W: Write>(w: &mut W, record: &LogRecord) -> Result<usize, Wi
     let frame = |e| WireError::io("record frame", e);
     w.write_all(&(pw.buf.len() as u32).to_le_bytes())
         .map_err(frame)?;
-    w.write_all(&fnv1a(&pw.buf).to_le_bytes()).map_err(frame)?;
+    w.write_all(&checksum(&pw.buf).to_le_bytes())
+        .map_err(frame)?;
     w.write_all(&pw.buf)
         .map_err(|e| WireError::io("record payload", e))?;
     w.flush().map_err(|e| WireError::io("record payload", e))?;
@@ -423,7 +426,7 @@ pub fn read_record<R: Read>(r: &mut R) -> Result<Option<LogRecord>, WireError> {
             available: payload.len(),
         });
     }
-    let computed = fnv1a(&payload);
+    let computed = checksum(&payload);
     if computed != stored {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -723,7 +726,8 @@ mod tests {
             WireError::ChecksumMismatch { .. }
         ));
         let body: Vec<u8> = broken[8..LOG_HEADER_BYTES - 8].to_vec();
-        broken[LOG_HEADER_BYTES - 8..LOG_HEADER_BYTES].copy_from_slice(&fnv1a(&body).to_le_bytes());
+        broken[LOG_HEADER_BYTES - 8..LOG_HEADER_BYTES]
+            .copy_from_slice(&checksum(&body).to_le_bytes());
         assert!(matches!(
             read_all(&broken).unwrap_err(),
             WireError::UnsupportedVersion { found: 99, .. }
@@ -795,7 +799,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_log_header(&mut bytes, 2, 2, 0, ViewEpoch::default()).unwrap();
         bytes.extend_from_slice(&(pw.buf.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&pw.buf).to_le_bytes());
+        bytes.extend_from_slice(&checksum(&pw.buf).to_le_bytes());
         bytes.extend_from_slice(&pw.buf);
         let mut r = &bytes[..];
         read_log_header(&mut r).unwrap();
@@ -851,20 +855,24 @@ mod tests {
 
     #[test]
     fn previous_format_version_is_unsupported() {
-        // A version-1 log (records without a decision section) shares this
-        // version's header layout: patch the version and re-seal the
-        // header checksum. Its records are never read.
-        let (mut bytes, _) = sample_log();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let body = bytes[8..LOG_HEADER_BYTES - 8].to_vec();
-        bytes[LOG_HEADER_BYTES - 8..LOG_HEADER_BYTES].copy_from_slice(&fnv1a(&body).to_le_bytes());
-        assert!(matches!(
-            read_all(&bytes).unwrap_err(),
-            WireError::UnsupportedVersion {
-                found: 1,
-                supported: 2
-            }
-        ));
+        // Versions 1 (records without a decision section) and 2 (a
+        // byte-wise checksum) share this version's header layout: patch
+        // the version and re-seal the header checksum. Their records are
+        // never read.
+        for old in [1u32, 2] {
+            let (mut bytes, _) = sample_log();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let body = bytes[8..LOG_HEADER_BYTES - 8].to_vec();
+            bytes[LOG_HEADER_BYTES - 8..LOG_HEADER_BYTES]
+                .copy_from_slice(&checksum(&body).to_le_bytes());
+            assert!(matches!(
+                read_all(&bytes).unwrap_err(),
+                WireError::UnsupportedVersion {
+                    found,
+                    supported: 3
+                } if found == old
+            ));
+        }
     }
 
     #[test]
