@@ -333,19 +333,10 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let load = args.req("load-snapshot").ok();
     let started = std::time::Instant::now();
     let (mut leader, mut saved) = if let Some(path) = load {
-        load_save_file(path, k, eps, seed, n0, threads)?
+        let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
+        load_save_file(path, &bytes, k, eps, seed, n0, threads)?
     } else {
-        let prefix: Vec<u32> = (0..n0 as u32).collect();
-        let boot = InducedSubgraph::extract(&graph, &prefix);
-        let weights = VertexWeights::vertex_edge(&boot.graph);
-        let mut cfg = StreamConfig::new(k, eps).with_threads(threads);
-        cfg.gd = GdConfig {
-            iterations: 60,
-            ..GdConfig::with_epsilon(eps)
-        };
-        cfg.seed = seed;
-        let sp = StreamingPartitioner::bootstrap(boot.graph.clone(), weights, cfg)
-            .map_err(|e| e.to_string())?;
+        let sp = bootstrap_engine(&graph, n0, k, eps, seed, threads)?;
         println!(
             "bootstrap on {n0}/{n} vertices in {:.2}s: locality {:.1}%, imbalance {:.2}%",
             started.elapsed().as_secs_f64(),
@@ -547,33 +538,60 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The engine `stream` bootstraps on the first `n0` vertices of `graph`.
+fn bootstrap_engine(
+    graph: &Graph,
+    n0: usize,
+    k: usize,
+    eps: f64,
+    seed: u64,
+    threads: usize,
+) -> Result<StreamingPartitioner, String> {
+    let prefix: Vec<u32> = (0..n0 as u32).collect();
+    let boot = InducedSubgraph::extract(graph, &prefix);
+    let weights = VertexWeights::vertex_edge(&boot.graph);
+    let mut cfg = StreamConfig::new(k, eps).with_threads(threads);
+    cfg.gd = GdConfig {
+        iterations: 60,
+        ..GdConfig::with_epsilon(eps)
+    };
+    cfg.seed = seed;
+    StreamingPartitioner::bootstrap(boot.graph, weights, cfg).map_err(|e| e.to_string())
+}
+
 /// The records of a save file's batch log, each with its bytes, in order.
 type SavedLog = VecDeque<(LogRecord, Vec<u8>)>;
 
-/// Opens a `--save-snapshot` file: restores its bootstrap snapshot, checks
-/// that it is this stream's (k, the two replay dimensions, id epoch 0, the
-/// `n0`-vertex bootstrap prefix, ε and the seed), wraps it in a [`Leader`]
-/// as the saving run wrapped its fresh engine, and reads every record of
-/// the batch log that follows. Any damage or mismatch is refused by name
-/// before a batch is ingested.
+/// Opens the `bytes` of the `--save-snapshot` file `path`: restores its
+/// bootstrap snapshot, checks that it is this stream's (k, the two replay
+/// dimensions, id epoch 0, the `n0`-vertex bootstrap prefix, ε and the
+/// seed), wraps it in a [`Leader`] as the saving run wrapped its fresh
+/// engine, and reads every record of the batch log that follows. Any
+/// damage or mismatch is refused by name, as a `load snapshot {path}: …`
+/// error, before a batch is ingested.
 fn load_save_file(
     path: &str,
+    bytes: &[u8],
     k: usize,
     eps: f64,
     seed: u64,
     n0: usize,
     threads: usize,
 ) -> Result<(Leader, SavedLog), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("open {path}: {e}"))?;
     let fail = |e: &dyn std::fmt::Display| format!("load snapshot {path}: {e}");
-    let info = snapshot::read_info(&bytes[..]).map_err(|e| fail(&e))?;
-    let split = SNAPSHOT_HEADER_BYTES + info.payload_bytes;
-    if bytes.len() < split {
-        return Err(fail(&format!(
-            "file truncated inside its snapshot: {} bytes, the snapshot needs {split}",
-            bytes.len()
-        )));
-    }
+    let info = snapshot::read_info(bytes).map_err(|e| fail(&e))?;
+    // No checksum covers the payload length yet: it may claim anything.
+    let split = SNAPSHOT_HEADER_BYTES
+        .checked_add(info.payload_bytes)
+        .filter(|&split| split <= bytes.len())
+        .ok_or_else(|| {
+            fail(&format!(
+                "file truncated inside its snapshot: the header claims a payload of {} bytes, \
+                 the file holds {}",
+                info.payload_bytes,
+                bytes.len()
+            ))
+        })?;
     let expect = SnapshotExpectation::default()
         .with_k(k)
         .with_dims(2)
@@ -719,5 +737,167 @@ mod tests {
         assert_eq!(kinds.len(), 4);
         assert_eq!(kinds[0], WeightKind::Unit);
         assert!(parse_dims("bogus").is_err());
+    }
+
+    // The saved stream: its parts, ε, seed and bootstrap prefix.
+    const K: usize = 4;
+    const EPS: f64 = 0.05;
+    const SEED: u64 = 7;
+    const N0: usize = 240;
+
+    /// A save file as `stream --churn … --stop-after 3 --save-snapshot`
+    /// writes it: the bootstrap snapshot, then the log of three batches
+    /// of arrivals, edge removals and vertex removals.
+    fn churned_save() -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(3);
+        let graph = gen::community_graph(&gen::CommunityGraphConfig::social(300), &mut rng).graph;
+        let sp = bootstrap_engine(&graph, N0, K, EPS, SEED, 1).expect("bootstrap");
+        let mut leader = Leader::new(sp).expect("leader");
+        let mut tracker = IdTracker::identity(N0);
+        let mut arrived = N0 as u32;
+        for _ in 0..3 {
+            let end = arrived + 20;
+            let mut batch = UpdateBatch::new();
+            let engine_graph = leader.engine().graph();
+            queue_arrivals(&mut batch, &graph, engine_graph, &mut tracker, arrived, end);
+            queue_removals(&mut batch, engine_graph, &mut tracker, &mut rng, 6, 6);
+            arrived = end;
+            let report = leader.ingest(&batch).expect("ingest");
+            if let Some(remap) = &report.remap {
+                tracker.apply_remap(remap);
+            }
+        }
+        [leader.snapshot_bytes(), leader.log_bytes()].concat()
+    }
+
+    /// The byte range of each record frame in the batch log at `split`.
+    fn record_frames(file: &[u8], split: usize) -> Vec<std::ops::Range<usize>> {
+        let mut frames = Vec::new();
+        let mut at = split + wire::LOG_HEADER_BYTES;
+        while at < file.len() {
+            let len = u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+            frames.push(at..at + wire::RECORD_FRAME_BYTES + len);
+            at = frames.last().unwrap().end;
+        }
+        frames
+    }
+
+    /// One seeded mutation of the save file `file`, whose batch log starts
+    /// at `split` and holds `frames`; described for the failure message.
+    fn mutate(
+        rng: &mut StdRng,
+        file: &mut Vec<u8>,
+        split: usize,
+        frames: &[std::ops::Range<usize>],
+    ) -> String {
+        use rand::Rng;
+        let len = file.len();
+        // A header field's forged value: small, about the file's length,
+        // or past any length (2^64 - 16 overflows the split unchecked).
+        let forged = [
+            0,
+            1,
+            len as u64,
+            len as u64 + 1,
+            1 << 32,
+            1 << 63,
+            u64::MAX - 15,
+            u64::MAX,
+        ][rng.gen_range(0..8)];
+        match rng.gen_range(0..6) {
+            0 => {
+                // The payload length, found in the header by its value.
+                let claimed = ((split - SNAPSHOT_HEADER_BYTES) as u64).to_le_bytes();
+                let at = (0..SNAPSHOT_HEADER_BYTES - 7)
+                    .find(|&at| file[at..at + 8] == claimed)
+                    .expect("the header holds the payload length");
+                file[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                format!("payload length set to {forged}")
+            }
+            1 => {
+                // Any 8 header bytes: every field, or parts of two.
+                let at = rng.gen_range(0..=SNAPSHOT_HEADER_BYTES - 8);
+                file[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                format!("header bytes {at}.. set to {forged}")
+            }
+            2 => {
+                let keep = rng.gen_range(0..len);
+                file.truncate(keep);
+                format!("truncate to {keep} bytes")
+            }
+            3 => {
+                let bit = rng.gen_range(0..8 * len);
+                file[bit / 8] ^= 1 << (bit % 8);
+                format!("flip bit {bit}")
+            }
+            4 => {
+                // A huge length prefix: a record frame's, or any 4 bytes
+                // of the log.
+                let at = if rng.gen_bool(0.5) {
+                    frames[rng.gen_range(0..frames.len())].start
+                } else {
+                    rng.gen_range(split..len - 3)
+                };
+                let prefix = [u32::MAX, 1 << 31, (len - at) as u32][rng.gen_range(0..3)];
+                file[at..at + 4].copy_from_slice(&prefix.to_le_bytes());
+                format!("length prefix at {at} set to {prefix}")
+            }
+            _ => {
+                // Records spliced: one dropped, repeated or moved.
+                let mut order: Vec<usize> = (0..frames.len()).collect();
+                let which = rng.gen_range(0..order.len());
+                let how = match rng.gen_range(0..3) {
+                    0 => {
+                        order.remove(which);
+                        "dropped"
+                    }
+                    1 => {
+                        order.insert(which, which);
+                        "repeated"
+                    }
+                    _ => {
+                        let moved = order.remove(which);
+                        order.push(moved);
+                        "moved last"
+                    }
+                };
+                let mut spliced = file[..split + wire::LOG_HEADER_BYTES].to_vec();
+                for &i in &order {
+                    spliced.extend_from_slice(&file[frames[i].clone()]);
+                }
+                *file = spliced;
+                format!("record {which} {how}")
+            }
+        }
+    }
+
+    /// Seeded mutants of a real save file: header fields (the payload
+    /// length among them), truncations, bit flips, huge length prefixes in
+    /// the batch log and spliced records. Nothing panics, and every
+    /// failure is a `load snapshot …` error naming the file.
+    #[test]
+    fn mutated_save_files_load_or_fail_by_name() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        const MUTANTS: usize = 2000;
+        let good = churned_save();
+        let split = SNAPSHOT_HEADER_BYTES + snapshot::read_info(&good[..]).unwrap().payload_bytes;
+        let frames = record_frames(&good, split);
+        let load = |file: &[u8]| {
+            load_save_file("mutant", file, K, EPS, SEED, N0, 1).map(|(_, saved)| saved.len())
+        };
+        assert_eq!(load(&good), Ok(3), "the unmutated save loads");
+        let mut rng = StdRng::seed_from_u64(0x5EED_0007);
+        let (mut loaded, mut refused) = (0, 0);
+        for _ in 0..MUTANTS {
+            let mut file = good.clone();
+            let what = mutate(&mut rng, &mut file, split, &frames);
+            match catch_unwind(AssertUnwindSafe(|| load(&file))) {
+                Err(_) => panic!("loading panicked on mutant: {what}"),
+                Ok(Ok(_)) => loaded += 1,
+                Ok(Err(e)) if e.starts_with("load snapshot mutant: ") => refused += 1,
+                Ok(Err(e)) => panic!("mutant {what}: an unnamed failure: {e}"),
+            }
+        }
+        assert!(refused > loaded, "{refused} refused, {loaded} loaded");
     }
 }

@@ -260,6 +260,25 @@ fn damaged_or_foreign_save_files_are_refused_by_name() {
         ["0.3", "7", EPS],
         "truncated inside its snapshot",
     );
+    // The header's payload length, found by its value, claims 2^64 - 16
+    // bytes: no checksum has covered it when the file is split.
+    let claimed = ((split - SNAPSHOT_HEADER_BYTES) as u64).to_le_bytes();
+    let at = (0..SNAPSHOT_HEADER_BYTES - 7)
+        .find(|&at| bytes[at..at + 8] == claimed)
+        .expect("the header holds the payload length");
+    let mut forged = bytes.clone();
+    forged[at..at + 8].copy_from_slice(&(u64::MAX - 15).to_le_bytes());
+    refuse(
+        "forged-payload-length",
+        &forged,
+        ["0.3", "7", EPS],
+        &format!(
+            "truncated inside its snapshot: the header claims a payload of {} bytes, the file \
+             holds {}",
+            u64::MAX - 15,
+            forged.len()
+        ),
+    );
     refuse(
         "inside-record",
         &bytes[..bytes.len() - 5],

@@ -111,6 +111,20 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Adds every observation of `other`: bucket counts, count and sum
+    /// add (the sum saturating, as in [`Self::observe`]) and the max is
+    /// the larger one, so the result is the histogram that observed both
+    /// streams. Lets each thread record into a histogram of its own and
+    /// fold it into a shared one now and then.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -149,87 +163,6 @@ impl Histogram {
             p99: self.quantile(0.99),
             max: self.max,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared (thread-safe) histogram
-// ---------------------------------------------------------------------------
-
-/// Lock-free, multi-writer companion to [`Histogram`] for recording from
-/// concurrent readers (e.g. serving-path lookup latency): every recording
-/// call is a handful of relaxed atomic adds on a `&self` receiver, so it
-/// can sit behind an `Arc` shared across threads while the single-threaded
-/// [`MetricsRegistry`] stays lock-free on its owner's side.
-///
-/// [`Self::snapshot`] materializes a plain [`Histogram`] for
-/// [`MetricsRegistry::histogram_set`]. The snapshot is not a linearizable
-/// cut under concurrent writes — bucket counts, sum and max are read
-/// independently — but each is monotone, and `count` is derived from the
-/// bucket sum so the quantile walk is always internally consistent (the
-/// summary's `p50 ≤ p99 ≤ max` invariant cannot tear).
-#[derive(Debug)]
-pub struct SharedHistogram {
-    buckets: [std::sync::atomic::AtomicU64; HISTOGRAM_BUCKETS],
-    sum: std::sync::atomic::AtomicU64,
-    max: std::sync::atomic::AtomicU64,
-}
-
-impl Default for SharedHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedHistogram {
-    pub fn new() -> Self {
-        use std::sync::atomic::AtomicU64;
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation. Safe to call from any number of threads.
-    pub fn observe(&self, v: u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.buckets[Histogram::bucket_of(v)].fetch_add(1, Relaxed);
-        // Saturate like `Histogram::observe` (fetch_add would wrap): CAS
-        // loop, effectively uncontended at serving-path rates.
-        let mut cur = self.sum.load(Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self.sum.compare_exchange_weak(cur, next, Relaxed, Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.max.fetch_max(v, Relaxed);
-    }
-
-    /// Observations recorded so far (sum of bucket counts).
-    pub fn count(&self) -> u64 {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.buckets.iter().map(|b| b.load(Relaxed)).sum()
-    }
-
-    /// Materializes the current state as a plain [`Histogram`], suitable
-    /// for [`MetricsRegistry::histogram_set`].
-    pub fn snapshot(&self) -> Histogram {
-        use std::sync::atomic::Ordering::Relaxed;
-        // Max before buckets: if a racing observe lands between the two
-        // reads, the stale (smaller) max clamps the quantiles — still
-        // monotone — instead of a too-new max exceeding the bucket walk.
-        let max = self.max.load(Relaxed);
-        let mut h = Histogram::default();
-        for (slot, bucket) in h.buckets.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Relaxed);
-        }
-        h.count = h.buckets.iter().sum();
-        h.sum = self.sum.load(Relaxed);
-        h.max = max;
-        h
     }
 }
 
@@ -484,9 +417,10 @@ impl MetricsRegistry {
 
     /// Overwrites histogram `name` with an externally maintained state —
     /// the histogram analogue of [`Self::counter_set`], used to mirror a
-    /// [`SharedHistogram`] recorded outside the registry (e.g. by serving
-    /// threads) into the single-threaded dump. The source is authoritative:
-    /// call with `shared.snapshot()` at sync points.
+    /// histogram recorded outside the registry (e.g. serving threads'
+    /// lookup latencies, merged into one by their store) into the
+    /// single-threaded dump. The source is authoritative: call with its
+    /// current state at sync points.
     pub fn histogram_set(&mut self, name: &str, value: &Histogram) {
         match self.entry(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => **h = value.clone(),
@@ -1183,51 +1117,66 @@ mod tests {
     }
 
     #[test]
-    fn shared_histogram_matches_plain_histogram() {
-        let shared = SharedHistogram::new();
-        let mut plain = Histogram::default();
-        for v in [0u64, 1, 3, 7, 120, 120, 4096, u64::MAX] {
-            shared.observe(v);
-            plain.observe(v);
+    fn merged_histograms_match_one_histogram() {
+        let mut left = Histogram::default();
+        let mut right = Histogram::default();
+        let mut whole = Histogram::default();
+        for (i, v) in [0u64, 1, 3, 7, 120, 120, 4096, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let part = if i % 3 == 0 { &mut left } else { &mut right };
+            part.observe(v);
+            whole.observe(v);
         }
-        assert_eq!(shared.count(), plain.count());
-        let snap = shared.snapshot();
-        assert_eq!(snap.summary(), plain.summary());
+        left.merge(&right);
+        assert_eq!(left.count(), whole.count());
+        assert_eq!(left.sum(), u64::MAX, "the sum saturates");
+        assert_eq!(left.summary(), whole.summary());
+        // An empty histogram is the merge's identity.
+        left.merge(&Histogram::default());
+        assert_eq!(left.summary(), whole.summary());
     }
 
     #[test]
-    fn shared_histogram_records_from_many_threads() {
-        let shared = SharedHistogram::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for i in 0..1000u64 {
-                        shared.observe(t * 1000 + i);
-                    }
-                });
-            }
+    fn histograms_recorded_per_thread_merge_exactly() {
+        let parts: Vec<Histogram> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let mut h = Histogram::default();
+                        for i in 0..1000u64 {
+                            h.observe(t * 1000 + i);
+                        }
+                        h
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        let snap = shared.snapshot();
-        assert_eq!(snap.count(), 4000);
-        assert_eq!(snap.max(), 3999);
-        assert_eq!(snap.sum(), (0..4000u64).sum::<u64>());
+        let mut merged = Histogram::default();
+        for h in &parts {
+            merged.merge(h);
+        }
+        assert_eq!(merged.count(), 4000);
+        assert_eq!(merged.max(), 3999);
+        assert_eq!(merged.sum(), (0..4000u64).sum::<u64>());
     }
 
     #[test]
     fn histogram_set_mirrors_external_state() {
-        let shared = SharedHistogram::new();
-        shared.observe(10);
-        shared.observe(500);
+        let mut external = Histogram::default();
+        external.observe(10);
+        external.observe(500);
         let mut r = MetricsRegistry::new();
-        r.histogram_set("stream.store.lookup_us", &shared.snapshot());
-        let s = r.summary("stream.store.lookup_us").unwrap();
+        r.histogram_set("stream.store.lookup_ns", &external);
+        let s = r.summary("stream.store.lookup_ns").unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.max, 500);
         // Set semantics: a later sync overwrites, never accumulates.
-        shared.observe(9000);
-        r.histogram_set("stream.store.lookup_us", &shared.snapshot());
-        let s = r.summary("stream.store.lookup_us").unwrap();
+        external.observe(9000);
+        r.histogram_set("stream.store.lookup_ns", &external);
+        let s = r.summary("stream.store.lookup_ns").unwrap();
         assert_eq!(s.count, 3);
         assert_eq!(s.max, 9000);
     }

@@ -79,10 +79,10 @@ use std::time::Instant;
 /// fails CI instead of silently forking a new time series, and
 /// [`mdbgp_obs::MetricsRegistry::deterministic_json`] keeps exactly the
 /// names marked `true`. Wall-clocks are not deterministic, and neither
-/// is `stream.store.lookups`, which counts whatever concurrent readers
-/// got in. Span-derived `span.<path>_us` histograms are validated
-/// structurally (against the dump's own span section) and are not
-/// listed here. Keep sorted.
+/// are `stream.store.lookups` and `stream.store.lookup_ns`, which count
+/// and time whatever concurrent readers got in. Span-derived
+/// `span.<path>_us` histograms are validated structurally (against the
+/// dump's own span section) and are not listed here. Keep sorted.
 pub const METRIC_ALLOWLIST: &[(&str, bool)] = &[
     ("core.gd.frontier_mean", true),
     ("core.gd.grad_delta_iters", true),
@@ -127,7 +127,7 @@ pub const METRIC_ALLOWLIST: &[(&str, bool)] = &[
     ("stream.snapshot.saves", true),
     ("stream.store.heap_pops", true),
     ("stream.store.live_vertices", true),
-    ("stream.store.lookup_us", false),
+    ("stream.store.lookup_ns", false),
     ("stream.store.lookups", false),
     ("stream.store.stale_epoch_reads", true),
     ("stream.store.view_swaps", true),
@@ -563,9 +563,9 @@ impl StreamingPartitioner {
             "stream.store.stale_epoch_reads",
             self.store.stale_epoch_read_count(),
         );
-        let lookup_us = self.store.lookup_latency();
-        if lookup_us.count() > 0 {
-            self.obs.histogram_set("stream.store.lookup_us", &lookup_us);
+        let lookup_ns = self.store.lookup_latency();
+        if lookup_ns.count() > 0 {
+            self.obs.histogram_set("stream.store.lookup_ns", &lookup_ns);
         }
         // The rebalance counts its pops into the registry; an engine that
         // never rebalanced (a follower) still reports the counter, at 0.
@@ -580,11 +580,11 @@ impl StreamingPartitioner {
             .gauge_set("stream.balance.edge_locality", self.store.edge_locality());
     }
 
-    /// O(1) shard lookup ([`crate::TOMBSTONE`] for a removed vertex).
-    /// Served through the store's counting wrapper so query volume shows
-    /// up in `stream.store.lookups`.
+    /// O(1) shard lookup ([`crate::TOMBSTONE`] for a removed vertex), a
+    /// plain read of the live store. Serving threads use [`Self::reader`]
+    /// handles, whose lookups `stream.store.lookups` counts.
     pub fn shard_of(&self, v: VertexId) -> u32 {
-        self.store.shard_of_counted(v)
+        self.store.shard_of(v)
     }
 
     /// A [`crate::ReadHandle`] pinned to the latest published view — the
@@ -3074,8 +3074,13 @@ mod tests {
         }
         let report = sp.ingest(&drift).unwrap();
         assert!(report.refined, "drift workload must exercise refinement");
-        let _ = sp.shard_of(0); // exercise the counted lookup path
-        let _ = sp.reader().lookup(0); // and the published-view path
+        // A plain read is not a served lookup; a handle's lookups count
+        // once it drops.
+        let _ = sp.shard_of(11);
+        let mut h = sp.reader();
+        assert_eq!(h.lookup(11), Some(sp.shard_of(11)));
+        let _ = h.lookup(12);
+        drop(h);
 
         let reports = [&first, &report];
         let total = |f: fn(&BatchReport) -> usize| reports.iter().map(|r| f(r) as u64).sum::<u64>();
@@ -3095,12 +3100,12 @@ mod tests {
             m.counter("stream.refine.gd_moves"),
             total(|r| r.refine_moves)
         );
-        assert!(m.counter("stream.store.lookups") >= 2);
+        assert_eq!(m.counter("stream.store.lookups"), 2);
         assert!(m.counter("stream.store.heap_pops") >= 1);
         assert_eq!(m.counter("stream.store.view_swaps"), 2);
         assert_eq!(m.counter("stream.store.stale_epoch_reads"), 0);
-        let lookup_us = m.summary("stream.store.lookup_us").expect("histogram");
-        assert!(lookup_us.count >= 1);
+        let lookup_ns = m.summary("stream.store.lookup_ns").expect("histogram");
+        assert_eq!(lookup_ns.count, 1, "the first lookup of a stride is timed");
 
         // GD convergence trace: refinement ran, so the iteration
         // histogram has observations and the grad-norm gauges are set.

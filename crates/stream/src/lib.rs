@@ -207,8 +207,8 @@
 //! [`ReadHandle`]s onto immutable published [`ReadView`]s and answer
 //! lookups lock-free **while** any of the sections above run — the only
 //! synchronization is one atomic sequence probe per lookup loop (and a
-//! short re-pin lock once per publish). See *Read path & epoch
-//! publication* in `docs/ARCHITECTURE.md`.
+//! short re-pin lock once per publish); a lookup itself writes nothing
+//! shared. See *Read path & epoch publication* in `docs/ARCHITECTURE.md`.
 //!
 //! ## Observability
 //!
@@ -246,20 +246,25 @@
 //!   identical for `threads = 1` vs `threads = N` and across reruns on the
 //!   same stream ([`mdbgp_obs::MetricsRegistry::deterministic_json`]
 //!   renders exactly that subset; property-tested in `proptest_metrics`).
-//!   Wall-clocks are not, and neither is `stream.store.lookups`, which
-//!   counts whatever concurrent reader threads got in.
-//! * **Cost** — recording is a few map updates per batch (never per
-//!   vertex on a hot loop; the store's lookup counter rides the serving
-//!   wrapper only). The registry is **not** serialized into snapshots:
+//!   Wall-clocks are not, and neither are `stream.store.lookups` and
+//!   `stream.store.lookup_ns`, which count and time whatever concurrent
+//!   reader threads got in.
+//! * **Cost** — recording is a few map updates per batch, never per
+//!   vertex on a hot loop; a reader handle writes nothing shared per
+//!   lookup (below). The registry is **not** serialized into snapshots:
 //!   counters restart from zero at a restore and the restored engine
 //!   journals a `snapshot.restore` event, so dumps are self-describing
 //!   about the reset.
 //!
-//! The serving read path reports through the same registry: reader
-//! handles tick shared atomic counters (`stream.store.lookups`,
-//! `stream.store.stale_epoch_reads`) and a lock-free latency histogram
-//! (`stream.store.lookup_us`) that the engine mirrors into the registry
-//! at sync points; `stream.store.view_swaps` counts view publications.
+//! The serving read path reports through the same registry. A reader
+//! handle counts its own lookups and times one in
+//! [`LOOKUP_SAMPLE_EVERY`] in ns into a histogram of its own; it folds
+//! both into the store's `stream.store.lookups` counter and
+//! `stream.store.lookup_ns` histogram when a refresh moves its pin and
+//! when it drops, and the engine mirrors them into the registry at sync
+//! points. `stream.store.stale_epoch_reads` is counted as it happens
+//! (only a read across an unadopted epoch pays for it), and
+//! `stream.store.view_swaps` counts view publications.
 //! `stream_online --readers 4` gates `lookup_p99_us` against a committed
 //! baseline in CI (see `docs/BENCHMARKS.md`).
 //!
@@ -344,5 +349,5 @@ pub use pipeline::{StageTimings, SPECULATIVE_CHUNK};
 pub use placement::{LdgPlacer, LoadView, ReservationLedger, ReservedView};
 pub use replica::{Follower, Leader, ReplicaError};
 pub use snapshot::{SnapshotError, SnapshotExpectation, SnapshotInfo};
-pub use store::{PartitionStore, ReadHandle, ReadView, ViewEpoch};
+pub use store::{PartitionStore, ReadHandle, ReadView, ViewEpoch, LOOKUP_SAMPLE_EVERY};
 pub use wire::{LogHeader, LogRecord, WireError};

@@ -47,8 +47,10 @@
 //! the purge remap composed since the previous view — stamped with a
 //! [`ViewEpoch`] `(id_epoch, batch_seq)`. [`ReadHandle`]s
 //! (from [`PartitionStore::reader`]) pin the latest view with one relaxed
-//! atomic probe and serve lock-free lookups from the pinned allocation, so
-//! a reader fleet runs at full speed while the engine commits and refines.
+//! atomic probe and serve lock-free lookups from the pinned allocation —
+//! one array read plus a count the handle keeps itself, nothing shared
+//! written — so a reader fleet runs at full speed while the engine
+//! commits and refines.
 //! Purge remaps are only ever observed at a pin switch (*swap-on-remap*):
 //! a pinned view is internally consistent by construction, and the remap
 //! it carries tells the reader how to translate ids it held against the
@@ -59,10 +61,16 @@ use crate::snapshot::Checksum;
 use crate::TOMBSTONE;
 use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut};
 use mdbgp_graph::{Partition, VertexId, VertexWeights};
-use mdbgp_obs::{Histogram, SharedHistogram};
+use mdbgp_obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// A [`ReadHandle`] times one lookup in this many, in ns: the first of
+/// every run of `LOOKUP_SAMPLE_EVERY` it serves. Timing a lookup costs a
+/// clock pair, many times the lookup itself; at this stride the clock
+/// adds a fraction of a nanosecond per lookup.
+pub const LOOKUP_SAMPLE_EVERY: u64 = 256;
 
 // ---------------------------------------------------------------------------
 // Published read views
@@ -191,9 +199,10 @@ fn view_checksum(epoch: ViewEpoch, parts: &[u32]) -> u64 {
 }
 
 /// The publication slot shared between the write side and every
-/// [`ReadHandle`], plus the serving-path counters (atomics, so reader
-/// threads record without the engine's involvement; the engine mirrors
-/// them into its metrics registry at sync points).
+/// [`ReadHandle`], plus the serving-path tallies. Handles count their
+/// lookups and sample their latency themselves and fold both in here when
+/// their pin moves and when they drop; the engine mirrors the tallies
+/// into its metrics registry at sync points.
 ///
 /// The std-only stand-in for an `Arc`-swap: the current view lives behind
 /// a mutex, but the mutex is only taken to *re-pin* after the atomic
@@ -208,15 +217,17 @@ struct ViewShared {
     current: Mutex<Arc<ReadView>>,
     /// Views published after construction (`stream.store.view_swaps`).
     swaps: AtomicU64,
-    /// Lookups served — handle lookups and the engine's counted serving
-    /// path combined (`stream.store.lookups`).
+    /// Lookups the handles folded in (`stream.store.lookups`).
     lookups: AtomicU64,
     /// Handle lookups served from a view whose `id_epoch` the reader had
     /// not adopted yet (`stream.store.stale_epoch_reads`): the caller was
     /// using ids from a pre-purge epoch. Zero in a correct reader loop.
+    /// Counted as it happens, not folded, so it is exact while handles
+    /// are alive.
     stale_epoch_reads: AtomicU64,
-    /// Per-lookup latency in microseconds (`stream.store.lookup_us`).
-    lookup_us: SharedHistogram,
+    /// Sampled lookup latencies in ns the handles folded in
+    /// (`stream.store.lookup_ns`).
+    lookup_ns: Mutex<Histogram>,
 }
 
 impl ViewShared {
@@ -227,8 +238,17 @@ impl ViewShared {
             swaps: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             stale_epoch_reads: AtomicU64::new(0),
-            lookup_us: SharedHistogram::new(),
+            lookup_ns: Mutex::new(Histogram::default()),
         })
+    }
+
+    /// The folded latency histogram. A merge cannot panic, so the lock is
+    /// never poisoned; it is recovered anyway because a handle's `Drop`
+    /// folds through it and must not panic.
+    fn lookup_ns(&self) -> MutexGuard<'_, Histogram> {
+        self.lookup_ns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn current(&self) -> Arc<ReadView> {
@@ -257,12 +277,25 @@ impl ViewShared {
 /// Lookups against a non-adopted epoch still answer (from the pinned
 /// view) but tick the `stale_epoch_reads` counter — the observable signal
 /// that a reader skipped step 2.
+///
+/// A lookup writes nothing shared: the handle counts it and times one in
+/// [`LOOKUP_SAMPLE_EVERY`] into a histogram of its own, and folds both
+/// into the store's tallies when a refresh moves its pin and when it
+/// drops (see [`PartitionStore::lookup_count`]).
 #[derive(Debug)]
 pub struct ReadHandle {
     shared: Arc<ViewShared>,
     pinned: Arc<ReadView>,
     pinned_seq: u64,
     adopted_epoch: u64,
+    /// [`Self::needs_adoption`], kept at each re-pin and adoption.
+    stale: bool,
+    /// Lookups this handle served.
+    served: u64,
+    /// How many of `served` are folded into the shared counter.
+    folded: u64,
+    /// Latency samples (ns) not folded yet.
+    latency_ns: Histogram,
 }
 
 impl ReadHandle {
@@ -273,11 +306,15 @@ impl ReadHandle {
         if self.shared.seq.load(Ordering::Acquire) == self.pinned_seq {
             return false;
         }
-        // Poisoning unreachable: see `ViewShared::current` for the proof.
-        let slot = self.shared.current.lock().expect("view slot poisoned");
-        self.pinned = Arc::clone(&slot);
-        // Re-read under the lock: seq and slot move together there.
-        self.pinned_seq = self.shared.seq.load(Ordering::Acquire);
+        {
+            // Poisoning unreachable: see `ViewShared::current` for the proof.
+            let slot = self.shared.current.lock().expect("view slot poisoned");
+            self.pinned = Arc::clone(&slot);
+            // Re-read under the lock: seq and slot move together there.
+            self.pinned_seq = self.shared.seq.load(Ordering::Acquire);
+        }
+        self.stale = self.needs_adoption();
+        self.fold();
         true
     }
 
@@ -307,26 +344,65 @@ impl ReadHandle {
     #[inline]
     pub fn adopt(&mut self) {
         self.adopted_epoch = self.pinned.epoch.id_epoch;
+        self.stale = false;
     }
 
-    /// Serves `vertex → part` from the pinned view: lock-free, counted,
-    /// and latency-sampled into the `stream.store.lookup_us` histogram.
+    /// Serves `vertex → part` from the pinned view: one array read and a
+    /// count this handle keeps, with one lookup in
+    /// [`LOOKUP_SAMPLE_EVERY`] timed in ns (`stream.store.lookup_ns`).
     /// `None` for tombstoned or out-of-range ids. Ticks
     /// `stale_epoch_reads` when the reader hasn't adopted the pinned
     /// epoch (its ids may be pre-purge).
-    pub fn lookup(&self, v: VertexId) -> Option<u32> {
-        let start = Instant::now();
-        let out = self.pinned.get(v);
-        if self.needs_adoption() {
-            self.shared
-                .stale_epoch_reads
-                .fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    pub fn lookup(&mut self, v: VertexId) -> Option<u32> {
+        if self.stale {
+            self.count_stale_read();
         }
-        self.shared.lookups.fetch_add(1, Ordering::Relaxed);
+        let sample = self.served.is_multiple_of(LOOKUP_SAMPLE_EVERY);
+        self.served += 1;
+        if sample {
+            return self.timed_lookup(v);
+        }
+        self.pinned.get(v)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn count_stale_read(&self) {
         self.shared
-            .lookup_us
-            .observe(start.elapsed().as_micros() as u64);
+            .stale_epoch_reads
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn timed_lookup(&mut self, v: VertexId) -> Option<u32> {
+        let start = Instant::now();
+        let out = std::hint::black_box(self.pinned.get(v));
+        self.latency_ns.observe(start.elapsed().as_nanos() as u64);
         out
+    }
+
+    /// Adds the lookups served since the last fold to the store's counter
+    /// (one atomic add) and merges the pending latency samples into its
+    /// histogram (one short lock).
+    fn fold(&mut self) {
+        let pending = self.served - self.folded;
+        if pending == 0 {
+            return;
+        }
+        self.shared.lookups.fetch_add(pending, Ordering::Relaxed);
+        self.folded = self.served;
+        if self.latency_ns.count() > 0 {
+            self.shared.lookup_ns().merge(&self.latency_ns);
+            self.latency_ns = Histogram::default();
+        }
+    }
+}
+
+impl Drop for ReadHandle {
+    fn drop(&mut self) {
+        self.fold();
     }
 }
 
@@ -357,11 +433,12 @@ pub struct PartitionStore {
 
 // Manual impl: the view cell is not `Clone` — and must not be shared: one
 // writer per publication slot, so a cloned store gets a *fresh* cell
-// seeded with the original's current view and counter values (the latter
-// so observability mirrors stay monotone across engine clones).
+// seeded with the original's current view and tallies (the latter so
+// observability mirrors stay monotone across engine clones).
 impl Clone for PartitionStore {
     fn clone(&self) -> Self {
         let views = ViewShared::new(self.views.current());
+        *views.lookup_ns() = self.views.lookup_ns().clone();
         views
             .swaps
             .store(self.views.swaps.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -478,26 +555,18 @@ impl PartitionStore {
         self.part_sizes.iter().sum()
     }
 
-    /// O(1) shard lookup — the serving hot path. Returns [`TOMBSTONE`] for
-    /// a vertex released by [`Self::release_vertex`].
+    /// O(1) shard lookup of the live assignment. Returns [`TOMBSTONE`]
+    /// for a vertex released by [`Self::release_vertex`]. Not counted:
+    /// serving threads look up through [`ReadHandle`]s.
     #[inline]
     pub fn shard_of(&self, v: VertexId) -> u32 {
         self.parts[v as usize]
     }
 
-    /// [`Self::shard_of`] plus a lookup-count tick — the serving wrapper the
-    /// engine's public `shard_of` goes through, so the observability layer
-    /// sees query volume without taxing internal placement/refinement loops.
-    /// Shares the counter with [`ReadHandle::lookup`]: `stream.store.
-    /// lookups` is total serving volume regardless of the path.
-    #[inline]
-    pub fn shard_of_counted(&self, v: VertexId) -> u32 {
-        self.views.lookups.fetch_add(1, Ordering::Relaxed);
-        self.shard_of(v)
-    }
-
-    /// Lookups served through [`Self::shard_of_counted`] and
-    /// [`ReadHandle::lookup`] combined.
+    /// Lookups served by this store's [`ReadHandle`]s. A handle folds its
+    /// count in when a refresh moves its pin and when it drops, so the
+    /// value is exact for every handle that has re-pinned or dropped
+    /// since its last lookup.
     #[inline]
     pub fn lookup_count(&self) -> u64 {
         self.views.lookups.load(Ordering::Relaxed)
@@ -516,10 +585,11 @@ impl PartitionStore {
         self.views.stale_epoch_reads.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time snapshot of the serving-path lookup latency
-    /// histogram (microseconds), for mirroring into a metrics registry.
+    /// The sampled lookup latencies (ns) of this store's handles, one
+    /// lookup in [`LOOKUP_SAMPLE_EVERY`] per handle, folded in as
+    /// [`Self::lookup_count`] is — for mirroring into a metrics registry.
     pub fn lookup_latency(&self) -> Histogram {
-        self.views.lookup_us.snapshot()
+        self.views.lookup_ns().clone()
     }
 
     /// Raw assignment slice ([`TOMBSTONE`] entries are released vertices).
@@ -607,6 +677,10 @@ impl PartitionStore {
             pinned,
             pinned_seq,
             adopted_epoch,
+            stale: false,
+            served: 0,
+            folded: 0,
+            latency_ns: Histogram::default(),
         }
     }
 
@@ -1379,7 +1453,10 @@ mod tests {
             None,
         );
         assert_eq!(h.lookup(0), Some(0), "pinned view is stable");
+        assert_eq!(s.lookup_count(), 0, "a handle folds its count at a re-pin");
         assert!(h.refresh());
+        assert_eq!(s.lookup_count(), 2, "the re-pin folded both lookups");
+        assert_eq!(s.lookup_latency().count(), 1, "the first lookup is timed");
         assert!(!h.refresh(), "second probe sees the same seq");
         assert_eq!(h.lookup(0), Some(1));
         assert!(!h.needs_adoption());
@@ -1409,8 +1486,14 @@ mod tests {
         assert!(!h.needs_adoption());
         assert_eq!(h.lookup(2), Some(1)); // old id 3, translated
         assert_eq!(s.stale_epoch_read_count(), 1, "adopted reads are clean");
-        assert!(s.lookup_count() >= 5);
-        assert!(s.lookup_latency().count() >= 5);
+        assert_eq!(s.lookup_count(), 3, "folded at the purge view's re-pin");
+        drop(h);
+        assert_eq!(s.lookup_count(), 5, "the drop folds the rest");
+        assert_eq!(
+            s.lookup_latency().count(),
+            5u64.div_ceil(LOOKUP_SAMPLE_EVERY),
+            "one timed lookup per stride"
+        );
     }
 
     #[test]
@@ -1423,7 +1506,7 @@ mod tests {
             },
             None,
         );
-        let h = s.reader();
+        let mut h = s.reader();
         drop(s);
         assert_eq!(h.lookup(3), Some(1), "pinned view survives the engine");
         assert!(h.view().verify_checksum());
@@ -1439,8 +1522,15 @@ mod tests {
             },
             None,
         );
+        s.reader().lookup(0);
         let mut c = s.clone();
         assert_eq!(c.view_swap_count(), 1, "counters carry over");
+        assert_eq!(c.lookup_count(), 1);
+        assert_eq!(
+            c.lookup_latency().count(),
+            1,
+            "so does the latency histogram"
+        );
         assert_eq!(c.read_view().epoch(), s.read_view().epoch());
         // Publishing on the clone must not disturb the original's readers.
         let mut h = s.reader();

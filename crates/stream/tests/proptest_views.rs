@@ -11,7 +11,9 @@
 
 use mdbgp_core::GdConfig;
 use mdbgp_graph::{gen, VertexWeights};
-use mdbgp_stream::{StreamConfig, StreamingPartitioner, UpdateBatch, TOMBSTONE};
+use mdbgp_stream::{
+    StreamConfig, StreamingPartitioner, UpdateBatch, LOOKUP_SAMPLE_EVERY, TOMBSTONE,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -220,7 +222,11 @@ proptest! {
 /// Every pinned view must verify its checksum, every lookup answers from
 /// a consistent epoch (readers adopt on refresh, so the stale-epoch
 /// counter stays zero), and every reader serves lookups: the ingest side
-/// stops the readers only once each one has counted its own.
+/// stops the readers only once each one has counted its own. Once the
+/// readers' handles have dropped, the store's lookup count is exactly
+/// what they served and its latency histogram holds one sample per
+/// started stride of each reader's lookups: the engine's own reads
+/// (`shard_of`, which the batch script calls) count nowhere.
 #[test]
 fn readers_spin_across_purges_without_torn_or_stale_reads() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -301,15 +307,24 @@ fn readers_spin_across_purges_without_torn_or_stale_reads() {
         0,
         "readers adopted on every refresh; no lookup may cross an epoch"
     );
-    for (t, count) in served.iter().enumerate() {
-        assert!(
-            count.load(std::sync::atomic::Ordering::Relaxed) > 0,
-            "reader {t} served no lookups"
-        );
+    let served: Vec<u64> = served
+        .iter()
+        .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+        .collect();
+    for (t, &count) in served.iter().enumerate() {
+        assert!(count > 0, "reader {t} served no lookups");
     }
-    assert!(
-        sp.store().lookup_count() > 0,
-        "readers must actually have served lookups"
+    assert_eq!(
+        sp.store().lookup_count(),
+        served.iter().sum::<u64>(),
+        "the store counts exactly the readers' lookups"
     );
-    assert!(sp.store().lookup_latency().count() > 0);
+    assert_eq!(
+        sp.store().lookup_latency().count(),
+        served
+            .iter()
+            .map(|&c| c.div_ceil(LOOKUP_SAMPLE_EVERY))
+            .sum::<u64>(),
+        "one timed lookup per started stride of each reader"
+    );
 }
