@@ -5,18 +5,15 @@
 //! pattern: split an index range into a few contiguous chunks, hand each
 //! chunk to a `std::thread::scope` worker that owns a **disjoint** slice of
 //! the output, and join. This module extracts that pattern (it originated
-//! in the [`crate::matvec`] kernel) so the mat-vec, the pairwise
-//! refinement scheduler of `mdbgp-stream`, and the LDG placement sweep all
-//! share one implementation:
+//! in the [`crate::matvec`] kernel) so the mat-vec, the refinement gather
+//! and pairwise refinement scheduler, and the speculative placement chunks
+//! of `mdbgp-stream` all share one implementation:
 //!
 //! * [`even_boundaries`] / [`prefix_boundaries`] — chunking policies
 //!   (equal index counts vs. equal *work* measured by a monotone prefix
 //!   array such as CSR offsets);
 //! * [`for_each_chunk_mut`] — chunked for-each over disjoint `&mut` slices
 //!   of one output buffer (the mat-vec shape);
-//! * [`fold_ranges`] — map over disjoint index ranges, returning one
-//!   accumulator per chunk for the caller to reduce (the placement-scoring
-//!   shape);
 //! * [`par_map`] — work-stealing map over a slice of independent items with
 //!   uneven costs (the refine-a-set-of-part-pairs shape).
 //!
@@ -125,34 +122,6 @@ where
             scope.spawn(move || f(range, chunk));
         }
     });
-}
-
-/// Maps `fold` over disjoint index ranges and returns one accumulator per
-/// chunk, in range order; the caller reduces them. Sequential (single
-/// accumulator) when `threads <= 1` or `n < min_len`.
-pub fn fold_ranges<R, F>(n: usize, threads: usize, min_len: usize, fold: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    if threads <= 1 || n < min_len {
-        return vec![fold(0..n)];
-    }
-    let boundaries = even_boundaries(n, threads);
-    if boundaries.len() <= 2 {
-        return vec![fold(0..n)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = boundaries
-            .windows(2)
-            .map(|w| {
-                let fold = &fold;
-                let range = w[0]..w[1];
-                scope.spawn(move || fold(range))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
 }
 
 /// Work-stealing map: applies `f` to every item and returns the results in
@@ -317,20 +286,6 @@ mod tests {
         let mut tiny = vec![0usize; 3];
         for_each_chunk_mut(&mut tiny, &[0, 3], |_, chunk| chunk.fill(7));
         assert_eq!(tiny, vec![7, 7, 7]);
-    }
-
-    #[test]
-    fn fold_ranges_partitions_the_sum() {
-        let data: Vec<u64> = (0..1000).collect();
-        for threads in [1, 2, 5] {
-            let partials = fold_ranges(data.len(), threads, 8, |r| data[r].iter().sum::<u64>());
-            assert_eq!(partials.iter().sum::<u64>(), 499_500);
-            if threads > 1 {
-                assert!(partials.len() > 1);
-            }
-        }
-        // Below min_len: one sequential accumulator.
-        assert_eq!(fold_ranges(4, 8, 100, |r| r.len()), vec![4]);
     }
 
     #[test]

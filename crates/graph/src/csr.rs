@@ -22,43 +22,79 @@ impl Graph {
     /// Builds a graph directly from CSR arrays.
     ///
     /// # Panics
-    /// Panics if the arrays are inconsistent (wrong offset monotonicity,
-    /// out-of-range targets, unsorted adjacency, self-loops or duplicates).
-    /// Use [`crate::GraphBuilder`] to construct graphs from edge lists.
+    /// Panics with the [`Self::try_from_csr`] error if the arrays are
+    /// inconsistent. Use [`crate::GraphBuilder`] to construct graphs from
+    /// edge lists.
     pub fn from_csr(offsets: Vec<usize>, targets: Vec<VertexId>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must contain at least [0]");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            targets.len(),
-            "last offset must equal targets length"
-        );
+        Self::try_from_csr(offsets, targets).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// Builds a graph from CSR arrays, or names the first broken
+    /// invariant: offsets that do not start at 0, end at the targets'
+    /// length and rise monotonically; a target out of range; a self-loop;
+    /// an adjacency list that is not strictly sorted (which includes a
+    /// duplicate); or an edge stored in one direction only. O(n + m): the
+    /// symmetry check walks one cursor per row.
+    pub fn try_from_csr(offsets: Vec<usize>, targets: Vec<VertexId>) -> Result<Self, String> {
+        if offsets.first() != Some(&0) {
+            return Err("offsets must start at 0".into());
+        }
+        if offsets.last() != Some(&targets.len()) {
+            return Err("last offset must equal targets length".into());
+        }
         let n = offsets.len() - 1;
         for v in 0..n {
-            assert!(offsets[v] <= offsets[v + 1], "offsets must be monotone");
+            // An offset past the targets must fall again before the last
+            // one, which frames them: that is a monotonicity break too.
+            if offsets[v] > offsets[v + 1] || offsets[v + 1] > targets.len() {
+                return Err(format!("offsets must be monotone (at vertex {v})"));
+            }
             let adj = &targets[offsets[v]..offsets[v + 1]];
             for (i, &t) in adj.iter().enumerate() {
-                assert!((t as usize) < n, "target out of range");
-                assert!(t as usize != v, "self-loop at vertex {v}");
-                if i > 0 {
-                    assert!(adj[i - 1] < t, "adjacency of {v} not strictly sorted");
+                if (t as usize) >= n {
+                    return Err(format!("target out of range at vertex {v}"));
+                }
+                if t as usize == v {
+                    return Err(format!("self-loop at vertex {v}"));
+                }
+                if i > 0 && adj[i - 1] >= t {
+                    return Err(format!("adjacency of {v} not strictly sorted"));
                 }
             }
         }
-        debug_assert!(
-            targets.len().is_multiple_of(2),
-            "undirected edges appear twice"
-        );
-        Self { offsets, targets }
+        // Rows are sorted, so visiting the vertices in ascending order
+        // meets the entries below `v` of `v`'s row in ascending order too:
+        // `cursor[v]` is the next one an edge `{u, v}` with `u < v` must
+        // find. Reaching row `v`, every entry below `v` must be matched.
+        let mut cursor = offsets[..n].to_vec();
+        for u in 0..n {
+            let row = cursor[u]..offsets[u + 1];
+            if targets[row.clone()]
+                .first()
+                .is_some_and(|&t| (t as usize) < u)
+            {
+                let v = targets[row.start];
+                return Err(format!("adjacency is not symmetric at edge ({u}, {v})"));
+            }
+            for &v in &targets[row] {
+                let v = v as usize;
+                let at = cursor[v];
+                if at == offsets[v + 1] || targets[at] as usize != u {
+                    return Err(format!("adjacency is not symmetric at edge ({u}, {v})"));
+                }
+                cursor[v] += 1;
+            }
+        }
+        Ok(Self { offsets, targets })
     }
 
     /// [`Self::from_csr`] without the O(n + m) invariant sweep, for
     /// constructors that produce the arrays by a structure-preserving
     /// transformation of an already-valid graph — induced-subgraph
-    /// extraction, or the streaming layer's parallel delta-merge compaction,
-    /// both of which sit on hot paths where the sweep would dominate.
+    /// extraction, or the streaming layer's delta-merge compaction, both of
+    /// which sit on hot paths where the sweep would dominate.
     /// Invariants are still checked in debug builds; callers outside this
-    /// crate must uphold every [`Self::from_csr`] invariant themselves.
+    /// crate must uphold every [`Self::try_from_csr`] invariant themselves.
     pub fn from_csr_unchecked(offsets: Vec<usize>, targets: Vec<VertexId>) -> Self {
         #[cfg(debug_assertions)]
         {
@@ -234,6 +270,21 @@ mod tests {
     #[should_panic(expected = "target out of range")]
     fn from_csr_rejects_out_of_range() {
         Graph::from_csr(vec![0, 1, 2], vec![1, 5]);
+    }
+
+    #[test]
+    fn try_from_csr_refuses_an_asymmetric_csr_by_name() {
+        // 0 -> 1 and 1 -> 2, with no mirror of either.
+        let err = Graph::try_from_csr(vec![0, 1, 2, 2], vec![1, 2]).unwrap_err();
+        assert_eq!(err, "adjacency is not symmetric at edge (0, 1)");
+        // 1 -> 0 alone: found when row 1 starts below 1, unmatched.
+        let err = Graph::try_from_csr(vec![0, 0, 1], vec![0]).unwrap_err();
+        assert_eq!(err, "adjacency is not symmetric at edge (1, 0)");
+        // An offset past the targets that falls again is refused.
+        let err = Graph::try_from_csr(vec![0, 3, 2], vec![1, 0]).unwrap_err();
+        assert_eq!(err, "offsets must be monotone (at vertex 0)");
+        let g = Graph::try_from_csr(vec![0, 2, 3, 4], vec![1, 2, 0, 0]).unwrap();
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(0, 1), (0, 2)]);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! stopping at the checksum. The property: nothing panics, and every
 //! failure is a named [`SnapshotError`] or [`WireError`] of the kind a
 //! payload can produce. An `Ok` is allowed, because some mutations leave
-//! a valid state.
+//! a valid state — but a snapshot that restores must be one the engine
+//! can run from, so every restored mutant then ingests, refines, purges
+//! and saves.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mdbgp_core::GdConfig;
-use mdbgp_graph::{gen, VertexWeights};
+use mdbgp_graph::{gen, VertexId, VertexWeights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,6 +77,43 @@ fn churned_snapshot() -> Vec<u8> {
     let mut bytes = Vec::new();
     sp.save_snapshot(&mut bytes).expect("save");
     bytes
+}
+
+/// What an engine does after a restore: one batch of arrivals, edge
+/// inserts and removals and a vertex removal among its live vertices,
+/// then a refinement pass, a purge and a save. Errors are allowed; only a
+/// panic fails the caller.
+fn run_restored(sp: &mut StreamingPartitioner, rng: &mut StdRng) {
+    // The thread count only sizes scoped-thread fan-out (results do not
+    // depend on it); a forged count must not make the test spawn
+    // thousands of threads.
+    sp.set_threads(sp.config().threads.min(2));
+    let graph = sp.graph();
+    let live: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+        .filter(|&v| graph.is_live(v))
+        .collect();
+    let mut batch = UpdateBatch::new();
+    if live.len() >= 4 {
+        let mut pick = || live[rng.gen_range(0..live.len())];
+        let dims = graph.weights().dims();
+        for _ in 0..3 {
+            batch.add_vertex(vec![1.0; dims], vec![pick(), pick()]);
+        }
+        for _ in 0..3 {
+            batch.add_edge(pick(), pick());
+        }
+        for _ in 0..3 {
+            let u = pick();
+            if let Some(v) = graph.neighbors(u).next() {
+                batch.remove_edge(u, v);
+            }
+        }
+        batch.remove_vertex(pick());
+    }
+    let _ = sp.ingest(&batch);
+    let _ = sp.refine_now();
+    sp.purge();
+    let _ = sp.save_snapshot(&mut Vec::new());
 }
 
 /// A leader's log segment whose records hold a refinement pass, and the
@@ -165,12 +204,21 @@ fn mutated_snapshots_restore_or_fail_by_name() {
         framed.extend_from_slice(&mutant);
         seal_snapshot(&mut framed, info.id_epoch, info.k, info.dims);
         match no_panic(&what, || StreamingPartitioner::restore(&framed[..])) {
-            Ok(_) => restored += 1,
+            Ok(mut sp) => {
+                restored += 1;
+                let mut rng = StdRng::seed_from_u64(restored);
+                no_panic(&format!("{what}, then running"), || {
+                    run_restored(&mut sp, &mut rng)
+                });
+            }
             Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_)) => failed += 1,
             Err(other) => panic!("mutant {what}: unexpected error {other}"),
         }
     }
-    assert!(failed > restored, "{failed} failed, {restored} restored");
+    assert!(
+        failed > restored && restored > 0,
+        "{failed} failed, {restored} restored"
+    );
 }
 
 #[test]

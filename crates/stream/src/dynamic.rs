@@ -3,9 +3,9 @@
 //!
 //! `mdbgp-graph`'s [`Graph`] is immutable CSR — ideal for the GD mat-vec,
 //! hostile to mutation. The streaming layer therefore keeps a **base** CSR
-//! plus per-vertex sorted **delta** adjacency lists, and a **tombstone
-//! set** over both for removals. Reads see `(base ∖ tombstones) ∪ delta`;
-//! writes go to the delta (or clear a tombstone); [`DynamicGraph::compact`]
+//! plus per-vertex sorted **delta** adjacency lists, and one **removed
+//! bit** per base CSR slot. Reads see `(base ∖ removed) ∪ delta`; writes
+//! go to the delta (or clear a removed bit); [`DynamicGraph::compact`]
 //! merges everything into a fresh CSR once the churn exceeds a configurable
 //! fraction of the base. Refinement reads through the overlay
 //! ([`DynamicGraph::neighbors`]) and never forces a compaction: it visits
@@ -19,8 +19,8 @@
 //!
 //! 1. **Tombstoning** ([`DynamicGraph::remove_edge`] /
 //!    [`DynamicGraph::remove_vertex`]) is O(deg): a removed *delta* edge is
-//!    dropped in place, a removed *base* edge is recorded in a per-vertex
-//!    tombstone list (the base CSR is immutable), and a removed vertex —
+//!    dropped in place, a removed *base* edge sets the removed bits of its
+//!    two CSR slots (the base CSR is immutable), and a removed vertex —
 //!    after shedding its incident edges the same way — is marked dead.
 //!    Vertex ids are **stable** through this phase: every accessor
 //!    ([`DynamicGraph::degree`], [`DynamicGraph::neighbors`],
@@ -49,42 +49,42 @@
 //! the two phases lives in [`crate::PartitionStore`], which releases the
 //! vertex's weight at tombstoning time.
 
+use crate::snapshot::{PayloadReader, PayloadWriter, SnapshotError};
 use crate::TOMBSTONE;
-use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut, prefix_boundaries};
 use mdbgp_graph::{Graph, VertexId, VertexWeights};
 
-/// A growing-and-shrinking graph: base CSR + delta adjacency + tombstones
-/// + multi-dimensional weights.
+/// A growing-and-shrinking graph: base CSR + delta adjacency + removed
+/// base slots and dead vertices + multi-dimensional weights.
 #[derive(Clone, Debug)]
 pub struct DynamicGraph {
     base: Graph,
-    /// Per-vertex delta adjacency, sorted ascending; indexes `0..n` where
+    /// One bit per base CSR slot (`base.raw_targets()` index), set while
+    /// the base edge stored there is removed. A base edge occupies two
+    /// slots, one per endpoint's row; both bits always move together.
+    removed: Vec<u64>,
+    /// Undirected removed base edge count: half the set bits.
+    removed_base_edges: usize,
+    /// Per-vertex delta adjacency, sorted ascending and symmetric, and
+    /// disjoint from the base CSR (a removed base edge that comes back
+    /// clears its bits instead); indexes `0..n` where
     /// `n >= base.num_vertices()` (vertices past the base have all their
     /// adjacency here).
     delta: Vec<Vec<VertexId>>,
     /// Undirected delta edge count.
     delta_edges: usize,
-    /// Per-vertex sorted tombstone lists over the *base* adjacency
-    /// (symmetric, like the delta). Delta removals mutate the delta
-    /// directly and never land here.
-    removed: Vec<Vec<VertexId>>,
-    /// Undirected tombstoned base edge count.
-    removed_base_edges: usize,
     /// Vertex tombstones; a dead vertex has no live incident edges.
     dead: Vec<bool>,
-    dead_count: usize,
     /// Ids of currently dead vertices, most recently tombstoned last —
     /// [`Self::add_vertex`] recycles them LIFO so a high-churn stream does
     /// not grow the id space unboundedly between purges. Invariant:
     /// `free` contains exactly the ids with `dead[v] == true`.
     free: Vec<VertexId>,
     weights: VertexWeights,
-    /// Worker count for the parallel compaction merge and the purge's
-    /// weight gather. Not serialized: a restored graph starts at 1 and the
-    /// engine re-applies its configured count. Never influences results —
-    /// every parallel pass here is pure data movement into disjoint
-    /// output ranges.
-    threads: usize,
+}
+
+/// Words of a bit vector with one bit per slot.
+fn bit_words(slots: usize) -> usize {
+    slots.div_ceil(64)
 }
 
 impl DynamicGraph {
@@ -100,43 +100,25 @@ impl DynamicGraph {
         );
         let n = base.num_vertices();
         Self {
+            removed: vec![0; bit_words(base.raw_targets().len())],
+            removed_base_edges: 0,
             base,
             delta: vec![Vec::new(); n],
             delta_edges: 0,
-            removed: vec![Vec::new(); n],
-            removed_base_edges: 0,
             dead: vec![false; n],
-            dead_count: 0,
             free: Vec::new(),
             weights,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker count for the parallel compaction merge and the
-    /// purge's weight gather. Results are identical for every count —
-    /// only wall-clock changes. Mutations ([`Self::add_edge`],
-    /// [`Self::remove_edge`], [`Self::remove_vertex`]) are always serial.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// An empty dynamic graph with `dims` weight dimensions (pure streaming
     /// from nothing).
     pub fn empty(dims: usize) -> Self {
         assert!(dims > 0);
-        Self {
-            base: Graph::empty(0),
-            delta: Vec::new(),
-            delta_edges: 0,
-            removed: Vec::new(),
-            removed_base_edges: 0,
-            dead: Vec::new(),
-            dead_count: 0,
-            free: Vec::new(),
-            weights: VertexWeights::from_vectors(vec![Vec::new(); dims]),
-            threads: 1,
-        }
+        Self::new(
+            Graph::empty(0),
+            VertexWeights::from_vectors(vec![Vec::new(); dims]),
+        )
     }
 
     /// Size of the vertex-id space (live + tombstoned). Ids `0..n` are
@@ -150,13 +132,13 @@ impl DynamicGraph {
     /// Number of live (non-tombstoned) vertices.
     #[inline]
     pub fn num_live_vertices(&self) -> usize {
-        self.delta.len() - self.dead_count
+        self.delta.len() - self.free.len()
     }
 
     /// Number of vertices tombstoned since the last purge.
     #[inline]
     pub fn num_tombstoned(&self) -> usize {
-        self.dead_count
+        self.free.len()
     }
 
     /// Whether `v` is an existing, non-tombstoned vertex.
@@ -183,46 +165,80 @@ impl DynamicGraph {
         self.removed_base_edges
     }
 
-    /// Live degree of `v` (0 for a tombstoned vertex).
-    pub fn degree(&self, v: VertexId) -> usize {
-        let base_deg = if (v as usize) < self.base.num_vertices() {
-            self.base.degree(v) - self.removed[v as usize].len()
-        } else {
-            0
-        };
-        base_deg + self.delta[v as usize].len()
+    /// Whether the base edge at CSR slot `slot` is removed.
+    #[inline]
+    fn is_removed(&self, slot: usize) -> bool {
+        self.removed[slot / 64] >> (slot % 64) & 1 == 1
     }
 
-    /// Live neighbours of `v`: base slice filtered through the edge
-    /// tombstones, chained with the delta (each sorted; the union is *not*
-    /// globally sorted, but is duplicate-free). Empty for a tombstoned
-    /// vertex — removal sheds its incident edges.
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        let base: &[VertexId] = if (v as usize) < self.base.num_vertices() {
-            self.base.neighbors(v)
+    /// The base CSR slots of `v`'s row (empty past the base).
+    #[inline]
+    fn base_slots(&self, v: VertexId) -> std::ops::Range<usize> {
+        if (v as usize) < self.base.num_vertices() {
+            let offsets = self.base.raw_offsets();
+            offsets[v as usize]..offsets[v as usize + 1]
         } else {
-            &[]
-        };
-        let gone: &[VertexId] = &self.removed[v as usize];
-        base.iter()
-            .copied()
-            .filter(move |u| gone.binary_search(u).is_err())
+            0..0
+        }
+    }
+
+    /// `v`'s surviving base neighbours, ascending.
+    #[inline]
+    fn base_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let slots = self.base_slots(v);
+        let removed = &self.removed[..];
+        self.base.raw_targets()[slots.clone()]
+            .iter()
+            .zip(slots)
+            .filter(move |&(_, slot)| removed[slot / 64] >> (slot % 64) & 1 == 0)
+            .map(|(&t, _)| t)
+    }
+
+    /// The slot of `v` in `u`'s base row, if `{u, v}` is a base edge
+    /// (removed or not).
+    fn base_slot(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        if (v as usize) >= self.base.num_vertices() {
+            return None;
+        }
+        let slots = self.base_slots(u);
+        let at = self.base.raw_targets()[slots.clone()]
+            .binary_search(&v)
+            .ok()?;
+        Some(slots.start + at)
+    }
+
+    /// Flips the removed bits of base edge `{u, v}` at both of its slots;
+    /// `slot` is its slot in `u`'s row.
+    fn flip_removed(&mut self, slot: usize, u: VertexId, v: VertexId) {
+        // A `Graph` stores every edge in both rows (`Graph::try_from_csr`
+        // checks it), so the mirror slot exists.
+        let mirror = self.base_slot(v, u).expect("base CSR is symmetric");
+        for s in [slot, mirror] {
+            self.removed[s / 64] ^= 1 << (s % 64);
+        }
+    }
+
+    /// Live degree of `v` (0 for a tombstoned vertex).
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.base_neighbors(v).count() + self.delta[v as usize].len()
+    }
+
+    /// Live neighbours of `v`: its base row minus the removed slots, in
+    /// ascending order, then its delta row, in ascending order (the union
+    /// is *not* globally sorted, but is duplicate-free). Empty for a
+    /// tombstoned vertex — removal sheds its incident edges.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.base_neighbors(v)
             .chain(self.delta[v as usize].iter().copied())
     }
 
     /// Whether edge `{u, v}` is live (present and not tombstoned).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if self.in_base(u, v) {
-            return self.removed[u as usize].binary_search(&v).is_err();
+        match self.base_slot(u, v) {
+            Some(slot) => !self.is_removed(slot),
+            None => self.delta[u as usize].binary_search(&v).is_ok(),
         }
-        self.delta[u as usize].binary_search(&v).is_ok()
-    }
-
-    /// Whether `{u, v}` is an edge of the base CSR, tombstoned or not.
-    fn in_base(&self, u: VertexId, v: VertexId) -> bool {
-        (u as usize) < self.base.num_vertices()
-            && (v as usize) < self.base.num_vertices()
-            && self.base.has_edge(u, v)
     }
 
     /// The multi-dimensional vertex weights. Rows of tombstoned vertices
@@ -248,7 +264,6 @@ impl DynamicGraph {
             debug_assert!(self.dead[v as usize], "free list out of sync");
             debug_assert!(self.delta[v as usize].is_empty());
             self.dead[v as usize] = false;
-            self.dead_count -= 1;
             for (j, &w) in weight_row.iter().enumerate() {
                 self.weights.set_weight(j, v, w);
             }
@@ -256,7 +271,6 @@ impl DynamicGraph {
         }
         self.weights.push_vertex(weight_row);
         self.delta.push(Vec::new());
-        self.removed.push(Vec::new());
         self.dead.push(false);
         (self.delta.len() - 1) as VertexId
     }
@@ -277,43 +291,32 @@ impl DynamicGraph {
     /// # Panics
     /// Panics if an endpoint is out of range or tombstoned.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        let n = self.num_vertices();
-        assert!(
-            (u as usize) < n && (v as usize) < n,
-            "edge ({u}, {v}) out of range for {n} vertices"
-        );
-        assert!(
-            self.is_live(u) && self.is_live(v),
-            "edge ({u}, {v}) touches a tombstoned vertex"
-        );
-        if u == v || self.has_edge(u, v) {
+        self.check_endpoints(u, v);
+        if u == v {
             return false;
         }
-        // A tombstoned base edge is resurrected in place; inserting it into
-        // the delta instead would double-count the edge in every read until
-        // the next compaction deduplicated it.
-        if let Ok(pos) = self.removed[u as usize].binary_search(&v) {
-            self.removed[u as usize].remove(pos);
-            // Invariant, not input: tombstones are only ever inserted
-            // symmetrically, so the mirror entry must exist.
-            let pos = self.removed[v as usize]
-                .binary_search(&u)
-                .expect("edge tombstones must be symmetric");
-            self.removed[v as usize].remove(pos);
+        if let Some(slot) = self.base_slot(u, v) {
+            // A tombstoned base edge is resurrected in place; inserting it
+            // into the delta instead would double-count the edge in every
+            // read until the next compaction deduplicated it.
+            if !self.is_removed(slot) {
+                return false;
+            }
+            self.flip_removed(slot, u, v);
             self.removed_base_edges -= 1;
             return true;
         }
-        self.delta_edges += 1;
         let du = &mut self.delta[u as usize];
-        let pos = du
-            .binary_search(&v)
-            .expect_err("has_edge ruled out a delta entry");
+        let Err(pos) = du.binary_search(&v) else {
+            return false;
+        };
         du.insert(pos, v);
         let dv = &mut self.delta[v as usize];
         let pos = dv
             .binary_search(&u)
             .expect_err("delta adjacency must be symmetric");
         dv.insert(pos, u);
+        self.delta_edges += 1;
         true
     }
 
@@ -324,6 +327,36 @@ impl DynamicGraph {
     /// # Panics
     /// Panics if an endpoint is out of range or tombstoned.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.check_endpoints(u, v);
+        if u == v {
+            return false;
+        }
+        if let Some(slot) = self.base_slot(u, v) {
+            if self.is_removed(slot) {
+                return false; // already tombstoned
+            }
+            self.flip_removed(slot, u, v);
+            self.removed_base_edges += 1;
+            return true;
+        }
+        let du = &mut self.delta[u as usize];
+        let Ok(pos) = du.binary_search(&v) else {
+            return false;
+        };
+        du.remove(pos);
+        // Invariant, not input: delta adjacency is only ever inserted
+        // symmetrically (and restore checks it), so the mirror exists.
+        let dv = &mut self.delta[v as usize];
+        let pos = dv
+            .binary_search(&u)
+            .expect("delta adjacency must be symmetric");
+        dv.remove(pos);
+        self.delta_edges -= 1;
+        true
+    }
+
+    /// Asserts that both endpoints of `{u, v}` are in range and live.
+    fn check_endpoints(&self, u: VertexId, v: VertexId) {
         let n = self.num_vertices();
         assert!(
             (u as usize) < n && (v as usize) < n,
@@ -333,33 +366,6 @@ impl DynamicGraph {
             self.is_live(u) && self.is_live(v),
             "edge ({u}, {v}) touches a tombstoned vertex"
         );
-        if u == v {
-            return false;
-        }
-        if let Ok(pos) = self.delta[u as usize].binary_search(&v) {
-            self.delta[u as usize].remove(pos);
-            // Invariant, not input: delta adjacency is only ever inserted
-            // symmetrically, so the mirror entry must exist.
-            let pos = self.delta[v as usize]
-                .binary_search(&u)
-                .expect("delta adjacency must be symmetric");
-            self.delta[v as usize].remove(pos);
-            self.delta_edges -= 1;
-            return true;
-        }
-        if !self.in_base(u, v) {
-            return false;
-        }
-        let Err(pos) = self.removed[u as usize].binary_search(&v) else {
-            return false; // already tombstoned
-        };
-        self.removed[u as usize].insert(pos, v);
-        let pos = self.removed[v as usize]
-            .binary_search(&u)
-            .expect_err("edge tombstones must be symmetric");
-        self.removed[v as usize].insert(pos, u);
-        self.removed_base_edges += 1;
-        true
     }
 
     /// Tombstones vertex `v`: removes every live incident edge, then marks
@@ -382,7 +388,6 @@ impl DynamicGraph {
             debug_assert!(removed, "neighbour list out of sync with edges");
         }
         self.dead[v as usize] = true;
-        self.dead_count += 1;
         self.free.push(v);
         nbrs
     }
@@ -402,7 +407,7 @@ impl DynamicGraph {
     pub fn needs_compaction(&self, slack: f64) -> bool {
         let edge_churn = self.delta_edges + self.removed_base_edges;
         edge_churn as f64 > slack * self.base.num_edges().max(1) as f64
-            || self.dead_count as f64 > slack * self.num_vertices().max(1) as f64
+            || self.free.len() as f64 > slack * self.num_vertices().max(1) as f64
     }
 
     /// Merges the delta into a fresh base CSR, dropping tombstoned edges —
@@ -416,7 +421,7 @@ impl DynamicGraph {
     /// again. Edge-only compactions return `None`; ids are unchanged.
     #[must_use = "a returned remap means vertex ids changed; apply it to every id-indexed structure"]
     pub fn compact(&mut self) -> Option<Vec<VertexId>> {
-        if self.dead_count == 0 {
+        let remap = if self.free.is_empty() {
             if self.delta_edges == 0
                 && self.removed_base_edges == 0
                 && self.base.num_vertices() == self.num_vertices()
@@ -424,30 +429,26 @@ impl DynamicGraph {
                 return None;
             }
             self.base = self.merged_csr();
+            // Emptied rows keep their allocations for the next inserts.
             for adj in &mut self.delta {
                 adj.clear();
             }
-            for gone in &mut self.removed {
-                gone.clear();
-            }
-            self.delta_edges = 0;
-            self.removed_base_edges = 0;
-            return None;
-        }
-
-        // Purge: renumber live vertices 0..live in ascending old-id order.
-        let (map, live_ids) = self.purge_map();
-        self.base = self.live_csr(&map, &live_ids);
-        self.weights = self.restrict_weights(&live_ids);
-        let live = live_ids.len();
-        self.delta = vec![Vec::new(); live];
-        self.removed = vec![Vec::new(); live];
-        self.dead = vec![false; live];
+            None
+        } else {
+            // Purge: renumber live vertices 0..live in ascending old-id
+            // order.
+            let (map, live_ids) = self.purge_map();
+            self.base = self.live_csr(&map, &live_ids);
+            self.weights = self.weights.restrict(&live_ids);
+            self.delta = vec![Vec::new(); live_ids.len()];
+            self.dead = vec![false; live_ids.len()];
+            self.free.clear();
+            Some(map)
+        };
         self.delta_edges = 0;
+        self.removed = vec![0; bit_words(self.base.raw_targets().len())];
         self.removed_base_edges = 0;
-        self.dead_count = 0;
-        self.free.clear();
-        Some(map)
+        remap
     }
 
     /// Compacts if needed and returns the full CSR view — the entry point
@@ -459,7 +460,7 @@ impl DynamicGraph {
     /// [`Self::compact`] and apply the remap instead.
     pub fn compacted_csr(&mut self) -> &Graph {
         assert!(
-            self.dead_count == 0,
+            self.free.is_empty(),
             "tombstoned vertices pending: call compact() and apply the returned id remap"
         );
         let remap = self.compact();
@@ -484,6 +485,15 @@ impl DynamicGraph {
         self.merged_csr()
     }
 
+    /// Every live edge once, as `(u, v)` with `u < v`.
+    pub(crate) fn live_edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        (0..self.num_vertices() as VertexId).flat_map(move |u| {
+            self.neighbors(u)
+                .filter(move |&v| u < v)
+                .map(move |v| (u, v))
+        })
+    }
+
     /// Builds a CSR + weights over the **live** vertices only, renumbered
     /// exactly as a purging [`Self::compact`] would, without mutating.
     /// Returns `(graph, weights, live_ids)` where `live_ids[new] = old`.
@@ -493,29 +503,6 @@ impl DynamicGraph {
         let (map, live_ids) = self.purge_map();
         let graph = self.live_csr(&map, &live_ids);
         (graph, self.weights.restrict(&live_ids), live_ids)
-    }
-
-    /// Weight rows of `live_ids`, gathered in parallel over disjoint
-    /// ranges of the output columns. Bitwise identical to
-    /// [`VertexWeights::restrict`] for every thread count: the gather is
-    /// pure data movement, and [`VertexWeights::from_vectors`] re-sums
-    /// each total with the same serial left-to-right reduction `restrict`
-    /// uses.
-    fn restrict_weights(&self, live_ids: &[VertexId]) -> VertexWeights {
-        let dims = self.weights.dims();
-        let bounds = even_boundaries(live_ids.len(), self.threads);
-        let mut data = Vec::with_capacity(dims);
-        for j in 0..dims {
-            let col = self.weights.dim(j);
-            let mut out = vec![0.0f64; live_ids.len()];
-            for_each_chunk_mut(&mut out, &bounds, |range, chunk| {
-                for (slot, &v) in chunk.iter_mut().zip(&live_ids[range]) {
-                    *slot = col[v as usize];
-                }
-            });
-            data.push(out);
-        }
-        VertexWeights::from_vectors(data)
     }
 
     /// The purge renumbering: `(old→new map, live old ids in new order)` —
@@ -536,10 +523,7 @@ impl DynamicGraph {
     /// assembly loop behind both the purging [`Self::compact`] and the
     /// non-mutating [`Self::live_snapshot`], so the two can never diverge.
     fn live_csr(&self, map: &[VertexId], live_ids: &[VertexId]) -> Graph {
-        self.assemble_csr(live_ids, |old_v| {
-            debug_assert!(!self.dead[old_v as usize], "live edge to a dead vertex");
-            map[old_v as usize]
-        })
+        self.assemble_csr(live_ids, |old_v| map[old_v as usize])
     }
 
     /// Base edges (minus tombstones) + delta edges over the full id space —
@@ -551,140 +535,41 @@ impl DynamicGraph {
 
     /// Assembles the live CSR over `order` (old ids, in output order,
     /// neighbour ids translated through `map`) **without an edge sort**:
-    /// each vertex's surviving-base and delta lists are individually sorted
-    /// and mutually disjoint, so a per-vertex two-pointer merge emits the
-    /// adjacency already sorted — O(n + m) total where the former
-    /// edge-list builder paid O(m log m).
-    ///
-    /// The merge parallelizes over vertex ranges: a serial O(n) pass over
-    /// [`Self::degree`] fixes every output offset up front, then
-    /// [`prefix_boundaries`] splits the rows into near-equal *edge-count*
-    /// chunks and each scoped worker merges its rows into the disjoint
-    /// `targets` region those offsets pin down. Every write lands at an
-    /// offset-determined position, so the output is bitwise identical for
-    /// every thread count. `map` must be monotone on the live vertices
-    /// (purge renumbering is), or the output adjacency would come out
-    /// unsorted — debug builds re-validate every invariant via
+    /// each vertex's surviving-base and delta rows are individually sorted
+    /// and mutually disjoint, so one merge per row emits the adjacency
+    /// already sorted — O(n + m). `map` must be monotone on the live
+    /// vertices (purge renumbering is), or the output adjacency would come
+    /// out unsorted — debug builds re-validate every invariant via
     /// [`Graph::from_csr`] inside [`Graph::from_csr_unchecked`].
-    fn assemble_csr(&self, order: &[VertexId], map: impl Fn(VertexId) -> VertexId + Sync) -> Graph {
+    fn assemble_csr(&self, order: &[VertexId], map: impl Fn(VertexId) -> VertexId) -> Graph {
         let mut offsets = Vec::with_capacity(order.len() + 1);
         offsets.push(0usize);
-        let mut total = 0usize;
+        let mut targets = Vec::with_capacity(2 * self.num_edges());
         for &u in order {
-            total += self.degree(u);
-            offsets.push(total);
-        }
-        let mut targets = vec![0 as VertexId; total];
-        let rows = prefix_boundaries(&offsets, self.threads);
-        if rows.len() <= 2 {
-            self.merge_rows(order, &map, &offsets, 0..order.len(), &mut targets);
-        } else {
-            let mut chunks: Vec<(std::ops::Range<usize>, &mut [VertexId])> =
-                Vec::with_capacity(rows.len() - 1);
-            let mut rest: &mut [VertexId] = &mut targets;
-            for w in rows.windows(2) {
-                let (head, tail) = rest.split_at_mut(offsets[w[1]] - offsets[w[0]]);
-                chunks.push((w[0]..w[1], head));
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (range, chunk) in chunks {
-                    let (map, offsets) = (&map, &offsets);
-                    scope.spawn(move || self.merge_rows(order, map, offsets, range, chunk));
+            let mut delta = self.delta[u as usize].iter().copied().peekable();
+            for b in self.base_neighbors(u) {
+                while let Some(d) = delta.next_if(|&d| d < b) {
+                    targets.push(map(d));
                 }
-            });
+                targets.push(map(b));
+            }
+            targets.extend(delta.map(&map));
+            offsets.push(targets.len());
         }
         Graph::from_csr_unchecked(offsets, targets)
     }
 
-    /// The per-vertex three-way merge behind [`Self::assemble_csr`], over
-    /// rows `range` of `order`, writing into the `targets` region that
-    /// `offsets` assigns to those rows.
-    fn merge_rows(
-        &self,
-        order: &[VertexId],
-        map: &(impl Fn(VertexId) -> VertexId + Sync),
-        offsets: &[usize],
-        range: std::ops::Range<usize>,
-        out: &mut [VertexId],
-    ) {
-        let elem_base = offsets[range.start];
-        let mut cursor = 0usize;
-        for r in range {
-            let u = order[r];
-            debug_assert_eq!(cursor, offsets[r] - elem_base);
-            let base: &[VertexId] = if (u as usize) < self.base.num_vertices() {
-                self.base.neighbors(u)
-            } else {
-                &[]
-            };
-            let gone = &self.removed[u as usize];
-            let delta = &self.delta[u as usize];
-            let (mut bi, mut ri, mut di) = (0, 0, 0);
-            loop {
-                // Next surviving base neighbour; the tombstone cursor only
-                // ever advances because both lists are sorted.
-                let bnext = loop {
-                    if bi >= base.len() {
-                        break None;
-                    }
-                    let v = base[bi];
-                    while ri < gone.len() && gone[ri] < v {
-                        ri += 1;
-                    }
-                    if ri < gone.len() && gone[ri] == v {
-                        bi += 1;
-                        ri += 1;
-                    } else {
-                        break Some(v);
-                    }
-                };
-                let next = match (bnext, delta.get(di).copied()) {
-                    (None, None) => break,
-                    (Some(b), None) => {
-                        bi += 1;
-                        b
-                    }
-                    (None, Some(d)) => {
-                        di += 1;
-                        d
-                    }
-                    (Some(b), Some(d)) => {
-                        if b < d {
-                            bi += 1;
-                            b
-                        } else {
-                            di += 1;
-                            d
-                        }
-                    }
-                };
-                out[cursor] = map(next);
-                cursor += 1;
-            }
-        }
-        debug_assert_eq!(cursor, out.len());
-    }
-
-    /// Serializes the full dynamic state — base CSR, delta adjacency, edge
-    /// tombstones, vertex tombstones, the free list **verbatim** (a
-    /// restored graph recycles the same ids in the same LIFO order as the
-    /// saver would have), and the weight rows with their live totals —
-    /// into a snapshot payload.
-    pub(crate) fn encode_snapshot(&self, w: &mut crate::snapshot::PayloadWriter) {
+    /// Serializes the graph as a handful of bulk slices: the base CSR, its
+    /// removed-slot bits, the delta as row lengths plus one concatenated
+    /// targets slice, the free list **verbatim** (a restored graph
+    /// recycles the same ids in the same LIFO order as the saver would
+    /// have), and the weight rows with their live totals. Counts and the
+    /// dead mask are derived from these on restore.
+    pub(crate) fn encode_snapshot(&self, w: &mut PayloadWriter) {
         w.put_vec_usize(self.base.raw_offsets());
         w.put_vec_u32(self.base.raw_targets());
-        w.put_usize(self.delta.len());
-        for adj in &self.delta {
-            w.put_vec_u32(adj);
-        }
-        w.put_usize(self.delta_edges);
-        w.put_usize(self.removed.len());
-        for gone in &self.removed {
-            w.put_vec_u32(gone);
-        }
-        w.put_usize(self.removed_base_edges);
-        w.put_vec_bool(&self.dead);
+        w.put_vec_u64(&self.removed);
+        w.put_rows_u32(&self.delta);
         w.put_vec_u32(&self.free);
         let dims = self.weights.dims();
         w.put_usize(dims);
@@ -694,109 +579,69 @@ impl DynamicGraph {
         w.put_vec_f64(&(0..dims).map(|j| self.weights.total(j)).collect::<Vec<_>>());
     }
 
-    /// Rebuilds a graph from [`Self::encode_snapshot`] bytes. The payload
-    /// already passed the snapshot checksum, so every rejection here
-    /// ([`crate::SnapshotError::Corrupt`]) marks a writer/reader format
-    /// divergence rather than bit rot — but each invariant is still
-    /// checked, because the alternative is an index panic deep inside the
-    /// serving path.
-    pub(crate) fn decode_snapshot(
-        r: &mut crate::snapshot::PayloadReader,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+    /// Rebuilds a graph from [`Self::encode_snapshot`] bytes, deriving the
+    /// counts and the dead mask, and checks in O(n + m) every structural
+    /// fact the other methods rely on: the base CSR is a valid symmetric
+    /// graph; the removed bits cover exactly its slots and come in
+    /// mirrored pairs; every delta row is sorted, in range, free of
+    /// self-loops, mirrored and disjoint from the base row; the free list
+    /// holds distinct ids; and no live edge touches a dead vertex. The
+    /// payload already passed the snapshot checksum, so a rejection
+    /// ([`SnapshotError::Corrupt`]) marks a writer/reader divergence or a
+    /// forged payload — but each fact is checked here, once, because the
+    /// alternative is a panic deep inside a later batch.
+    pub(crate) fn decode_snapshot(r: &mut PayloadReader) -> Result<Self, SnapshotError> {
         let corrupt = |why: String| SnapshotError::Corrupt(why);
 
         let offsets = r.get_vec_usize("graph.base.offsets")?;
         let targets = r.get_vec_u32("graph.base.targets")?;
-        // `||` short-circuits: `last()` only runs after `is_empty()` held.
-        if offsets.is_empty() || offsets[0] != 0 || *offsets.last().unwrap() != targets.len() {
-            return Err(corrupt("base CSR offsets do not frame the targets".into()));
-        }
-        let base_n = offsets.len() - 1;
-        for v in 0..base_n {
-            // An offset past the targets must fall again before the last
-            // one, which frames them: that is a monotonicity break too.
-            if offsets[v] > offsets[v + 1] || offsets[v + 1] > targets.len() {
-                return Err(corrupt(format!("base CSR offsets not monotone at {v}")));
-            }
-            let adj = &targets[offsets[v]..offsets[v + 1]];
-            for (i, &t) in adj.iter().enumerate() {
-                if (t as usize) >= base_n || t as usize == v || (i > 0 && adj[i - 1] >= t) {
-                    return Err(corrupt(format!("base CSR adjacency of {v} is invalid")));
-                }
-            }
-        }
-        if targets.len() % 2 != 0 {
-            return Err(corrupt(
-                "base CSR stores an odd number of directed edges".into(),
-            ));
-        }
-        let base = Graph::from_csr(offsets, targets);
+        let base = Graph::try_from_csr(offsets, targets)
+            .map_err(|why| corrupt(format!("base CSR: {why}")))?;
+        let base_n = base.num_vertices();
+        let slots = base.raw_targets().len();
 
-        // Every delta and edge-tombstone list takes at least its 8-byte
-        // length prefix, which bounds the id space by the payload.
-        let n = r.get_len(8, "graph.delta.len")?;
+        let removed = r.get_vec_u64("graph.base.removed")?;
+        let stray = removed
+            .last()
+            .is_some_and(|&w| slots % 64 != 0 && w >> (slots % 64) != 0);
+        if removed.len() != bit_words(slots) || stray {
+            return Err(corrupt(format!(
+                "removed bits ({} words) do not cover exactly the {slots} base slots",
+                removed.len()
+            )));
+        }
+
+        // The delta is a symmetric CSR over the id space: the base CSR's
+        // validator checks its rows.
+        let lens = r.get_vec_u32("graph.delta.lens")?;
+        let n = lens.len();
         if n < base_n {
             return Err(corrupt(format!(
                 "id space {n} smaller than base CSR {base_n}"
             )));
         }
-        let mut delta = Vec::with_capacity(n);
-        for _ in 0..n {
-            delta.push(r.get_vec_u32("graph.delta.adj")?);
+        let flat = r.get_vec_u32("graph.delta.targets")?;
+        let mut delta_offsets = Vec::with_capacity(n + 1);
+        delta_offsets.push(0usize);
+        for &len in &lens {
+            // A saturated sum cannot frame the targets: refused below.
+            delta_offsets.push(delta_offsets[delta_offsets.len() - 1].saturating_add(len as usize));
         }
-        let delta_edges = r.get_usize("graph.delta_edges")?;
-        let removed_n = r.get_len(8, "graph.removed.len")?;
-        if removed_n != n {
-            return Err(corrupt(
-                "edge-tombstone table does not cover the id space".into(),
-            ));
-        }
-        let mut removed = Vec::with_capacity(n);
-        for _ in 0..n {
-            removed.push(r.get_vec_u32("graph.removed.adj")?);
-        }
-        let removed_base_edges = r.get_usize("graph.removed_base_edges")?;
-        let dead = r.get_vec_bool("graph.dead")?;
-        if dead.len() != n {
-            return Err(corrupt(
-                "vertex-tombstone table does not cover the id space".into(),
-            ));
-        }
-        let dead_count = dead.iter().filter(|&&d| d).count();
+        let delta_csr = Graph::try_from_csr(delta_offsets, flat)
+            .map_err(|why| corrupt(format!("delta: {why}")))?;
+        let delta: Vec<Vec<VertexId>> = (0..n as VertexId)
+            .map(|v| delta_csr.neighbors(v).to_vec())
+            .collect();
+
         let free = r.get_vec_u32("graph.free")?;
-        // The free list must contain exactly the dead ids, each once — the
-        // recycling invariant `add_vertex` relies on.
-        if free.len() != dead_count {
-            return Err(corrupt(format!(
-                "free list has {} entries for {dead_count} tombstoned vertices",
-                free.len()
-            )));
-        }
-        let mut on_free = vec![false; n];
+        let mut dead = vec![false; n];
         for &v in &free {
-            if (v as usize) >= n || !dead[v as usize] || on_free[v as usize] {
+            if (v as usize) >= n || dead[v as usize] {
                 return Err(corrupt(format!(
-                    "free-list entry {v} is not a unique dead id"
+                    "free-list entry {v} is not a unique id below {n}"
                 )));
             }
-            on_free[v as usize] = true;
-        }
-        for (v, adj) in delta.iter().enumerate() {
-            for &u in adj {
-                if (u as usize) >= n {
-                    return Err(corrupt(format!("delta edge ({v}, {u}) is out of range")));
-                }
-            }
-        }
-        for (v, gone) in removed.iter().enumerate() {
-            for &u in gone {
-                if (u as usize) >= n {
-                    return Err(corrupt(format!(
-                        "edge tombstone ({v}, {u}) is out of range"
-                    )));
-                }
-            }
+            dead[v as usize] = true;
         }
 
         // Each weight column takes at least its 8-byte length prefix.
@@ -824,33 +669,67 @@ impl DynamicGraph {
         if totals.len() != dims || totals.iter().any(|t| !t.is_finite()) {
             return Err(corrupt("weight totals are malformed".into()));
         }
-        let weights = VertexWeights::from_raw_parts(data, totals);
 
-        Ok(Self {
-            base,
-            delta,
-            delta_edges,
+        let graph = Self {
+            removed_base_edges: removed
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+                / 2,
             removed,
-            removed_base_edges,
+            base,
+            delta_edges: delta_csr.num_edges(),
+            delta,
             dead,
-            dead_count,
             free,
-            weights,
-            threads: 1,
-        })
+            weights: VertexWeights::from_raw_parts(data, totals),
+        };
+        graph.check_overlay()?;
+        Ok(graph)
     }
 
-    /// Approximate heap footprint of the adjacency structures in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.base.memory_bytes()
-            + self
-                .delta
-                .iter()
-                .chain(self.removed.iter())
-                .map(|a| a.capacity() * std::mem::size_of::<VertexId>())
-                .sum::<usize>()
-            + self.dead.len()
-            + self.weights.memory_bytes()
+    /// The restore checks that relate the overlay to the base CSR, in
+    /// O(n + m): removed bits come in mirrored pairs, no delta edge is a
+    /// base edge, and a dead vertex has no live edge. Mirrored bits and
+    /// mirrored delta rows make the dead vertices' own rows enough for the
+    /// last.
+    fn check_overlay(&self) -> Result<(), SnapshotError> {
+        let corrupt = |why: String| Err(SnapshotError::Corrupt(why));
+        let (offsets, targets) = (self.base.raw_offsets(), self.base.raw_targets());
+        // The base CSR is sorted and symmetric (checked), so walking the
+        // rows in ascending order meets the entries below `v` of `v`'s row
+        // in ascending order: `mirror[v]` is the slot of the next one.
+        let mut mirror = offsets[..self.base.num_vertices()].to_vec();
+        for u in 0..self.base.num_vertices() {
+            let row = offsets[u]..offsets[u + 1];
+            for (slot, &v) in row.clone().zip(&targets[row]) {
+                let v = v as usize;
+                if v > u {
+                    if self.is_removed(slot) != self.is_removed(mirror[v]) {
+                        return corrupt(format!(
+                            "removed bit of base edge ({u}, {v}) has no mirror"
+                        ));
+                    }
+                    mirror[v] += 1;
+                }
+            }
+        }
+        for (u, row) in self.delta.iter().enumerate() {
+            // Both rows are sorted: one merge walk finds a shared entry.
+            let mut base = targets[self.base_slots(u as VertexId)].iter().peekable();
+            for &v in row {
+                while base.next_if(|&&b| b < v).is_some() {}
+                if base.peek() == Some(&&v) {
+                    return corrupt(format!("delta edge ({u}, {v}) is a base edge"));
+                }
+            }
+        }
+        for &v in &self.free {
+            if let Some(u) = self.neighbors(v).next() {
+                return corrupt(format!("live edge ({v}, {u}) touches dead vertex {v}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1117,29 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compaction_is_bit_identical_to_serial() {
-        let churn = |dg: &mut DynamicGraph| {
-            let v = dg.add_vertex(&[2.0, 3.0]); // id 4
-            dg.add_edge(v, 0);
-            dg.add_edge(0, 2);
-            dg.remove_edge(1, 2);
-            dg.remove_vertex(1); // stays dead -> purging compaction
-        };
-        let mut serial = seeded();
-        churn(&mut serial);
-        let mut parallel = seeded();
-        parallel.set_threads(4);
-        churn(&mut parallel);
-        assert_eq!(serial.compact(), parallel.compact());
-        assert_eq!(serial.csr(), parallel.csr());
-        let dims = serial.weights().dims();
-        for j in 0..dims {
-            assert_eq!(serial.weights().dim(j), parallel.weights().dim(j));
-            assert!(serial.weights().total(j) == parallel.weights().total(j));
-        }
-    }
-
-    #[test]
     fn removed_edges_count_toward_the_compaction_trigger() {
         let mut dg = seeded();
         assert!(!dg.needs_compaction(0.3));
@@ -1148,5 +1004,183 @@ mod tests {
         assert!(dg.compact().is_none(), "edge-only churn keeps ids");
         assert_eq!(dg.num_edges(), 2);
         assert_eq!(dg.tombstoned_edge_count(), 0);
+    }
+
+    /// Every accessor of `a` and `b` agrees, weights bitwise.
+    fn assert_same(a: &DynamicGraph, b: &DynamicGraph) {
+        assert_eq!(a.num_vertices(), b.num_vertices());
+        assert_eq!(a.num_live_vertices(), b.num_live_vertices());
+        assert_eq!(a.num_edges(), b.num_edges());
+        assert_eq!(a.delta_edge_count(), b.delta_edge_count());
+        assert_eq!(a.tombstoned_edge_count(), b.tombstoned_edge_count());
+        assert_eq!(a.free_ids(), b.free_ids());
+        assert_eq!(a.snapshot(), b.snapshot());
+        for v in 0..a.num_vertices() as VertexId {
+            assert_eq!(a.is_live(v), b.is_live(v), "liveness of {v}");
+            assert_eq!(a.degree(v), b.degree(v), "degree of {v}");
+            let (na, nb): (Vec<_>, Vec<_>) = (a.neighbors(v).collect(), b.neighbors(v).collect());
+            assert_eq!(na, nb, "neighbours of {v}");
+        }
+        for j in 0..a.weights().dims() {
+            assert_eq!(a.weights().dim(j), b.weights().dim(j));
+            assert_eq!(
+                a.weights().total(j).to_bits(),
+                b.weights().total(j).to_bits()
+            );
+        }
+    }
+
+    fn round_trip(dg: &DynamicGraph) -> Result<DynamicGraph, SnapshotError> {
+        let mut w = PayloadWriter::new();
+        dg.encode_snapshot(&mut w);
+        let mut r = PayloadReader::new(&w.buf);
+        let back = DynamicGraph::decode_snapshot(&mut r)?;
+        assert!(
+            r.finished(),
+            "the decoder reads exactly what the encoder wrote"
+        );
+        Ok(back)
+    }
+
+    #[test]
+    fn graph_section_round_trips_mid_churn() {
+        let mut dg = seeded();
+        let v4 = dg.add_vertex(&[1.0, 2.0]);
+        assert!(dg.add_edge(v4, 1) && dg.add_edge(0, 2), "delta edges");
+        assert!(
+            dg.remove_edge(1, 2) && dg.add_edge(2, 1),
+            "a resurrected base edge"
+        );
+        assert!(dg.remove_edge(2, 3), "a removed base edge");
+        dg.remove_vertex(3); // stays dead
+        dg.remove_vertex(0);
+        assert_eq!(dg.add_vertex(&[5.0, 6.0]), 0, "a recycled id");
+        assert!(dg.add_edge(0, v4));
+        assert_eq!(dg.free_ids(), &[3]);
+        assert_eq!((dg.delta_edge_count(), dg.tombstoned_edge_count()), (2, 2));
+
+        let mut back = round_trip(&dg).expect("a saved graph restores");
+        assert_same(&dg, &back);
+        // Both continue into the same results.
+        for g in [&mut dg, &mut back] {
+            assert!(g.add_edge(0, 1), "the recycled id resurrects its base slot");
+            assert!(g.remove_edge(v4, 1));
+            assert_eq!(g.add_vertex(&[1.5, 2.5]), 3);
+            assert_eq!(g.remove_vertex(2), vec![1]);
+        }
+        assert_same(&dg, &back);
+        assert_eq!(dg.compact(), back.compact());
+        assert_same(&dg, &back);
+        assert_same(&dg, &round_trip(&dg).unwrap());
+    }
+
+    /// The graph section of `seeded()` — the path 0-1-2-3, base slots
+    /// `0→1 | 1→0 1→2 | 2→1 2→3 | 3→2` — as fields to forge one at a time.
+    struct Section {
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        removed: Vec<u64>,
+        delta: Vec<Vec<VertexId>>,
+        free: Vec<VertexId>,
+    }
+
+    impl Section {
+        fn seeded() -> Self {
+            let dg = seeded();
+            Section {
+                offsets: dg.base.raw_offsets().to_vec(),
+                targets: dg.base.raw_targets().to_vec(),
+                removed: dg.removed.clone(),
+                delta: dg.delta.clone(),
+                free: dg.free.clone(),
+            }
+        }
+
+        /// Decodes the forged section; the weights are the seeded ones,
+        /// padded to the delta's id space.
+        fn decode(&self) -> Result<DynamicGraph, SnapshotError> {
+            let mut w = PayloadWriter::new();
+            w.put_vec_usize(&self.offsets);
+            w.put_vec_u32(&self.targets);
+            w.put_vec_u64(&self.removed);
+            w.put_rows_u32(&self.delta);
+            w.put_vec_u32(&self.free);
+            w.put_usize(1);
+            w.put_vec_f64(&vec![1.0; self.delta.len()]);
+            w.put_vec_f64(&[self.delta.len() as f64]);
+            DynamicGraph::decode_snapshot(&mut PayloadReader::new(&w.buf))
+        }
+
+        fn refused(&self, why: &str) {
+            match self.decode() {
+                Err(SnapshotError::Corrupt(found)) => assert!(
+                    found.contains(why),
+                    "expected a refusal naming {why:?}, got {found:?}"
+                ),
+                Err(other) => panic!("expected Corrupt({why:?}), got {other}"),
+                Ok(_) => panic!("the forged section restored; expected {why:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn each_restore_check_refuses_a_forged_section_by_name() {
+        Section::seeded()
+            .decode()
+            .expect("the unforged section restores");
+        let forge = |f: &dyn Fn(&mut Section)| {
+            let mut s = Section::seeded();
+            f(&mut s);
+            s
+        };
+        // The base CSR goes through `Graph::try_from_csr`: 3→2 becomes
+        // 3→1, which 1's row does not mirror.
+        forge(&|s| s.targets[5] = 1).refused("base CSR: adjacency is not symmetric");
+        // Removed bits must cover exactly the six base slots.
+        forge(&|s| s.removed.push(0)).refused("removed bits (2 words) do not cover exactly");
+        forge(&|s| s.removed.clear()).refused("removed bits (0 words) do not cover exactly");
+        forge(&|s| s.removed[0] = 1 << 6).refused("do not cover exactly the 6 base slots");
+        // ... and come in mirrored pairs: 1→2 removed, 2→1 not.
+        forge(&|s| s.removed[0] = 1 << 2).refused("removed bit of base edge (1, 2) has no mirror");
+        // The delta goes through the same CSR validator.
+        forge(&|s| s.delta[0] = vec![3]).refused("delta: adjacency is not symmetric");
+        forge(&|s| s.delta[0] = vec![9]).refused("delta: target out of range");
+        forge(&|s| s.delta[2] = vec![2]).refused("delta: self-loop at vertex 2");
+        forge(&|s| {
+            s.delta[0] = vec![3, 2];
+            s.delta[2] = vec![0];
+            s.delta[3] = vec![0];
+        })
+        .refused("delta: adjacency of 0 not strictly sorted");
+        // A delta row is disjoint from the base row, removed or not.
+        forge(&|s| {
+            s.delta[0] = vec![1];
+            s.delta[1] = vec![0];
+        })
+        .refused("delta edge (0, 1) is a base edge");
+        forge(&|s| s.delta.truncate(3)).refused("id space 3 smaller than base CSR 4");
+        // The free list names distinct ids of the id space ...
+        forge(&|s| s.free = vec![4]).refused("free-list entry 4 is not a unique id below 4");
+        forge(&|s| {
+            s.removed[0] = 0b11_1111;
+            s.free = vec![1, 1];
+        })
+        .refused("free-list entry 1 is not a unique id below 4");
+        // ... whose rows hold no live edge, base or delta.
+        forge(&|s| s.free = vec![1]).refused("live edge (1, 0) touches dead vertex 1");
+        forge(&|s| {
+            s.removed[0] = 0b11_1111;
+            s.delta[0] = vec![2];
+            s.delta[2] = vec![0];
+            s.free = vec![2];
+        })
+        .refused("live edge (2, 0) touches dead vertex 2");
+        // With every slot removed, vertex 1 may be dead.
+        let dead = forge(&|s| {
+            s.removed[0] = 0b00_1111;
+            s.free = vec![1];
+        });
+        let g = dead.decode().expect("a consistent dead vertex restores");
+        assert_eq!((g.num_tombstoned(), g.tombstoned_edge_count()), (1, 2));
     }
 }

@@ -160,11 +160,10 @@ pub struct StreamConfig {
     pub seed: u64,
     /// Worker threads for the parallel paths (1 = fully serial): the
     /// bootstrap/refinement GD mat-vec, speculative placement and its
-    /// repair rounds, the compaction merge and purge renumbering, the
-    /// refinement gather and the pairwise refinement rounds (part-disjoint
-    /// pairs run concurrently). Split and commit are serial at every
-    /// count. Overrides [`GdConfig::threads`] on the embedded GD
-    /// configuration.
+    /// repair rounds, the refinement gather and the pairwise refinement
+    /// rounds (part-disjoint pairs run concurrently). Split, commit and
+    /// compaction are serial at every count. Overrides
+    /// [`GdConfig::threads`] on the embedded GD configuration.
     pub threads: usize,
 }
 
@@ -476,9 +475,7 @@ impl StreamingPartitioner {
         }
         let mut store = PartitionStore::new(partition, &weights);
         store.rebuild_edge_stats(graph.edges());
-        store.set_threads(cfg.threads);
-        let mut graph = DynamicGraph::new(graph, weights);
-        graph.set_threads(cfg.threads);
+        let graph = DynamicGraph::new(graph, weights);
         let refine_seed = cfg.seed;
         Ok(Self {
             cfg,
@@ -502,13 +499,11 @@ impl StreamingPartitioner {
         cfg.validate()?;
         let refine_seed = cfg.seed;
         let k = cfg.k;
-        let mut graph = DynamicGraph::empty(dims);
-        graph.set_threads(cfg.threads);
-        let mut store = PartitionStore::new(
+        let graph = DynamicGraph::empty(dims);
+        let store = PartitionStore::new(
             &Partition::new(Vec::new(), k),
             &VertexWeights::from_vectors(vec![Vec::new(); dims]),
         );
-        store.set_threads(cfg.threads);
         Ok(Self {
             cfg,
             graph,
@@ -647,20 +642,18 @@ impl StreamingPartitioner {
     pub fn set_threads(&mut self, threads: usize) {
         assert!(threads > 0, "threads must be positive");
         self.cfg.threads = threads;
-        self.graph.set_threads(threads);
-        self.store.set_threads(threads);
     }
 
     /// Serializes the engine's full state into `w` in the versioned
     /// snapshot format (see [`crate::snapshot`] for the layout): the
-    /// dynamic graph (base CSR, delta, tombstones, free list, weights),
-    /// the store's accounting (verbatim floats), the configuration, and
-    /// the refinement bookkeeping. Saving changes no engine state (it only
-    /// counts itself in the metrics registry, hence `&mut self`), so a
-    /// saver and its restorer continue into identical reports. A snapshot
-    /// may be taken at any batch boundary, including mid-churn with
-    /// tombstoned-but-unpurged vertices pending. The snapshot is encoded
-    /// in memory first, then written.
+    /// dynamic graph (base CSR, removed-slot bits, delta, free list,
+    /// weights), the store's assignment and loads (verbatim floats), the
+    /// configuration, and the refinement bookkeeping. Saving changes no
+    /// engine state (it only counts itself in the metrics registry, hence
+    /// `&mut self`), so a saver and its restorer continue into identical
+    /// reports. A snapshot may be taken at any batch boundary, including
+    /// mid-churn with tombstoned-but-unpurged vertices pending. The
+    /// snapshot is encoded in memory first, then written.
     pub fn save_snapshot<W: std::io::Write>(
         &mut self,
         w: &mut W,
@@ -756,11 +749,9 @@ impl StreamingPartitioner {
         cfg.validate()
             .map_err(|e| SnapshotError::Corrupt(format!("configuration invalid: {e}")))?;
         pr.expect_section(snapshot::SEC_GRAPH)?;
-        let mut graph = DynamicGraph::decode_snapshot(&mut pr)?;
-        graph.set_threads(cfg.threads);
+        let graph = DynamicGraph::decode_snapshot(&mut pr)?;
         pr.expect_section(snapshot::SEC_STORE)?;
         let mut store = PartitionStore::decode_snapshot(&mut pr, cfg.k, graph.weights())?;
-        store.set_threads(cfg.threads);
         pr.expect_section(snapshot::SEC_ENGINE)?;
         let dirty = DirtySet::from_mask(pr.get_vec_bool("engine.dirty")?);
         let batches = pr.get_u64("engine.batch_seq")?;
@@ -776,12 +767,10 @@ impl StreamingPartitioner {
         // Cross-section consistency: the header, config, graph and store
         // must all agree on the shape before the engine is assembled.
         let n = graph.num_vertices();
-        if cfg.k != info.k || store.num_parts() != info.k {
+        if cfg.k != info.k {
             return Err(SnapshotError::Corrupt(format!(
-                "part counts disagree: header {}, config {}, store {}",
-                info.k,
-                cfg.k,
-                store.num_parts()
+                "part counts disagree: header {}, config {}",
+                info.k, cfg.k
             )));
         }
         if graph.weights().dims() != info.dims {
@@ -807,6 +796,9 @@ impl StreamingPartitioner {
                 )));
             }
         }
+        // Every live edge joins two assigned vertices now, so the edge
+        // counters are one exact recount away.
+        store.rebuild_edge_stats(graph.live_edges());
 
         let mut obs = MetricsRegistry::new();
         obs.counter_add("stream.snapshot.restores", 1);
@@ -868,8 +860,9 @@ impl StreamingPartitioner {
         if will_merge {
             self.obs.counter_add("stream.compact.merges", 1);
         }
-        // Lifetime wall-clock of the parallel delta-merge (and, on purges,
-        // the remap application) — a `_ms` gauge, so it stays out of the
+        // Lifetime wall-clock of the delta-merge (and, on purges, the
+        // remap application), under the name perf records read although
+        // the merge is serial. A `_ms` gauge, so it stays out of the
         // deterministic dump subset the CI thread-count diff compares.
         let compact_start = Instant::now();
         let record_compact_ms = |obs: &mut MetricsRegistry, start: Instant| {
@@ -1070,7 +1063,6 @@ impl StreamingPartitioner {
                 reservations,
                 &caps,
                 &mut parts,
-                self.cfg.epsilon,
                 self.cfg.threads,
             )
         };
@@ -3266,9 +3258,9 @@ mod tests {
 
     /// A snapshot resealed with a count that claims more than its payload
     /// holds fails to restore with a named error, before the count sizes
-    /// any allocation: the graph's id space and weight dimension count,
-    /// the store's part count, and the config's and store's part counts
-    /// inflated together.
+    /// any allocation: the graph's removed-bit, delta-length and
+    /// delta-target prefixes, its weight dimension count, and the
+    /// config's part count, which sizes the store's loads.
     #[test]
     fn inflated_snapshot_counts_fail_by_name() {
         use crate::snapshot::{self, PayloadWriter, SnapshotError};
@@ -3287,39 +3279,36 @@ mod tests {
         let config_at = 8 + 1; // id-epoch echo, CONFIG tag
         let graph_at = config_at + encoded(&|w| snapshot::encode_config(w, &sp.cfg)) + 1;
         let csr = sp.graph.csr();
-        let delta_len_at = graph_at
+        let removed_at = graph_at
             + encoded(&|w| {
                 w.put_vec_usize(csr.raw_offsets());
                 w.put_vec_u32(csr.raw_targets());
             });
-        let graph_end = graph_at + encoded(&|w| sp.graph.encode_snapshot(w));
+        let words = csr.raw_targets().len().div_ceil(64);
         let (n, dims) = (sp.graph.num_vertices(), 2);
+        let lens_at = removed_at + 8 + 8 * words;
+        let delta_targets_at = lens_at + 8 + 4 * n;
+        let graph_end = graph_at + encoded(&|w| sp.graph.encode_snapshot(w));
         let dims_at = graph_end - (8 + 8 * dims) - dims * (8 + 8 * n) - 8;
-        let store_k_at = graph_end + 1;
 
         let read = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-        assert_eq!(read(delta_len_at), n as u64);
+        assert_eq!(read(removed_at), words as u64);
+        assert_eq!(read(lens_at), n as u64);
+        assert_eq!(read(delta_targets_at), 0);
         assert_eq!(read(dims_at), dims as u64);
-        assert_eq!((read(config_at), read(store_k_at)), (2, 2));
+        assert_eq!(read(config_at), 2);
 
         let huge = 1u64 << 40;
-        for inflated in [
-            vec![delta_len_at],
-            vec![dims_at],
-            vec![store_k_at],
-            vec![config_at, store_k_at],
-        ] {
+        for at in [removed_at, lens_at, delta_targets_at, dims_at, config_at] {
             let mut forged = payload.clone();
-            for &at in &inflated {
-                forged[at..at + 8].copy_from_slice(&huge.to_le_bytes());
-            }
+            forged[at..at + 8].copy_from_slice(&huge.to_le_bytes());
             let mut resealed = vec![0; snapshot::SNAPSHOT_HEADER_BYTES];
             resealed.extend_from_slice(&forged);
             snapshot::seal_snapshot(&mut resealed, info.id_epoch, info.k, info.dims);
             match StreamingPartitioner::restore(&resealed[..]) {
                 Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_)) => {}
-                Err(other) => panic!("count at {inflated:?}: unexpected error {other}"),
-                Ok(_) => panic!("count at {inflated:?}: the forged snapshot restored"),
+                Err(other) => panic!("count at {at}: unexpected error {other}"),
+                Ok(_) => panic!("count at {at}: the forged snapshot restored"),
             }
         }
     }

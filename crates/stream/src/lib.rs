@@ -7,15 +7,15 @@
 //! crate keeps a partition valid and high-quality as the graph evolves,
 //! without rerunning GD from scratch:
 //!
-//! * [`DynamicGraph`] — a base CSR plus delta adjacency and a tombstone
-//!   set for removals, compacted once the churn outgrows a slack, so
-//!   reads stay cheap ([`dynamic`]);
+//! * [`DynamicGraph`] — a base CSR plus delta adjacency, with one
+//!   removed bit per base CSR slot and a dead mask for removals, compacted
+//!   once the churn outgrows a slack, so reads stay cheap ([`dynamic`]);
 //! * [`UpdateBatch`] / [`StreamUpdate`] — the stream language: vertex
 //!   arrivals (with adjacency) and removals, edge insertions and
 //!   deletions, weight drift ([`delta`]);
-//! * [`LdgPlacer`] — multi-dimensional linear-deterministic-greedy
+//! * [`placement`] — multi-dimensional linear-deterministic-greedy
 //!   placement of arriving vertices under per-dimension `(1+ε)` capacity
-//!   slabs ([`placement`]);
+//!   slabs, scored against the store plus a [`ReservationLedger`];
 //! * [`StreamingPartitioner`] — the engine: the staged ingest pipeline
 //!   (see *Batch lifecycle* below), the drift trigger, and **incremental
 //!   refinement** — greedy multi-constraint rebalancing plus warm-started
@@ -43,10 +43,10 @@
 //!
 //! * **Tombstoning, not rewriting.** [`StreamUpdate::RemoveEdge`] /
 //!   [`StreamUpdate::RemoveVertex`] tombstone in O(deg): delta edges are
-//!   dropped in place, base-CSR edges land in a per-vertex tombstone list,
-//!   and a removed vertex — after shedding its edges — reads as isolated
-//!   while keeping its id. See the [`dynamic`] module docs for the full
-//!   lifecycle.
+//!   dropped in place, base-CSR edges set the removed bits of their two
+//!   slots, and a removed vertex — after shedding its edges — reads as
+//!   isolated while keeping its id. See the [`dynamic`] module docs for
+//!   the full lifecycle.
 //! * **Capacity releases immediately.** [`PartitionStore::release_vertex`]
 //!   subtracts the vertex from its part's loads *and* from the store's
 //!   live per-dimension totals, so imbalance/headroom telemetry, the
@@ -175,7 +175,7 @@
 //! serving path) via [`mdbgp_core::parallel`], and every reduction is
 //! order-preserving, so the partition produced is bitwise identical for
 //! any thread count (property-tested in `proptest_refine_parallel`).
-//! Four sections engage the pool:
+//! Three sections engage the pool:
 //!
 //! 1. **GD mat-vec** — bootstrap gradient iterations split CSR rows into
 //!    equal-edge-count chunks ([`mdbgp_core::matvec::matvec_parallel`]);
@@ -189,19 +189,15 @@
 //!    accepted moves are applied at the round barrier in round order;
 //! 3. **speculative placement** — fixed-size chunks of a batch's arrivals
 //!    are placed concurrently against the store's loads with
-//!    chunk-local capacity reservations (see *Batch lifecycle*); within a
-//!    single-chunk batch the per-part scoring sweep folds over disjoint
-//!    part ranges instead (only engaged for large `k`, where it amortizes
-//!    the spawn); large conflict-repair loser sets are re-placed the same
-//!    way;
-//! 4. **compaction** — the delta-merge CSR build, the purge renumbering
-//!    and the weight gather split over vertex ranges into disjoint output
-//!    slices.
+//!    chunk-local capacity reservations (see *Batch lifecycle*); large
+//!    conflict-repair loser sets are re-placed the same way.
 //!
-//! Split and commit are serial at every thread count: each update
-//! splices a few sorted adjacency lists or adds a weight row to `d`
-//! loads, and staging those edits for a parallel flush cost more than it
-//! saved.
+//! Split, commit and compaction are serial at every thread count: each
+//! update splices a few sorted adjacency lists or adds a weight row to
+//! `d` loads, and staging those edits for a parallel flush cost more than
+//! it saved; a compaction is a few ms of data movement (3.7–3.9 ms of a
+//! 52 ms incremental run on CI's placement leg, on a 2-vCPU host), and
+//! splitting it over scoped threads did not make it faster there.
 //!
 //! The serving path is structurally outside the pool: reader threads hold
 //! [`ReadHandle`]s onto immutable published [`ReadView`]s and answer
@@ -346,7 +342,7 @@ pub use mdbgp_obs::{
     validate_dump, DumpStats, HistogramSummary, JournalEvent, MetricsRegistry, SpanNode,
 };
 pub use pipeline::{StageTimings, SPECULATIVE_CHUNK};
-pub use placement::{LdgPlacer, LoadView, ReservationLedger, ReservedView};
+pub use placement::{ReservationLedger, ReservedView};
 pub use replica::{Follower, Leader, ReplicaError};
 pub use snapshot::{SnapshotError, SnapshotExpectation, SnapshotInfo};
 pub use store::{PartitionStore, ReadHandle, ReadView, ViewEpoch, LOOKUP_SAMPLE_EVERY};

@@ -47,7 +47,7 @@
 //! engine state and the batch.
 
 use crate::dynamic::DynamicGraph;
-use crate::placement::{LdgPlacer, ReservationLedger, ReservedView};
+use crate::placement::{place, ReservationLedger, ReservedView};
 use crate::store::PartitionStore;
 use crate::TOMBSTONE;
 use mdbgp_core::parallel;
@@ -229,9 +229,6 @@ pub(crate) fn speculative_place(
 
     let bounds = parallel::fixed_boundaries(split.arrivals.len(), SPECULATIVE_CHUNK);
     let ranges: Vec<std::ops::Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-    // A single chunk cannot use chunk-level parallelism; hand the threads
-    // to the per-part scoring sweep instead (it engages for large k).
-    let placer = LdgPlacer::new(epsilon).with_threads(if ranges.len() <= 1 { threads } else { 1 });
     let chunk_results = parallel::par_map(&ranges, threads, |_, range| {
         let mut ledger = ReservationLedger::new(k, dims);
         let mut local = vec![TOMBSTONE; range.len()];
@@ -253,7 +250,7 @@ pub(crate) fn speculative_place(
                 store,
                 ledger: &ledger,
             };
-            let part = placer.place_with(k, &view, &caps, &counts, &arrival.row);
+            let part = place(&view, &caps, &counts, &arrival.row);
             ledger.reserve(part, &arrival.row);
             local[off] = part;
         }
@@ -294,7 +291,6 @@ pub(crate) fn speculative_place(
 /// that fits nowhere falls back to the least-loaded part exactly like
 /// serial LDG overflow, and is never evicted again, which bounds the
 /// loop. Returns `(evictions, repair passes, speculative rounds)`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn conflict_repair(
     graph: &DynamicGraph,
     store: &PartitionStore,
@@ -302,7 +298,6 @@ pub(crate) fn conflict_repair(
     mut ledger: ReservationLedger,
     caps: &[f64],
     parts: &mut [u32],
-    epsilon: f64,
     threads: usize,
 ) -> (usize, usize, usize) {
     let k = store.num_parts();
@@ -311,7 +306,6 @@ pub(crate) fn conflict_repair(
     // (`fullness <= 1`), so a placement the scorer accepted is never
     // re-detected as a conflict and the loop cannot flip-flop.
     let fits = |load: f64, j: usize| load <= caps[j] * (1.0 + 1e-12);
-    let placer = LdgPlacer::new(epsilon).with_threads(threads);
     let mut repaired = vec![false; split.arrivals.len()];
     let mut conflicts = 0usize;
     let mut passes = 0usize;
@@ -369,8 +363,6 @@ pub(crate) fn conflict_repair(
             let bounds = parallel::fixed_boundaries(evicted.len(), SPECULATIVE_CHUNK);
             let ranges: Vec<std::ops::Range<usize>> =
                 bounds.windows(2).map(|w| w[0]..w[1]).collect();
-            let chunk_placer =
-                LdgPlacer::new(epsilon).with_threads(if ranges.len() <= 1 { threads } else { 1 });
             let evicted_ref = &evicted;
             let parts_view: &[u32] = parts;
             let base_ledger = &ledger;
@@ -397,7 +389,7 @@ pub(crate) fn conflict_repair(
                         store,
                         ledger: &chunk_ledger,
                     };
-                    let part = chunk_placer.place_with(k, &view, caps, &counts, &arrival.row);
+                    let part = place(&view, caps, &counts, &arrival.row);
                     chunk_ledger.reserve(part, &arrival.row);
                     local[off] = part;
                 }
@@ -426,7 +418,7 @@ pub(crate) fn conflict_repair(
                 store,
                 ledger: &ledger,
             };
-            let part = placer.place_with(k, &view, caps, &counts, &arrival.row);
+            let part = place(&view, caps, &counts, &arrival.row);
             ledger.reserve(part, &arrival.row);
             parts[i] = part;
             repaired[i] = true;

@@ -12,52 +12,19 @@
 //! infeasible (possible under adversarial drift) the least-overloaded part
 //! takes the vertex and the refinement pass repairs balance afterwards.
 //!
-//! The scoring sweep over the `k` parts is embarrassingly parallel: with
-//! [`LdgPlacer::threads`] > 1 and a part count large enough to amortize a
-//! spawn, disjoint part ranges are scored concurrently
-//! ([`mdbgp_core::parallel::fold_ranges`]) and the per-range winners
-//! reduced — bitwise identical to the serial sweep, because the reduction
-//! applies the same (score, fullness, lowest part id) ordering.
-//!
 //! ## Speculative placement
 //!
 //! The staged ingest pipeline places a whole batch of arrivals at once:
 //! fixed-size chunks of arrivals are scored concurrently against the
 //! [`PartitionStore`]'s loads plus a chunk-local [`ReservationLedger`]
-//! ([`LdgPlacer::place_with`] over a [`ReservedView`]). Nothing writes the
-//! store until commit, and no worker observes another worker's in-flight
-//! decisions, so placements are a pure function of the store and the
+//! (`place` over a [`ReservedView`]). Nothing writes the store until
+//! commit, and no worker observes another worker's in-flight decisions,
+//! so placements are a pure function of the store and the
 //! (thread-count-independent) chunk boundaries. Cross-chunk capacity
 //! conflicts are detected and repaired afterwards by the engine's
-//! deterministic repair stage.
+//! deterministic repair stage, which scores through the same function.
 
 use crate::store::PartitionStore;
-use mdbgp_core::parallel;
-
-/// Part count below which the scoring sweep stays serial — a scoped spawn
-/// costs more than scoring a few hundred parts.
-const MIN_PARALLEL_PARTS: usize = 256;
-
-/// Per-range sweep result: the best feasible candidate
-/// `(part, score, fullness)` if any, and the least-full part
-/// `(part, fullness)` as the overflow fallback.
-type RangeScan = (Option<(u32, f64, f64)>, (u32, f64));
-
-/// Read-only per-`(part, dimension)` loads a placement decision scores
-/// against. The serving path scores the [`PartitionStore`] alone; the
-/// speculative pipeline scores it plus pending [`ReservationLedger`]
-/// reservations.
-pub trait LoadView {
-    /// Load of part `p` in dimension `j` as this view sees it.
-    fn load(&self, p: u32, j: usize) -> f64;
-}
-
-impl LoadView for PartitionStore {
-    #[inline]
-    fn load(&self, p: u32, j: usize) -> f64 {
-        PartitionStore::load(self, p, j)
-    }
-}
 
 /// Weight a placement stage has promised to parts but not yet committed:
 /// a dense per-`(part, dimension)` accumulator layered over the
@@ -117,115 +84,33 @@ pub struct ReservedView<'a> {
     pub ledger: &'a ReservationLedger,
 }
 
-impl LoadView for ReservedView<'_> {
+impl ReservedView<'_> {
+    /// Load of part `p` in dimension `j`, committed plus reserved.
     #[inline]
     fn load(&self, p: u32, j: usize) -> f64 {
         self.store.load(p, j) + self.ledger.reserved(p, j)
     }
 }
 
-/// Multi-dimensional LDG configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct LdgPlacer {
-    /// Balance tolerance ε: per-dimension capacity is `(1+ε)·w^{(j)}(V)/k`.
-    pub epsilon: f64,
-    /// Worker threads for the scoring sweep (1 = serial; only engaged for
-    /// part counts where the spawn amortizes).
-    pub threads: usize,
-}
-
-impl LdgPlacer {
-    pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon >= 0.0);
-        Self {
-            epsilon,
-            threads: 1,
-        }
-    }
-
-    /// Sets the worker-thread count (builder style).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0);
-        self.threads = threads;
-        self
-    }
-
-    /// Chooses a part for a vertex with weight row `weight_row` whose
-    /// placed neighbours are distributed as `neighbor_counts` (length `k`).
-    /// Capacities come from the store's **live** per-dimension totals plus
-    /// the arriving row — so removed weight stops propping up the slabs
-    /// the moment it is released, not at the next purge.
-    pub fn place(
-        &self,
-        store: &PartitionStore,
-        neighbor_counts: &[usize],
-        weight_row: &[f64],
-    ) -> u32 {
-        let k = store.num_parts();
-        // Per-dimension capacity, from live totals that include the
-        // arriving vertex (it is not pushed into the store yet).
-        let caps: Vec<f64> = (0..weight_row.len())
-            .map(|j| (1.0 + self.epsilon) * (store.total(j) + weight_row[j]) / k as f64)
-            .collect();
-        self.place_with(k, store, &caps, neighbor_counts, weight_row)
-    }
-
-    /// The chunked scoring core: chooses a part against an arbitrary
-    /// [`LoadView`] and precomputed per-dimension capacities. The serving
-    /// path calls it through [`Self::place`]; the speculative placement
-    /// and conflict-repair stages call it directly with the store plus
-    /// reservations and batch-wide capacities, so every stage ranks
-    /// candidates with the identical (score, fullness, lowest part id)
-    /// order.
-    pub fn place_with(
-        &self,
-        k: usize,
-        loads: &(impl LoadView + Sync),
-        caps: &[f64],
-        neighbor_counts: &[usize],
-        weight_row: &[f64],
-    ) -> u32 {
-        debug_assert_eq!(neighbor_counts.len(), k);
-        // fold_ranges itself stays sequential below MIN_PARALLEL_PARTS.
-        let partials = parallel::fold_ranges(k, self.threads, MIN_PARALLEL_PARTS, |range| {
-            scan_parts(range, loads, caps, neighbor_counts, weight_row)
-        });
-        // Reduce per-range winners left to right: ranges are in ascending
-        // part order, and the comparators prefer the incumbent on exact
-        // ties, so the result matches the serial sweep exactly.
-        let mut best: Option<(u32, f64, f64)> = None;
-        let mut fallback: (u32, f64) = (0, f64::INFINITY);
-        for (range_best, range_fallback) in partials {
-            if let Some((p, score, fullness)) = range_best {
-                if best.is_none_or(|(_, bs, bf)| better_candidate(score, fullness, bs, bf)) {
-                    best = Some((p, score, fullness));
-                }
-            }
-            if range_fallback.1 < fallback.1 {
-                fallback = range_fallback;
-            }
-        }
-        best.map(|(p, _, _)| p).unwrap_or(fallback.0)
-    }
-}
-
-/// Scores the parts in `range`, returning the range's best feasible
-/// candidate and its overflow fallback.
-fn scan_parts(
-    range: std::ops::Range<usize>,
-    loads: &impl LoadView,
+/// Chooses a part for an arrival with weight row `weight_row` whose placed
+/// neighbours are distributed as `neighbor_counts` (one count per part),
+/// against `view`'s loads and the per-dimension capacities `caps`. Parts
+/// are ranked by score, then headroom, then the lowest id; when no part
+/// has room in every dimension, the least-full part takes the arrival.
+pub(crate) fn place(
+    view: &ReservedView<'_>,
     caps: &[f64],
     neighbor_counts: &[usize],
     weight_row: &[f64],
-) -> RangeScan {
+) -> u32 {
     let mut best: Option<(u32, f64, f64)> = None; // feasible: argmax score
-    let mut fallback: (u32, f64) = (range.start as u32, f64::INFINITY); // argmin fullness
-    for p in range {
+    let mut fallback: (u32, f64) = (0, f64::INFINITY); // argmin fullness
+    for (p, &count) in neighbor_counts.iter().enumerate() {
         let p = p as u32;
         // Worst capacity fraction across dimensions if v lands on p.
         let mut fullness: f64 = 0.0;
         for (j, &w) in weight_row.iter().enumerate() {
-            fullness = fullness.max((loads.load(p, j) + w) / caps[j]);
+            fullness = fullness.max((view.load(p, j) + w) / caps[j]);
         }
         if fullness < fallback.1 {
             fallback = (p, fullness);
@@ -233,21 +118,14 @@ fn scan_parts(
         if fullness > 1.0 {
             continue; // would break a slab
         }
-        let score = neighbor_counts[p as usize] as f64 * (1.0 - fullness);
-        if best.is_none_or(|(_, bs, bf)| better_candidate(score, fullness, bs, bf)) {
+        // Higher score, then more headroom; on an exact tie the incumbent
+        // (the lower part id) stays.
+        let score = count as f64 * (1.0 - fullness);
+        if best.is_none_or(|(_, bs, bf)| score > bs || (score == bs && fullness < bf)) {
             best = Some((p, score, fullness));
         }
     }
-    (best, fallback)
-}
-
-/// Strict total order on candidates: higher score, then more headroom,
-/// then the incumbent (= lowest part id, since parts are scanned in
-/// ascending order). Exact comparisons only — a tolerance band here is
-/// not transitive, so chunked reduction could disagree with the serial
-/// scan and the partition would depend on the thread count.
-fn better_candidate(score: f64, fullness: f64, best_score: f64, best_fullness: f64) -> bool {
-    score > best_score || (score == best_score && fullness < best_fullness)
+    best.map_or(fallback.0, |(p, _, _)| p)
 }
 
 #[cfg(test)]
@@ -262,14 +140,26 @@ mod tests {
         PartitionStore::new(&p, &w)
     }
 
+    /// One arrival scored against the store alone (an empty ledger), with
+    /// capacities `(1 + ε) · (live total + row) / k`.
+    fn place_alone(store: &PartitionStore, epsilon: f64, counts: &[usize], row: &[f64]) -> u32 {
+        let k = store.num_parts();
+        let ledger = ReservationLedger::new(k, row.len());
+        let caps: Vec<f64> = (0..row.len())
+            .map(|j| (1.0 + epsilon) * (store.total(j) + row[j]) / k as f64)
+            .collect();
+        let view = ReservedView {
+            store,
+            ledger: &ledger,
+        };
+        place(&view, &caps, counts, row)
+    }
+
     #[test]
     fn prefers_the_part_with_more_neighbors() {
         let store = unit_store();
-        let placer = LdgPlacer::new(0.5);
-        let p = placer.place(&store, &[3, 1], &[1.0]);
-        assert_eq!(p, 0);
-        let p = placer.place(&store, &[0, 2], &[1.0]);
-        assert_eq!(p, 1);
+        assert_eq!(place_alone(&store, 0.5, &[3, 1], &[1.0]), 0);
+        assert_eq!(place_alone(&store, 0.5, &[0, 2], &[1.0]), 1);
     }
 
     #[test]
@@ -279,8 +169,7 @@ mod tests {
         let w = VertexWeights::unit(4);
         let p = Partition::new(vec![0, 0, 0, 1], 2);
         let store = PartitionStore::new(&p, &w);
-        let placer = LdgPlacer::new(0.05);
-        let chosen = placer.place(&store, &[4, 0], &[1.0]);
+        let chosen = place_alone(&store, 0.05, &[4, 0], &[1.0]);
         assert_eq!(chosen, 1, "full part must be skipped despite affinity");
     }
 
@@ -289,8 +178,7 @@ mod tests {
         let w = VertexWeights::unit(3);
         let p = Partition::new(vec![0, 0, 1], 2);
         let store = PartitionStore::new(&p, &w);
-        let placer = LdgPlacer::new(0.5);
-        assert_eq!(placer.place(&store, &[0, 0], &[1.0]), 1);
+        assert_eq!(place_alone(&store, 0.5, &[0, 0], &[1.0]), 1);
     }
 
     #[test]
@@ -299,8 +187,7 @@ mod tests {
         let w = VertexWeights::unit(4);
         let p = Partition::new(vec![0, 0, 0, 1], 2);
         let store = PartitionStore::new(&p, &w);
-        let placer = LdgPlacer::new(0.0);
-        assert_eq!(placer.place(&store, &[2, 2], &[1.0]), 1);
+        assert_eq!(place_alone(&store, 0.0, &[2, 2], &[1.0]), 1);
     }
 
     #[test]
@@ -314,12 +201,10 @@ mod tests {
         let mut store = PartitionStore::new(&p, &w);
         store.release_vertex(0, &[1.0]);
         assert_eq!(store.total(0), 3.0);
-        let placer = LdgPlacer::new(0.6);
-        assert_eq!(placer.place(&store, &[4, 0], &[1.0]), 0);
+        assert_eq!(place_alone(&store, 0.6, &[4, 0], &[1.0]), 0);
         // At a tight ε the same part is still infeasible (cap = 2.1 < 3):
         // releases free capacity, they do not suspend the slabs.
-        let placer = LdgPlacer::new(0.05);
-        assert_eq!(placer.place(&store, &[4, 0], &[1.0]), 1);
+        assert_eq!(place_alone(&store, 0.05, &[4, 0], &[1.0]), 1);
     }
 
     #[test]
@@ -329,11 +214,10 @@ mod tests {
             VertexWeights::from_vectors(vec![vec![1.0, 1.0, 1.0, 1.0], vec![5.0, 5.0, 1.0, 1.0]]);
         let p = Partition::new(vec![0, 0, 1, 1], 2);
         let store = PartitionStore::new(&p, &w);
-        let placer = LdgPlacer::new(0.25);
         // dim-0 cap = 1.25·5/2 = 3.125: part 0 fits (2+1). dim-1 cap =
         // 1.25·13/2 = 8.125: part 0 at 10+1 overflows -> infeasible even
         // though dim 0 has room.
-        let chosen = placer.place(&store, &[5, 0], &[1.0, 1.0]);
+        let chosen = place_alone(&store, 0.25, &[5, 0], &[1.0, 1.0]);
         assert_eq!(chosen, 1);
     }
 
@@ -343,7 +227,6 @@ mod tests {
         // the store's headroom exactly like committed load.
         let store = unit_store();
         let mut ledger = ReservationLedger::new(2, 1);
-        let placer = LdgPlacer::new(0.05);
         // Batch of two unit arrivals: caps = 1.05 · (4 + 2) / 2 = 3.15.
         let caps = [1.05 * 6.0 / 2.0];
         let view = ReservedView {
@@ -351,7 +234,7 @@ mod tests {
             ledger: &ledger,
         };
         assert_eq!(
-            placer.place_with(2, &view, &caps, &[5, 0], &[1.0]),
+            place(&view, &caps, &[5, 0], &[1.0]),
             0,
             "affinity wins while part 0 has room"
         );
@@ -361,7 +244,7 @@ mod tests {
             ledger: &ledger,
         };
         assert_eq!(
-            placer.place_with(2, &view, &caps, &[5, 0], &[1.0]),
+            place(&view, &caps, &[5, 0], &[1.0]),
             1,
             "a reservation fills part 0 past the slab"
         );
@@ -376,27 +259,6 @@ mod tests {
             store: &store,
             ledger: &ledger,
         };
-        assert_eq!(placer.place_with(2, &view, &caps, &[5, 0], &[1.0]), 1);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_at_large_k() {
-        // 512 parts with deterministic pseudo-random loads and neighbour
-        // counts: the threaded sweep must pick exactly the serial winner.
-        let k = 512;
-        let n = 4 * k;
-        let labels: Vec<u32> = (0..n).map(|v| (v % k) as u32).collect();
-        let w = VertexWeights::from_vectors(vec![(0..n)
-            .map(|v| 1.0 + (v * 2654435761 % 97) as f64 / 10.0)
-            .collect()]);
-        let store = PartitionStore::new(&Partition::new(labels, k), &w);
-        let counts: Vec<usize> = (0..k).map(|p| p * 48271 % 7).collect();
-        let serial = LdgPlacer::new(0.2).place(&store, &counts, &[1.0]);
-        for threads in [2, 3, 8] {
-            let par = LdgPlacer::new(0.2)
-                .with_threads(threads)
-                .place(&store, &counts, &[1.0]);
-            assert_eq!(par, serial, "threads = {threads}");
-        }
+        assert_eq!(place(&view, &caps, &[5, 0], &[1.0]), 1);
     }
 }

@@ -22,7 +22,7 @@
 //! | offset | size | field                                                |
 //! |--------|------|------------------------------------------------------|
 //! | 0      | 8    | magic `b"MDBGPSNP"`                                  |
-//! | 8      | 4    | format version (`u32`, currently 5)                  |
+//! | 8      | 4    | format version (`u32`, currently 6)                  |
 //! | 12     | 8    | id epoch (`u64`, see below)                          |
 //! | 20     | 4    | part count `k` (`u32`)                               |
 //! | 24     | 4    | weight dimensions `d` (`u32`)                        |
@@ -37,7 +37,7 @@
 //! header itself is *outside* the checksum, so none of its fields are
 //! trusted beyond routing: the payload length only bounds an incremental
 //! read (a corrupt length reports truncation, never a huge allocation),
-//! `k`/`d` are re-validated against the payload's config/store/weights
+//! `k`/`d` are re-validated against the payload's config and weights
 //! sections, and the id epoch is cross-checked against the checksummed
 //! echo at the start of the payload.
 //!
@@ -48,36 +48,49 @@
 //! | `0x01` | CONFIG  | `k`, ε, `compact_slack`, `refine_every`,           |
 //! |        |         | `drift_headroom`, `seed`, `threads`, then the      |
 //! |        |         | [`GdConfig`]                                       |
-//! | `0x02` | GRAPH   | base CSR offsets and targets, delta adjacency,     |
-//! |        |         | delta edge count, edge tombstones, removed base    |
-//! |        |         | edge count, vertex tombstones, free list, weight   |
+//! | `0x02` | GRAPH   | base CSR offsets and targets, removed-slot bits    |
+//! |        |         | (`u64` words), delta row lengths (`u32`), delta    |
+//! |        |         | targets (all rows concatenated), free list, weight |
 //! |        |         | dimension count, one column per dimension, totals  |
-//! | `0x03` | STORE   | `k`, `d`, assignments, loads, live totals, intra   |
-//! |        |         | and cut edge counts                                |
+//! | `0x03` | STORE   | assignments, loads, live totals                    |
 //! | `0x04` | ENGINE  | dirty mask, `batch_seq` (`u64`), batches since the |
 //! |        |         | last refinement, refinement seed                   |
 //! | `0xFE` | END     | —                                                  |
 //!
 //! Every count in the payload is bounded before it sizes an allocation:
-//! a sequence by the bytes left in the payload, `k` and `d` of the store by
-//! the decoded config and weights. A count that claims more fails with
-//! [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`].
+//! a sequence by the bytes left in the payload, and the store's loads by
+//! the decoded config's `k` and the weights' `d`. A count that claims more
+//! fails with [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`].
 //!
 //! ## What is serialized vs. rebuilt
 //!
-//! * **Serialized verbatim** — the base CSR, delta adjacency, edge/vertex
-//!   tombstones, the free list, the weight rows *and their live totals*
-//!   (incrementally-maintained floats; re-summing would diverge bitwise),
-//!   the store's assignments/loads/totals/edge counters, the full
-//!   [`crate::StreamConfig`], the dirty set, the batch count (`batch_seq`,
-//!   the stamp of the next published view), and the refinement
-//!   seed/schedule state.
+//! * **Serialized verbatim** — the base CSR, its removed-slot bits, the
+//!   delta adjacency, the free list (its order is the recycling order),
+//!   the weight rows *and their live totals* (incrementally-maintained
+//!   floats; re-summing would diverge bitwise), the store's assignments,
+//!   loads and totals (floats, for the same reason), the full
+//!   [`crate::StreamConfig`], the dirty set, the batch count
+//!   (`batch_seq`, the stamp of the next published view), and the
+//!   refinement seed/schedule state.
 //! * **Not serialized** — the metrics registry, the engine's one counter
 //!   store: a restored engine's counters start from zero.
-//! * **Rebuilt on load** — the store's per-part vertex counts, recounted
-//!   from the assignment. Nothing else is derived: the engine keeps no
-//!   rebalance candidate state between batches, so saving changes nothing
-//!   and saver and restorer continue into the same reports.
+//! * **Derived on load** — every fact the fields above determine, so
+//!   there is one copy of each: the delta edge count (delta targets / 2),
+//!   the removed base edge count (set bits / 2), the dead mask (the free
+//!   list's ids), the store's `k` (the config's) and `d` (the weights'),
+//!   its per-part vertex counts (from the assignment), and its intra and
+//!   cut edge counts (one recount over the live edges; exact integers).
+//!   The engine keeps no rebalance candidate state between batches, so
+//!   saving changes nothing and saver and restorer continue into the
+//!   same reports.
+//!
+//! Restore also checks, once and in O(n + m), every structural fact a
+//! later stage relies on, before any state is adopted: the base CSR is a
+//! valid symmetric graph; the removed bits cover exactly its slots and
+//! come in mirrored pairs; every delta row is sorted, in range, free of
+//! self-loops, mirrored and disjoint from the base row; no live edge
+//! touches a dead vertex; and graph and store agree on which vertices
+//! are live. Each failure is a named [`SnapshotError::Corrupt`].
 //!
 //! ## Id epochs
 //!
@@ -123,15 +136,15 @@ use crate::engine::StreamConfig;
 /// First 8 bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MDBGPSNP";
 
-/// Current snapshot format version. Version 5 checksums the payload with
-/// the word-wise `Checksum`; its payload is version 4's: one engine
-/// counter, `batch_seq` (the others live in the metrics registry, which
-/// snapshots do not carry), no purge remap (none is pending at a batch
-/// boundary), and no refinement iteration or pair budgets in the config
-/// (they are constants of the engine). Every older version is rejected
-/// with [`SnapshotError::UnsupportedVersion`] — re-save from a live
-/// engine.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Current snapshot format version. Version 6 writes the graph as a
+/// handful of bulk slices (removed base edges as one bit per base CSR
+/// slot, the delta as row lengths plus one concatenated targets slice)
+/// and stores no field another field determines (see the module docs).
+/// Like version 5 it checksums the payload with the word-wise `Checksum`
+/// and carries one engine counter, `batch_seq`. Every older version is
+/// rejected with [`SnapshotError::UnsupportedVersion`] — re-save from a
+/// live engine.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Fixed header size in bytes (magic + version + epoch + k + dims +
 /// payload length + checksum).
@@ -607,10 +620,9 @@ impl PayloadWriter {
         self.put_u8(tag);
     }
 
-    /// A length prefix, then every item as `N` bytes: the buffer grows
+    /// Every item as `N` bytes, with no length prefix: the buffer grows
     /// once for the whole slice.
-    fn put_slice<T: Copy, const N: usize>(&mut self, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
-        self.put_usize(v.len());
+    fn put_items<T: Copy, const N: usize>(&mut self, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
         let start = self.buf.len();
         self.buf.resize(start + N * v.len(), 0);
         for (dst, &x) in self.buf[start..].chunks_exact_mut(N).zip(v) {
@@ -618,8 +630,31 @@ impl PayloadWriter {
         }
     }
 
+    /// A length prefix, then the items.
+    fn put_slice<T: Copy, const N: usize>(&mut self, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
+        self.put_usize(v.len());
+        self.put_items(v, bytes);
+    }
+
     pub(crate) fn put_vec_u32(&mut self, v: &[u32]) {
         self.put_slice(v, u32::to_le_bytes);
+    }
+
+    /// Rows of `u32`s as two sequences, whatever their number: the row
+    /// lengths, then every row's items concatenated.
+    pub(crate) fn put_rows_u32(&mut self, rows: &[Vec<u32>]) {
+        let lens: Vec<u32> = rows.iter().map(|row| row.len() as u32).collect();
+        self.put_vec_u32(&lens);
+        let total: usize = rows.iter().map(Vec::len).sum();
+        self.put_usize(total);
+        self.buf.reserve(4 * total);
+        for row in rows {
+            self.put_items(row, u32::to_le_bytes);
+        }
+    }
+
+    pub(crate) fn put_vec_u64(&mut self, v: &[u64]) {
+        self.put_slice(v, u64::to_le_bytes);
     }
 
     pub(crate) fn put_vec_usize(&mut self, v: &[usize]) {
@@ -753,6 +788,13 @@ impl<'a> PayloadReader<'a> {
         let items = self.get_items::<4>(context)?;
         Ok(items
             .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect())
+    }
+
+    pub(crate) fn get_vec_u64(&mut self, context: &'static str) -> Result<Vec<u64>, SnapshotError> {
+        let items = self.get_items::<8>(context)?;
+        Ok(items
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
             .collect())
     }
 
@@ -917,6 +959,8 @@ mod tests {
         w.put_vec_usize(&[9, 0]);
         w.put_vec_f64(&[1.5, f64::MIN_POSITIVE]);
         w.put_vec_bool(&[true, false, true]);
+        w.put_vec_u64(&[u64::MAX, 3]);
+        w.put_rows_u32(&[vec![4, 5], vec![], vec![6]]);
         let mut r = PayloadReader::new(&w.buf);
         assert_eq!(r.get_u8("a").unwrap(), 7);
         assert_eq!(r.get_u32("b").unwrap(), 0xDEAD_BEEF);
@@ -928,6 +972,9 @@ mod tests {
         assert_eq!(r.get_vec_usize("h").unwrap(), vec![9, 0]);
         assert_eq!(r.get_vec_f64("i").unwrap(), vec![1.5, f64::MIN_POSITIVE]);
         assert_eq!(r.get_vec_bool("j").unwrap(), vec![true, false, true]);
+        assert_eq!(r.get_vec_u64("k").unwrap(), vec![u64::MAX, 3]);
+        assert_eq!(r.get_vec_u32("l").unwrap(), vec![2, 0, 1]);
+        assert_eq!(r.get_vec_u32("m").unwrap(), vec![4, 5, 6]);
         assert!(r.finished());
     }
 
@@ -952,8 +999,9 @@ mod tests {
     #[test]
     fn huge_counts_and_bad_booleans_fail_by_name() {
         type Decode = fn(&mut PayloadReader<'_>) -> Result<(), SnapshotError>;
-        let decoders: [(&str, Decode); 4] = [
+        let decoders: [(&str, Decode); 5] = [
             ("u32", |r| r.get_vec_u32("v").map(drop)),
+            ("u64", |r| r.get_vec_u64("v").map(drop)),
             ("usize", |r| r.get_vec_usize("v").map(drop)),
             ("f64", |r| r.get_vec_f64("v").map(drop)),
             ("bool", |r| r.get_vec_bool("v").map(drop)),
@@ -1040,12 +1088,12 @@ mod tests {
             SnapshotError::UnsupportedVersion { found: 99, .. }
         ));
         // No decoder for an earlier version is kept.
-        for old in [2u32, 3, 4] {
+        for old in [2u32, 3, 4, 5] {
             let mut broken = bytes.clone();
             broken[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(
                 read_snapshot(&broken[..]).unwrap_err(),
-                SnapshotError::UnsupportedVersion { found, supported: 5 } if found == old
+                SnapshotError::UnsupportedVersion { found, supported: 6 } if found == old
             ));
         }
 

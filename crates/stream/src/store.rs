@@ -59,7 +59,6 @@
 
 use crate::snapshot::Checksum;
 use crate::TOMBSTONE;
-use mdbgp_core::parallel::{even_boundaries, for_each_chunk_mut};
 use mdbgp_graph::{Partition, VertexId, VertexWeights};
 use mdbgp_obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -425,10 +424,6 @@ pub struct PartitionStore {
     /// Publication slot + serving counters, shared with every
     /// [`ReadHandle`] this store handed out. Not part of snapshots.
     views: Arc<ViewShared>,
-    /// Worker count for the parallel remap scatter. Not part of
-    /// snapshots; never influences results — the parallel pass here is
-    /// pure data movement into disjoint ranges.
-    threads: usize,
 }
 
 // Manual impl: the view cell is not `Clone` — and must not be shared: one
@@ -460,7 +455,6 @@ impl Clone for PartitionStore {
             intra_edges: self.intra_edges,
             cut_edges: self.cut_edges,
             views,
-            threads: self.threads,
         }
     }
 }
@@ -487,7 +481,6 @@ impl PartitionStore {
                 remap: None,
                 checksum: view_checksum(ViewEpoch::default(), &[]),
             })),
-            threads: 1,
         };
         for (v, &p) in partition.as_slice().iter().enumerate() {
             store.part_sizes[p as usize] += 1;
@@ -527,13 +520,6 @@ impl PartitionStore {
         };
         let off: f64 = (0..self.dims).filter(|&i| i != j).map(norm).sum();
         norm(j) - off / (self.dims - 1) as f64
-    }
-
-    /// Sets the worker count for the parallel remap scatter. Results are
-    /// identical for every count — only wall-clock changes. Commits, moves
-    /// and releases are always serial.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Number of parts `k`.
@@ -813,8 +799,8 @@ impl PartitionStore {
     }
 
     /// Recomputes the locality counters from an edge iterator — the
-    /// bootstrap initialization, and the oracle tests check the
-    /// incremental counters against.
+    /// bootstrap initialization, the restore recount, and the oracle
+    /// tests check the incremental counters against.
     pub fn rebuild_edge_stats(&mut self, edges: impl Iterator<Item = (VertexId, VertexId)>) {
         self.intra_edges = 0;
         self.cut_edges = 0;
@@ -911,31 +897,19 @@ impl PartitionStore {
             live,
             "post-purge weights must cover exactly the live vertices"
         );
-        // Serial validation pass doubles as the inverse-map build
-        // (`live_olds[new] = old`); the purge renumbering is monotone, so
-        // the inverse turns the scatter into a gather over disjoint
-        // output ranges that parallelizes freely.
-        let mut live_olds: Vec<u32> = Vec::with_capacity(live);
+        let mut parts = Vec::with_capacity(live);
         for (old, &new) in old_to_new.iter().enumerate() {
-            let assigned = self.parts[old] != TOMBSTONE;
+            let part = self.parts[old];
             assert_eq!(
                 new != TOMBSTONE,
-                assigned,
+                part != TOMBSTONE,
                 "remap disagrees with release state at old id {old}"
             );
             if new != TOMBSTONE {
-                debug_assert_eq!(new as usize, live_olds.len(), "purge remap not monotone");
-                live_olds.push(old as u32);
+                debug_assert_eq!(new as usize, parts.len(), "purge remap not monotone");
+                parts.push(part);
             }
         }
-        let mut parts = vec![TOMBSTONE; live];
-        let bounds = even_boundaries(live, self.threads);
-        let old_parts = &self.parts;
-        for_each_chunk_mut(&mut parts, &bounds, |range, chunk| {
-            for (slot, &old) in chunk.iter_mut().zip(&live_olds[range]) {
-                *slot = old_parts[old as usize];
-            }
-        });
         self.parts = parts;
         self.rebuild_loads(weights);
     }
@@ -961,41 +935,33 @@ impl PartitionStore {
         }
     }
 
-    /// Serializes the accounting state — assignments, loads, live totals
-    /// and edge counters, all **verbatim floats** (they are maintained
-    /// incrementally; re-deriving them from the weights would diverge
-    /// bitwise from the live store). `part_sizes` is derived state and is
-    /// recounted by [`Self::decode_snapshot`].
+    /// Serializes the accounting state — assignments, loads and live
+    /// totals, the floats **verbatim** (they are maintained incrementally;
+    /// re-deriving them from the weights would diverge bitwise from the
+    /// live store). `k` and `d` are the config's and the weights', and the
+    /// part sizes and edge counters are exact integers the restore
+    /// recounts.
     pub(crate) fn encode_snapshot(&self, w: &mut crate::snapshot::PayloadWriter) {
-        w.put_usize(self.k);
-        w.put_usize(self.dims);
         w.put_vec_u32(&self.parts);
         w.put_vec_f64(&self.loads);
         w.put_vec_f64(&self.totals);
-        w.put_usize(self.intra_edges);
-        w.put_usize(self.cut_edges);
     }
 
-    /// Rebuilds a store from [`Self::encode_snapshot`] bytes: serialized
-    /// accounting verbatim, then `part_sizes` recounted from the
-    /// assignments. The store's shape must be the config's `k` and the
-    /// weights' dimension count, and it must cover the weights' vertices;
-    /// all are checked before anything is sized by them.
+    /// Rebuilds a store from [`Self::encode_snapshot`] bytes with `k`
+    /// parts and the weights' dimensions: serialized accounting verbatim,
+    /// then `part_sizes` recounted from the assignments. The edge counters
+    /// start at zero; the restoring engine recounts them over the live
+    /// edges with [`Self::rebuild_edge_stats`] once it has checked graph
+    /// and store against each other. The store must cover the weights'
+    /// vertices, which is checked before anything is sized by it.
     pub(crate) fn decode_snapshot(
         r: &mut crate::snapshot::PayloadReader,
-        k_config: usize,
+        k: usize,
         weights: &VertexWeights,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let corrupt = |why: String| SnapshotError::Corrupt(why);
-        let k = r.get_usize("store.k")?;
-        let dims = r.get_usize("store.dims")?;
-        if k != k_config || dims != weights.dims() {
-            return Err(corrupt(format!(
-                "store shape k = {k}, dims = {dims}; config k = {k_config}, weights dims = {}",
-                weights.dims()
-            )));
-        }
+        let dims = weights.dims();
         let parts = r.get_vec_u32("store.parts")?;
         if parts.len() != weights.num_vertices() {
             return Err(corrupt(format!(
@@ -1031,15 +997,14 @@ impl PartitionStore {
             loads,
             totals,
             part_sizes,
-            intra_edges: r.get_usize("store.intra_edges")?,
-            cut_edges: r.get_usize("store.cut_edges")?,
+            intra_edges: 0,
+            cut_edges: 0,
             views: ViewShared::new(Arc::new(ReadView {
                 epoch: ViewEpoch::default(),
                 parts: Vec::new(),
                 remap: None,
                 checksum: view_checksum(ViewEpoch::default(), &[]),
             })),
-            threads: 1,
         };
         // The restoring engine publishes view #0 (at the restored id
         // epoch and batch_seq) once it is assembled; until then handles

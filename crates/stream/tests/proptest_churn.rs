@@ -44,7 +44,10 @@ proptest! {
 
     /// (c) `compact()` after removals round-trips degrees/neighbours
     /// against a brute-force edge set maintained alongside, with the
-    /// old→new map applied to the oracle at every purge.
+    /// old→new map applied to the oracle at every purge. The oracle also
+    /// keeps the free list (LIFO recycling, emptied by a purge) and every
+    /// weight row: after a purge the weight columns are the live rows in
+    /// new-id order and each total is their fresh sum, bitwise.
     #[test]
     fn removals_round_trip_against_brute_force(
         base_edges in proptest::collection::vec((0u32..24, 0u32..24), 0..50),
@@ -52,10 +55,14 @@ proptest! {
     ) {
         let base = mdbgp_graph::builder::graph_from_edges(24, &base_edges);
         let w = VertexWeights::vertex_edge(&base);
-        let mut dg = mdbgp_stream::DynamicGraph::new(base, w);
+        let mut dg = mdbgp_stream::DynamicGraph::new(base, w.clone());
 
-        // Oracle state in *current* ids: live flags + undirected edge set.
+        // Oracle state in *current* ids: live flags, undirected edge set,
+        // free list and weight rows.
         let mut live: Vec<bool> = vec![true; 24];
+        let mut free: Vec<u32> = Vec::new();
+        let mut rows: Vec<[f64; 2]> = (0..24).map(|v| [w.weight(0, v), w.weight(1, v)]).collect();
+        let mut arrivals = 0u32;
         let mut edges: BTreeSet<(u32, u32)> = base_edges
             .iter()
             .filter(|(u, v)| u != v)
@@ -67,13 +74,23 @@ proptest! {
             match *op {
                 Op::AddVertex => {
                     // Arrivals recycle tombstoned ids (LIFO) before
-                    // extending the id space.
-                    let v = dg.add_vertex(&[1.0, 1.0]) as usize;
-                    if v == live.len() {
-                        live.push(true);
-                    } else {
-                        prop_assert!(!live[v], "recycled id {} was live", v);
-                        live[v] = true;
+                    // extending the id space. Weights that are not sums of
+                    // powers of two make the totals order-sensitive.
+                    arrivals += 1;
+                    let row = [0.1 * (1 + arrivals % 7) as f64, 1.0 / (1 + arrivals % 5) as f64];
+                    let v = dg.add_vertex(&row) as usize;
+                    match free.pop() {
+                        Some(recycled) => {
+                            prop_assert_eq!(v, recycled as usize, "recycling order");
+                            prop_assert!(!live[v], "recycled id {} was live", v);
+                            live[v] = true;
+                            rows[v] = row;
+                        }
+                        None => {
+                            prop_assert_eq!(v, live.len());
+                            live.push(true);
+                            rows.push(row);
+                        }
                     }
                 }
                 Op::AddEdge(u, v) => {
@@ -111,6 +128,7 @@ proptest! {
                     );
                     edges.retain(|&(a, b)| a != v && b != v);
                     live[v as usize] = false;
+                    free.push(v);
                 }
                 Op::Compact => {
                     if let Some(map) = dg.compact() {
@@ -126,10 +144,19 @@ proptest! {
                                 (a.min(b), a.max(b))
                             })
                             .collect();
-                        live = vec![true; live.iter().filter(|&&l| l).count()];
+                        rows = (0..live.len()).filter(|&old| live[old]).map(|old| rows[old]).collect();
+                        live = vec![true; rows.len()];
+                        free.clear();
+                        for j in 0..2 {
+                            let column: Vec<f64> = rows.iter().map(|row| row[j]).collect();
+                            prop_assert_eq!(dg.weights().dim(j), column.as_slice());
+                            let total: f64 = column.iter().sum();
+                            prop_assert_eq!(dg.weights().total(j).to_bits(), total.to_bits());
+                        }
                     }
                 }
             }
+            prop_assert_eq!(dg.free_ids(), free.as_slice());
         }
 
         // Final check: the dynamic view, its snapshot and a one-shot build

@@ -87,93 +87,6 @@ proptest! {
     }
 }
 
-/// Full-churn script: base edges plus ops over a padded id range. The op
-/// selector picks add/remove edge, add/remove vertex, or a compaction
-/// checkpoint; out-of-range or dead references are skipped by the driver
-/// (identically on both replicas, since their states are identical).
-type ChurnScript = (Vec<(u32, u32)>, Vec<(u8, u32, u32)>);
-
-fn churn_strategy(base_n: u32, max_id: u32, max_ops: usize) -> impl Strategy<Value = ChurnScript> {
-    (
-        proptest::collection::vec((0..base_n, 0..base_n), 0..50),
-        proptest::collection::vec((0u8..=255, 0..max_id, 0..max_id), 0..max_ops),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The parallel substrate is bit-identical to the serial one across
-    /// arbitrary churn: a threads-4 replica must match a threads-1
-    /// replica — every return value, every purge remap, the compacted
-    /// CSR, the restricted weights (exact float equality) and the
-    /// free-list state.
-    #[test]
-    fn parallel_deferred_replica_matches_serial_direct(
-        (base_edges, ops) in churn_strategy(24, 36, 100),
-    ) {
-        let base = graph_from_edges(24, &base_edges);
-        let w = VertexWeights::unit(24);
-        let mut serial = DynamicGraph::new(base.clone(), w.clone());
-        let mut par = DynamicGraph::new(base, w);
-        par.set_threads(4);
-
-        for &(sel, a, b) in &ops {
-            let op = sel % 8;
-            if op >= 5 {
-                // Compaction checkpoint (possibly purging): identical
-                // remaps, then identical renumbered state.
-                prop_assert_eq!(serial.compact(), par.compact());
-                prop_assert_eq!(serial.compacted_csr(), par.compacted_csr());
-                continue;
-            }
-            let n = serial.num_vertices() as u32;
-            match op {
-                0 | 1 => {
-                    if a < n && b < n && a != b && serial.is_live(a) && serial.is_live(b) {
-                        prop_assert_eq!(serial.add_edge(a, b), par.add_edge(a, b));
-                    }
-                }
-                2 => {
-                    if a < n && b < n && serial.is_live(a) && serial.is_live(b) {
-                        prop_assert_eq!(serial.remove_edge(a, b), par.remove_edge(a, b));
-                    }
-                }
-                3 => {
-                    let row = [1.0 + (a % 4) as f64];
-                    prop_assert_eq!(serial.add_vertex(&row), par.add_vertex(&row));
-                }
-                _ => {
-                    if a < n && serial.is_live(a) {
-                        prop_assert_eq!(serial.remove_vertex(a), par.remove_vertex(a));
-                    }
-                }
-            }
-        }
-
-        prop_assert_eq!(serial.num_edges(), par.num_edges());
-        prop_assert_eq!(serial.delta_edge_count(), par.delta_edge_count());
-        prop_assert_eq!(serial.tombstoned_edge_count(), par.tombstoned_edge_count());
-        prop_assert_eq!(serial.free_ids(), par.free_ids());
-        prop_assert_eq!(&serial.snapshot(), &par.snapshot());
-
-        // Final compaction: same remap, bit-identical CSR and weights.
-        prop_assert_eq!(serial.compact(), par.compact());
-        prop_assert_eq!(serial.compacted_csr(), par.compacted_csr());
-        prop_assert_eq!(serial.num_tombstoned(), 0);
-        let (sw, pw) = (serial.weights(), par.weights());
-        prop_assert_eq!(sw.dims(), pw.dims());
-        for j in 0..sw.dims() {
-            prop_assert_eq!(sw.dim(j), pw.dim(j), "weight column {} diverged", j);
-            prop_assert!(
-                sw.total(j).to_bits() == pw.total(j).to_bits(),
-                "total {} diverged: {} vs {}", j, sw.total(j), pw.total(j)
-            );
-        }
-        prop_assert_eq!(serial.free_ids(), par.free_ids());
-    }
-}
-
 /// Whether the undirected edge {u, v} already occurs in `edges`.
 fn graph_edges_contain(edges: &[(u32, u32)], u: u32, v: u32) -> bool {
     edges

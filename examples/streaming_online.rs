@@ -8,7 +8,7 @@
 //!
 //! The optional `THREADS` argument (default 1) sizes the worker pool of
 //! the incremental path — bootstrap GD mat-vec, parallel pairwise
-//! refinement rounds, and the placement sweep — so the speedup is easy to
+//! refinement rounds, and speculative placement — so the speedup is easy to
 //! reproduce locally: compare `… streaming_online 1` against
 //! `… streaming_online 4` on a multi-core box.
 //!

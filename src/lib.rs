@@ -35,8 +35,8 @@
 //!   six-stage batch lifecycle, the warm-start + delta-gradient GD
 //!   design, snapshot/id-epoch rules, and a paper-section → module
 //!   pointer table;
-//! * `docs/BENCHMARKS.md` — the perf-record format (v1–v5), what each CI
-//!   gate checks, machine-normalization rules, and the baseline refresh
+//! * `docs/BENCHMARKS.md` — the perf-record format, what each CI gate
+//!   checks, machine-normalization rules, and the baseline refresh
 //!   procedure.
 //!
 //! ## Quickstart
