@@ -296,8 +296,11 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let batches: usize = args.num("batches", 10)?;
     let stop_after: usize = args.num("stop-after", 0)?;
     let threads: usize = args.num("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be positive".into());
+    if !(1..=GdConfig::MAX_THREADS).contains(&threads) {
+        return Err(format!(
+            "--threads must be in 1..={}, got {threads}",
+            GdConfig::MAX_THREADS
+        ));
     }
     let churn: f64 = args.num("churn", 0.0)?;
     if !(0.0..1.0).contains(&churn) {

@@ -214,8 +214,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if !(0.0..1.0).contains(&s.churn) {
         return Err(format!("--churn must be in [0, 1), got {}", s.churn));
     }
-    if s.threads == 0 {
-        return Err("--threads must be positive".into());
+    if !(1..=GdConfig::MAX_THREADS).contains(&s.threads) {
+        return Err(format!(
+            "--threads must be in 1..={}, got {}",
+            GdConfig::MAX_THREADS,
+            s.threads
+        ));
     }
     let modes: Vec<&str> = [
         (s.snapshot_every > 0, "--snapshot-every"),
@@ -250,9 +254,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// The engine under test: alone, or led and replicated to followers.
+/// Both boxed, so neither variant dwarfs the other.
 enum Engine {
-    Solo(StreamingPartitioner),
-    Replicated(Replicated),
+    Solo(Box<StreamingPartitioner>),
+    Replicated(Box<Replicated>),
 }
 
 impl Engine {
@@ -380,8 +385,10 @@ impl Replicated {
         // Rotate after the tailers caught up, as a retention policy would;
         // followers adopt the fresh segment on their next replay.
         if batch_no.is_multiple_of(rotate_every) {
-            let rotated = leader.rotate();
-            rotated.map_err(|e| format!("log rotation after batch {batch_no}: {e}"))?;
+            let rotated = leader.rotate().map_err(|e| e.to_string());
+            rotated
+                .and_then(|()| check_rotated(leader))
+                .map_err(|e| format!("log rotation after batch {batch_no}: {e}"))?;
         }
         Ok(())
     }
@@ -400,6 +407,38 @@ impl Replicated {
         }
         Ok(())
     }
+}
+
+/// A rotated snapshot must hold the leader's state, whether the rotation
+/// kept its prefix up to the base CSR or encoded everything: a throwaway
+/// engine restored from it publishes the leader's stamp, checksum and
+/// assignment, and saves the same bytes back. Runs outside every timed
+/// section.
+fn check_rotated(leader: &Leader) -> Result<(), String> {
+    let bytes = leader.snapshot_bytes();
+    let mut restored = StreamingPartitioner::restore(bytes)
+        .map_err(|e| format!("the rotated snapshot does not restore: {e}"))?;
+    let (lv, rv) = (leader.engine().read_view(), restored.read_view());
+    if (lv.epoch(), lv.checksum()) != (rv.epoch(), rv.checksum()) {
+        return Err(format!(
+            "the rotated snapshot restores to {:?} {:#018x}, the leader is at {:?} {:#018x}",
+            rv.epoch(),
+            rv.checksum(),
+            lv.epoch(),
+            lv.checksum()
+        ));
+    }
+    if rv.as_slice() != lv.as_slice() {
+        return Err("the rotated snapshot restores to another assignment".into());
+    }
+    let mut saved = Vec::with_capacity(bytes.len());
+    restored
+        .save_snapshot(&mut saved)
+        .map_err(|e| format!("re-saving the restored snapshot failed: {e}"))?;
+    if saved != bytes {
+        return Err("re-saving the restored snapshot does not reproduce its bytes".into());
+    }
+    Ok(())
 }
 
 /// The scripted update stream: the history graph whose prefix was
@@ -588,9 +627,9 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
         let leader = Leader::new(sp)
             .map_err(|e| vec![format!("cannot open the leader's first log segment: {e}")])?;
         let replicated = Replicated::bootstrap(leader, spec.followers).map_err(|e| vec![e])?;
-        Engine::Replicated(replicated)
+        Engine::Replicated(Box::new(replicated))
     } else {
-        Engine::Solo(sp)
+        Engine::Solo(Box::new(sp))
     };
 
     // Scratch path: full GD on the live graph and weights (snapshot

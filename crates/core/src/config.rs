@@ -100,11 +100,14 @@ pub struct GdConfig {
     /// `None` disables fixing (the Figure 9 ablation).
     pub fixing_threshold: Option<f64>,
     /// Randomized-rounding attempts; the most balanced rounding wins.
+    /// At most [`Self::MAX_ROUNDING_ATTEMPTS`].
     pub rounding_attempts: usize,
     /// Upper bound on alternating-projection passes in the final
-    /// feasibility clean-up after the gradient loop.
+    /// feasibility clean-up after the gradient loop. At most
+    /// [`Self::MAX_FINAL_PROJECTION_PASSES`].
     pub final_projection_passes: usize,
-    /// Worker threads for the gradient mat-vec (1 = sequential).
+    /// Worker threads for the gradient mat-vec (1 = sequential). At most
+    /// [`Self::MAX_THREADS`].
     pub threads: usize,
     /// Record per-iteration locality/imbalance (Figures 8–10); costs one
     /// extra O(m) scan per iteration.
@@ -126,6 +129,23 @@ pub struct GdConfig {
 }
 
 impl GdConfig {
+    /// The largest [`Self::threads`] [`Self::validate`] accepts. Parallel
+    /// sections start one scoped thread per worker chunk, so the bound
+    /// keeps a corrupt configuration (say, one restored from a forged
+    /// snapshot) from asking the OS for millions of threads. Far above
+    /// any count this crate's benches and tests use (at most 8).
+    pub const MAX_THREADS: usize = 256;
+
+    /// The largest [`Self::rounding_attempts`] [`Self::validate`]
+    /// accepts: 64× the default of 16, and above the 32 the ablation
+    /// sweeps.
+    pub const MAX_ROUNDING_ATTEMPTS: usize = 1024;
+
+    /// The largest [`Self::final_projection_passes`] [`Self::validate`]
+    /// accepts: 20× the default of 500. A pass costs O(n · d), so the
+    /// bound keeps a corrupt budget from running for hours.
+    pub const MAX_FINAL_PROJECTION_PASSES: usize = 10_000;
+
     /// Paper defaults: 100 iterations, step `2·√n/100`, one-shot alternating
     /// projection, noise only at `t = 0`, vertex fixing on.
     pub fn with_epsilon(epsilon: f64) -> Self {
@@ -148,11 +168,26 @@ impl GdConfig {
                 return Err(format!("fixing threshold must be in (0, 1], got {t}"));
             }
         }
-        if self.rounding_attempts == 0 {
-            return Err("rounding_attempts must be positive".into());
+        if !(1..=Self::MAX_ROUNDING_ATTEMPTS).contains(&self.rounding_attempts) {
+            return Err(format!(
+                "rounding_attempts must be in 1..={}, got {}",
+                Self::MAX_ROUNDING_ATTEMPTS,
+                self.rounding_attempts
+            ));
         }
-        if self.threads == 0 {
-            return Err("threads must be positive".into());
+        if self.final_projection_passes > Self::MAX_FINAL_PROJECTION_PASSES {
+            return Err(format!(
+                "final_projection_passes must be at most {}, got {}",
+                Self::MAX_FINAL_PROJECTION_PASSES,
+                self.final_projection_passes
+            ));
+        }
+        if !(1..=Self::MAX_THREADS).contains(&self.threads) {
+            return Err(format!(
+                "threads must be in 1..={}, got {}",
+                Self::MAX_THREADS,
+                self.threads
+            ));
         }
         if self.grad_recompute_period == 0 {
             return Err("grad_recompute_period must be positive".into());
@@ -234,6 +269,26 @@ mod tests {
         c = GdConfig::default();
         c.grad_recompute_period = 0;
         assert!(c.validate().is_err());
+        // The loop budgets and the thread count are bounded above, and
+        // the bounds themselves are valid.
+        c = GdConfig::default();
+        (c.threads, c.rounding_attempts, c.final_projection_passes) = (
+            GdConfig::MAX_THREADS,
+            GdConfig::MAX_ROUNDING_ATTEMPTS,
+            GdConfig::MAX_FINAL_PROJECTION_PASSES,
+        );
+        assert!(c.validate().is_ok());
+        c.threads += 1;
+        assert!(c.validate().unwrap_err().contains("threads"));
+        c.threads = 1;
+        c.rounding_attempts += 1;
+        assert!(c.validate().unwrap_err().contains("rounding_attempts"));
+        c.rounding_attempts = 1;
+        c.final_projection_passes = usize::MAX;
+        assert!(c
+            .validate()
+            .unwrap_err()
+            .contains("final_projection_passes"));
     }
 
     #[test]

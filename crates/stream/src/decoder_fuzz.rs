@@ -202,7 +202,13 @@ fn mutated_snapshots_restore_or_fail_by_name() {
         let what = mutate(&mut rng, &mut mutant);
         let mut framed = vec![0; SNAPSHOT_HEADER_BYTES];
         framed.extend_from_slice(&mutant);
-        seal_snapshot(&mut framed, info.id_epoch, info.k, info.dims);
+        seal_snapshot(
+            &mut framed,
+            info.id_epoch,
+            info.k,
+            info.dims,
+            checksum(&mutant),
+        );
         match no_panic(&what, || StreamingPartitioner::restore(&framed[..])) {
             Ok(mut sp) => {
                 restored += 1;

@@ -58,6 +58,10 @@ use mdbgp_graph::{Graph, VertexId, VertexWeights};
 #[derive(Clone, Debug)]
 pub struct DynamicGraph {
     base: Graph,
+    /// Bumped each time [`Self::compact`] replaces `base`, so a leader can
+    /// tell whether the base CSR it encoded last is still the one here
+    /// ([`Self::base_generation`]). Not serialized.
+    base_generation: u64,
     /// One bit per base CSR slot (`base.raw_targets()` index), set while
     /// the base edge stored there is removed. A base edge occupies two
     /// slots, one per endpoint's row; both bits always move together.
@@ -103,6 +107,7 @@ impl DynamicGraph {
             removed: vec![0; bit_words(base.raw_targets().len())],
             removed_base_edges: 0,
             base,
+            base_generation: 0,
             delta: vec![Vec::new(); n],
             delta_edges: 0,
             dead: vec![false; n],
@@ -163,6 +168,14 @@ impl DynamicGraph {
     #[inline]
     pub fn tombstoned_edge_count(&self) -> usize {
         self.removed_base_edges
+    }
+
+    /// How many times [`Self::compact`] replaced the base CSR since this
+    /// graph was built or restored. Equal generations of one graph mean
+    /// the same base CSR bytes.
+    #[inline]
+    pub(crate) fn base_generation(&self) -> u64 {
+        self.base_generation
     }
 
     /// Whether the base edge at CSR slot `slot` is removed.
@@ -371,8 +384,13 @@ impl DynamicGraph {
     /// Tombstones vertex `v`: removes every live incident edge, then marks
     /// the vertex dead. Its id stays addressable (reading as an isolated
     /// vertex) until the next purging [`Self::compact`] drops it. Returns
-    /// the neighbours it was disconnected from, so callers can settle
-    /// per-edge accounting.
+    /// the neighbours it was disconnected from, in [`Self::neighbors`]
+    /// order, so callers can settle per-edge accounting.
+    ///
+    /// Walks `v`'s row once: each surviving base slot sets its own removed
+    /// bit and its mirror's, found by one search of the neighbour's row;
+    /// the delta row is taken whole, `v` leaves each neighbour's delta row,
+    /// and the emptied row goes back with its allocation.
     ///
     /// # Panics
     /// Panics if `v` is out of range or already tombstoned.
@@ -382,11 +400,31 @@ impl DynamicGraph {
             "vertex {v} out of range"
         );
         assert!(self.is_live(v), "vertex {v} is already tombstoned");
-        let nbrs: Vec<VertexId> = self.neighbors(v).collect();
-        for &u in &nbrs {
-            let removed = self.remove_edge(v, u);
-            debug_assert!(removed, "neighbour list out of sync with edges");
+        let slots = self.base_slots(v);
+        let mut delta = std::mem::take(&mut self.delta[v as usize]);
+        let mut nbrs = Vec::with_capacity(slots.len() + delta.len());
+        for slot in slots {
+            if self.is_removed(slot) {
+                continue;
+            }
+            let u = self.base.raw_targets()[slot];
+            self.flip_removed(slot, v, u);
+            self.removed_base_edges += 1;
+            nbrs.push(u);
         }
+        for &u in &delta {
+            // Invariant, not input: delta adjacency is only ever inserted
+            // symmetrically (and restore checks it), so the mirror exists.
+            let du = &mut self.delta[u as usize];
+            let pos = du
+                .binary_search(&v)
+                .expect("delta adjacency must be symmetric");
+            du.remove(pos);
+        }
+        self.delta_edges -= delta.len();
+        nbrs.extend_from_slice(&delta);
+        delta.clear();
+        self.delta[v as usize] = delta;
         self.dead[v as usize] = true;
         self.free.push(v);
         nbrs
@@ -445,6 +483,7 @@ impl DynamicGraph {
             self.free.clear();
             Some(map)
         };
+        self.base_generation += 1;
         self.delta_edges = 0;
         self.removed = vec![0; bit_words(self.base.raw_targets().len())];
         self.removed_base_edges = 0;
@@ -559,15 +598,22 @@ impl DynamicGraph {
         Graph::from_csr_unchecked(offsets, targets)
     }
 
-    /// Serializes the graph as a handful of bulk slices: the base CSR, its
+    /// Serializes the base CSR, the first of the graph's bulk slices:
+    /// its offsets and targets. Only [`Self::compact`] changes these bytes
+    /// ([`Self::base_generation`]), so a leader's rotation keeps them from
+    /// its last snapshot ([`crate::snapshot::KeptPrefix`]).
+    pub(crate) fn encode_base(&self, w: &mut PayloadWriter) {
+        w.put_vec_usize(self.base.raw_offsets());
+        w.put_vec_u32(self.base.raw_targets());
+    }
+
+    /// Serializes the rest of the graph after [`Self::encode_base`]: the
     /// removed-slot bits, the delta as row lengths plus one concatenated
     /// targets slice, the free list **verbatim** (a restored graph
     /// recycles the same ids in the same LIFO order as the saver would
     /// have), and the weight rows with their live totals. Counts and the
     /// dead mask are derived from these on restore.
-    pub(crate) fn encode_snapshot(&self, w: &mut PayloadWriter) {
-        w.put_vec_usize(self.base.raw_offsets());
-        w.put_vec_u32(self.base.raw_targets());
+    pub(crate) fn encode_overlay(&self, w: &mut PayloadWriter) {
         w.put_vec_u64(&self.removed);
         w.put_rows_u32(&self.delta);
         w.put_vec_u32(&self.free);
@@ -579,7 +625,8 @@ impl DynamicGraph {
         w.put_vec_f64(&(0..dims).map(|j| self.weights.total(j)).collect::<Vec<_>>());
     }
 
-    /// Rebuilds a graph from [`Self::encode_snapshot`] bytes, deriving the
+    /// Rebuilds a graph from [`Self::encode_base`] and
+    /// [`Self::encode_overlay`] bytes, deriving the
     /// counts and the dead mask, and checks in O(n + m) every structural
     /// fact the other methods rely on: the base CSR is a valid symmetric
     /// graph; the removed bits cover exactly its slots and come in
@@ -678,6 +725,7 @@ impl DynamicGraph {
                 / 2,
             removed,
             base,
+            base_generation: 0,
             delta_edges: delta_csr.num_edges(),
             delta,
             dead,
@@ -1032,7 +1080,8 @@ mod tests {
 
     fn round_trip(dg: &DynamicGraph) -> Result<DynamicGraph, SnapshotError> {
         let mut w = PayloadWriter::new();
-        dg.encode_snapshot(&mut w);
+        dg.encode_base(&mut w);
+        dg.encode_overlay(&mut w);
         let mut r = PayloadReader::new(&w.buf);
         let back = DynamicGraph::decode_snapshot(&mut r)?;
         assert!(

@@ -123,6 +123,7 @@ pub const METRIC_ALLOWLIST: &[(&str, bool)] = &[
     ("stream.refine.schedule_triggers", true),
     ("stream.repair.spec_rounds", true),
     ("stream.replica.batches_replayed", true),
+    ("stream.snapshot.prefix_reuses", true),
     ("stream.snapshot.restores", true),
     ("stream.snapshot.saves", true),
     ("stream.store.heap_pops", true),
@@ -163,7 +164,8 @@ pub struct StreamConfig {
     /// repair rounds, the refinement gather and the pairwise refinement
     /// rounds (part-disjoint pairs run concurrently). Split, commit and
     /// compaction are serial at every count. Overrides
-    /// [`GdConfig::threads`] on the embedded GD configuration.
+    /// [`GdConfig::threads`] on the embedded GD configuration, and is
+    /// bounded by the same [`GdConfig::MAX_THREADS`].
     pub threads: usize,
 }
 
@@ -189,12 +191,20 @@ impl StreamConfig {
         self
     }
 
+    /// Checks the ranges every stage relies on, the embedded
+    /// [`GdConfig`]'s included ([`GdConfig::validate`]), so a restore
+    /// refuses a configuration that would hang a refinement pass or start
+    /// an absurd number of threads.
     fn validate(&self) -> Result<(), PartitionError> {
         if self.k == 0 {
             return Err(PartitionError::Config("k must be positive".into()));
         }
-        if self.threads == 0 {
-            return Err(PartitionError::Config("threads must be positive".into()));
+        if !(1..=GdConfig::MAX_THREADS).contains(&self.threads) {
+            return Err(PartitionError::Config(format!(
+                "threads must be in 1..={}, got {}",
+                GdConfig::MAX_THREADS,
+                self.threads
+            )));
         }
         if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
             return Err(PartitionError::Config(format!(
@@ -202,7 +212,9 @@ impl StreamConfig {
                 self.epsilon
             )));
         }
-        Ok(())
+        self.gd
+            .validate()
+            .map_err(|e| PartitionError::Config(format!("gd: {e}")))
     }
 }
 
@@ -638,9 +650,13 @@ impl StreamingPartitioner {
     /// construction — so this is safe mid-stream.
     ///
     /// # Panics
-    /// Panics if `threads` is zero.
+    /// Panics if `threads` is zero or above [`GdConfig::MAX_THREADS`].
     pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads > 0, "threads must be positive");
+        assert!(
+            (1..=GdConfig::MAX_THREADS).contains(&threads),
+            "threads must be in 1..={}",
+            GdConfig::MAX_THREADS
+        );
         self.cfg.threads = threads;
     }
 
@@ -660,7 +676,7 @@ impl StreamingPartitioner {
     ) -> Result<crate::SnapshotInfo, crate::SnapshotError> {
         use crate::snapshot::{SnapshotError, SNAPSHOT_HEADER_BYTES};
         let mut framed = Vec::new();
-        let info = self.encode_snapshot(&mut framed);
+        let info = self.encode_snapshot(&mut framed, &mut None);
         let (header, payload) = framed.split_at(SNAPSHOT_HEADER_BYTES);
         w.write_all(header)
             .map_err(|e| SnapshotError::io("header", e))?;
@@ -674,19 +690,57 @@ impl StreamingPartitioner {
     /// replacing its contents and keeping its allocation: a leader
     /// re-encodes each rotation's snapshot into the buffer that held the
     /// last one. Encoding into memory cannot fail.
-    pub(crate) fn encode_snapshot(&mut self, buf: &mut Vec<u8>) -> crate::SnapshotInfo {
-        use crate::snapshot::{self, PayloadWriter};
-        let mut pw = PayloadWriter::for_snapshot(std::mem::take(buf));
+    ///
+    /// `kept` marks the prefix of `buf` that an earlier encode into the
+    /// same buffer left: when the head bytes (id-epoch echo, CONFIG, GRAPH
+    /// tag) encode the same and no compaction replaced the base CSR since,
+    /// the buffer is cut after the base CSR and only the rest is encoded,
+    /// its checksum resumed from the kept state (counted in
+    /// `stream.snapshot.prefix_reuses`). Otherwise everything is encoded.
+    /// Either way `kept` ends up marking this snapshot's prefix, and the
+    /// bytes equal a full encode's.
+    pub(crate) fn encode_snapshot(
+        &mut self,
+        buf: &mut Vec<u8>,
+        kept: &mut Option<crate::snapshot::KeptPrefix>,
+    ) -> crate::SnapshotInfo {
+        use crate::snapshot::{self, KeptPrefix, PayloadWriter, SNAPSHOT_HEADER_BYTES as HEADER};
         // The id epoch is echoed as the payload's first bytes: the header
         // copy (used for cheap pre-parse expectation checks) is outside
         // the checksum, so restore cross-validates it against this
         // checksummed copy — a corrupted header epoch cannot slip an
         // engine into the wrong id space.
-        pw.put_u64(self.id_epoch);
-        pw.put_section(snapshot::SEC_CONFIG);
-        snapshot::encode_config(&mut pw, &self.cfg);
-        pw.put_section(snapshot::SEC_GRAPH);
-        self.graph.encode_snapshot(&mut pw);
+        let mut head = PayloadWriter::new();
+        head.put_u64(self.id_epoch);
+        head.put_section(snapshot::SEC_CONFIG);
+        snapshot::encode_config(&mut head, &self.cfg);
+        head.put_section(snapshot::SEC_GRAPH);
+        let generation = self.graph.base_generation();
+        let reused = kept.filter(|p| {
+            p.generation == generation
+                && p.head_len == head.buf.len()
+                && buf
+                    .get(HEADER..HEADER + p.len)
+                    .is_some_and(|bytes| bytes.starts_with(&head.buf))
+        });
+        let (mut pw, prefix) = match reused {
+            Some(prefix) => {
+                buf.truncate(HEADER + prefix.len);
+                self.obs.counter_add("stream.snapshot.prefix_reuses", 1);
+                let pw = PayloadWriter {
+                    buf: std::mem::take(buf),
+                };
+                (pw, prefix)
+            }
+            None => {
+                let mut pw = PayloadWriter::for_snapshot(std::mem::take(buf));
+                pw.buf.extend_from_slice(&head.buf);
+                self.graph.encode_base(&mut pw);
+                let prefix = KeptPrefix::new(generation, head.buf.len(), &pw.buf[HEADER..]);
+                (pw, prefix)
+            }
+        };
+        self.graph.encode_overlay(&mut pw);
         pw.put_section(snapshot::SEC_STORE);
         self.store.encode_snapshot(&mut pw);
         pw.put_section(snapshot::SEC_ENGINE);
@@ -696,8 +750,15 @@ impl StreamingPartitioner {
         pw.put_u64(self.refine_seed);
         pw.put_section(snapshot::SEC_END);
         *buf = pw.buf;
-        let info =
-            snapshot::seal_snapshot(buf, self.id_epoch, self.cfg.k, self.graph.weights().dims());
+        let payload_checksum = prefix.checksum(&buf[HEADER..]);
+        *kept = Some(prefix);
+        let info = snapshot::seal_snapshot(
+            buf,
+            self.id_epoch,
+            self.cfg.k,
+            self.graph.weights().dims(),
+            payload_checksum,
+        );
         self.obs.counter_add("stream.snapshot.saves", 1);
         self.obs.journal_event(
             "snapshot.save",
@@ -3278,17 +3339,12 @@ mod tests {
         };
         let config_at = 8 + 1; // id-epoch echo, CONFIG tag
         let graph_at = config_at + encoded(&|w| snapshot::encode_config(w, &sp.cfg)) + 1;
-        let csr = sp.graph.csr();
-        let removed_at = graph_at
-            + encoded(&|w| {
-                w.put_vec_usize(csr.raw_offsets());
-                w.put_vec_u32(csr.raw_targets());
-            });
-        let words = csr.raw_targets().len().div_ceil(64);
+        let removed_at = graph_at + encoded(&|w| sp.graph.encode_base(w));
+        let words = sp.graph.csr().raw_targets().len().div_ceil(64);
         let (n, dims) = (sp.graph.num_vertices(), 2);
         let lens_at = removed_at + 8 + 8 * words;
         let delta_targets_at = lens_at + 8 + 4 * n;
-        let graph_end = graph_at + encoded(&|w| sp.graph.encode_snapshot(w));
+        let graph_end = removed_at + encoded(&|w| sp.graph.encode_overlay(w));
         let dims_at = graph_end - (8 + 8 * dims) - dims * (8 + 8 * n) - 8;
 
         let read = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
@@ -3304,11 +3360,73 @@ mod tests {
             forged[at..at + 8].copy_from_slice(&huge.to_le_bytes());
             let mut resealed = vec![0; snapshot::SNAPSHOT_HEADER_BYTES];
             resealed.extend_from_slice(&forged);
-            snapshot::seal_snapshot(&mut resealed, info.id_epoch, info.k, info.dims);
+            let sum = snapshot::checksum(&forged);
+            snapshot::seal_snapshot(&mut resealed, info.id_epoch, info.k, info.dims, sum);
             match StreamingPartitioner::restore(&resealed[..]) {
                 Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt(_)) => {}
                 Err(other) => panic!("count at {at}: unexpected error {other}"),
                 Ok(_) => panic!("count at {at}: the forged snapshot restored"),
+            }
+        }
+    }
+
+    /// A snapshot whose configuration asks for an unbounded GD loop
+    /// budget or an absurd thread count is refused by name at restore,
+    /// before any state is adopted. The test only restores: it starts no
+    /// thread and runs no refinement.
+    #[test]
+    fn forged_loop_budgets_and_thread_counts_fail_by_name() {
+        use crate::snapshot::{self, PayloadWriter, SnapshotError};
+        let (g, w) = community(200, 52);
+        let mut sp = StreamingPartitioner::bootstrap(g, w, fast_cfg(2, 0.1)).unwrap();
+        let mut bytes = Vec::new();
+        sp.save_snapshot(&mut bytes).unwrap();
+        let (info, payload) = snapshot::read_snapshot(&bytes[..]).unwrap();
+
+        // A field's payload offset: the first byte at which the config's
+        // encoding changes when the field grows by one. CONFIG opens after
+        // the id-epoch echo and its tag.
+        let encode = |cfg: &StreamConfig| {
+            let mut w = PayloadWriter::new();
+            snapshot::encode_config(&mut w, cfg);
+            w.buf
+        };
+        let offset_of = |bump: fn(&mut StreamConfig)| {
+            let mut bumped = sp.cfg.clone();
+            bump(&mut bumped);
+            let (a, b) = (encode(&sp.cfg), encode(&bumped));
+            8 + 1 + a.iter().zip(&b).position(|(x, y)| x != y).unwrap()
+        };
+        type Case = (fn(&mut StreamConfig), u64, &'static str);
+        let cases: [Case; 4] = [
+            (
+                |c| c.gd.final_projection_passes += 1,
+                u64::MAX,
+                "gd: final_projection_passes must be at most",
+            ),
+            (|c| c.threads += 1, 1 << 32, "threads must be in"),
+            (|c| c.gd.threads += 1, 1 << 32, "gd: threads must be in"),
+            (
+                |c| c.gd.rounding_attempts += 1,
+                1 << 32,
+                "gd: rounding_attempts must be in",
+            ),
+        ];
+        for (bump, value, why) in cases {
+            let at = offset_of(bump);
+            let mut forged = payload.clone();
+            forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let mut resealed = vec![0; snapshot::SNAPSHOT_HEADER_BYTES];
+            resealed.extend_from_slice(&forged);
+            let sum = snapshot::checksum(&forged);
+            snapshot::seal_snapshot(&mut resealed, info.id_epoch, info.k, info.dims, sum);
+            match StreamingPartitioner::restore(&resealed[..]) {
+                Err(SnapshotError::Corrupt(found)) => assert!(
+                    found.starts_with(&format!("configuration invalid: bad configuration: {why}")),
+                    "{value} at {at}: {found}"
+                ),
+                Err(other) => panic!("{value} at {at}: unexpected error {other}"),
+                Ok(_) => panic!("{value} at {at}: the forged snapshot restored"),
             }
         }
     }

@@ -53,6 +53,7 @@ use crate::TOMBSTONE;
 use mdbgp_core::parallel;
 use mdbgp_graph::VertexId;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Arrivals per speculative chunk. Fixed (never derived from the thread
 /// count) so that chunk-local decisions are identical whether one worker
@@ -155,13 +156,38 @@ pub(crate) enum DeferredEffect {
     EdgeRemoved(VertexId, VertexId),
 }
 
+/// Hashes a vertex id with one multiply. Split looks up every edge
+/// update's endpoints and every removed vertex's neighbours among the
+/// batch's arrivals; the ids are the engine's own, so SipHash's resistance
+/// to chosen keys buys nothing there, and a collision only costs probing.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        let product = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The product's high bits are its best mixed: fold them into the
+        // low bits the table indexes by.
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Everything the split stage hands to placement, repair and commit.
 #[derive(Default)]
 pub(crate) struct SplitOutcome {
     /// Arrivals in batch order (which is also id-assignment order).
     pub arrivals: Vec<PendingArrival>,
     /// Vertex id → index into `arrivals`, live pending arrivals only.
-    pub arrival_of: HashMap<VertexId, usize>,
+    pub arrival_of: HashMap<VertexId, usize, BuildHasherDefault<IdHasher>>,
     /// Store effects deferred to commit.
     pub ledger: Vec<DeferredEffect>,
     pub vertices_added: usize,

@@ -101,7 +101,7 @@ use mdbgp_graph::PartitionError;
 
 use crate::delta::UpdateBatch;
 use crate::engine::{BatchReport, StreamingPartitioner};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{KeptPrefix, SnapshotError};
 use crate::store::{ReadHandle, ReadView, ViewEpoch};
 use crate::wire::{
     read_log_header, read_record, write_log_header, write_record, LogRecord, WireError,
@@ -199,6 +199,9 @@ impl From<PartitionError> for ReplicaError {
 pub struct Leader {
     engine: StreamingPartitioner,
     snapshot: Vec<u8>,
+    /// The part of `snapshot` that only a compaction changes, which the
+    /// next rotation keeps when it can ([`KeptPrefix`]).
+    kept: Option<KeptPrefix>,
     log: Vec<u8>,
     segment_records: u64,
     rotations: u64,
@@ -209,11 +212,12 @@ impl Leader {
     /// first log segment based at the engine's current published stamp.
     pub fn new(mut engine: StreamingPartitioner) -> Result<Self, ReplicaError> {
         let log = Self::fresh_log(&engine, 0)?;
-        let mut snapshot = Vec::new();
-        engine.encode_snapshot(&mut snapshot);
+        let (mut snapshot, mut kept) = (Vec::new(), None);
+        engine.encode_snapshot(&mut snapshot, &mut kept);
         Ok(Leader {
             engine,
             snapshot,
+            kept,
             log,
             segment_records: 0,
             rotations: 0,
@@ -262,9 +266,19 @@ impl Leader {
     /// All-or-nothing: the new log header is written first, and the
     /// snapshot is then re-encoded in place into the old one's buffer,
     /// which cannot fail.
+    ///
+    /// The snapshot bytes always equal [`StreamingPartitioner::save_snapshot`]'s,
+    /// but a rotation costs time in proportion to what changed: when no
+    /// compaction replaced the base CSR since the last snapshot and the
+    /// id epoch and configuration are unchanged, the buffer keeps its
+    /// bytes up to the end of the base CSR (about two thirds of a
+    /// churned snapshot) and only the rest is encoded and hashed
+    /// (`stream.snapshot.prefix_reuses` counts these). A rotation after a
+    /// compaction or purge encodes everything.
     pub fn rotate(&mut self) -> Result<(), ReplicaError> {
         self.log = Self::fresh_log(&self.engine, self.rotations + 1)?;
-        self.engine.encode_snapshot(&mut self.snapshot);
+        self.engine
+            .encode_snapshot(&mut self.snapshot, &mut self.kept);
         self.rotations += 1;
         self.segment_records = 0;
         self.engine
@@ -661,27 +675,81 @@ mod tests {
         assert_eq!(fresh.view().checksum(), follower.view().checksum());
     }
 
-    /// A rotation re-encodes the snapshot into the leader's own buffer:
-    /// the bytes are exactly what `save_snapshot` writes for the same
-    /// engine, and a second rotation with no batch in between re-encodes
-    /// the same bytes.
+    /// A rotation re-encodes the snapshot into the leader's own buffer,
+    /// and its bytes are exactly what `save_snapshot` writes for the same
+    /// engine, whether it kept the prefix up to the base CSR or encoded
+    /// everything: across batches that grow the delta, slack compactions
+    /// with and without a purge, `purge_and_rotate`, and back-to-back
+    /// rotations with no batch between. A follower bootstrapped from each
+    /// rotated snapshot publishes the leader's stamp and checksum.
     #[test]
     fn rotation_re_encodes_the_saved_snapshot_in_place() {
-        let mut leader = Leader::new(leader_engine(300, 5)).unwrap();
+        fn check(leader: &mut Leader) {
+            let mut saved = Vec::new();
+            leader.engine.save_snapshot(&mut saved).unwrap();
+            assert_eq!(leader.snapshot_bytes(), &saved[..]);
+            let fresh = Follower::bootstrap(leader.snapshot_bytes()).unwrap();
+            let (lv, fv) = (leader.engine().read_view(), fresh.view());
+            assert_eq!((lv.epoch(), lv.checksum()), (fv.epoch(), fv.checksum()));
+        }
+        let cg = gen::community_graph(
+            &gen::CommunityGraphConfig::social(300),
+            &mut StdRng::seed_from_u64(5),
+        );
+        let w = VertexWeights::vertex_edge(&cg.graph);
+        let mut cfg = StreamConfig::new(4, 0.05);
+        cfg.gd = GdConfig {
+            iterations: 40,
+            ..GdConfig::with_epsilon(0.05)
+        };
+        // Small enough that a few batches of delta edges compact, so
+        // rotations fall both between and after compactions.
+        cfg.compact_slack = 0.1;
+        let engine = StreamingPartitioner::bootstrap(cg.graph, w, cfg).unwrap();
+        let mut leader = Leader::new(engine).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        leader.ingest(&churny_batch(&mut rng, 300)).unwrap();
-        let before = leader.snapshot_bytes().to_vec();
-        leader.rotate().unwrap();
-        let rotated = leader.snapshot_bytes().to_vec();
-        assert_ne!(rotated, before, "the batch must show in the snapshot");
-        let mut saved = Vec::new();
-        leader.engine.save_snapshot(&mut saved).unwrap();
-        assert_eq!(rotated, saved);
-        let buffer = leader.snapshot.as_ptr();
-        leader.rotate().unwrap();
-        assert_eq!(leader.snapshot_bytes(), &saved[..]);
-        assert_eq!(leader.snapshot.as_ptr(), buffer, "the buffer was replaced");
-        assert_eq!(leader.rotations(), 2);
+        for round in 0..16 {
+            let before = leader.snapshot_bytes().to_vec();
+            let batch = if round % 4 == 3 {
+                drifting_churn_batch(leader.engine(), &mut rng)
+            } else {
+                let live = leader.engine().graph().num_live_vertices() as u32;
+                churny_batch(&mut rng, live)
+            };
+            leader.ingest(&batch).unwrap();
+            if round == 9 {
+                leader.purge_and_rotate().unwrap();
+            } else {
+                leader.rotate().unwrap();
+            }
+            assert_ne!(leader.snapshot_bytes(), &before[..], "round {round}");
+            check(&mut leader);
+            if round % 3 == 0 {
+                let rotated = leader.snapshot_bytes().to_vec();
+                let buffer = leader.snapshot.as_ptr();
+                leader.rotate().unwrap();
+                assert_eq!(leader.snapshot_bytes(), &rotated[..]);
+                assert_eq!(leader.snapshot.as_ptr(), buffer, "the buffer was replaced");
+                check(&mut leader);
+            }
+        }
+        let m = leader.metrics_mut();
+        let (rotations, reuses) = (
+            m.counter("stream.log.rotations"),
+            m.counter("stream.snapshot.prefix_reuses"),
+        );
+        let (merges, purges) = (
+            m.counter("stream.compact.merges"),
+            m.counter("stream.compact.purges"),
+        );
+        assert!(
+            reuses > 0 && reuses < rotations,
+            "{reuses} of {rotations} rotations kept their prefix"
+        );
+        assert!(
+            purges > 0 && merges > purges,
+            "{merges} compactions, {purges} of them purges"
+        );
     }
 
     #[test]

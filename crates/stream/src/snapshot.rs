@@ -92,6 +92,28 @@
 //! touches a dead vertex; and graph and store agree on which vertices
 //! are live. Each failure is a named [`SnapshotError::Corrupt`].
 //!
+//! ## Rotation: re-encoding only what changed
+//!
+//! A [`crate::Leader`] re-encodes its snapshot at every log rotation into
+//! the buffer that held the last one. The payload opens with the id-epoch
+//! echo, CONFIG and the GRAPH tag (the *head*, a few hundred bytes), then
+//! the base CSR's offsets and targets, which only a compaction replaces
+//! (a purge also moves the id epoch); on a churned 200k-vertex graph that
+//! prefix is about two thirds of the payload. Beside its buffer the
+//! leader keeps where the prefix ends, the graph's base generation it was
+//! encoded from (a count of the compactions that replaced the base CSR;
+//! not serialized), and the checksum's lane state after the prefix's last
+//! whole 32-byte block (`KeptPrefix`). A rotation whose head encodes to
+//! the bytes already in the buffer, compared byte for byte, and whose
+//! graph is still at that base generation cuts the buffer after the base
+//! CSR, encodes the rest, and resumes the checksum from the kept state
+//! over the bytes from that block on. Every other rotation, a new leader
+//! and [`crate::StreamingPartitioner::save_snapshot`] encode everything
+//! and mark a fresh prefix. Either way the bytes are exactly what
+//! `save_snapshot` writes, so the format above does not change;
+//! `stream.snapshot.prefix_reuses` counts the rotations that kept their
+//! prefix.
+//!
 //! ## Id epochs
 //!
 //! Vertex ids are stable *between* purges; each purging compaction
@@ -356,6 +378,11 @@ impl SnapshotExpectation {
 /// change confined to one word — every single-byte flip among them — always
 /// changes the result. An *integrity* check (bit rot, torn writes), not an
 /// authenticity one.
+///
+/// A state is a plain value: a leader keeps the one it reached at the end
+/// of its snapshot's unchanging prefix and resumes from it
+/// ([`KeptPrefix`]).
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Checksum {
     lanes: [u64; 4],
 }
@@ -386,6 +413,34 @@ impl Checksum {
         }
     }
 
+    /// Feeds every whole 32-byte block of `bytes` and returns the bytes
+    /// after the last one.
+    fn feed<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            self.block(std::array::from_fn(|i| {
+                // Invariant: `block` is one 32-byte chunk, so every
+                // 8-byte subslice exists.
+                u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap())
+            }));
+        }
+        blocks.remainder()
+    }
+
+    /// The checksum of a byte string whose first `fed` bytes, a whole
+    /// number of blocks, this state has taken and whose other bytes are
+    /// `rest`: feeds `rest`'s whole blocks, then its tail zero-padded to a
+    /// block, and finishes with the total length.
+    fn resume(mut self, fed: usize, rest: &[u8]) -> u64 {
+        let tail = self.feed(rest);
+        if !tail.is_empty() {
+            let mut padded = [0u8; 32];
+            padded[..tail.len()].copy_from_slice(tail);
+            self.feed(&padded);
+        }
+        self.finish((fed + rest.len()) as u64)
+    }
+
     /// Folds the byte length the stream stands for and the four lanes by
     /// the same step, then avalanches (the bijective finalizer of
     /// MurmurHash3).
@@ -404,25 +459,52 @@ impl Checksum {
 
 /// [`Checksum`] of a byte string, its tail zero-padded to a whole block.
 pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    fn words(block: &[u8]) -> [u64; 4] {
-        std::array::from_fn(|i| {
-            // Invariant: `block` is one 32-byte chunk, so every 8-byte
-            // subslice exists.
-            u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap())
-        })
+    Checksum::new().resume(0, bytes)
+}
+
+/// What a leader keeps of its last snapshot so the next rotation can
+/// re-encode only what may have changed (see the module docs). The
+/// payload opens with the id-epoch echo, CONFIG and the GRAPH tag (the
+/// *head*), then the base CSR, which only a compaction replaces. A
+/// rotation whose head encodes to the same bytes and whose graph is at
+/// the same [`crate::dynamic::DynamicGraph::base_generation`] keeps the
+/// buffer up to the end of the base CSR, encodes the rest, and resumes
+/// the checksum from `state`, so the bytes equal a full encode's. Not
+/// serialized.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeptPrefix {
+    /// The base generation the base CSR bytes were encoded from.
+    pub(crate) generation: u64,
+    /// Payload length of the head, which a reuse compares byte for byte
+    /// against the buffer's own.
+    pub(crate) head_len: usize,
+    /// Payload length up to the end of the base CSR: the bytes a reuse
+    /// keeps.
+    pub(crate) len: usize,
+    /// [`Checksum`] state after the prefix's whole blocks.
+    state: Checksum,
+}
+
+impl KeptPrefix {
+    /// Marks `payload` (the head and the base CSR, nothing after) as the
+    /// prefix a later encode at `generation` may keep.
+    pub(crate) fn new(generation: u64, head_len: usize, payload: &[u8]) -> Self {
+        let mut state = Checksum::new();
+        state.feed(payload);
+        KeptPrefix {
+            generation,
+            head_len,
+            len: payload.len(),
+            state,
+        }
     }
-    let mut c = Checksum::new();
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        c.block(words(block));
+
+    /// The checksum of a payload that starts with this prefix, hashing
+    /// only the bytes from the prefix's last whole block on.
+    pub(crate) fn checksum(&self, payload: &[u8]) -> u64 {
+        let fed = self.len / 32 * 32;
+        self.state.resume(fed, &payload[fed..])
     }
-    let tail = blocks.remainder();
-    if !tail.is_empty() {
-        let mut padded = [0u8; 32];
-        padded[..tail.len()].copy_from_slice(tail);
-        c.block(words(&padded));
-    }
-    c.finish(bytes.len() as u64)
 }
 
 /// Reads only the header: identity, version, epoch, shape — without
@@ -491,13 +573,15 @@ pub(crate) fn read_exact_or_truncated<R: Read>(
 
 /// Fills in the header of a snapshot framed in place: `framed` is
 /// [`SNAPSHOT_HEADER_BYTES`] of room ([`PayloadWriter::for_snapshot`])
-/// followed by the payload. The save path encodes into one buffer and
-/// seals it last, so a snapshot is never copied between buffers.
+/// followed by the payload, whose [`checksum`] is `payload_checksum`. The
+/// save path encodes into one buffer and seals it last, so a snapshot is
+/// never copied between buffers.
 pub(crate) fn seal_snapshot(
     framed: &mut [u8],
     id_epoch: u64,
     k: usize,
     dims: usize,
+    payload_checksum: u64,
 ) -> SnapshotInfo {
     let (header, payload) = framed.split_at_mut(SNAPSHOT_HEADER_BYTES);
     let fields: [&[u8]; 7] = [
@@ -507,7 +591,7 @@ pub(crate) fn seal_snapshot(
         &(k as u32).to_le_bytes(),
         &(dims as u32).to_le_bytes(),
         &(payload.len() as u64).to_le_bytes(),
-        &checksum(payload).to_le_bytes(),
+        &payload_checksum.to_le_bytes(),
     ];
     let mut at = 0;
     for field in fields {
@@ -620,12 +704,17 @@ impl PayloadWriter {
         self.put_u8(tag);
     }
 
-    /// Every item as `N` bytes, with no length prefix: the buffer grows
-    /// once for the whole slice.
-    fn put_items<T: Copy, const N: usize>(&mut self, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
+    /// `len` items as `N` bytes each, with no length prefix: the buffer
+    /// grows once for all of them.
+    fn put_items<T, const N: usize>(
+        &mut self,
+        len: usize,
+        items: impl IntoIterator<Item = T>,
+        bytes: impl Fn(T) -> [u8; N],
+    ) {
         let start = self.buf.len();
-        self.buf.resize(start + N * v.len(), 0);
-        for (dst, &x) in self.buf[start..].chunks_exact_mut(N).zip(v) {
+        self.buf.resize(start + N * len, 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(N).zip(items) {
             dst.copy_from_slice(&bytes(x));
         }
     }
@@ -633,7 +722,7 @@ impl PayloadWriter {
     /// A length prefix, then the items.
     fn put_slice<T: Copy, const N: usize>(&mut self, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
         self.put_usize(v.len());
-        self.put_items(v, bytes);
+        self.put_items(v.len(), v.iter().copied(), bytes);
     }
 
     pub(crate) fn put_vec_u32(&mut self, v: &[u32]) {
@@ -641,16 +730,15 @@ impl PayloadWriter {
     }
 
     /// Rows of `u32`s as two sequences, whatever their number: the row
-    /// lengths, then every row's items concatenated.
+    /// lengths, then every row's items concatenated. One pass over each,
+    /// one buffer resize each.
     pub(crate) fn put_rows_u32(&mut self, rows: &[Vec<u32>]) {
-        let lens: Vec<u32> = rows.iter().map(|row| row.len() as u32).collect();
-        self.put_vec_u32(&lens);
-        let total: usize = rows.iter().map(Vec::len).sum();
+        self.put_usize(rows.len());
+        let lens = rows.iter().map(|row| row.len() as u32);
+        self.put_items(rows.len(), lens, u32::to_le_bytes);
+        let total = rows.iter().map(Vec::len).sum();
         self.put_usize(total);
-        self.buf.reserve(4 * total);
-        for row in rows {
-            self.put_items(row, u32::to_le_bytes);
-        }
+        self.put_items(total, rows.iter().flatten().copied(), u32::to_le_bytes);
     }
 
     pub(crate) fn put_vec_u64(&mut self, v: &[u64]) {
@@ -960,7 +1048,11 @@ mod tests {
         w.put_vec_f64(&[1.5, f64::MIN_POSITIVE]);
         w.put_vec_bool(&[true, false, true]);
         w.put_vec_u64(&[u64::MAX, 3]);
-        w.put_rows_u32(&[vec![4, 5], vec![], vec![6]]);
+        // Empty rows first, in the middle and last; then rows that are all
+        // empty, and no rows at all.
+        w.put_rows_u32(&[vec![], vec![4, 5], vec![], vec![6], vec![]]);
+        w.put_rows_u32(&[vec![], vec![], vec![]]);
+        w.put_rows_u32(&[]);
         let mut r = PayloadReader::new(&w.buf);
         assert_eq!(r.get_u8("a").unwrap(), 7);
         assert_eq!(r.get_u32("b").unwrap(), 0xDEAD_BEEF);
@@ -973,8 +1065,12 @@ mod tests {
         assert_eq!(r.get_vec_f64("i").unwrap(), vec![1.5, f64::MIN_POSITIVE]);
         assert_eq!(r.get_vec_bool("j").unwrap(), vec![true, false, true]);
         assert_eq!(r.get_vec_u64("k").unwrap(), vec![u64::MAX, 3]);
-        assert_eq!(r.get_vec_u32("l").unwrap(), vec![2, 0, 1]);
+        assert_eq!(r.get_vec_u32("l").unwrap(), vec![0, 2, 0, 1, 0]);
         assert_eq!(r.get_vec_u32("m").unwrap(), vec![4, 5, 6]);
+        assert_eq!(r.get_vec_u32("n").unwrap(), vec![0, 0, 0]);
+        assert_eq!(r.get_vec_u32("o").unwrap(), Vec::<u32>::new());
+        assert_eq!(r.get_vec_u32("p").unwrap(), Vec::<u32>::new());
+        assert_eq!(r.get_vec_u32("q").unwrap(), Vec::<u32>::new());
         assert!(r.finished());
     }
 
@@ -1052,13 +1148,34 @@ mod tests {
         }
     }
 
+    /// Resuming from the state after any whole-block prefix gives the
+    /// checksum of the whole buffer, for buffers of 0 to 96 bytes, and so
+    /// does a kept prefix of any length.
+    #[test]
+    fn checksum_resumes_from_any_whole_block_prefix() {
+        for len in 0..=96usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 131 + len) as u8).collect();
+            let whole = checksum(&bytes);
+            for fed in (0..=len).step_by(32) {
+                let mut state = Checksum::new();
+                assert!(state.feed(&bytes[..fed]).is_empty());
+                let resumed = state.resume(fed, &bytes[fed..]);
+                assert_eq!(resumed, whole, "length {len}, prefix {fed}");
+            }
+            for cut in 0..=len {
+                let kept = KeptPrefix::new(0, 0, &bytes[..cut]);
+                assert_eq!(kept.checksum(&bytes), whole, "length {len}, kept {cut}");
+            }
+        }
+    }
+
     #[test]
     fn header_round_trips_and_detects_corruption() {
         let payload = b"hello snapshot payload".to_vec();
         let mut pw = PayloadWriter::for_snapshot(b"stale contents".to_vec());
         pw.buf.extend_from_slice(&payload);
         let mut bytes = pw.buf;
-        let info = seal_snapshot(&mut bytes, 3, 8, 2);
+        let info = seal_snapshot(&mut bytes, 3, 8, 2, checksum(&payload));
         assert_eq!(info.id_epoch, 3);
         assert_eq!(info.k, 8);
         assert_eq!(info.dims, 2);

@@ -47,7 +47,10 @@ proptest! {
     /// old→new map applied to the oracle at every purge. The oracle also
     /// keeps the free list (LIFO recycling, emptied by a purge) and every
     /// weight row: after a purge the weight columns are the live rows in
-    /// new-id order and each total is their fresh sum, bitwise.
+    /// new-id order and each total is their fresh sum, bitwise. A removed
+    /// vertex sheds its neighbours in the order `neighbors` listed them,
+    /// and after every op the removed-base and delta edge counts match the
+    /// oracle's, which keeps the base edge set as of the last compaction.
     #[test]
     fn removals_round_trip_against_brute_force(
         base_edges in proptest::collection::vec((0u32..24, 0u32..24), 0..50),
@@ -68,6 +71,10 @@ proptest! {
             .filter(|(u, v)| u != v)
             .map(|&(u, v)| (u.min(v), u.max(v)))
             .collect();
+        // The base CSR's edges, removed or not: the live edges as of the
+        // last compaction. A live edge outside it sits in the delta; an
+        // edge of it that is not live is a removed base edge.
+        let mut base = edges.clone();
 
         for op in &ops {
             let n = dg.num_vertices() as u32;
@@ -116,7 +123,10 @@ proptest! {
                     if !live[v as usize] || live.iter().filter(|&&l| l).count() <= 2 {
                         continue;
                     }
+                    // Shed in `neighbors` order: base row, then delta row.
+                    let order: Vec<u32> = dg.neighbors(v).collect();
                     let shed = dg.remove_vertex(v);
+                    prop_assert_eq!(&shed, &order, "neighbours shed by {}", v);
                     let expected: BTreeSet<u32> = edges
                         .iter()
                         .filter(|&&(a, b)| a == v || b == v)
@@ -154,9 +164,14 @@ proptest! {
                             prop_assert_eq!(dg.weights().total(j).to_bits(), total.to_bits());
                         }
                     }
+                    // With or without a purge, the base is now the live
+                    // edge set.
+                    base = edges.clone();
                 }
             }
             prop_assert_eq!(dg.free_ids(), free.as_slice());
+            prop_assert_eq!(dg.tombstoned_edge_count(), base.difference(&edges).count());
+            prop_assert_eq!(dg.delta_edge_count(), edges.difference(&base).count());
         }
 
         // Final check: the dynamic view, its snapshot and a one-shot build
