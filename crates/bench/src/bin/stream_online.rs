@@ -65,19 +65,21 @@
 
 use mdbgp_bench::churn::{queue_arrivals, queue_removals, verify_arrival_ids, IdTracker};
 use mdbgp_bench::perfgate::{
-    check_parallel_speedup, check_regression, registry_counters, BatchPerf, PerfRecord, Shape,
-    WorkloadSpec,
+    add_span, add_span_tree, check_parallel_speedup, check_regression, registry_counters,
+    BatchPerf, PerfRecord, Shape, WorkloadSpec,
 };
 use mdbgp_bench::policies::timed;
 use mdbgp_bench::table::Table;
 use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, Graph, InducedSubgraph, Partitioner, VertexWeights};
+use mdbgp_obs::SpanStat;
 use mdbgp_stream::{
-    BatchReport, Follower, HistogramSummary, Leader, MetricsRegistry, ReadHandle, StageTimings,
-    StreamConfig, StreamingPartitioner, UpdateBatch, ViewEpoch, METRIC_ALLOWLIST,
+    BatchReport, Follower, HistogramSummary, Leader, MetricsRegistry, ReadHandle, StreamConfig,
+    StreamingPartitioner, UpdateBatch, ViewEpoch, METRIC_ALLOWLIST,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -322,7 +324,6 @@ struct Replicated {
     handles: Vec<ReadHandle>,
     leader_stamps: Vec<Stamp>,
     stamps: Vec<Vec<Stamp>>,
-    replay: Duration,
 }
 
 impl Replicated {
@@ -341,7 +342,6 @@ impl Replicated {
             followers,
             leader_stamps: Vec::new(),
             stamps: vec![Vec::new(); count],
-            replay: Duration::ZERO,
         })
     }
 
@@ -349,6 +349,7 @@ impl Replicated {
     /// stamps, as a resumed tailer would) and must apply exactly the new
     /// record and match the leader's stamp; then it serves a lookup burst
     /// through its own handle, counted into `served[i]` and `torn_reads`.
+    /// Each replay call is timed into `spans` as one `follower.replay`.
     /// The log rotates after batches divisible by `rotate_every`.
     fn follow(
         &mut self,
@@ -356,6 +357,7 @@ impl Replicated {
         rotate_every: usize,
         served: &[AtomicU64],
         torn_reads: &AtomicU64,
+        spans: &mut BTreeMap<String, SpanStat>,
     ) -> Result<(), String> {
         let leader = &mut self.leader;
         let view = leader.engine().read_view();
@@ -363,7 +365,7 @@ impl Replicated {
         self.leader_stamps.push(lv);
         for (i, follower) in self.followers.iter_mut().enumerate() {
             let (applied, t) = timed(|| follower.replay(leader.log_bytes()));
-            self.replay += t;
+            add_span(spans, "follower.replay", 1, t.as_secs_f64() * 1e3);
             match applied {
                 Ok(1) => {}
                 Ok(n) => return Err(format!("follower {i} applied {n} records, wanted 1")),
@@ -646,11 +648,12 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
 
     let (mut inc_total, mut scratch_total) = (Duration::ZERO, Duration::ZERO);
-    let (mut snap_save, mut snap_restore) = (Duration::ZERO, Duration::ZERO);
     let (mut eps_ok, mut scratch_eps_ok) = (true, true);
-    let mut stages = StageTimings::default();
+    // Summed from each batch's own span tree, not read from the registry:
+    // a restore starts a fresh registry, and with followers it holds only
+    // the leader's spans.
+    let mut spans = BTreeMap::new();
     let mut batches: Vec<BatchPerf> = Vec::with_capacity(spec.batches);
-    let mut snapshots = 0;
 
     let stop = AtomicBool::new(false);
     let torn_reads = AtomicU64::new(0);
@@ -677,18 +680,24 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
                 let report = report?;
                 script.settle(&report)?;
                 inc_total += inc_time;
-                stages += report.timings();
+                add_span_tree(&mut spans, &report.spans);
                 eps_ok &= report.max_imbalance <= spec.eps + 1e-9;
                 match &mut engine {
                     Engine::Solo(sp)
                         if spec.snapshot_every > 0 && batch_no % spec.snapshot_every == 0 =>
                     {
                         let (save, restore) = kill_and_resume(sp)?;
-                        (snap_save, snap_restore) = (snap_save + save, snap_restore + restore);
-                        snapshots += 1;
+                        add_span(&mut spans, "snapshot.save", 1, ms(save));
+                        add_span(&mut spans, "snapshot.restore", 1, ms(restore));
                     }
                     Engine::Replicated(r) => {
-                        r.follow(batch_no, spec.rotate_every, &served, &torn_reads)?;
+                        r.follow(
+                            batch_no,
+                            spec.rotate_every,
+                            &served,
+                            &torn_reads,
+                            &mut spans,
+                        )?;
                     }
                     Engine::Solo(_) => {}
                 }
@@ -753,15 +762,6 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
     }
     println!("{table}");
 
-    let (replay_batches, replay_total_ms) = match &mut engine {
-        Engine::Replicated(r) => (
-            (r.followers.iter_mut())
-                .map(|f| f.metrics_mut().counter("stream.replica.batches_replayed") as usize)
-                .sum(),
-            ms(r.replay),
-        ),
-        Engine::Solo(_) => (0, 0.0),
-    };
     let (final_locality, final_imbalance, stale_reads) = {
         let sp = engine.get();
         (
@@ -781,39 +781,29 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
         final_imbalance,
         inc_total_ms: ms(inc_total),
         scratch_total_ms: ms(scratch_total),
-        stages,
         // The per-stage span histograms record microseconds per batch;
         // the iteration histogram counts GD iterations per pair solve.
         refine_p99_ms: quantile("span.ingest.refine_us", |s| s.p99) as f64 / 1000.0,
         refine_iters_p50: quantile("core.gd.refine_iterations", |s| s.p50),
         refine_iters_p99: quantile("core.gd.refine_iterations", |s| s.p99),
-        snapshots,
-        snapshot_save_total_ms: ms(snap_save),
-        snapshot_restore_total_ms: ms(snap_restore),
         // The serving histogram records ns; the record keeps µs, printed
         // to three decimals, so ns resolution survives.
         lookup_p99_us: quantile("stream.store.lookup_ns", |s| s.p99) as f64 / 1000.0,
-        replay_batches,
-        replay_total_ms,
         counters: registry_counters(m),
+        spans,
         batches,
     };
 
     let speedup = record.speedup();
     let counter = |name: &str| record.counter(name);
     let remaps = counter("stream.compact.purges");
-    let s = &stages;
+    let stages = ["validate", "split", "place", "repair", "commit", "refine"]
+        .map(|s| format!("{s} {:.1}", record.span_ms(&format!("ingest.{s}"))));
     println!(
-        "totals: incremental {:.1} ms vs scratch {:.1} ms -> {speedup:.1}x; stages (ms): \
-         validate {:.1}, split {:.1}, place {:.1}, repair {:.1}, commit {:.1}, refine {:.1}",
+        "totals: incremental {:.1} ms vs scratch {:.1} ms -> {speedup:.1}x; stages (ms): {}",
         record.inc_total_ms,
         record.scratch_total_ms,
-        s.validate_ms,
-        s.split_ms,
-        s.place_ms,
-        s.repair_ms,
-        s.commit_ms,
-        s.refine_ms
+        stages.join(", ")
     );
     let shown = [
         "stream.ingest.arrivals",
@@ -829,10 +819,12 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
         "counters: {}",
         shown.map(|n| format!("{n} {}", counter(n))).join(", ")
     );
+    let snapshots = record.span_count("snapshot.save");
     if snapshots > 0 {
         println!(
             "snapshots: {snapshots} kill-and-resume cycles, save {:.1} ms, restore {:.1} ms",
-            record.snapshot_save_total_ms, record.snapshot_restore_total_ms
+            record.span_ms("snapshot.save"),
+            record.span_ms("snapshot.restore")
         );
     }
     // Every reader thread, or every follower, counts the lookups it served
@@ -858,8 +850,8 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
         println!(
             "replication: {} records replayed in {:.1} ms (leader ingest {:.1} ms), {} log \
              bytes, {} rotations; follower lookups {lookups:?}, {torn_reads} torn",
-            record.replay_batches,
-            record.replay_total_ms,
+            record.span_count("follower.replay"),
+            record.span_ms("follower.replay"),
             record.inc_total_ms,
             counter("stream.log.bytes"),
             counter("stream.log.rotations")

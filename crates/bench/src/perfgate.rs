@@ -14,12 +14,14 @@
 //! [`PerfRecord`] has one versionless schema: [`PerfRecord::to_json`]
 //! writes every key, and [`PerfRecord::from_json`] requires every key and
 //! rejects unknown ones, so a baseline either describes a run of today's
-//! bench or fails to load with the offending key named. The JSON is a
+//! bench or fails to load with the offending key named. Counters are
+//! carried by name and wall-clock spans by dotted path, both as data, so
+//! a new engine counter or span reaches the record without a schema
+//! change; the gates read the paths they need. The JSON is a
 //! small subset (numbers, booleans, plain strings, objects, arrays) read
 //! back by the parser below instead of a vendored serde.
 
-use mdbgp_obs::MetricsRegistry;
-use mdbgp_stream::StageTimings;
+use mdbgp_obs::{MetricsRegistry, SpanNode, SpanStat};
 use std::collections::BTreeMap;
 
 /// Per-batch measurements of one run.
@@ -171,7 +173,8 @@ impl WorkloadSpec {
 pub const MIN_SCRATCH_MS: f64 = 0.5;
 
 /// One `stream_online` run: the workload, its quality, the timings the
-/// gates read, the engine's counters and the per-batch rows.
+/// gates read, the engine's counters, the span totals and the per-batch
+/// rows.
 #[derive(Clone, Debug)]
 pub struct PerfRecord {
     pub spec: WorkloadSpec,
@@ -190,30 +193,28 @@ pub struct PerfRecord {
     /// on ingest-only runs, one after the last batch with readers or
     /// followers.
     pub scratch_total_ms: f64,
-    /// Ingest wall-clock per pipeline stage, summed across batches.
-    pub stages: StageTimings,
     /// Per-batch refine-stage p99 (`span.ingest.refine_us`), ms.
     pub refine_p99_ms: f64,
     /// GD iterations per pair solve (`core.gd.refine_iterations`), p50.
     pub refine_iters_p50: u64,
     /// GD iterations per pair solve, p99.
     pub refine_iters_p99: u64,
-    /// Kill-and-resume cycles the run performed.
-    pub snapshots: usize,
-    pub snapshot_save_total_ms: f64,
-    pub snapshot_restore_total_ms: f64,
     /// p99 lookup latency on the published-view read path, µs at ns
     /// resolution: `stream.store.lookup_ns` (one lookup in 256 per reader
     /// handle, timed in ns) divided by 1000. 0 without readers.
     pub lookup_p99_us: f64,
-    /// Log records replayed across every follower.
-    pub replay_batches: usize,
-    /// Follower replay wall-clock summed over followers and batches, ms.
-    pub replay_total_ms: f64,
     /// Every counter of the engine's metrics registry (the leader's with
     /// followers), by name. A counter the registry never recorded reads
     /// 0, as it does in the registry: see [`Self::counter`].
     pub counters: BTreeMap<String, u64>,
+    /// Wall-clock spans by dotted path: every node of every batch's
+    /// ingest span tree (`ingest`, `ingest.place`,
+    /// `ingest.refine.gd.pairs`, …), summed over batches, and the bench's
+    /// own timings, one count per call: `snapshot.save` and
+    /// `snapshot.restore` per kill-and-resume cycle, `follower.replay`
+    /// per follower per record. A path that never ran is absent and reads
+    /// 0: see [`Self::span_ms`].
+    pub spans: BTreeMap<String, SpanStat>,
     pub batches: Vec<BatchPerf>,
 }
 
@@ -225,6 +226,19 @@ pub fn registry_counters(m: &MetricsRegistry) -> BTreeMap<String, u64> {
         .filter(|name| m.gauge(name).is_none() && m.histogram(name).is_none())
         .map(|name| (name.to_string(), m.counter(name)))
         .collect()
+}
+
+/// Adds `count` runs totalling `total_ms` to span `path` — how the bench
+/// fills [`PerfRecord::spans`].
+pub fn add_span(spans: &mut BTreeMap<String, SpanStat>, path: &str, count: u64, total_ms: f64) {
+    let stat = spans.entry(path.to_string()).or_default();
+    stat.count += count;
+    stat.total_ms += total_ms;
+}
+
+/// Adds every node of a finished span tree under its dotted path.
+pub fn add_span_tree(spans: &mut BTreeMap<String, SpanStat>, root: &SpanNode) {
+    root.visit(&mut |path, node| add_span(spans, path, node.count, node.total_ms));
 }
 
 impl PerfRecord {
@@ -247,10 +261,19 @@ impl PerfRecord {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// Total ms of span `path`, 0 when it never ran.
+    pub fn span_ms(&self, path: &str) -> f64 {
+        self.spans.get(path).map_or(0.0, |s| s.total_ms)
+    }
+
+    /// How many times span `path` ran, 0 when it never did.
+    pub fn span_count(&self, path: &str) -> u64 {
+        self.spans.get(path).map_or(0, |s| s.count)
+    }
+
     /// Serializes every key (stable order, 2-space indent, one key per
     /// line) so baselines diff cleanly in review.
     pub fn to_json(&self) -> String {
-        let s = &self.stages;
         let top = [
             ("spec", object(2, self.spec.entries())),
             ("nproc", self.nproc.to_string()),
@@ -259,30 +282,26 @@ impl PerfRecord {
             ("final_imbalance", format!("{:.6}", self.final_imbalance)),
             ("inc_total_ms", format!("{:.3}", self.inc_total_ms)),
             ("scratch_total_ms", format!("{:.3}", self.scratch_total_ms)),
-            ("validate_total_ms", format!("{:.3}", s.validate_ms)),
-            ("split_total_ms", format!("{:.3}", s.split_ms)),
-            ("place_total_ms", format!("{:.3}", s.place_ms)),
-            ("repair_total_ms", format!("{:.3}", s.repair_ms)),
-            ("commit_total_ms", format!("{:.3}", s.commit_ms)),
-            ("refine_total_ms", format!("{:.3}", s.refine_ms)),
             ("refine_p99_ms", format!("{:.3}", self.refine_p99_ms)),
             ("refine_iters_p50", self.refine_iters_p50.to_string()),
             ("refine_iters_p99", self.refine_iters_p99.to_string()),
-            ("snapshots", self.snapshots.to_string()),
-            (
-                "snapshot_save_total_ms",
-                format!("{:.3}", self.snapshot_save_total_ms),
-            ),
-            (
-                "snapshot_restore_total_ms",
-                format!("{:.3}", self.snapshot_restore_total_ms),
-            ),
             ("lookup_p99_us", format!("{:.3}", self.lookup_p99_us)),
-            ("replay_batches", self.replay_batches.to_string()),
-            ("replay_total_ms", format!("{:.3}", self.replay_total_ms)),
             (
                 "counters",
                 object(2, self.counters.iter().map(|(k, v)| (k, v.to_string()))),
+            ),
+            (
+                "spans",
+                object(
+                    2,
+                    self.spans.iter().map(|(path, s)| {
+                        let value = format!(
+                            "{{\"count\": {}, \"total_ms\": {:.3}}}",
+                            s.count, s.total_ms
+                        );
+                        (path, value)
+                    }),
+                ),
             ),
             ("batches", {
                 let rows: Vec<String> = self
@@ -316,30 +335,31 @@ impl PerfRecord {
             final_imbalance: f.num("final_imbalance")?,
             inc_total_ms: f.num("inc_total_ms")?,
             scratch_total_ms: f.num("scratch_total_ms")?,
-            stages: StageTimings {
-                validate_ms: f.num("validate_total_ms")?,
-                split_ms: f.num("split_total_ms")?,
-                place_ms: f.num("place_total_ms")?,
-                repair_ms: f.num("repair_total_ms")?,
-                commit_ms: f.num("commit_total_ms")?,
-                refine_ms: f.num("refine_total_ms")?,
-            },
             refine_p99_ms: f.num("refine_p99_ms")?,
             refine_iters_p50: f.count("refine_iters_p50")? as u64,
             refine_iters_p99: f.count("refine_iters_p99")? as u64,
-            snapshots: f.count("snapshots")?,
-            snapshot_save_total_ms: f.num("snapshot_save_total_ms")?,
-            snapshot_restore_total_ms: f.num("snapshot_restore_total_ms")?,
             lookup_p99_us: f.num("lookup_p99_us")?,
-            replay_batches: f.count("replay_batches")?,
-            replay_total_ms: f.num("replay_total_ms")?,
             counters: BTreeMap::new(),
+            spans: BTreeMap::new(),
             batches: Vec::new(),
         };
         let mut counters = f.object("counters")?;
         while let Some(name) = counters.entries.first().map(|(k, _)| k.clone()) {
             let value = counters.count(&name)?;
             record.counters.insert(name, value as u64);
+        }
+        let mut spans = f.object("spans")?;
+        while let Some(path) = spans.entries.first().map(|(k, _)| k.clone()) {
+            let stat = Fields::new("the entry", spans.take(&path)?)
+                .and_then(|mut s| {
+                    let stat = SpanStat {
+                        count: s.count("count")? as u64,
+                        total_ms: s.num("total_ms")?,
+                    };
+                    s.finish().map(|()| stat)
+                })
+                .map_err(|e| format!("span \"{path}\": {e}"))?;
+            record.spans.insert(path, stat);
         }
         let Json::Arr(rows) = f.take("batches")? else {
             return Err("\"batches\" is not an array".into());
@@ -581,12 +601,13 @@ pub const MIN_LOOKUP_P99_US: f64 = 1.0;
 /// * `stream.refine.full_scans` exceeded the baseline's count (the count
 ///   is deterministic for a fixed workload) → fail — the composite
 ///   relief-key heaps must not regress toward full rescans;
-/// * the **snapshot** normalized wall-clock (`(save + restore) /
-///   scratch`) regressed more than [`SNAPSHOT_REGRESSION`] → fail, so the
-///   kill-and-resume leg's warm-restart cost stays bounded (engaged only
-///   when the baseline recorded a measurable snapshot total);
+/// * the **snapshot** normalized wall-clock (`(snapshot.save +
+///   snapshot.restore) / scratch`) regressed more than
+///   [`SNAPSHOT_REGRESSION`] → fail, so the kill-and-resume leg's
+///   warm-restart cost stays bounded (engaged only when the baseline
+///   recorded a measurable snapshot total);
 /// * the **placement-stage** normalized wall-clock
-///   (`(place + repair) / scratch`) regressed more than
+///   (`(ingest.place + ingest.repair) / scratch`) regressed more than
 ///   [`PLACE_STAGE_REGRESSION`] → fail. The total gate alone cannot catch
 ///   this: on a refinement-heavy leg a 4× placement slowdown hides inside
 ///   the 30% total budget, which is exactly how a serialized speculative
@@ -601,9 +622,9 @@ pub const MIN_LOOKUP_P99_US: f64 = 1.0;
 ///   fail; a sub-floor baseline tail is clamped to [`MIN_LOOKUP_P99_US`]
 ///   rather than silencing the gate;
 /// * with followers on both sides, the **follower replay lag**
-///   (machine-normalized) regressed more than [`REPLAY_REGRESSION`] →
-///   fail, engaged only when the baseline's replay total is at least
-///   [`MIN_STAGE_MS`].
+///   (`follower.replay`, machine-normalized) regressed more than
+///   [`REPLAY_REGRESSION`] → fail, engaged only when the baseline's
+///   replay total is at least [`MIN_STAGE_MS`].
 pub fn check_regression(
     current: &PerfRecord,
     baseline: &PerfRecord,
@@ -668,7 +689,7 @@ pub fn check_regression(
             )
         })
     };
-    let place = |r: &PerfRecord| r.stages.place_ms + r.stages.repair_ms;
+    let place = |r: &PerfRecord| r.span_ms("ingest.place") + r.span_ms("ingest.repair");
     if place(baseline) >= MIN_STAGE_MS && place(current) > 0.0 {
         reasons.extend(band(
             "placement stage (place+repair)",
@@ -678,7 +699,7 @@ pub fn check_regression(
             PLACE_STAGE_REGRESSION,
         ));
     }
-    let snap = |r: &PerfRecord| r.snapshot_save_total_ms + r.snapshot_restore_total_ms;
+    let snap = |r: &PerfRecord| r.span_ms("snapshot.save") + r.span_ms("snapshot.restore");
     if snap(baseline) >= MIN_STAGE_MS && snap(current) > 0.0 {
         reasons.extend(band(
             "snapshot overhead (save+restore)",
@@ -718,16 +739,17 @@ pub fn check_regression(
             LOOKUP_REGRESSION,
         ));
     }
+    let replay = |r: &PerfRecord| r.span_ms("follower.replay");
     if current.spec.followers > 0
         && baseline.spec.followers > 0
-        && baseline.replay_total_ms >= MIN_STAGE_MS
-        && current.replay_total_ms > 0.0
+        && replay(baseline) >= MIN_STAGE_MS
+        && replay(current) > 0.0
     {
         reasons.extend(band(
             "follower replay lag",
             "ms",
-            current.replay_total_ms,
-            baseline.replay_total_ms,
+            replay(current),
+            replay(baseline),
             REPLAY_REGRESSION,
         ));
     }
@@ -823,6 +845,22 @@ mod tests {
     /// (`inc` and `scratch` scaled together) cancels out of every gate;
     /// counts are machine-independent and stay fixed.
     fn record(inc: f64, scratch: f64, eps_ok: bool, locality: f64) -> PerfRecord {
+        let mut spans = BTreeMap::new();
+        for (path, count, share) in [
+            ("ingest", 2, 1.0),
+            ("ingest.validate", 2, 0.05),
+            ("ingest.split", 2, 0.2),
+            ("ingest.place", 2, 0.4),
+            ("ingest.repair", 2, 0.05),
+            ("ingest.commit", 2, 0.1),
+            ("ingest.refine", 2, 0.2),
+            ("ingest.refine.compact", 1, 0.05),
+            ("snapshot.save", 2, 0.1),
+            ("snapshot.restore", 2, 0.15),
+            ("follower.replay", 16, 0.5),
+        ] {
+            add_span(&mut spans, path, count, inc * share);
+        }
         PerfRecord {
             spec: spec(),
             nproc: 2,
@@ -831,23 +869,10 @@ mod tests {
             final_imbalance: 0.048,
             inc_total_ms: inc,
             scratch_total_ms: scratch,
-            stages: StageTimings {
-                validate_ms: inc * 0.05,
-                split_ms: inc * 0.2,
-                place_ms: inc * 0.4,
-                repair_ms: inc * 0.05,
-                commit_ms: inc * 0.1,
-                refine_ms: inc * 0.2,
-            },
             refine_p99_ms: inc * 0.3,
             refine_iters_p50: 8,
             refine_iters_p99: 24,
-            snapshots: 2,
-            snapshot_save_total_ms: inc * 0.1,
-            snapshot_restore_total_ms: inc * 0.15,
             lookup_p99_us: inc * 0.4,
-            replay_batches: 16,
-            replay_total_ms: inc * 0.5,
             counters: [
                 ("core.gd.grad_full_recomputes", 40),
                 ("stream.place.conflicts", 17),
@@ -856,6 +881,7 @@ mod tests {
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
+            spans,
             batches: vec![
                 BatchPerf {
                     batch: 1,
@@ -877,6 +903,11 @@ mod tests {
         }
     }
 
+    /// Sets span `path`'s total in `r` to `ms`.
+    fn set_span_ms(r: &mut PerfRecord, path: &str, ms: f64) {
+        r.spans.entry(path.to_string()).or_default().total_ms = ms;
+    }
+
     #[test]
     fn json_round_trips() {
         let mut r = record(12.5, 750.0, true, 0.61);
@@ -892,33 +923,105 @@ mod tests {
         assert_eq!(parsed.counter("stream.refine.full_scans"), 2);
         assert_eq!(parsed.counter("never.recorded"), 0);
         assert!((parsed.speedup() - 60.0).abs() < 1e-3);
-        assert!((parsed.stages.place_ms - 5.0).abs() < 1e-9);
-        // An empty counters map and batch list still round-trip.
+        // Span totals survive at the record's ms precision, and their
+        // counts exactly.
+        assert_eq!(
+            parsed.spans.keys().collect::<Vec<_>>(),
+            r.spans.keys().collect::<Vec<_>>()
+        );
+        for (path, s) in &r.spans {
+            assert_eq!(parsed.span_count(path), s.count, "{path}");
+            assert!((parsed.span_ms(path) - s.total_ms).abs() < 5e-4, "{path}");
+        }
+        assert!((parsed.span_ms("ingest.place") - 5.0).abs() < 1e-9);
+        assert_eq!(parsed.span_count("follower.replay"), 16);
+        // A path that never ran reads 0 and is not written.
+        let mut unrun = r.clone();
+        unrun.spans.remove("snapshot.save");
+        let parsed = PerfRecord::from_json(&unrun.to_json()).unwrap();
+        assert_eq!(parsed.span_ms("snapshot.save"), 0.0);
+        assert_eq!(parsed.span_count("snapshot.save"), 0);
+        assert_eq!(parsed.span_ms("ingest.refine.gd.pairs"), 0.0);
+        assert!(!parsed.to_json().contains("\"snapshot.save\""));
+        // Empty counters, spans and batch list still round-trip.
         r.counters.clear();
+        r.spans.clear();
         r.batches.clear();
         let text = r.to_json();
         assert_eq!(PerfRecord::from_json(&text).unwrap().to_json(), text);
     }
 
     #[test]
+    fn span_trees_add_up_by_path() {
+        let tree = mdbgp_obs::SpanTree::new();
+        for _ in 0..2 {
+            let _ingest = tree.span("ingest");
+            let _refine = tree.span("refine");
+            drop(tree.span("rebalance"));
+            drop(tree.span("rebalance")); // merges with the first
+        }
+        let root = tree.snapshot().remove(0);
+        let mut spans = BTreeMap::new();
+        add_span_tree(&mut spans, &root);
+        add_span_tree(&mut spans, &root);
+        add_span_tree(&mut spans, &SpanNode::default()); // an empty tree adds nothing
+        add_span(&mut spans, "snapshot.save", 1, 2.5);
+        let counts: Vec<(&str, u64)> = spans.iter().map(|(p, s)| (p.as_str(), s.count)).collect();
+        assert_eq!(
+            counts,
+            [
+                ("ingest", 4),
+                ("ingest.refine", 4),
+                ("ingest.refine.rebalance", 8),
+                ("snapshot.save", 1)
+            ]
+        );
+        assert!((spans["ingest"].total_ms - 2.0 * root.total_ms).abs() < 1e-12);
+    }
+
+    #[test]
     fn parser_rejects_missing_and_malformed_fields() {
         assert!(PerfRecord::from_json("{}").is_err());
         assert!(PerfRecord::from_json("{\"threads\": 1}").is_err());
-        let text = record(10.0, 600.0, true, 0.6).to_json();
-        // Every schema key — top level, spec and batch row — is required:
-        // renaming any one of them is an error that names it. Counter
-        // names (dotted registry names) are data, not schema.
+        let r = record(10.0, 600.0, true, 0.6);
+        let text = r.to_json();
+        // Every schema key — top level, spec, span entry and batch row — is
+        // required: renaming any one of them is an error that names it.
+        // Counter names and span paths are data, not schema.
         let pieces: Vec<&str> = text.split("\":").collect();
         let keys: std::collections::BTreeSet<&str> = pieces[..pieces.len() - 1]
             .iter()
             .map(|p| p.rsplit('"').next().unwrap())
-            .filter(|k| !k.contains('.'))
+            .filter(|k| !k.contains('.') && !r.spans.contains_key(*k))
             .collect();
-        assert_eq!(keys.len(), 23 + 16 + 6, "{keys:?}");
+        assert_eq!(keys.len(), 13 + 16 + 2 + 6, "{keys:?}");
         for key in keys {
             let renamed = text.replace(&format!("\"{key}\":"), &format!("\"{key}_x\":"));
             let err = PerfRecord::from_json(&renamed).unwrap_err();
             assert!(err.contains(&format!("missing \"{key}\"")), "{key}: {err}");
+        }
+        // Without the spans object the record is refused by name.
+        let (head, tail) = text.split_once("  \"spans\": {").unwrap();
+        let (_, tail) = tail.split_once("\n  },\n").unwrap();
+        let err = PerfRecord::from_json(&format!("{head}{tail}")).unwrap_err();
+        assert!(err.contains("missing \"spans\""), "{err}");
+        // A malformed span value is refused naming its path.
+        for (from, to) in [
+            ("\"total_ms\": 4.000", "\"total_ms\": \"x\""),
+            (
+                "\"count\": 2, \"total_ms\": 4.000",
+                "\"count\": 2.5, \"total_ms\": 4.000",
+            ),
+            (
+                "\"total_ms\": 4.000}",
+                "\"total_ms\": 4.000, \"mean_ms\": 2}",
+            ),
+            ("{\"count\": 2, \"total_ms\": 4.000}", "4.000"),
+        ] {
+            let corrupted = text.replacen(from, to, 1);
+            assert_ne!(corrupted, text, "{from}");
+            let err = PerfRecord::from_json(&corrupted).unwrap_err();
+            assert!(err.contains("span \"ingest.place\""), "{to}: {err}");
         }
         // Malformed values and unknown keys are errors too.
         let corrupted = text.replace("\"threads\": 1", "\"threads\": \"x\"");
@@ -932,10 +1035,13 @@ mod tests {
         assert!(PerfRecord::from_json(&corrupted)
             .unwrap_err()
             .contains("spiky"));
-        let extra = text.replace("\"nproc\"", "\"legacy_key\": 0,\n  \"nproc\"");
-        assert!(PerfRecord::from_json(&extra)
-            .unwrap_err()
-            .contains("unknown key \"legacy_key\""));
+        // Each of the per-stage keys the spans replaced is now unknown, so
+        // a record of the old schema cannot load.
+        for old in ["place_total_ms", "snapshots", "replay_total_ms"] {
+            let extra = text.replace("\"nproc\"", &format!("\"{old}\": 0,\n  \"nproc\""));
+            let err = PerfRecord::from_json(&extra).unwrap_err();
+            assert!(err.contains(&format!("unknown key \"{old}\"")), "{err}");
+        }
     }
 
     /// `r`'s JSON without the lines holding any of `keys` (none may be the
@@ -989,60 +1095,6 @@ mod tests {
         // defaulting to an add-only run; a malformed churn is an error.
         assert_refused_without(&r, &["churn"]);
         assert_malformed_rejected(&r, "churn");
-    }
-
-    #[test]
-    fn pipeline_fields_round_trip_and_default_on_legacy_baselines() {
-        let mut r = record(12.5, 750.0, true, 0.61);
-        r.counters.insert("stream.place.repair_passes".into(), 3);
-        let parsed = PerfRecord::from_json(&r.to_json()).unwrap();
-        assert!((parsed.stages.place_ms - 5.0).abs() < 1e-9);
-        assert!((parsed.stages.repair_ms - 0.625).abs() < 1e-9);
-        assert_eq!(parsed.counter("stream.place.conflicts"), 17);
-        assert_eq!(parsed.counter("stream.place.repair_passes"), 3);
-        assert_eq!(parsed.counter("stream.refine.full_scans"), 2);
-        // A legacy baseline without stage totals is refused; pipeline
-        // counters the registry never recorded read 0.
-        assert_refused_without(
-            &r,
-            &[
-                "validate_total_ms",
-                "split_total_ms",
-                "place_total_ms",
-                "repair_total_ms",
-                "commit_total_ms",
-                "refine_total_ms",
-            ],
-        );
-        assert_uncounted_read_zero(
-            &r,
-            &[
-                "stream.place.conflicts",
-                "stream.place.repair_passes",
-                "stream.refine.full_scans",
-            ],
-        );
-        assert_malformed_rejected(&r, "place_total_ms");
-        assert_malformed_rejected(&r, "stream.place.conflicts");
-    }
-
-    #[test]
-    fn snapshot_fields_round_trip_and_default_on_v2_baselines() {
-        let r = record(12.5, 750.0, true, 0.61);
-        let parsed = PerfRecord::from_json(&r.to_json()).unwrap();
-        assert!((parsed.snapshot_save_total_ms - 1.25).abs() < 1e-9);
-        assert!((parsed.snapshot_restore_total_ms - 1.875).abs() < 1e-9);
-        assert_eq!(parsed.snapshots, 2);
-        assert_eq!(parsed.spec.snapshot_every, 3);
-        let keys = [
-            "snapshot_every",
-            "snapshots",
-            "snapshot_save_total_ms",
-            "snapshot_restore_total_ms",
-        ];
-        assert_refused_without(&r, &keys[1..]);
-        assert_refused_without(&r, &keys);
-        assert_malformed_rejected(&r, "snapshot_save_total_ms");
     }
 
     #[test]
@@ -1116,24 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_fields_round_trip_and_default_on_v7_baselines() {
-        let mut r = record(12.5, 750.0, true, 0.61);
-        r.counters.insert("stream.log.bytes".into(), 8192);
-        r.counters.insert("stream.log.rotations".into(), 2);
-        let parsed = PerfRecord::from_json(&r.to_json()).unwrap();
-        assert!((parsed.replay_total_ms - 6.25).abs() < 1e-9);
-        assert_eq!(parsed.replay_batches, 16);
-        assert_eq!(parsed.spec.followers, 2);
-        assert_eq!(parsed.spec.rotate_every, 4);
-        assert_eq!(parsed.counter("stream.log.bytes"), 8192);
-        assert_eq!(parsed.counter("stream.log.rotations"), 2);
-        assert_refused_without(&r, &["replay_total_ms", "replay_batches", "followers"]);
-        assert_uncounted_read_zero(&r, &["stream.log.bytes", "stream.log.rotations"]);
-        assert_malformed_rejected(&r, "replay_total_ms");
-        assert_malformed_rejected(&r, "followers");
-    }
-
-    #[test]
     fn committed_baselines_are_canonical_records() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         for leg in [
@@ -1190,7 +1224,7 @@ mod tests {
                                                     // alone blew up ~3.7x — exactly the shape of a serialized
                                                     // speculative fan-out on a refinement-heavy leg.
         let mut slow_place = record(12.0, 600.0, true, 0.60);
-        slow_place.stages.place_ms = 16.0;
+        set_span_ms(&mut slow_place, "ingest.place", 16.0);
         assert!(check_regression(&slow_place, &base, 0.30)
             .unwrap_err()
             .contains("placement stage (place+repair) regressed"));
@@ -1198,11 +1232,11 @@ mod tests {
         // totals and the scratch denominator together.
         let slow_machine = record(30.0, 1800.0, true, 0.60);
         assert!(check_regression(&slow_machine, &base, 0.30).is_ok());
-        // A baseline whose placement stage is under the floor (zero
-        // stage totals) skips the stage gate.
+        // A baseline whose placement stage is under the floor (spans
+        // that never ran) skips the stage gate.
         let mut untimed = record(10.0, 600.0, true, 0.60);
-        untimed.stages.place_ms = 0.0;
-        untimed.stages.repair_ms = 0.0;
+        untimed.spans.remove("ingest.place");
+        untimed.spans.remove("ingest.repair");
         assert!(check_regression(&slow_place, &untimed, 0.30).is_ok());
     }
 
@@ -1210,8 +1244,8 @@ mod tests {
     fn gate_catches_snapshot_overhead_regression() {
         let base = record(10.0, 600.0, true, 0.60); // save+restore = 2.5 ms
         let mut bloated = record(10.0, 600.0, true, 0.60);
-        bloated.snapshot_save_total_ms = 4.0;
-        bloated.snapshot_restore_total_ms = 3.0; // 7.0 ms, 2.8x the baseline
+        set_span_ms(&mut bloated, "snapshot.save", 4.0);
+        set_span_ms(&mut bloated, "snapshot.restore", 3.0); // 7.0 ms, 2.8x the baseline
         let err = check_regression(&bloated, &base, 0.30).unwrap_err();
         assert!(
             err.contains("snapshot overhead (save+restore) regressed"),
@@ -1219,18 +1253,17 @@ mod tests {
         );
         // Inside the 2x band passes.
         let mut ok = record(10.0, 600.0, true, 0.60);
-        ok.snapshot_save_total_ms = 2.0;
-        ok.snapshot_restore_total_ms = 2.0;
+        set_span_ms(&mut ok, "snapshot.save", 2.0);
+        set_span_ms(&mut ok, "snapshot.restore", 2.0);
         assert!(check_regression(&ok, &base, 0.30).is_ok());
         // Machine speed cancels out: 3x slower machine scales everything.
         let slow_machine = record(30.0, 1800.0, true, 0.60);
         assert!(check_regression(&slow_machine, &base, 0.30).is_ok());
-        // A snapshot-free current run (totals 0) skips the gate, as does a
-        // baseline whose totals are under the measurement floor.
+        // A snapshot-free current run (no snapshot spans) skips the gate,
+        // as does a baseline whose totals are under the measurement floor.
         let mut snapless = record(10.0, 600.0, true, 0.60);
-        snapless.snapshot_save_total_ms = 0.0;
-        snapless.snapshot_restore_total_ms = 0.0;
-        snapless.snapshots = 0;
+        snapless.spans.remove("snapshot.save");
+        snapless.spans.remove("snapshot.restore");
         assert!(check_regression(&snapless, &base, 0.30).is_ok());
         assert!(check_regression(&bloated, &snapless, 0.30).is_ok());
     }
@@ -1373,14 +1406,14 @@ mod tests {
 
     #[test]
     fn gate_catches_replay_lag_regression() {
-        let base = record(10.0, 600.0, true, 0.60); // replay_total = 5.0 ms
+        let base = record(10.0, 600.0, true, 0.60); // follower.replay = 5.0 ms
         let mut lagging = record(10.0, 600.0, true, 0.60);
-        lagging.replay_total_ms = 15.0; // 3x the baseline, past the 2x band
+        set_span_ms(&mut lagging, "follower.replay", 15.0); // 3x the baseline, past the 2x band
         let err = check_regression(&lagging, &base, 0.30).unwrap_err();
         assert!(err.contains("follower replay lag regressed"), "{err}");
         // Inside the 2x band passes.
         let mut ok = record(10.0, 600.0, true, 0.60);
-        ok.replay_total_ms = 9.0;
+        set_span_ms(&mut ok, "follower.replay", 9.0);
         assert!(check_regression(&ok, &base, 0.30).is_ok());
         // Machine speed cancels: a 3x slower machine scales replay and
         // the scratch denominator together.
@@ -1401,7 +1434,7 @@ mod tests {
         assert!(err.contains("followers (3 vs 2)"), "{err}");
         // A sub-floor baseline replay total disarms the lag band.
         let mut tiny = record(10.0, 600.0, true, 0.60);
-        tiny.replay_total_ms = 0.4;
+        set_span_ms(&mut tiny, "follower.replay", 0.4);
         assert!(check_regression(&lagging, &tiny, 0.30).is_ok());
     }
 

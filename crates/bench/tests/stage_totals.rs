@@ -1,9 +1,10 @@
 //! `stream_online` end to end. In its serving and replication modes it
-//! records real per-stage totals: a short drifting, churning run with
-//! readers, and one with followers, each writes a perf record whose split
-//! and refine totals are the sums of its batches' stage timings, not
-//! zeros. And it refuses what it cannot run faithfully: a misspelled flag,
-//! or a mode combination no CI leg runs.
+//! records real span totals: a short drifting, churning, purging run with
+//! readers, and one with followers, each writes a perf record whose span
+//! paths reach down to the refinement kernels and the compaction, and
+//! whose every path holds at least what its direct children add up to.
+//! And it refuses what it cannot run faithfully: a misspelled flag, or a
+//! mode combination no CI leg runs.
 
 use mdbgp_bench::perfgate::PerfRecord;
 use std::process::Command;
@@ -61,14 +62,40 @@ fn record(tag: &str, extra: &[&str]) -> PerfRecord {
 }
 
 fn assert_stage_totals(tag: &str, r: &PerfRecord) {
-    assert!(r.stages.split_ms > 0.0, "{tag}: split_total_ms is zero");
-    assert!(r.stages.refine_ms > 0.0, "{tag}: refine_total_ms is zero");
-    let stages = r.stages.total_ms();
+    let batches = r.spec.batches as u64;
+    for path in [
+        "ingest",
+        "ingest.split",
+        "ingest.refine",
+        "ingest.refine.gd.gather",
+        "ingest.refine.gd.pairs",
+        "ingest.refine.compact",
+    ] {
+        assert!(r.span_ms(path) > 0.0, "{tag}: {path} never ran");
+    }
+    assert_eq!(r.span_count("ingest"), batches, "{tag}");
+    assert_eq!(r.span_count("ingest.refine"), batches, "{tag}");
     assert!(
-        stages <= r.inc_total_ms,
-        "{tag}: stage totals {stages} ms exceed the ingest wall-clock {} ms",
+        r.span_ms("ingest") <= r.inc_total_ms,
+        "{tag}: the ingest span {} ms exceeds the ingest wall-clock {} ms",
+        r.span_ms("ingest"),
         r.inc_total_ms
     );
+    // Children run inside their parent, so they add up to at most its
+    // total, up to the record's rounding to 0.001 ms per value.
+    for (path, stat) in &r.spans {
+        let children: Vec<f64> = (r.spans.iter())
+            .filter(|(p, _)| p.rsplit_once('.').is_some_and(|(up, _)| up == path))
+            .map(|(_, s)| s.total_ms)
+            .collect();
+        let sum: f64 = children.iter().sum();
+        let slack = 0.0005 * (children.len() + 1) as f64;
+        assert!(
+            sum <= stat.total_ms + slack,
+            "{tag}: the children of {path} add up to {sum} ms, more than its {} ms",
+            stat.total_ms
+        );
+    }
 }
 
 #[test]
@@ -76,13 +103,16 @@ fn serve_bench_records_stage_totals() {
     let r = record("serve", &["--readers", "1"]);
     assert_eq!(r.spec.readers, 1);
     assert_stage_totals("--readers 1", &r);
+    assert_eq!(r.span_count("follower.replay"), 0);
 }
 
 #[test]
 fn replicate_bench_records_the_leaders_stage_totals() {
     let r = record("replicate", &["--followers", "1", "--rotate-every", "3"]);
     assert_eq!(r.spec.followers, 1);
-    assert_eq!(r.replay_batches, 6);
+    // One replay call per follower per record.
+    assert_eq!(r.span_count("follower.replay"), 6);
+    assert!(r.span_ms("follower.replay") > 0.0);
     assert_stage_totals("--followers 1", &r);
 }
 

@@ -175,22 +175,20 @@ pub enum GdExit {
 /// who gets *stepped*, never gradient correctness.
 pub const FRONTIER_TOL: f64 = 1e-6;
 
-/// Length cap of the [`GdRunStats::grad_norms`] trace.
-pub const GRAD_TRACE_CAP: usize = 64;
-
-/// Convergence trace of one GD run — always collected (cheap: one norm per
-/// iteration, already computed for the step schedule), so the observability
-/// layer can report iteration-count histograms and gradient-norm decay
-/// without `track_history`'s per-iteration locality scans.
+/// Convergence statistics of one GD run — always collected (cheap: one
+/// norm per iteration, already computed for the step schedule), so the
+/// observability layer can report iteration-count histograms and
+/// gradient-norm decay without `track_history`'s per-iteration locality
+/// scans.
 ///
 /// # Example
 ///
 /// Every executed gradient evaluation is either a full mat-vec or a
-/// sparse diff sweep, iteration 0 is always full, and the gradient-norm
-/// trace never outgrows its cap:
+/// sparse diff sweep, iteration 0 is always full, and a run that stepped
+/// reports the gradient norm it started from:
 ///
 /// ```
-/// use mdbgp_core::{bipartition_warm, GdConfig, SplitTarget, WarmStart, GRAD_TRACE_CAP};
+/// use mdbgp_core::{bipartition_warm, GdConfig, SplitTarget, WarmStart};
 /// use mdbgp_graph::{gen, VertexWeights};
 ///
 /// let g = gen::two_cliques(20, 2);
@@ -205,22 +203,19 @@ pub const GRAD_TRACE_CAP: usize = 64;
 /// let s = &res.stats;
 /// assert!(s.full_recomputes >= 1, "iteration 0 always pays a full mat-vec");
 /// assert!(s.full_recomputes + s.delta_iterations >= s.iterations);
-/// assert!(s.grad_norms.len() <= GRAD_TRACE_CAP);
+/// assert!(s.iterations > 0 && s.first_grad_norm > 0.0);
 /// assert!(s.frontier_peak * s.iterations >= s.frontier_sum);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GdRunStats {
     /// Gradient iterations actually executed.
     pub iterations: usize,
-    /// Decimated `‖∇f‖₂` trace over the active frontier.
-    ///
-    /// **Contract:** at most [`GRAD_TRACE_CAP`] entries, in iteration
-    /// order. The first entry is always iteration 0's norm and the last
-    /// entry is always the final executed iteration's norm; the middle is
-    /// thinned to every `2^k`-th iteration once a run outgrows the cap
-    /// (long refines used to grow this vector unboundedly). Consumers may
-    /// rely on `first()`/`last()` but not on a 1:1 iteration mapping.
-    pub grad_norms: Vec<f64>,
+    /// `‖∇f‖₂` over the active frontier at the first executed iteration
+    /// (0 when [`Self::iterations`] is 0).
+    pub first_grad_norm: f64,
+    /// `‖∇f‖₂` over the active frontier at the last executed iteration
+    /// (0 when [`Self::iterations`] is 0).
+    pub last_grad_norm: f64,
     /// Why the run stopped.
     pub exit: GdExit,
     /// Full `A·z` mat-vec evaluations (iteration 0, every
@@ -242,58 +237,6 @@ pub struct GdRunStats {
     /// a full recompute, measured only when [`GdConfig::grad_check`] is on
     /// (0.0 otherwise). The equivalence harness pins this below `1e-9`.
     pub grad_drift_max: f64,
-}
-
-/// Streaming decimator behind the [`GdRunStats::grad_norms`] contract:
-/// samples every `2^k`-th iteration, doubling `k` whenever the buffer
-/// would outgrow [`GRAD_TRACE_CAP`] (halving it by dropping odd-index
-/// samples — index 0 survives every halving), and splices the final norm
-/// back in at `finish` so `last()` is always the last executed iteration.
-struct GradTrace {
-    samples: Vec<f64>,
-    stride: usize,
-    count: usize,
-    last: f64,
-}
-
-impl GradTrace {
-    fn new() -> Self {
-        Self {
-            samples: Vec::new(),
-            stride: 1,
-            count: 0,
-            last: 0.0,
-        }
-    }
-
-    fn push(&mut self, norm: f64) {
-        self.last = norm;
-        if self.count.is_multiple_of(self.stride) {
-            if self.samples.len() == GRAD_TRACE_CAP {
-                let mut i = 0usize;
-                self.samples.retain(|_| {
-                    let keep = i.is_multiple_of(2);
-                    i += 1;
-                    keep
-                });
-                self.stride *= 2;
-            }
-            if self.count.is_multiple_of(self.stride) {
-                self.samples.push(norm);
-            }
-        }
-        self.count += 1;
-    }
-
-    fn finish(mut self) -> Vec<f64> {
-        if self.count > 0 && self.samples.last().copied() != Some(self.last) {
-            if self.samples.len() >= GRAD_TRACE_CAP {
-                self.samples.pop();
-            }
-            self.samples.push(self.last);
-        }
-        self.samples
-    }
 }
 
 /// Reusable iterate storage for the GD loop — a flat SoA layout (one
@@ -690,7 +633,6 @@ fn bipartition_impl(
     let mut reduced = region.restrict(&active.free, &active.fixed_dot);
     let mut history = Vec::new();
     let mut stats = GdRunStats::default();
-    let mut trace = GradTrace::new();
 
     // The schedule is sized by the whole problem, eliminated vertices
     // included, so a reduced solve steps like the problem it stands for.
@@ -829,8 +771,11 @@ fn bipartition_impl(
             .map(|&v| ws.grad[v as usize] * ws.grad[v as usize])
             .sum::<f64>()
             .sqrt();
+        if stats.iterations == 0 {
+            stats.first_grad_norm = grad_front_norm;
+        }
         stats.iterations = t + 1;
-        trace.push(grad_front_norm);
+        stats.last_grad_norm = grad_front_norm;
 
         // Frontier-restricted region: dormant free vertices hold their
         // position, so their weight mass folds into the slab shift exactly
@@ -972,7 +917,6 @@ fn bipartition_impl(
             break;
         }
     }
-    stats.grad_norms = trace.finish();
 
     // Final feasibility clean-up on the free variables (paper §3.1: "in the
     // last iterations we run the alternating projections method until
@@ -1299,28 +1243,6 @@ mod tests {
         let res = bipartition_warm(&g, &w, &cfg_full, &SplitTarget::half(0.05), &warm, 2).unwrap();
         assert_eq!(res.stats.delta_iterations, 0);
         assert!(res.stats.full_recomputes >= res.stats.iterations);
-    }
-
-    #[test]
-    fn grad_trace_is_capped_and_keeps_endpoints() {
-        let mut trace = GradTrace::new();
-        for i in 0..500 {
-            trace.push(i as f64);
-        }
-        let samples = trace.finish();
-        assert!(samples.len() <= GRAD_TRACE_CAP, "len {}", samples.len());
-        assert_eq!(samples[0], 0.0, "first iteration always survives");
-        assert_eq!(*samples.last().unwrap(), 499.0, "last iteration restored");
-        // Short runs are recorded 1:1.
-        let mut short = GradTrace::new();
-        for i in 0..10 {
-            short.push(i as f64);
-        }
-        assert_eq!(
-            short.finish(),
-            (0..10).map(|i| i as f64).collect::<Vec<_>>()
-        );
-        assert!(GradTrace::new().finish().is_empty());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use config::{GdConfig, NoiseSchedule, ProjectionMethod, StepSchedule};
 pub use feasible::FeasibleRegion;
 pub use gd::{
     bipartition, bipartition_warm, bipartition_warm_with, BipartitionResult, Eliminated, GdExit,
-    GdRunStats, GdWorkspace, IterationRecord, SplitTarget, WarmStart, FRONTIER_TOL, GRAD_TRACE_CAP,
+    GdRunStats, GdWorkspace, IterationRecord, SplitTarget, WarmStart, FRONTIER_TOL,
 };
 pub use incremental::{ActiveAdjacency, PairOutcome, PairProblem, PairRefinement, PairRound};
 pub use kway::KWayGdPartitioner;

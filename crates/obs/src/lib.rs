@@ -188,6 +188,21 @@ impl SpanNode {
             .map(|c| c.total_ms)
             .unwrap_or(0.0)
     }
+
+    /// Calls `f` on every node of the tree with its dotted path
+    /// (`ingest.refine.gd`), parents before children. A default (unnamed)
+    /// node visits nothing.
+    pub fn visit(&self, f: &mut impl FnMut(&str, &SpanNode)) {
+        fn walk(node: &SpanNode, path: String, f: &mut impl FnMut(&str, &SpanNode)) {
+            f(&path, node);
+            for child in &node.children {
+                walk(child, format!("{path}.{}", child.name), f);
+            }
+        }
+        if !self.name.is_empty() {
+            walk(self, self.name.to_string(), f);
+        }
+    }
 }
 
 struct RawNode {
@@ -439,30 +454,18 @@ impl MetricsRegistry {
     /// feeds each node's per-activation mean into the `span.<path>_us`
     /// latency histogram.
     pub fn absorb_spans(&mut self, root: &SpanNode) {
-        if root.name.is_empty() {
-            return;
-        }
-        fn walk(reg: &mut MetricsRegistry, node: &SpanNode, prefix: &str) {
-            let path = if prefix.is_empty() {
-                node.name.to_string()
-            } else {
-                format!("{prefix}.{}", node.name)
-            };
-            let stat = reg.spans.entry(path.clone()).or_default();
+        root.visit(&mut |path, node| {
+            let stat = self.spans.entry(path.to_string()).or_default();
             stat.count += node.count;
             stat.total_ms += node.total_ms;
             if node.count > 0 {
                 let mean_us = (node.total_ms / node.count as f64 * 1e3).round().max(0.0) as u64;
                 let hist_name = format!("span.{path}_us");
                 for _ in 0..node.count {
-                    reg.observe(&hist_name, mean_us);
+                    self.observe(&hist_name, mean_us);
                 }
             }
-            for child in &node.children {
-                walk(reg, child, &path);
-            }
-        }
-        walk(self, root, "");
+        });
     }
 
     pub fn journal_event(&mut self, event: &'static str, fields: &[(&'static str, f64)]) {

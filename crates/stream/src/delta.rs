@@ -13,11 +13,13 @@ use mdbgp_graph::VertexId;
 /// One stream event.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StreamUpdate {
-    /// A new vertex arrives. It receives the next free id (the id-space
-    /// size at application time — removed ids are not recycled until a
-    /// purge), carries one weight per balance dimension, and lists its
-    /// edges to already-present vertices (out-of-range, duplicate or
-    /// removed endpoints are ignored).
+    /// A new vertex arrives. It receives the most recently removed id
+    /// still awaiting a purge (the free list is recycled LIFO) or, when
+    /// there is none, the id-space size at application time; the id it got
+    /// is reported in [`crate::engine::BatchReport::arrival_ids`]. It
+    /// carries one weight per balance dimension and lists its edges to
+    /// already-present vertices (out-of-range, duplicate or removed
+    /// endpoints are ignored).
     AddVertex {
         weights: Vec<f64>,
         neighbors: Vec<VertexId>,

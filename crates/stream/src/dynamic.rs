@@ -490,23 +490,6 @@ impl DynamicGraph {
         remap
     }
 
-    /// Compacts if needed and returns the full CSR view — the entry point
-    /// for refinement, which runs the GD kernels on plain CSR.
-    ///
-    /// # Panics
-    /// Panics if tombstoned vertices are pending: the compaction would
-    /// remap ids and this accessor has no way to hand the map back. Call
-    /// [`Self::compact`] and apply the remap instead.
-    pub fn compacted_csr(&mut self) -> &Graph {
-        assert!(
-            self.free.is_empty(),
-            "tombstoned vertices pending: call compact() and apply the returned id remap"
-        );
-        let remap = self.compact();
-        debug_assert!(remap.is_none());
-        &self.base
-    }
-
     /// The base CSR *without* compacting: misses delta edges (and still
     /// carries tombstoned ones) unless [`Self::compact`] ran since the
     /// last mutation. Use [`Self::compact`] + this unless a prior
@@ -836,7 +819,7 @@ mod tests {
         let before = dg.snapshot();
         assert!(dg.compact().is_none(), "no dead vertices, no remap");
         assert_eq!(dg.delta_edge_count(), 0);
-        assert_eq!(dg.compacted_csr(), &before);
+        assert_eq!(dg.csr(), &before);
         assert_eq!(dg.num_edges(), 5);
     }
 
@@ -989,14 +972,6 @@ mod tests {
         dg.compact().expect("remap");
         assert_eq!(&live, dg.csr());
         assert_eq!(live_w.total(0), dg.weights().total(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "tombstoned")]
-    fn compacted_csr_rejects_pending_dead_vertices() {
-        let mut dg = seeded();
-        dg.remove_vertex(0);
-        dg.compacted_csr();
     }
 
     #[test]

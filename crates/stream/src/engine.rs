@@ -40,9 +40,13 @@
 //!    log carries the leader's pass instead, and its moves are applied
 //!    without running one ([`StreamingPartitioner::ingest`]).
 //!
-//! Per-stage wall-clocks are reported in [`BatchReport::timings`];
-//! placement conflicts and repair passes land in both the report and the
-//! engine's [`MetricsRegistry`], the one store of its counters. The
+//! Per-stage wall-clocks are reported as a span tree in
+//! [`BatchReport::spans`] and totalled by dotted path in the engine's
+//! [`MetricsRegistry`]; a compaction is its own `compact` span, under
+//! `refine` in ingest and a root of its own on
+//! [`StreamingPartitioner::purge`]. Placement conflicts and repair passes
+//! land in both the report and the registry, the one store of the
+//! engine's counters. The
 //! registry is not part of a snapshot: a restored engine's counters start
 //! from zero.
 //!
@@ -59,7 +63,7 @@
 use crate::delta::{RefinePass, StreamUpdate, UpdateBatch};
 use crate::dynamic::DynamicGraph;
 use crate::pipeline::{
-    conflict_repair, speculative_place, DeferredEffect, PendingArrival, SplitOutcome, StageTimings,
+    conflict_repair, speculative_place, DeferredEffect, PendingArrival, SplitOutcome,
 };
 use crate::store::PartitionStore;
 use crate::TOMBSTONE;
@@ -220,11 +224,10 @@ impl StreamConfig {
 
 /// Per-batch outcome returned by [`StreamingPartitioner::ingest`].
 ///
-/// Equality **intentionally ignores** [`Self::spans`] (and therefore the
-/// [`Self::timings`] view over it): wall-clocks are measurement, never
-/// reproducible, while everything else is outcome — so tests can assert
-/// that two engines — e.g. `threads = 1` vs `threads = 4` — produced
-/// semantically identical batches. A unit test
+/// Equality **intentionally ignores** [`Self::spans`]: wall-clocks are
+/// measurement, never reproducible, while everything else is outcome — so
+/// tests can assert that two engines — e.g. `threads = 1` vs
+/// `threads = 4` — produced semantically identical batches. A unit test
 /// (`batch_report_equality_ignores_spans`) pins this contract.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
@@ -275,15 +278,6 @@ pub struct BatchReport {
     /// `"ingest"` node with one child per pipeline stage and the
     /// refinement sub-spans nested under `"refine"`.
     pub spans: SpanNode,
-}
-
-impl BatchReport {
-    /// Per-stage wall-clocks of this ingest — a view derived from
-    /// [`Self::spans`], so the flat timings and the span tree can never
-    /// drift apart.
-    pub fn timings(&self) -> StageTimings {
-        StageTimings::from_spans(&self.spans)
-    }
 }
 
 impl PartialEq for BatchReport {
@@ -559,9 +553,19 @@ impl StreamingPartitioner {
         &mut self.obs
     }
 
-    /// Pulls the externally-maintained monotone counters (store) and the
-    /// live balance gauges into the registry so dumps are current.
+    /// Pulls the externally-maintained monotone counters (store), the live
+    /// balance gauges and the compaction wall-clock into the registry so
+    /// dumps are current.
     fn sync_store_metrics(&mut self) {
+        // Lifetime compaction wall-clock, mirrored from the two `compact`
+        // spans under the gauge name perf tooling reads although the merge
+        // is serial. A `_ms` gauge, so it stays out of the deterministic
+        // dump subset the CI thread-count diff compares.
+        let compact = ["ingest.refine.compact", "compact"].map(|p| self.obs.span_stat(p));
+        if compact.iter().any(Option::is_some) {
+            let ms = compact.iter().flatten().map(|s| s.total_ms).sum();
+            self.obs.gauge_set("stream.compact.parallel_ms", ms);
+        }
         self.obs
             .counter_set("stream.store.lookups", self.store.lookup_count());
         self.obs
@@ -622,7 +626,14 @@ impl StreamingPartitioner {
     /// old→new id map if ids changed. After this, [`Self::partition`] is
     /// safe to call again.
     pub fn purge(&mut self) -> Option<Vec<VertexId>> {
-        self.compact_graph();
+        let spans = SpanTree::new();
+        {
+            let _root = spans.span("compact");
+            self.compact_graph();
+        }
+        for root in spans.snapshot() {
+            self.obs.absorb_spans(&root);
+        }
         // The purge renumbered the id space out-of-band of any batch:
         // publish immediately so readers never pin a pre-purge assignment
         // longer than necessary (the view carries the same map).
@@ -910,6 +921,9 @@ impl StreamingPartitioner {
     /// [`Self::pending_remap`] for the next published view. Runs only when
     /// ingest finds the churn outgrew [`StreamConfig::compact_slack`] and
     /// on an explicit [`Self::purge`] — never inside a refinement pass.
+    /// Both callers time it as a `compact` span, which
+    /// [`Self::sync_store_metrics`] mirrors into
+    /// `stream.compact.parallel_ms`.
     fn compact_graph(&mut self) {
         // Count every compaction that actually merges (the slack trigger
         // and `purge` both land here), so `stream.compact.purges` stays a
@@ -921,28 +935,12 @@ impl StreamingPartitioner {
         if will_merge {
             self.obs.counter_add("stream.compact.merges", 1);
         }
-        // Lifetime wall-clock of the delta-merge (and, on purges, the
-        // remap application), under the name perf records read although
-        // the merge is serial. A `_ms` gauge, so it stays out of the
-        // deterministic dump subset the CI thread-count diff compares.
-        let compact_start = Instant::now();
-        let record_compact_ms = |obs: &mut MetricsRegistry, start: Instant| {
-            let cur = obs.gauge("stream.compact.parallel_ms").unwrap_or(0.0);
-            obs.gauge_set(
-                "stream.compact.parallel_ms",
-                cur + start.elapsed().as_secs_f64() * 1e3,
-            );
-        };
         let Some(map) = self.graph.compact() else {
-            if will_merge {
-                record_compact_ms(&mut self.obs, compact_start);
-            }
             return;
         };
         let n_new = self.graph.num_vertices();
         self.dirty.remap(&map, n_new);
         self.store.apply_remap(&map, self.graph.weights());
-        record_compact_ms(&mut self.obs, compact_start);
         self.id_epoch += 1;
         self.obs.counter_add("stream.compact.purges", 1);
         self.obs.journal_event(
@@ -1171,6 +1169,7 @@ impl StreamingPartitioner {
         let refine_pass = {
             let _s = spans.span("refine");
             if self.graph.needs_compaction(self.cfg.compact_slack) {
+                let _s = spans.span("compact");
                 self.compact_graph(); // counts itself in stream.compact.merges
             }
             match &batch.decision {
@@ -1717,9 +1716,8 @@ impl StreamingPartitioner {
                     PairOutcome::Unreachable => "core.gd.pairs_unreachable",
                 };
                 self.obs.counter_add(outcome_counter, 1);
-                if let (Some(&first), Some(&last)) =
-                    (outcome.gd.grad_norms.first(), outcome.gd.grad_norms.last())
-                {
+                if outcome.gd.iterations > 0 {
+                    let (first, last) = (outcome.gd.first_grad_norm, outcome.gd.last_grad_norm);
                     self.obs.gauge_set("core.gd.last_grad_norm_first", first);
                     self.obs.gauge_set("core.gd.last_grad_norm_last", last);
                     if first > 0.0 {
@@ -2696,6 +2694,18 @@ mod tests {
         let mut benign = UpdateBatch::new();
         benign.add_edge(0, 1);
         assert!(sp.ingest(&benign).unwrap().remap.is_none());
+        // The slack-triggered purge is timed as a `compact` span under
+        // `refine`, an explicit purge as a root `compact` span, and the
+        // compaction gauge mirrors the two.
+        assert!(sp.purge().is_none());
+        let m = sp.metrics();
+        let stat = |path| m.span_stat(path).expect("compaction timed");
+        let (ingest, explicit) = (stat("ingest.refine.compact"), stat("compact"));
+        assert_eq!((ingest.count, explicit.count), (1, 1));
+        assert_eq!(
+            m.gauge("stream.compact.parallel_ms"),
+            Some(ingest.total_ms + explicit.total_ms)
+        );
     }
 
     #[test]
@@ -2989,13 +2999,13 @@ mod tests {
         b.vertices_added += 1;
         assert_ne!(a, b);
 
-        // The timings() view is derived from the span children, so the
-        // legacy per-stage accessors keep working on top of the tree.
-        let timings = a.timings();
-        assert!((timings.validate_ms - a.spans.child_ms("validate")).abs() < 1e-12);
-        assert!((timings.place_ms - a.spans.child_ms("place")).abs() < 1e-12);
-        assert!((timings.refine_ms - a.spans.child_ms("refine")).abs() < 1e-12);
+        // The tree has one child per stage, in pipeline order.
         assert_eq!(a.spans.name, "ingest");
+        let stages: Vec<&str> = a.spans.children.iter().map(|c| c.name).collect();
+        assert_eq!(
+            stages,
+            ["validate", "split", "place", "repair", "commit", "refine"]
+        );
         assert!(
             a.spans.child_ms("commit") > 0.0,
             "commit stage must be timed"

@@ -69,9 +69,9 @@
 //! ## Batch lifecycle
 //!
 //! [`StreamingPartitioner::ingest`] runs every batch through six named
-//! stages, each timed by an RAII span (the tree lands in
-//! [`BatchReport::spans`]; [`BatchReport::timings`] is the flat per-stage
-//! view over it):
+//! stages, each timed by an RAII span; the tree lands in
+//! [`BatchReport::spans`] and the registry's `spans` section totals it by
+//! dotted path (`ingest.place`, `ingest.refine.gd.pairs`, …):
 //!
 //! 1. **validate** — the whole batch is checked up front, including a
 //!    simulation of the vertex ids the batch itself will create or recycle,
@@ -100,10 +100,11 @@
 //! 5. **commit** — assignments land serially in the [`PartitionStore`]
 //!    and the edge accounting deferred by the split stage settles against
 //!    the final parts.
-//! 6. **refine** — compaction only when churn outgrew the slack, the
-//!    drift check, and (when triggered) rebalance + warm-started pairwise
-//!    GD. The refinement pass never compacts: it reads the graph through
-//!    the overlay, skips tombstoned ids, and does work in proportion to
+//! 6. **refine** — compaction (its own `compact` span) only when churn
+//!    outgrew the slack, the drift check, and (when triggered) a
+//!    rebalance plus warm-started pairwise GD. The refinement pass never
+//!    compacts: it reads the graph through the overlay, skips tombstoned
+//!    ids, and does work in proportion to
 //!    the *active set* — the dirty vertices plus their 1-hop halo. The
 //!    active set's adjacency is read once, into a gather
 //!    ([`mdbgp_core::ActiveAdjacency`]) that the pairs are ranked from and
@@ -132,8 +133,8 @@
 //!
 //! | piece | serialized verbatim | rebuilt on load |
 //! |---|---|---|
-//! | [`DynamicGraph`] | base CSR, delta, edge/vertex tombstones, **free list**, weight rows + live totals | — |
-//! | [`PartitionStore`] | assignments, per-(part, dim) loads, live totals, edge counters | part sizes |
+//! | [`DynamicGraph`] | base CSR, its removed-slot bits, delta, **free list**, weight rows + live totals | edge counts, dead mask |
+//! | [`PartitionStore`] | assignments, per-(part, dim) loads, live totals | part sizes, intra/cut edge counters (one recount) |
 //! | engine | [`StreamConfig`], dirty set, `batch_seq`, refinement seed/schedule | — |
 //!
 //! Floats are serialized bit-exactly (the live accounting is maintained
@@ -341,7 +342,7 @@ pub use engine::{BatchReport, StreamConfig, StreamingPartitioner, METRIC_ALLOWLI
 pub use mdbgp_obs::{
     validate_dump, DumpStats, HistogramSummary, JournalEvent, MetricsRegistry, SpanNode,
 };
-pub use pipeline::{StageTimings, SPECULATIVE_CHUNK};
+pub use pipeline::SPECULATIVE_CHUNK;
 pub use placement::{ReservationLedger, ReservedView};
 pub use replica::{Follower, Leader, ReplicaError};
 pub use snapshot::{SnapshotError, SnapshotExpectation, SnapshotInfo};

@@ -75,62 +75,6 @@ pub const REPAIR_SERIAL_THRESHOLD: usize = 32;
 /// exhausted, the serial fallback finishes the job.
 pub const MAX_SPEC_ROUNDS: usize = 8;
 
-/// Wall-clock milliseconds of each ingest stage, derived per batch from
-/// the span tree in [`crate::BatchReport::spans`] via
-/// [`crate::BatchReport::timings`] so a perf regression localizes to a
-/// stage instead of disappearing into one ingest total. A *view* over the
-/// spans — not independently measured — so the flat numbers and the tree
-/// can never drift apart. Span trees (and therefore these timings) are
-/// excluded from `BatchReport` equality — two semantically identical
-/// batches never share wall-clocks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimings {
-    pub validate_ms: f64,
-    pub split_ms: f64,
-    pub place_ms: f64,
-    pub repair_ms: f64,
-    pub commit_ms: f64,
-    pub refine_ms: f64,
-}
-
-impl StageTimings {
-    /// Total ingest wall-clock across the stages.
-    pub fn total_ms(&self) -> f64 {
-        self.validate_ms
-            + self.split_ms
-            + self.place_ms
-            + self.repair_ms
-            + self.commit_ms
-            + self.refine_ms
-    }
-
-    /// Projects a per-batch ingest span tree (root `"ingest"`, one child
-    /// per stage) onto the flat stage totals. A stage with no span — e.g.
-    /// `refine` on a batch that didn't trigger — reads 0.
-    pub fn from_spans(root: &mdbgp_obs::SpanNode) -> Self {
-        Self {
-            validate_ms: root.child_ms("validate"),
-            split_ms: root.child_ms("split"),
-            place_ms: root.child_ms("place"),
-            repair_ms: root.child_ms("repair"),
-            commit_ms: root.child_ms("commit"),
-            refine_ms: root.child_ms("refine"),
-        }
-    }
-}
-
-/// Stage by stage, so a run's per-batch timings sum to its stage totals.
-impl std::ops::AddAssign for StageTimings {
-    fn add_assign(&mut self, other: Self) {
-        self.validate_ms += other.validate_ms;
-        self.split_ms += other.split_ms;
-        self.place_ms += other.place_ms;
-        self.repair_ms += other.repair_ms;
-        self.commit_ms += other.commit_ms;
-        self.refine_ms += other.refine_ms;
-    }
-}
-
 /// One arriving vertex between the split and commit stages.
 #[derive(Clone, Debug)]
 pub(crate) struct PendingArrival {

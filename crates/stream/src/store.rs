@@ -324,12 +324,6 @@ impl ReadHandle {
         &self.pinned
     }
 
-    /// Refresh, then return the pinned view.
-    pub fn pin(&mut self) -> &Arc<ReadView> {
-        self.refresh();
-        &self.pinned
-    }
-
     /// True when the pinned view's id epoch differs from the one the
     /// reader last [`Self::adopt`]ed — i.e. a purge remap lies between
     /// the reader's ids and the view.

@@ -57,7 +57,7 @@ proptest! {
         prop_assert_eq!(&dg.snapshot(), &direct);
         prop_assert_eq!(dg.num_edges(), direct.num_edges());
         prop_assert!(dg.compact().is_none());
-        prop_assert_eq!(dg.compacted_csr(), &direct);
+        prop_assert_eq!(dg.csr(), &direct);
         prop_assert_eq!(dg.delta_edge_count(), 0);
     }
 

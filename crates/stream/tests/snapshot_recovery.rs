@@ -26,8 +26,9 @@ fn engine(seed: u64, churn: bool) -> StreamingPartitioner {
     };
     cfg.seed = seed;
     if churn {
-        // Keep tombstones pending at snapshot time: no slack-triggered
-        // purge, no refinement-triggered compaction.
+        // Keep tombstones pending at snapshot time: a slack this loose
+        // never triggers the purge. The wide drift headroom keeps the
+        // drift trigger off as well.
         cfg.compact_slack = 0.9;
         cfg.drift_headroom = 50.0;
     }
