@@ -72,7 +72,7 @@ use mdbgp_bench::policies::timed;
 use mdbgp_bench::table::Table;
 use mdbgp_core::{GdConfig, GdPartitioner};
 use mdbgp_graph::{gen, Graph, InducedSubgraph, Partitioner, VertexWeights};
-use mdbgp_obs::SpanStat;
+use mdbgp_obs::{Histogram, SpanStat};
 use mdbgp_stream::{
     BatchReport, Follower, HistogramSummary, Leader, MetricsRegistry, ReadHandle, StreamConfig,
     StreamingPartitioner, UpdateBatch, ViewEpoch, METRIC_ALLOWLIST,
@@ -651,8 +651,10 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
     let (mut eps_ok, mut scratch_eps_ok) = (true, true);
     // Summed from each batch's own span tree, not read from the registry:
     // a restore starts a fresh registry, and with followers it holds only
-    // the leader's spans.
+    // the leader's spans. The refine tail likewise takes one observation
+    // per batch, in whole µs as the registry's `span.ingest.refine_us`.
     let mut spans = BTreeMap::new();
+    let mut refine_us = Histogram::default();
     let mut batches: Vec<BatchPerf> = Vec::with_capacity(spec.batches);
 
     let stop = AtomicBool::new(false);
@@ -681,6 +683,7 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
                 script.settle(&report)?;
                 inc_total += inc_time;
                 add_span_tree(&mut spans, &report.spans);
+                refine_us.observe((report.spans.child_ms("refine") * 1e3).round() as u64);
                 eps_ok &= report.max_imbalance <= spec.eps + 1e-9;
                 match &mut engine {
                     Engine::Solo(sp)
@@ -781,9 +784,8 @@ fn run(args: &Args) -> Result<String, Vec<String>> {
         final_imbalance,
         inc_total_ms: ms(inc_total),
         scratch_total_ms: ms(scratch_total),
-        // The per-stage span histograms record microseconds per batch;
-        // the iteration histogram counts GD iterations per pair solve.
-        refine_p99_ms: quantile("span.ingest.refine_us", |s| s.p99) as f64 / 1000.0,
+        refine_p99_ms: refine_us.quantile(0.99) as f64 / 1000.0,
+        // The iteration histogram counts GD iterations per pair solve.
         refine_iters_p50: quantile("core.gd.refine_iterations", |s| s.p50),
         refine_iters_p99: quantile("core.gd.refine_iterations", |s| s.p99),
         // The serving histogram records ns; the record keeps µs, printed

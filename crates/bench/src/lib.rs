@@ -1,8 +1,9 @@
 //! # mdbgp-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion micro-benchmarks under `benches/`. The library part hosts the
-//! shared machinery:
+//! streaming bench `stream_online`, the `mdbgp_cli` tool and the
+//! `metrics_check` dump validator. The library part hosts the shared
+//! machinery:
 //!
 //! * [`datasets`] — the registry of scaled-down synthetic proxies standing
 //!   in for the paper's SNAP / Facebook graphs (see DESIGN.md for the

@@ -38,9 +38,11 @@ use crate::matvec::{delta_degree, expected_locality, matvec_delta, matvec_parall
 use crate::noise::add_gaussian_noise;
 use crate::projection::{alternating, project};
 use crate::rounding::round_balanced;
+use crate::timing::{Kernel, KernelTimes};
 use mdbgp_graph::{Graph, PartitionError, VertexWeights};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// The bipartition target: part `V_1` (sign +1) should receive `fraction`
 /// of every weight dimension, within relative tolerance `epsilon`.
@@ -338,6 +340,10 @@ pub struct BipartitionResult {
     pub violation: f64,
     /// Convergence trace (iteration count, gradient norms, exit reason).
     pub stats: GdRunStats,
+    /// Wall-clock per kernel: every gradient evaluation is one `matvec`
+    /// or `delta`, every step one `project`, and every run ends with one
+    /// `round`.
+    pub kernels: KernelTimes,
 }
 
 /// State of the active-variable bookkeeping for vertex fixing.
@@ -574,6 +580,7 @@ fn bipartition_impl(
                 exit: GdExit::FullyFrozen,
                 ..GdRunStats::default()
             },
+            kernels: KernelTimes::default(),
         });
     }
 
@@ -633,6 +640,7 @@ fn bipartition_impl(
     let mut reduced = region.restrict(&active.free, &active.fixed_dot);
     let mut history = Vec::new();
     let mut stats = GdRunStats::default();
+    let mut kernels = KernelTimes::default();
 
     // The schedule is sized by the whole problem, eliminated vertices
     // included, so a reduced solve steps like the problem it stands for.
@@ -680,6 +688,7 @@ fn bipartition_impl(
         // diffs from free movers and from vertices fixed since the last
         // evaluation (their snap to ±1 moved `z` too). ---
         stamp = stamp.wrapping_add(1);
+        let gradient_start = Instant::now();
         let full = !grad_ready || force_full || since_full + 1 >= config.grad_recompute_period || {
             let pending = delta_degree(graph, &ws.z, &ws.z_prev, &active.free)
                 + delta_degree(graph, &ws.z, &ws.z_prev, &ws.recently_fixed);
@@ -726,6 +735,8 @@ fn bipartition_impl(
             since_full += 1;
             stats.delta_iterations += 1;
         }
+        let gradient = if full { Kernel::Matvec } else { Kernel::Delta };
+        kernels.record(gradient, gradient_start);
         ws.recently_fixed.clear();
         if config.grad_check {
             ws.check_grad.clear();
@@ -780,6 +791,7 @@ fn bipartition_impl(
         // Frontier-restricted region: dormant free vertices hold their
         // position, so their weight mass folds into the slab shift exactly
         // like fixed vertices — global balance stays exact.
+        let project_start = Instant::now();
         let front_restricted;
         let front_region = if ws.frontier.len() == active.free.len() {
             &reduced
@@ -859,11 +871,13 @@ fn bipartition_impl(
                 ws.x[v as usize] = nv;
             }
         }
+        kernels.record(Kernel::Project, project_start);
 
         // --- Vertex fixing (§3.2). Only frontier vertices can have moved
         // across the threshold this iteration. ---
-        let mut fixed_any = false;
         if let Some(threshold) = config.fixing_threshold {
+            let fix_start = Instant::now();
+            let mut fixed_any = false;
             // Walk candidates in decreasing |x| so the most decided
             // vertices are locked first.
             let mut candidates: Vec<u32> = ws
@@ -892,10 +906,11 @@ fn bipartition_impl(
                     fixed_any = true;
                 }
             }
-        }
-        if fixed_any {
-            active.rebuild_free();
-            reduced = region.restrict(&active.free, &active.fixed_dot);
+            if fixed_any {
+                active.rebuild_free();
+                reduced = region.restrict(&active.free, &active.fixed_dot);
+            }
+            kernels.record(Kernel::Fix, fix_start);
         }
 
         if config.track_history {
@@ -922,6 +937,7 @@ fn bipartition_impl(
     // last iterations we run the alternating projections method until
     // convergence").
     if !active.free.is_empty() {
+        let start = Instant::now();
         let x_free: Vec<f64> = active.free.iter().map(|&v| ws.x[v as usize]).collect();
         let cleaned = alternating::project_converged(
             &x_free,
@@ -932,16 +948,24 @@ fn bipartition_impl(
         for (&v, &nv) in active.free.iter().zip(&cleaned) {
             ws.x[v as usize] = nv;
         }
+        kernels.record(Kernel::FinalProject, start);
     }
 
     // Randomized rounding + balance repair.
-    let (signs, violation) = round_balanced(&ws.x, &region, config.rounding_attempts, &mut rng);
+    let (signs, violation) = round_balanced(
+        &ws.x,
+        &region,
+        config.rounding_attempts,
+        &mut rng,
+        &mut kernels,
+    );
     Ok(BipartitionResult {
         signs,
         x: ws.x.clone(),
         history,
         violation,
         stats,
+        kernels,
     })
 }
 

@@ -32,7 +32,9 @@ use crate::gd::{
 };
 use crate::parallel;
 use crate::recursive::GdPartitioner;
+use crate::timing::{Kernel, KernelTimes};
 use mdbgp_graph::{Graph, Partition, PartitionError, VertexId, VertexWeights};
+use std::time::Instant;
 
 /// How one pair solve ([`GdPartitioner::solve_pair`]) resolved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,6 +72,9 @@ pub struct PairRefinement {
     /// How the pass resolved — lets the observability layer distinguish
     /// applied refinements from the rejection reasons.
     pub outcome: PairOutcome,
+    /// Wall-clock per kernel: GD's kernels and the `judge` (empty when GD
+    /// never ran). The caller adds the problem build it timed.
+    pub kernels: KernelTimes,
 }
 
 /// One pair's reduced refinement problem: the movable vertices `M` of
@@ -839,7 +844,10 @@ impl GdPartitioner {
             &problem.warm,
             seed,
         )?;
+        let judge_start = Instant::now();
         let (cut_before, cut_after, outcome) = problem.judge(eps, &res.signs);
+        let mut kernels = res.kernels;
+        kernels.record(Kernel::Judge, judge_start);
         if outcome != PairOutcome::Applied {
             return Ok(PairRefinement {
                 moves: Vec::new(),
@@ -847,6 +855,7 @@ impl GdPartitioner {
                 cut_after: cut_before,
                 gd: res.stats,
                 outcome,
+                kernels,
             });
         }
         let (p, q) = problem.pair;
@@ -863,6 +872,7 @@ impl GdPartitioner {
             cut_after,
             gd: res.stats,
             outcome,
+            kernels,
         })
     }
 
@@ -964,6 +974,28 @@ mod tests {
         }
         assert!(healed.max_imbalance(&w) <= 0.05 + 1e-9);
         assert_eq!(healed.cut_edges(&g), 2, "only the bridges remain cut");
+    }
+
+    #[test]
+    fn kernel_counts_follow_the_solve() {
+        // A short recompute period makes the healing solve run both
+        // gradient paths; each evaluation is billed to the one it ran.
+        let (g, w, part) = perturbed_cliques(30, 3);
+        let gd = GdPartitioner::new(GdConfig {
+            iterations: 15,
+            grad_recompute_period: 4,
+            ..GdConfig::with_epsilon(0.05)
+        });
+        let r = gd
+            .refine_pair(&g, &w, &part, (0, 1), &[false; 60], 7)
+            .unwrap();
+        let (s, k) = (&r.gd, &r.kernels);
+        assert!(s.full_recomputes > 0 && s.delta_iterations > 0, "{s:?}");
+        assert_eq!(k.count(Kernel::Matvec), s.full_recomputes as u64);
+        assert_eq!(k.count(Kernel::Delta), s.delta_iterations as u64);
+        assert_eq!(k.count(Kernel::Project), s.iterations as u64);
+        assert_eq!((k.count(Kernel::Round), k.count(Kernel::Judge)), (1, 1));
+        assert_eq!(k.count(Kernel::Build), 0, "the caller times the build");
     }
 
     #[test]

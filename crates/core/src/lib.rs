@@ -38,6 +38,7 @@ pub mod parallel;
 pub mod projection;
 pub mod recursive;
 pub mod rounding;
+pub mod timing;
 
 pub use config::{GdConfig, NoiseSchedule, ProjectionMethod, StepSchedule};
 pub use feasible::FeasibleRegion;
@@ -48,3 +49,4 @@ pub use gd::{
 pub use incremental::{ActiveAdjacency, PairOutcome, PairProblem, PairRefinement, PairRound};
 pub use kway::KWayGdPartitioner;
 pub use recursive::GdPartitioner;
+pub use timing::{Kernel, KernelTimes};

@@ -9,7 +9,9 @@
 //! changes the expectation argument — it only tightens balance).
 
 use crate::feasible::FeasibleRegion;
+use crate::timing::{Kernel, KernelTimes};
 use rand::Rng;
+use std::time::Instant;
 
 /// Randomized rounding: `P[sign_i = +1] = (x_i + 1)/2`.
 pub fn round_once<R: Rng>(x: &[f64], rng: &mut R) -> Vec<i8> {
@@ -25,40 +27,45 @@ pub fn round_once<R: Rng>(x: &[f64], rng: &mut R) -> Vec<i8> {
         .collect()
 }
 
-/// Deterministic sign rounding (ties to +1) — used for mid-run metrics.
-pub fn round_signs(x: &[f64]) -> Vec<i8> {
-    x.iter().map(|&xi| if xi >= 0.0 { 1 } else { -1 }).collect()
-}
-
 /// Maximum normalized slab violation of an integral assignment.
 pub fn violation_of(signs: &[i8], region: &FeasibleRegion) -> f64 {
     let x: Vec<f64> = signs.iter().map(|&s| s as f64).collect();
     region.max_violation(&x)
 }
 
-/// Full rounding pipeline: best of `attempts` randomized roundings,
-/// followed by greedy repair. Returns the signs and their final violation
-/// (0.0 means every balance constraint holds).
+/// Full rounding pipeline: the first feasible of at most `attempts`
+/// randomized roundings, else the least violating one followed by greedy
+/// repair. Returns the signs and their final violation (0.0 means every
+/// balance constraint holds). The attempts are billed to
+/// [`Kernel::Round`] in `kernels`, a repair to [`Kernel::Repair`].
 pub fn round_balanced<R: Rng>(
     x: &[f64],
     region: &FeasibleRegion,
     attempts: usize,
     rng: &mut R,
+    kernels: &mut KernelTimes,
 ) -> (Vec<i8>, f64) {
     assert!(attempts > 0);
+    let start = Instant::now();
     let mut best: Option<(f64, Vec<i8>)> = None;
     for _ in 0..attempts {
         let signs = round_once(x, rng);
         let v = violation_of(&signs, region);
-        if v == 0.0 {
-            return (signs, 0.0);
-        }
         if best.as_ref().is_none_or(|(bv, _)| v < *bv) {
             best = Some((v, signs));
         }
+        if v == 0.0 {
+            break;
+        }
     }
-    let (_, mut signs) = best.unwrap();
+    kernels.record(Kernel::Round, start);
+    let (v, mut signs) = best.unwrap();
+    if v == 0.0 {
+        return (signs, 0.0);
+    }
+    let start = Instant::now();
     let v = repair(&mut signs, x, region);
+    kernels.record(Kernel::Repair, start);
     (signs, v)
 }
 
@@ -183,7 +190,7 @@ mod tests {
         let x = vec![0.0; n];
         let region = unit_region(n, 0.05);
         let mut rng = StdRng::seed_from_u64(5);
-        let (signs, v) = round_balanced(&x, &region, 8, &mut rng);
+        let (signs, v) = round_balanced(&x, &region, 8, &mut rng, &mut KernelTimes::default());
         assert_eq!(v, 0.0, "ε = 5% over 2000 vertices must be satisfiable");
         assert_eq!(signs.len(), n);
     }
@@ -228,7 +235,7 @@ mod tests {
         let region = FeasibleRegion::symmetric(vec![w1, w2], 0.05);
         let x = vec![0.0; n];
         let mut rng = StdRng::seed_from_u64(11);
-        let (_, v) = round_balanced(&x, &region, 4, &mut rng);
+        let (_, v) = round_balanced(&x, &region, 4, &mut rng, &mut KernelTimes::default());
         assert!(v < 0.01, "violation {v}");
     }
 
@@ -237,10 +244,5 @@ mod tests {
         let region = unit_region(4, 0.0);
         assert!(violation_of(&[1, 1, 1, 1], &region) > 0.9);
         assert_eq!(violation_of(&[1, 1, -1, -1], &region), 0.0);
-    }
-
-    #[test]
-    fn round_signs_deterministic() {
-        assert_eq!(round_signs(&[0.3, -0.2, 0.0]), vec![1, -1, 1]);
     }
 }

@@ -61,11 +61,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an undirected edge `{u, v}`. Self-loops and duplicates are
     /// accepted here and dropped by `build()`.
     ///

@@ -9,6 +9,8 @@
 //!   opening `"refine"` while `"ingest"` is open produces the dotted path
 //!   `ingest.refine` when the tree is flattened. Repeated spans with the same
 //!   name under the same parent merge (count += 1, time accumulates).
+//!   [`SpanTree::add`] merges time measured elsewhere (worker threads)
+//!   under the open span the same way.
 //! * Event **journal** — a bounded ring buffer of structured events with
 //!   monotonic sequence numbers; once full, the oldest events are dropped and
 //!   counted, never silently lost.
@@ -220,6 +222,33 @@ struct TreeInner {
     stack: Vec<usize>,
 }
 
+impl TreeInner {
+    /// The node `name` under the open span (or among the roots), created
+    /// on first use.
+    fn child(&mut self, name: &'static str) -> usize {
+        let parent = self.stack.last().copied();
+        let siblings = match parent {
+            Some(p) => &self.nodes[p].children,
+            None => &self.roots,
+        };
+        if let Some(&i) = siblings.iter().find(|&&c| self.nodes[c].name == name) {
+            return i;
+        }
+        let i = self.nodes.len();
+        self.nodes.push(RawNode {
+            name,
+            total_ms: 0.0,
+            count: 0,
+            children: Vec::new(),
+        });
+        match parent {
+            Some(p) => self.nodes[p].children.push(i),
+            None => self.roots.push(i),
+        }
+        i
+    }
+}
+
 /// Per-batch span collector. Interior-mutable so guards borrow the tree
 /// shared (`&SpanTree`), letting callers keep `&mut self` on their own
 /// state while spans are open.
@@ -249,28 +278,7 @@ impl SpanTree {
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         let idx = {
             let mut inner = self.inner.borrow_mut();
-            let siblings: Vec<usize> = match inner.stack.last() {
-                Some(&p) => inner.nodes[p].children.clone(),
-                None => inner.roots.clone(),
-            };
-            let existing = siblings.into_iter().find(|&c| inner.nodes[c].name == name);
-            let idx = match existing {
-                Some(i) => i,
-                None => {
-                    let i = inner.nodes.len();
-                    inner.nodes.push(RawNode {
-                        name,
-                        total_ms: 0.0,
-                        count: 0,
-                        children: Vec::new(),
-                    });
-                    match inner.stack.last().copied() {
-                        Some(p) => inner.nodes[p].children.push(i),
-                        None => inner.roots.push(i),
-                    }
-                    i
-                }
-            };
+            let idx = inner.child(name);
             inner.stack.push(idx);
             idx
         };
@@ -279,6 +287,19 @@ impl SpanTree {
             idx,
             start: Instant::now(),
         }
+    }
+
+    /// Adds `count` finished activations totalling `total_ms` to the span
+    /// `name` under the currently-open span (or to the root `name`),
+    /// merging by name as [`Self::span`] does. For time measured
+    /// elsewhere, such as inside worker threads, and billed to the open
+    /// span at a barrier.
+    pub fn add(&self, name: &'static str, count: u64, total_ms: f64) {
+        let mut inner = self.inner.borrow_mut();
+        let idx = inner.child(name);
+        let node = &mut inner.nodes[idx];
+        node.count += count;
+        node.total_ms += total_ms;
     }
 
     fn finish(&self, idx: usize, elapsed_ms: f64) {
@@ -324,14 +345,6 @@ impl Drop for SpanGuard<'_> {
         let elapsed_ms = self.start.elapsed().as_secs_f64() * 1e3;
         self.tree.finish(self.idx, elapsed_ms);
     }
-}
-
-/// Opens a named span on a [`SpanTree`]: `let _g = span!(tree, "place");`.
-#[macro_export]
-macro_rules! span {
-    ($tree:expr, $name:literal) => {
-        $tree.span($name)
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -948,16 +961,16 @@ mod tests {
     fn spans_nest_and_merge_by_name() {
         let tree = SpanTree::new();
         {
-            let _root = span!(tree, "ingest");
+            let _root = tree.span("ingest");
             {
-                let _a = span!(tree, "place");
+                let _a = tree.span("place");
             }
             {
-                let _a = span!(tree, "place"); // merges with the first
+                let _a = tree.span("place"); // merges with the first
             }
             {
-                let _b = span!(tree, "refine");
-                let _c = span!(tree, "gd");
+                let _b = tree.span("refine");
+                let _c = tree.span("gd");
             }
         }
         let roots = tree.snapshot();
@@ -974,6 +987,31 @@ mod tests {
         // Children are inside the parent, so they can't exceed it.
         let child_sum: f64 = root.children.iter().map(|c| c.total_ms).sum();
         assert!(child_sum <= root.total_ms + 1e-6);
+    }
+
+    #[test]
+    fn added_spans_nest_under_the_open_span_and_merge_by_name() {
+        let tree = SpanTree::new();
+        {
+            let _root = tree.span("pairs");
+            {
+                let _timed = tree.span("judge");
+            }
+            tree.add("judge", 3, 1.5); // merges with the timed activation
+            tree.add("matvec", 2, 0.25);
+            tree.add("matvec", 1, 0.5);
+        }
+        tree.add("replay", 4, 2.0); // nothing open: a root
+        let roots = tree.snapshot();
+        let names: Vec<_> = roots.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["pairs", "replay"]);
+        assert_eq!((roots[1].count, roots[1].total_ms), (4, 2.0));
+        let pairs = &roots[0];
+        assert_eq!(pairs.count, 1);
+        let kids: Vec<_> = pairs.children.iter().map(|c| (c.name, c.count)).collect();
+        assert_eq!(kids, [("judge", 4), ("matvec", 3)]);
+        assert!(pairs.child_ms("judge") >= 1.5);
+        assert_eq!(pairs.child_ms("matvec"), 0.75);
     }
 
     #[test]

@@ -68,8 +68,8 @@ use crate::pipeline::{
 use crate::store::PartitionStore;
 use crate::TOMBSTONE;
 use mdbgp_core::{
-    parallel, ActiveAdjacency, GdConfig, GdPartitioner, GdWorkspace, PairOutcome, PairProblem,
-    PairRound,
+    parallel, ActiveAdjacency, GdConfig, GdPartitioner, GdWorkspace, Kernel, KernelTimes,
+    PairOutcome, PairProblem, PairRound,
 };
 use mdbgp_graph::{Graph, Partition, PartitionError, Partitioner, VertexId, VertexWeights};
 use mdbgp_obs::{MetricsRegistry, SpanNode, SpanTree};
@@ -1428,7 +1428,8 @@ impl StreamingPartitioner {
     }
 
     /// The refinement pass body, with its sub-stages (`rebalance`, and
-    /// `gd` with its `gather` and `pairs` children) recorded as children of
+    /// `gd` with its `gather` and `pairs` children, the latter with the
+    /// pair-solve kernels below it) recorded as children of
     /// whatever span is currently open on `spans` — `"ingest.refine"`
     /// when called from [`Self::ingest`], `"refine"` from
     /// [`Self::refine_now`].
@@ -1475,7 +1476,7 @@ impl StreamingPartitioner {
             );
             let solved = {
                 let _s = spans.span("pairs");
-                self.refine_pairs(&pairs, &mut pass)
+                self.refine_pairs(&pairs, &mut pass, spans)
             };
             for &a in self.adjacency.vertices() {
                 self.refine_slots[a as usize] = ActiveAdjacency::INACTIVE;
@@ -1638,10 +1639,18 @@ impl StreamingPartitioner {
     /// moves are applied at the round barrier, in round order, so the
     /// next round sees them and `threads = 1 ≡ threads = N` by
     /// construction.
+    ///
+    /// Each solve times its kernels ([`KernelTimes`]), and the worker
+    /// times the pair's problem build. At the barrier the round's kernel
+    /// times are added as children of the open span on `spans`, divided
+    /// by the round's workers: every worker's solves lie inside the
+    /// round, so the children never add up to more than their parent,
+    /// and with one worker the times are exact.
     fn refine_pairs(
         &mut self,
         pairs: &[(u32, u32)],
         pass: &mut RefinePass,
+        spans: &SpanTree,
     ) -> Result<(), PartitionError> {
         let mut gd_cfg = self.cfg.gd.clone();
         gd_cfg.epsilon = self.cfg.epsilon;
@@ -1682,9 +1691,19 @@ impl StreamingPartitioner {
             let (adjacency, weights) = (&self.adjacency, self.graph.weights());
             let outcomes =
                 parallel::par_map_with(&round, &mut self.workspaces[..workers], |ws, i, _| {
+                    let start = Instant::now();
                     let problem = pair_problem(adjacency, &split, i, weights, store);
-                    gd.solve_pair(ws, &problem, seeds[i])
+                    let mut built = KernelTimes::default();
+                    built.record(Kernel::Build, start);
+                    let mut refinement = gd.solve_pair(ws, &problem, seeds[i])?;
+                    refinement.kernels.merge(&built);
+                    Ok(refinement)
                 });
+            for refinement in outcomes.iter().flatten() {
+                for (name, count, ms) in refinement.kernels.ran() {
+                    spans.add(name, count, ms / workers as f64);
+                }
+            }
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 let outcome = outcome?;
                 // Recorded at the deterministic round barrier (par_map
@@ -3194,6 +3213,58 @@ mod tests {
         // Spans from both entry points nest under their own roots.
         assert!(m.span_stat("ingest").is_some());
         assert!(m.span_stat("ingest.place").is_some());
+    }
+
+    /// Each pair solve's kernels land under `ingest.refine.gd.pairs` at
+    /// any thread count, one `matvec` or `delta` per gradient evaluation,
+    /// and never add up to more than the `pairs` span (the dump
+    /// validator's child-sum check), while the deterministic metrics stay
+    /// thread-count independent.
+    #[test]
+    fn kernel_spans_nest_under_pairs_at_any_thread_count() {
+        let run = |threads: usize| {
+            let (g, w) = community(1_000, 17);
+            let mut cfg = fast_cfg(4, 0.05).with_threads(threads);
+            cfg.refine_every = 1;
+            let mut sp = StreamingPartitioner::bootstrap(g, w, cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            for _ in 0..3 {
+                let n = sp.graph().num_vertices() as u32;
+                let mut batch = UpdateBatch::new();
+                for _ in 0..20 {
+                    let nbrs: Vec<u32> = (0..4).map(|_| rng.gen_range(0..n)).collect();
+                    batch.add_vertex(vec![1.0, nbrs.len() as f64], nbrs);
+                }
+                let mut removed = Vec::new();
+                while removed.len() < 8 {
+                    let v = rng.gen_range(0..n);
+                    if sp.graph().is_live(v) && !removed.contains(&v) {
+                        batch.remove_vertex(v);
+                        removed.push(v);
+                    }
+                }
+                assert!(sp.ingest(&batch).unwrap().refined);
+            }
+            sp
+        };
+        let mut dumps = Vec::new();
+        for threads in [1, 4] {
+            let mut sp = run(threads);
+            let m = sp.metrics();
+            mdbgp_obs::validate_dump(&m.render_json(), METRIC_ALLOWLIST)
+                .expect("kernel spans fit inside their parent");
+            let count = |kernel: &str| {
+                let path = format!("ingest.refine.gd.pairs.{kernel}");
+                m.span_stat(&path).map_or(0, |s| s.count)
+            };
+            for kernel in ["build", "matvec", "project", "round", "judge"] {
+                assert!(count(kernel) > 0, "{kernel} was not recorded");
+            }
+            assert_eq!(count("matvec"), m.counter("core.gd.grad_full_recomputes"));
+            assert_eq!(count("delta"), m.counter("core.gd.grad_delta_iters"));
+            dumps.push(m.deterministic_json(METRIC_ALLOWLIST));
+        }
+        assert_eq!(dumps[0], dumps[1]);
     }
 
     /// A one-edge batch refines only around that edge: the active set is

@@ -230,8 +230,11 @@
 //!   pipeline stage; the refinement pass nests `rebalance` and `gd` under
 //!   `"refine"`, and `gd` splits into `gather` (marking the active set,
 //!   gathering its adjacency and ranking the pairs) and `pairs` (building
-//!   and solving the pair problems). Per-batch trees roll up into
-//!   cumulative per-path totals and latency histograms on absorption.
+//!   and solving the pair problems), whose children are the kernels of
+//!   the solves (`build`, `matvec`, `delta`, `project`, `fix`,
+//!   `final_project`, `round`, `repair`, `judge`). Per-batch trees roll
+//!   up into cumulative per-path totals and latency histograms on
+//!   absorption.
 //! * **Journal** — structured events (`compact.purge`, `refine.pass`,
 //!   `refine.drift_trigger`, `place.repair`, `rebalance.full_scan`,
 //!   `snapshot.save` / `snapshot.restore`) in a bounded ring of

@@ -7,7 +7,7 @@
 use mdbgp::core::feasible::FeasibleRegion;
 use mdbgp::core::projection::{exact1d, project};
 use mdbgp::core::rounding;
-use mdbgp::core::{GdConfig, GdPartitioner, ProjectionMethod};
+use mdbgp::core::{GdConfig, GdPartitioner, KernelTimes, ProjectionMethod};
 use mdbgp::graph::{gen, Partition, Partitioner, VertexWeights};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -95,7 +95,8 @@ proptest! {
         let x = vec![0.0; n];
         let region = FeasibleRegion::symmetric(vec![vec![1.0; n]], 0.03);
         let mut rng = StdRng::seed_from_u64(seed);
-        let (signs, violation) = rounding::round_balanced(&x, &region, 4, &mut rng);
+        let mut kernels = KernelTimes::default();
+        let (signs, violation) = rounding::round_balanced(&x, &region, 4, &mut rng, &mut kernels);
         prop_assert_eq!(violation, 0.0);
         prop_assert_eq!(signs.len(), n);
     }
